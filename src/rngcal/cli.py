@@ -42,7 +42,6 @@ class CliError(Exception):
 class RunConfig:
     """Validated settings for ``test`` and ``scan``."""
 
-    input_label: str
     tests: list[str]
     alpha: float = DEFAULT_ALPHA
     schedule_name: str = "omega_star"
@@ -110,15 +109,18 @@ def _apply_seed(spec: str, seed: int | None) -> str:
     return f"{base}:seed={seed}"
 
 
-def _read_input_bits(args) -> tuple[BitString, str]:
-    """Resolve the sample for ``test``: returns (bits, input label)."""
+def _open_input(args) -> tuple[BitString | sources.Source, str]:
+    """The stream named by ``--input`` or ``--source``, and its label.
+
+    A file or stdin is read whole; a source spec is only parsed, so the
+    caller can check the sample size before any bit is drawn.
+    """
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
     if args.source is not None:
         spec = _apply_seed(args.source, args.seed)
-        n = args.max_bits if args.max_bits is not None else 1 << 16
         try:
-            return sources.generate(spec, n), spec
+            return sources.parse_source_spec(spec), spec
         except ValueError as exc:
             raise CliError(str(exc)) from None
     label = "stdin" if args.input == "-" else args.input
@@ -131,34 +133,35 @@ def _read_input_bits(args) -> tuple[BitString, str]:
             bits = read_bit_file(args.input, fmt=args.input_format)
     except (OSError, ValueError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {label}: {exc}") from None
-    if args.max_bits is not None:
-        bits = bits.prefix(min(args.max_bits, len(bits)))
     return bits, label
 
 
-def _make_single_test(test_id: str, window_bits: int | None):
-    if test_id == "lz77":
-        if window_bits is None:
-            return functools.partial(stats.compression_test, test_id="lz77")
-        code = functools.partial(lz.block_code_length, block_bits=window_bits)
-        return functools.partial(stats.compression_test, code=code, test_id="lz77")
-    if test_id == "tauk":
-        return lambda x, alpha: stats.tau_k_test(x, alpha=alpha)
-    raise CliError(f"unknown test {test_id!r}")
+def _check_memory_cap(n_bits: int) -> None:
+    """A full-window analysis holds a suffix automaton of all its bits at once."""
+    cap = DEFAULT_MEMORY_CAP_BITS
+    if n_bits > cap:
+        raise CliError(
+            f"input of {n_bits} bits exceeds the full-window memory cap "
+            f"({cap} bits); pass --window-bits to use bounded-window mode")
+
+
+def _lz77_test(window_bits: int | None):
+    if window_bits is None:
+        return functools.partial(stats.compression_test, test_id="lz77")
+    code = functools.partial(lz.block_code_length, block_bits=window_bits)
+    return functools.partial(stats.compression_test, code=code, test_id="lz77")
 
 
 def _run_tests(bits: BitString, config: RunConfig) -> stats.TestReport:
     if len(bits) < 1:
         raise CliError("input has no bits")
-    cap = DEFAULT_MEMORY_CAP_BITS
-    if config.window_bits is None and len(bits) > cap:
-        raise CliError(
-            f"input of {len(bits)} bits exceeds the full-window memory cap "
-            f"({cap} bits); pass --window-bits to use bounded-window mode")
-    reports = []
-    for test_id in config.tests:
-        runner = _make_single_test(test_id, config.window_bits)
-        reports.append(runner(bits, config.alpha))
+    if config.window_bits is None and "tauk" in config.tests:
+        # tau_k needs the prefix-cost table, which also holds the lz77 code length
+        table = lz.prefix_code_lengths(bits)
+        reports = stats.prefix_cost_reports(table, config.tests, config.alpha)
+    else:
+        test = _lz77_test(config.window_bits)
+        reports = [test(bits, config.alpha) for _ in config.tests]
     if len(reports) == 1:
         return reports[0]
     return stats.battery_report(reports, config.tests, config.alpha, config.schedule())
@@ -217,9 +220,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    bits, label = _read_input_bits(args)
     config = RunConfig(
-        input_label=label,
         tests=[t.strip() for t in args.tests.split(",") if t.strip()],
         alpha=args.alpha,
         schedule_name=args.schedule,
@@ -231,6 +232,14 @@ def cmd_test(args) -> int:
         report_format=args.report,
         seed=args.seed,
     )
+    stream, label = _open_input(args)
+    if isinstance(stream, BitString):
+        n = len(stream) if args.max_bits is None else min(args.max_bits, len(stream))
+    else:
+        n = 1 << 16 if args.max_bits is None else args.max_bits
+    if config.window_bits is None:
+        _check_memory_cap(n)
+    bits = stream.prefix(n) if isinstance(stream, BitString) else stream.bits(n)
     report = _run_tests(bits, config)
     if config.report_format == "json":
         print(_json_document(report.to_dict(), config, label))
@@ -241,7 +250,6 @@ def cmd_test(args) -> int:
 
 def cmd_scan(args) -> int:
     config = RunConfig(
-        input_label="",
         tests=[t.strip() for t in args.tests.split(",") if t.strip()],
         alpha=args.alpha,
         schedule_name=args.schedule,
@@ -256,28 +264,16 @@ def cmd_scan(args) -> int:
     )
     if len(config.tests) != 1:
         raise CliError("scan drives a single test; pass exactly one --tests id")
-    if (args.source is None) == (args.input is None):
-        raise CliError("exactly one of --input or --source is required")
-    if args.source is not None:
-        spec = _apply_seed(args.source, args.seed)
-        try:
-            stream = sources.parse_source_spec(spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        label = spec
+    stream, label = _open_input(args)
+    if config.window_bits is None:
+        # one automaton lives for the whole scan, up to the last prefix
+        limit = config.budget_bits
+        if isinstance(stream, BitString):
+            limit = min(limit, len(stream))
+        _check_memory_cap(limit)
+        runner = stats.PrefixScanTest(config.tests[0])
     else:
-        label = "stdin" if args.input == "-" else args.input
-        try:
-            if args.input == "-":
-                data = sys.stdin.buffer.read()
-                stream = (unpack(data) if args.input_format == "raw"
-                          else BitString.from01(data.decode("ascii")))
-            else:
-                stream = read_bit_file(args.input, fmt=args.input_format)
-        except (OSError, ValueError, UnicodeDecodeError) as exc:
-            raise CliError(f"cannot read {label}: {exc}") from None
-    config.input_label = label
-    runner = _make_single_test(config.tests[0], config.window_bits)
+        runner = _lz77_test(config.window_bits)
     result = stats.consistency_scan(stream, runner, config.alpha,
                                     start_bits=config.start_bits,
                                     max_bits=config.budget_bits)
@@ -370,6 +366,13 @@ def main(argv=None) -> int:
         print(f"rngcal: error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
     except BrokenPipeError:
+        return _EXIT_ERROR
+    except Exception as exc:
+        # Fail closed: exit status 1 means "reject", so a crash or an
+        # exhausted resource must not end with it.
+        message = " ".join(str(exc).split())
+        print(f"rngcal: error: {type(exc).__name__}{': ' if message else ''}{message}",
+              file=sys.stderr)
         return _EXIT_ERROR
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,56 +57,72 @@ class Lz77Parse:
     total_length: int
 
 
-def _suffix_automaton(bits: list[int]) -> tuple[array, array, array]:
-    """Build a suffix automaton over ``bits``.
+class _SuffixAutomaton:
+    """Suffix automaton of a bit string, built online (Blumer et al. 1985).
 
-    Returns ``(next0, next1, first)`` where ``first[s]`` is the end index
-    (0-based, inclusive) of the first occurrence of the substrings of state
-    ``s``.  Transition value -1 means absent.
+    ``next0``/``next1`` hold transitions (-1 means absent) and ``first[s]``
+    is the end index (0-based, inclusive) of the first occurrence of the
+    substrings of state ``s``.  ``extend`` appends bits; a substring of the
+    bits already taken in keeps its first occurrence, so walks over the
+    automaton of a prefix and of the extended string agree on that prefix.
+    Extending can clone a state, though, so a walk must restart from the
+    root after an extension.
     """
-    next0 = array("i", [-1])
-    next1 = array("i", [-1])
-    link = array("i", [-1])
-    length = array("i", [0])
-    first = array("i", [-1])
-    append0 = next0.append
-    append1 = next1.append
-    append_link = link.append
-    append_len = length.append
-    append_first = first.append
-    last = 0
-    for pos, c in enumerate(bits):
-        cur = len(link)
-        append0(-1)
-        append1(-1)
-        append_link(-1)
-        append_len(pos + 1)
-        append_first(pos)
-        nx = next1 if c else next0
-        p = last
-        while p != -1 and nx[p] == -1:
-            nx[p] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = nx[p]
-            if length[p] + 1 == length[q]:
-                link[cur] = q
+
+    __slots__ = ("next0", "next1", "link", "length", "first", "last", "size")
+
+    def __init__(self, bits: Sequence[int] = ()):
+        self.next0 = array("i", [-1])
+        self.next1 = array("i", [-1])
+        self.link = array("i", [-1])
+        self.length = array("i", [0])
+        self.first = array("i", [-1])
+        self.last = 0
+        self.size = 0  # bits taken in
+        self.extend(bits)
+
+    def extend(self, bits: Sequence[int]) -> None:
+        next0, next1, link, length, first = (self.next0, self.next1, self.link,
+                                             self.length, self.first)
+        append0 = next0.append
+        append1 = next1.append
+        append_link = link.append
+        append_len = length.append
+        append_first = first.append
+        last = self.last
+        for pos, c in enumerate(bits, self.size):
+            cur = len(link)
+            append0(-1)
+            append1(-1)
+            append_link(-1)
+            append_len(pos + 1)
+            append_first(pos)
+            nx = next1 if c else next0
+            p = last
+            while p != -1 and nx[p] == -1:
+                nx[p] = cur
+                p = link[p]
+            if p == -1:
+                link[cur] = 0
             else:
-                clone = len(link)
-                append0(next0[q])
-                append1(next1[q])
-                append_link(link[q])
-                append_len(length[p] + 1)
-                append_first(first[q])
-                while p != -1 and nx[p] == q:
-                    nx[p] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    return next0, next1, first
+                q = nx[p]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(link)
+                    append0(next0[q])
+                    append1(next1[q])
+                    append_link(link[q])
+                    append_len(length[p] + 1)
+                    append_first(first[q])
+                    while p != -1 and nx[p] == q:
+                        nx[p] = clone
+                        p = link[p]
+                    link[q] = clone
+                    link[cur] = clone
+            last = cur
+        self.last = last
+        self.size += len(bits)
 
 
 def _delta_len(v: int) -> int:
@@ -121,7 +137,8 @@ def parse(x: BitString) -> Lz77Parse:
     n = len(bits)
     if n == 0:
         return Lz77Parse(pairs=[], total_length=0)
-    next0, next1, first = _suffix_automaton(bits)
+    automaton = _SuffixAutomaton(bits)
+    next0, next1, first = automaton.next0, automaton.next1, automaton.first
     pairs: list[Lz77Pair] = []
     i = 0
     while i < n:
@@ -198,7 +215,8 @@ def code_length(x: BitString) -> int:
     n = len(bits)
     if n == 0:
         return 0
-    next0, next1, first = _suffix_automaton(bits)
+    automaton = _SuffixAutomaton(bits)
+    next0, next1, first = automaton.next0, automaton.next1, automaton.first
     i = 0
     while i < n:
         st = 0
@@ -227,51 +245,88 @@ def code_length(x: BitString) -> int:
     return total
 
 
+class PrefixCosts:
+    """Prefix-cost table of a bit string that grows at its end.
+
+    ``table[m]`` (an int64 ``array``) is ``code_length`` of the first ``m``
+    bits, for every ``m`` up to the bits taken in so far.  ``extend``
+    appends bits, extends the suffix automaton and resumes the greedy walk
+    at the start of the open factor: the last one, which reached the end of
+    the input and may still grow.  The factors before it are final, since
+    each stopped at a bit already taken in and the first occurrence of a
+    substring of those bits never changes.  The table of a prefix is a
+    prefix of the table, so extending in chunks gives the table of one pass
+    over the whole string while each bit is analysed once.
+
+    Within a factor the greedy parse of a prefix is the parse of the whole
+    string with its last factor shortened, and the smallest-p source of the
+    shortened factor is the first occurrence of the shortened match, which
+    the automaton reports during the same walk.
+    """
+
+    def __init__(self):
+        self._automaton = _SuffixAutomaton()
+        self._bits = bytearray()  # one byte per bit: a list would take eight
+        self.table = array("q", [0])
+        self._open = 0    # start of the open factor
+        self._closed = 0  # cost of the factors before it
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def extend(self, x: BitString) -> None:
+        """Append the bits of ``x`` and fill ``table`` up to the new length."""
+        new = x.array.tobytes()
+        out = self.table
+        out.frombytes(bytes(8 * len(new)))
+        self._automaton.extend(new)
+        bits = self._bits
+        bits += new
+        n = len(bits)
+        next0, next1, first = self._automaton.next0, self._automaton.next1, self._automaton.first
+        cum = self._closed
+        i = self._open
+        while i < n:
+            st = 0  # from the root: extending may have cloned the states of an earlier walk
+            ell = 0
+            while i + ell < n:
+                st2 = (next1 if bits[i + ell] else next0)[st]
+                if st2 == -1:
+                    break
+                s = first[st2] - ell
+                if s >= i:
+                    break
+                ell += 1
+                st = st2
+                # cost of the prefix ending inside this factor, truncated here
+                v = s + 2
+                b = v.bit_length() - 1
+                cost = b + 2 * ((b + 1).bit_length() - 1) + 1
+                b = ell.bit_length() - 1
+                cost += b + 2 * ((b + 1).bit_length() - 1) + 1
+                out[i + ell] = cum + cost
+            if ell == 0:
+                cum += _LITERAL_COST
+                out[i + 1] = cum
+                i += 1
+            elif i + ell == n:
+                break  # the open factor: the next extend walks it again
+            else:
+                cum = out[i + ell]
+                i += ell
+        self._open = i
+        self._closed = cum
+
+
 def prefix_code_lengths(x: BitString) -> np.ndarray:
     """``code_length`` of every prefix in one pass.
 
     Returns an int64 array ``out`` of size ``len(x) + 1`` with
-    ``out[m] == code_length(x.prefix(m))``.  The greedy parse of a prefix is
-    the parse of the whole string with its final factor shortened, and the
-    smallest-p source for the shortened factor is the first occurrence of
-    the shortened match, which the automaton reports during the same walk;
-    so every prefix length comes out of a single O(n) scan.
+    ``out[m] == code_length(x.prefix(m))``; see :class:`PrefixCosts`.
     """
-    bits = x.tolist()
-    n = len(bits)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    next0, next1, first = _suffix_automaton(bits)
-    out = [0] * (n + 1)
-    cum = 0
-    i = 0
-    while i < n:
-        st = 0
-        ell = 0
-        while i + ell < n:
-            st2 = (next1 if bits[i + ell] else next0)[st]
-            if st2 == -1:
-                break
-            s = first[st2] - ell
-            if s >= i:
-                break
-            ell += 1
-            st = st2
-            # cost of the prefix ending inside this factor, truncated here
-            v = s + 2
-            b = v.bit_length() - 1
-            cost = b + 2 * ((b + 1).bit_length() - 1) + 1
-            b = ell.bit_length() - 1
-            cost += b + 2 * ((b + 1).bit_length() - 1) + 1
-            out[i + ell] = cum + cost
-        if ell == 0:
-            out[i + 1] = cum + _LITERAL_COST
-            cum += _LITERAL_COST
-            i += 1
-        else:
-            cum = out[i + ell]
-            i += ell
-    return np.asarray(out, dtype=np.int64)
+    costs = PrefixCosts()
+    costs.extend(x)
+    return np.frombuffer(costs.table, dtype=np.int64)
 
 
 def block_code_length(x: BitString, block_bits: int) -> int:

@@ -100,17 +100,19 @@ class WeightSchedule:
             return self._finite[i - 1] if i <= len(self._finite) else 0.0
         return self._fn(i)
 
-    def weights(self, k: int) -> np.ndarray:
-        """The first ``k`` weights as a float array."""
+    def weights(self, k: int, start: int = 1) -> np.ndarray:
+        """Weights ``w_start .. w_k`` as a float array (the first ``k`` by default)."""
+        if start < 1:
+            raise ValueError(f"schedule index must be >= 1, got {start}")
         if self._finite is not None:
-            out = np.zeros(k)
+            out = np.zeros(max(0, k - start + 1))
             upto = min(k, len(self._finite))
-            out[:upto] = self._finite[:upto]
+            out[:max(0, upto - start + 1)] = self._finite[start - 1:upto]
             return out
         if self._fn is omega_star:
-            i = np.arange(1, k + 1, dtype=np.float64)
+            i = np.arange(start, k + 1, dtype=np.float64)
             return 1.0 / (i * (i + 1))
-        return np.array([self._fn(i) for i in range(1, k + 1)])
+        return np.array([self._fn(i) for i in range(start, k + 1)])
 
     def __repr__(self) -> str:
         return f"WeightSchedule({self.name!r})"
@@ -208,10 +210,13 @@ def compression_test(x: BitString, alpha: float = 0.01, code=None,
     if len(x) < 1:
         raise ValueError("compression test needs at least one bit")
     code_length = _resolve_code_length(code)
-    clen = int(code_length(x))
-    statistic = len(x) - clen
+    return _compression_report(len(x), int(code_length(x)), alpha, test_id)
+
+
+def _compression_report(n: int, clen: int, alpha: float, test_id: str) -> TestReport:
+    statistic = n - clen
     return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
-                        detail={"test_id": test_id, "code_bits": clen, "input_bits": len(x)})
+                        detail={"test_id": test_id, "code_bits": clen, "input_bits": n})
 
 
 def exact_p_value(x: BitString, tau: Callable[[BitString], float],
@@ -364,20 +369,117 @@ def tau_k_test(x: BitString, estimators: Sequence[ComplexityEstimator] | None = 
 
     tables = np.minimum.reduce([np.asarray(e.estimate_prefixes(x), dtype=np.float64)
                                 for e in estimators])
-    ktilde = math.log2(len(estimators)) + tables[1:]
-    w = schedule.weights(n)
-    m = np.arange(1, n + 1, dtype=np.float64)
+    best = _tau_k_evidence(tables[1:], len(estimators), schedule, 1)
+    return _tau_k_report(best, schedule, alpha)
+
+
+def _tau_k_evidence(joint: np.ndarray, k: int, schedule: WeightSchedule,
+                    start: int) -> tuple[float, int | None]:
+    """Best evidence over scales ``start .. start + len(joint) - 1``.
+
+    ``joint`` holds the joint estimate ``min_j estimate_j`` of the k
+    estimators at those scales.  Returns the evidence and its scale, the
+    first one on ties, or ``(-inf, None)`` when no scale carries weight.
+    Every scale's evidence is computed on its own, so a range split into
+    pieces gives the same values as the whole.  The arithmetic runs in
+    place, since a scan calls this while its suffix automaton is alive.
+    """
+    stop = start + len(joint) - 1
+    w = schedule.weights(stop, start)
     usable = w > 0.0
     if not usable.any():
+        return float("-inf"), None
+    evidence = np.arange(start, stop + 1, dtype=np.float64)
+    evidence -= math.log2(k) + np.asarray(joint, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        evidence += np.log2(w, out=w)
+    evidence[~usable] = -np.inf
+    best = int(np.argmax(evidence))
+    return float(evidence[best]), start + best
+
+
+def _default_tau_k_evidence(lz_costs: np.ndarray, start: int) -> tuple[float, int | None]:
+    """:func:`_tau_k_evidence` of the default ensemble (lz77 and literal+0)
+    from the LZ77 prefix costs at scales ``start ..``, under ``OMEGA_STAR``."""
+    scales = np.arange(start, start + len(lz_costs), dtype=np.int64)
+    return _tau_k_evidence(np.minimum(lz_costs, scales), 2, OMEGA_STAR, start)
+
+
+def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
+                  alpha: float) -> TestReport:
+    statistic, scale = best
+    if scale is None:
         return _make_report(float("-inf"), 1.0, UPPER_BOUND, alpha,
                             detail={"test_id": "tauk", "best_scale": None})
-    evidence = np.full(n, -np.inf)
-    evidence[usable] = m[usable] - ktilde[usable] + np.log2(w[usable])
-    best = int(np.argmax(evidence))
-    statistic = float(evidence[best])
     return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
-                        detail={"test_id": "tauk", "best_scale": best + 1,
+                        detail={"test_id": "tauk", "best_scale": scale,
                                 "schedule": schedule.name})
+
+
+# ---------------------------------------------------------------------------
+# tests read from one LZ77 prefix-cost table
+
+
+def prefix_cost_reports(table: np.ndarray, test_ids: Sequence[str],
+                        alpha: float) -> list[TestReport]:
+    """Reports of full-window tests from one prefix-cost table.
+
+    ``table`` is :func:`lz.prefix_code_lengths` of an n-bit sample.  The
+    ``lz77`` report has statistic ``n - table[n]`` and equals
+    ``compression_test``; the ``tauk`` report equals ``tau_k_test`` with
+    the default estimators and schedule.  One LZ pass serves every test.
+    """
+    alpha = _check_alpha(alpha)
+    n = len(table) - 1
+    if n < 1:
+        raise ValueError("tests need at least one bit")
+    reports = []
+    for test_id in test_ids:
+        if test_id == "lz77":
+            reports.append(_compression_report(n, int(table[n]), alpha, "lz77"))
+        elif test_id == "tauk":
+            best = _default_tau_k_evidence(table[1:], 1)
+            reports.append(_tau_k_report(best, OMEGA_STAR, alpha))
+        else:
+            raise ValueError(f"unknown test {test_id!r}")
+    return reports
+
+
+class PrefixScanTest:
+    """The ``test`` callable of a :func:`consistency_scan` that makes one
+    incremental LZ pass for the whole scan.
+
+    Each call takes a prefix that extends the previous one, feeds the new
+    bits to one :class:`lz.PrefixCosts` and reports on the prefix: ``lz77``
+    as ``m - table[m]``, ``tauk`` as a running maximum of the evidence over
+    the new scales only (the first maximum wins ties, as in
+    :func:`tau_k_test`).  Reports equal those of ``compression_test`` and
+    ``tau_k_test`` (default estimators and schedule) on the same prefix.
+    """
+
+    def __init__(self, test_id: str):
+        if test_id not in ("lz77", "tauk"):
+            raise ValueError(f"unknown test {test_id!r}")
+        self.test_id = test_id
+        self._costs = lz.PrefixCosts()
+        self._taken = BitString()
+        self._best: tuple[float, int | None] = (float("-inf"), None)
+
+    def __call__(self, x: BitString, alpha: float) -> TestReport:
+        alpha = _check_alpha(alpha)
+        k = len(self._taken)
+        if len(x) < max(k, 1) or not np.array_equal(x.array[:k], self._taken.array):
+            raise ValueError(f"a scan prefix must extend the {k} bits already analysed")
+        self._costs.extend(x[k:])
+        self._taken = x
+        table = self._costs.table
+        n = len(x)
+        if self.test_id == "lz77":
+            return _compression_report(n, table[n], alpha, "lz77")
+        best = _default_tau_k_evidence(np.frombuffer(table[k + 1:], dtype=np.int64), k + 1)
+        if best[0] > self._best[0]:
+            self._best = best
+        return _tau_k_report(self._best, OMEGA_STAR, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,53 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from typing import Callable, Sequence, TypeVar
+
 import numpy as np
 
 from rngcal.bits import BitString
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def max_workers() -> int:
+    """Worker count for :func:`parallel_map`: ``RNGCAL_THREADS`` if set
+    (1 forces serial execution), else the CPU count."""
+    env = os.environ.get("RNGCAL_THREADS")
+    if env is not None:
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"RNGCAL_THREADS must be an integer, got {env!r}") from None
+        if value < 1:
+            raise ValueError(f"RNGCAL_THREADS must be >= 1, got {value}")
+        return value
+    return os.cpu_count() or 1
+
+
+def parallel_map(fn: Callable[[T], R], items: Sequence[T],
+                 workers: int | None = None) -> list[R]:
+    """``[fn(it) for it in items]``, fanned out over a process pool.
+
+    Results keep input order, and every trial is seeded, so values do not
+    depend on the worker count.  Falls back to a plain loop when one worker
+    is requested or there is nothing to gain.
+    """
+    items = list(items)
+    if workers is None:
+        workers = max_workers()
+    workers = min(workers, len(items)) or 1
+    if workers == 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    ctx = multiprocessing.get_context("fork" if "fork" in
+                                      multiprocessing.get_all_start_methods() else None)
+    chunk = max(1, len(items) // (workers * 8))
+    with ctx.Pool(workers) as pool:
+        return pool.map(fn, items, chunksize=chunk)
 
 
 def random_bits(n: int, seed: int, p: float = 0.5) -> BitString:

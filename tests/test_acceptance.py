@@ -15,9 +15,7 @@ from rngcal import lz, reference, stats
 from rngcal.bits import BitString
 from rngcal.codes import encode_integer, encoded_length, kraft_sum
 from rngcal.sources import BernoulliSource, DuplicationSource
-from rngcal.util import parallel_map
-
-from helpers import all_bitstrings
+from helpers import all_bitstrings, parallel_map
 
 
 def conclude(num: int, ok: bool, detail: str) -> None:

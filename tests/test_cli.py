@@ -131,6 +131,49 @@ def test_scan_random_stream_reports_none(capsys):
     assert "none within budget" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec,test_id,budget", [
+    ("bernoulli:0.5:seed=21", "lz77", 2 ** 14),
+    ("bernoulli:0.5:seed=22", "tauk", 2 ** 14),
+    ("bernoulli:0.1:seed=23", "tauk", 2 ** 14),
+    ("markov:0.9,0.1,0.2,0.8:seed=24", "lz77", 2 ** 14),
+    ("dup:seed=7", "lz77", 2 ** 17),
+    ("dup:seed=25", "tauk", 2 ** 13),
+])
+def test_scan_steps_equal_from_scratch_scan(spec, test_id, budget, capsys):
+    status = run_cli("scan", "--source", spec, "--tests", test_id, "--alpha", "1e-6",
+                     "--start-bits", "512", "--budget", str(budget), "--report", "json")
+    doc = json.loads(capsys.readouterr().out)
+    test = (stats.compression_test if test_id == "lz77"
+            else lambda x, alpha: stats.tau_k_test(x, alpha=alpha))
+    ref = stats.consistency_scan(sources.parse_source_spec(spec), test, 1e-6,
+                                 start_bits=512, max_bits=budget)
+    assert status == int(ref.rejected)
+    assert doc["first_rejection_bits"] == ref.first_rejection_bits
+    assert [s["bits"] for s in doc["steps"]] == [s.bits for s in ref.steps]
+    for got, want in zip(doc["steps"], ref.steps):
+        assert got["statistic_bits"] == want.report.statistic_bits
+        assert got["p_value"] == want.report.p_value
+        assert got["decision"] == want.report.decision
+
+
+@pytest.mark.parametrize("tests", ["lz77,tauk", "tauk,lz77", "tauk"])
+def test_battery_components_equal_standalone_tests(tests, capsys):
+    spec = "bernoulli:0.05:seed=26"
+    assert run_cli("test", "--source", spec, "--max-bits", "3000", "--tests", tests,
+                   "--alpha", "0.05", "--report", "json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    x = sources.generate(spec, 3000)
+    standalone = {"lz77": stats.compression_test(x, 0.05),
+                  "tauk": stats.tau_k_test(x, alpha=0.05)}
+    ids = tests.split(",")
+    got = doc["components"] if len(ids) > 1 else [dict(doc, test_id=ids[0])]
+    assert [c["test_id"] for c in got] == ids
+    for comp in got:
+        want = standalone[comp["test_id"]]
+        assert comp["statistic_bits"] == want.statistic_bits
+        assert comp["p_value"] == want.p_value
+
+
 def test_scan_takes_exactly_one_test(capsys):
     assert run_cli("scan", "--source", "dup:seed=1",
                    "--tests", "lz77,tauk") == 2
@@ -174,6 +217,45 @@ def test_window_mode_flagged_and_lz_only(capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err
+
+
+def test_unexpected_exception_fails_closed(monkeypatch, capsys):
+    def exhausted(self, n):
+        raise MemoryError("cannot allocate the sample")
+
+    monkeypatch.setattr(sources.Source, "bits", exhausted)
+    for argv in (("gen", "bernoulli:0.5:seed=1", "--bits", "64"),
+                 ("test", "--source", "bernoulli:0.5:seed=1"),
+                 ("scan", "--source", "bernoulli:0.5:seed=1", "--budget", "2048")):
+        assert run_cli(*argv) == 2  # never 1, which would read as a rejection
+        err = capsys.readouterr().err
+        assert err == "rngcal: error: MemoryError: cannot allocate the sample\n"
+
+
+def _refuse_to_draw(monkeypatch):
+    def draw(self, n):
+        raise AssertionError(f"drew {n} bits before checking the memory cap")
+
+    monkeypatch.setattr(sources.Source, "bits", draw)
+
+
+@pytest.mark.parametrize("argv", [
+    ("test", "--source", "bernoulli:0.5", "--max-bits", str(2 ** 24)),
+    ("scan", "--source", "bernoulli:0.5", "--budget", str(2 ** 24)),
+])
+def test_memory_cap_is_checked_before_drawing(argv, monkeypatch, capsys):
+    _refuse_to_draw(monkeypatch)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rngcal: error: input of {2 ** 24} bits exceeds the full-window "
+                          f"memory cap ({2 ** 23} bits)")
+
+
+def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):
+    path = tmp_path / "short.bin"
+    run_cli("gen", "bernoulli:0.5:seed=4", "--bits", "4096", "--output", str(path))
+    assert run_cli("scan", "--input", str(path), "--budget", str(2 ** 30)) == 0
+    assert "none within budget" in capsys.readouterr().out
 
 
 def test_console_script_stdin_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from rngcal import lz
 from rngcal.bits import BitString
 from rngcal.codes import encoded_length
 from rngcal.errors import DecodeError
-from rngcal.sources import BernoulliSource, DuplicationSource
+from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import all_bitstrings, brute_lz77_pairs, random_bits
 
@@ -142,6 +142,53 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
     table = lz.prefix_code_lengths(y)
     for m in range(601):
         assert table[m] == lz.code_length(y.prefix(m)), m
+
+
+def _chunked_table(x: BitString, chunks) -> np.ndarray:
+    """The table of a PrefixCosts fed ``x`` in consecutive chunks."""
+    costs = lz.PrefixCosts()
+    taken = 0
+    for size in chunks:
+        if taken >= len(x):
+            break
+        costs.extend(x[taken:taken + size])
+        taken = min(len(x), taken + size)
+    assert len(costs) == len(x)
+    return np.frombuffer(costs.table, dtype=np.int64)
+
+
+_CHUNKINGS = {
+    "ones": lambda: iter(lambda: 1, None),
+    "sevens": lambda: iter(lambda: 7, None),
+    "doubling": lambda: (1 << k for k in range(64)),
+}
+
+_PARITY_INPUTS = {
+    "uniform": lambda n: BernoulliSource(0.5, seed=11).bits(n),
+    "bern01": lambda n: BernoulliSource(0.1, seed=12).bits(n),
+    "dup": lambda n: DuplicationSource(seed=13).bits(n),
+    "markov": lambda n: MarkovSource([[0.9, 0.1], [0.2, 0.8]], seed=14).bits(n),
+    "zeros": BitString.zeros,
+}
+
+
+@pytest.mark.parametrize("chunking", sorted(_CHUNKINGS))
+@pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
+def test_chunk_extended_table_matches_one_pass(kind, chunking):
+    x = _PARITY_INPUTS[kind](700)
+    table = _chunked_table(x, _CHUNKINGS[chunking]())
+    assert np.array_equal(table, lz.prefix_code_lengths(x))
+    for m in range(0, len(x) + 1, 7):
+        assert table[m] == lz.code_length(x.prefix(m)), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200), st.lists(st.integers(1, 40), min_size=1, max_size=20))
+def test_chunk_extended_table_property(blob, sizes):
+    x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
+    table = _chunked_table(x, sizes + [len(x)])
+    assert np.array_equal(table, lz.prefix_code_lengths(x))
+    assert table[-1] == lz.code_length(x)
 
 
 def test_random_data_expands_pinned():

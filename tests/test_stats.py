@@ -9,7 +9,7 @@ import pytest
 from rngcal import lz, stats
 from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
-from rngcal.sources import BernoulliSource, DuplicationSource
+from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import all_bitstrings, random_bits
 
@@ -126,6 +126,17 @@ def test_omega_star_telescopes():
     assert total == pytest.approx(1000.0 / 1001.0, rel=1e-12)
     assert np.allclose(stats.OMEGA_STAR.weights(5),
                        [1 / 2, 1 / 6, 1 / 12, 1 / 20, 1 / 30])
+
+
+@pytest.mark.parametrize("schedule", [
+    stats.OMEGA_STAR,
+    stats.WeightSchedule.from_weights([0.5, 0.25, 0.125]),
+    stats.WeightSchedule("halving", weight_fn=lambda i: 2.0 ** -i),
+])
+def test_schedule_weight_ranges_are_slices(schedule):
+    full = schedule.weights(9)
+    for start in range(1, 11):
+        assert np.array_equal(schedule.weights(9, start), full[start - 1:]), start
 
 
 def test_custom_schedule_validation():
@@ -335,6 +346,53 @@ def test_scan_accepts_fixed_bitstring_capped_at_length():
                                      stats.compression_test, 0.01,
                                      start_bits=1024, max_bits=2 ** 20)
     assert [s.bits for s in result2.steps] == [1024, 2048]
+
+
+_SCAN_STREAMS = {
+    "uniform": BernoulliSource(0.5, seed=31).bits(5000),
+    "bern01": BernoulliSource(0.1, seed=32).bits(5000),
+    "markov": MarkovSource([[0.9, 0.1], [0.2, 0.8]], seed=33).bits(5000),
+    "dup": DuplicationSource(seed=34).bits(5000),
+    "zeros": BitString.zeros(5000),
+}
+
+
+@pytest.mark.parametrize("start_bits", [1, 3, 1000])
+@pytest.mark.parametrize("kind", sorted(_SCAN_STREAMS))
+def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
+    x = _SCAN_STREAMS[kind]
+    references = {"lz77": stats.compression_test,
+                  "tauk": lambda y, alpha: stats.tau_k_test(y, alpha=alpha)}
+    for test_id, reference in references.items():
+        got = stats.consistency_scan(x, stats.PrefixScanTest(test_id), 0.01,
+                                     start_bits=start_bits, stop_at_rejection=False)
+        want = stats.consistency_scan(x, reference, 0.01, start_bits=start_bits,
+                                      stop_at_rejection=False)
+        assert got.first_rejection_bits == want.first_rejection_bits
+        assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
+        for a, b in zip(got.steps, want.steps):
+            assert a.report == b.report, (test_id, a.bits)
+            assert a.report.detail == b.report.detail, (test_id, a.bits)
+
+
+def test_prefix_cost_reports_equal_standalone_tests():
+    for x in _SCAN_STREAMS.values():
+        got = stats.prefix_cost_reports(lz.prefix_code_lengths(x), ["tauk", "lz77"], 0.05)
+        want = [stats.tau_k_test(x, alpha=0.05), stats.compression_test(x, 0.05)]
+        assert got == want
+        assert [r.detail for r in got] == [r.detail for r in want]
+
+
+def test_prefix_scan_test_refuses_a_prefix_it_has_not_seen():
+    x = random_bits(64, seed=9)
+    runner = stats.PrefixScanTest("lz77")
+    runner(x.prefix(32), 0.01)
+    with pytest.raises(ValueError, match="extend"):
+        runner(random_bits(64, seed=10), 0.01)
+    with pytest.raises(ValueError, match="extend"):
+        runner(x.prefix(16), 0.01)
+    with pytest.raises(ValueError):
+        stats.PrefixScanTest("nope")
 
 
 def test_scan_validates_arguments():
