@@ -64,7 +64,18 @@ class BitString:
             raise ValueError("width must be >= 0")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls.from01(format(value, f"0{width}b") if width else "")
+        nbytes = (width + 7) // 8
+        bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
+        return cls._wrap(bits[8 * nbytes - width:])
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "BitString":
+        """Take ``a``, a 1-D uint8 array of 0/1 that nothing else holds,
+        without the check and the copy of ``__init__``."""
+        a.setflags(write=False)
+        self = cls.__new__(cls)
+        self._a = a
+        return self
 
     @classmethod
     def concat(cls, parts: Iterable["BitString"]) -> "BitString":

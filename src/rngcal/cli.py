@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 from . import __version__, lz, sources, stats
 from .bits import BitString, pack, read_bit_file, unpack
+from .lz import DEFAULT_MEMORY_CAP_BITS
 
 TEST_IDS = ("lz77", "tauk")
 DEFAULT_ALPHA = 0.01
-DEFAULT_MEMORY_CAP_BITS = 1 << 23
 
 _EXIT_ACCEPT = 0
 _EXIT_REJECT = 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,7 +35,11 @@ from .bits import BitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
+# A full-window analysis holds a suffix automaton of all its bits, about 40
+# bytes per bit; a bare pair stream decodes to at most this many bits.
+DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _LITERAL_COST = encoded_length(1) + 1  # C(1) marker plus one raw bit
+_BLOCK = 1 << 16  # table positions priced per numpy step
 
 
 class Lz77Pair(NamedTuple):
@@ -67,36 +72,46 @@ class _SuffixAutomaton:
     automaton of a prefix and of the extended string agree on that prefix.
     Extending can clone a state, though, so a walk must restart from the
     root after an extension.
+
+    A bit adds at most two states (itself and a clone), so the five arrays
+    are sized once per construction or ``extend`` and filled by index;
+    ``states`` counts the states in use and the rest is room.
     """
 
-    __slots__ = ("next0", "next1", "link", "length", "first", "last", "size")
+    __slots__ = ("next0", "next1", "link", "length", "first", "last", "states", "size")
 
     def __init__(self, bits: Sequence[int] = ()):
-        self.next0 = array("i", [-1])
-        self.next1 = array("i", [-1])
-        self.link = array("i", [-1])
-        self.length = array("i", [0])
-        self.first = array("i", [-1])
+        room = 2 * len(bits) + 2  # the root and two states per bit
+        self.next0 = array("i", [-1]) * room
+        self.next1 = array("i", [-1]) * room
+        self.link = array("i", [-1]) * room
+        self.length = array("i", [0]) * room
+        self.first = array("i", [-1]) * room
         self.last = 0
+        self.states = 1
         self.size = 0  # bits taken in
         self.extend(bits)
 
     def extend(self, bits: Sequence[int]) -> None:
+        size = len(self.link)
+        room = self.states + 2 * len(bits) + 1 - size
+        if room > 0:
+            # Copy into a new column of the exact size: no temporary and no
+            # slack (``array.extend`` adds a sixteenth).  Growing by at least
+            # an eighth keeps short extensions amortized.
+            for name in self.__slots__[:5]:
+                column = array("i", [-1]) * (size + max(room, size >> 3))
+                column[:size] = getattr(self, name)
+                setattr(self, name, column)
         next0, next1, link, length, first = (self.next0, self.next1, self.link,
                                              self.length, self.first)
-        append0 = next0.append
-        append1 = next1.append
-        append_link = link.append
-        append_len = length.append
-        append_first = first.append
         last = self.last
+        states = self.states
         for pos, c in enumerate(bits, self.size):
-            cur = len(link)
-            append0(-1)
-            append1(-1)
-            append_link(-1)
-            append_len(pos + 1)
-            append_first(pos)
+            cur = states
+            states += 1
+            length[cur] = pos + 1
+            first[cur] = pos
             nx = next1 if c else next0
             p = last
             while p != -1 and nx[p] == -1:
@@ -109,12 +124,13 @@ class _SuffixAutomaton:
                 if length[p] + 1 == length[q]:
                     link[cur] = q
                 else:
-                    clone = len(link)
-                    append0(next0[q])
-                    append1(next1[q])
-                    append_link(link[q])
-                    append_len(length[p] + 1)
-                    append_first(first[q])
+                    clone = states
+                    states += 1
+                    next0[clone] = next0[q]
+                    next1[clone] = next1[q]
+                    link[clone] = link[q]
+                    length[clone] = length[p] + 1
+                    first[clone] = first[q]
                     while p != -1 and nx[p] == q:
                         nx[p] = clone
                         p = link[p]
@@ -122,57 +138,76 @@ class _SuffixAutomaton:
                     link[cur] = clone
             last = cur
         self.last = last
+        self.states = states
         self.size += len(bits)
 
 
-def _delta_len(v: int) -> int:
-    # encoded_length inlined for the hot loops
-    n = v.bit_length() - 1
-    return n + 2 * ((n + 1).bit_length() - 1) + 1
+def _factorize(bits: bytes, automaton: _SuffixAutomaton, start: int) -> tuple[array, array]:
+    """The greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
+
+    Returns int32 arrays of the factor starts and of ``ends``.  For
+    ``start < m <= len(bits)``, ``ends[m]`` is the end index of the first
+    occurrence of ``bits[i:m]``, where ``i`` starts the factor that holds bit
+    ``m - 1``: the factor truncated at ``m``.  It is -1 where that factor is
+    a literal.  A match may take bit ``j`` while its first occurrence ends
+    before ``j``, that is, starts before ``i``, and that first occurrence is
+    the smallest source.
+    """
+    n = len(bits)
+    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    ends = array("i", [-1]) * (n + 1)
+    starts = array("i")
+    i = start
+    while i < n:
+        starts.append(i)
+        st = 0  # from the root: extending may have cloned the states of an earlier walk
+        j = i
+        while j < n:
+            st = (next1 if bits[j] else next0)[st]
+            if st == -1:
+                break
+            end = first[st]
+            if end >= j:
+                break
+            j += 1
+            ends[j] = end
+        i = j if j > i else i + 1
+    return starts, ends
+
+
+def _delta_lengths(v: np.ndarray) -> np.ndarray:
+    """:func:`encoded_length` of every entry of ``v`` (each >= 1; exact below 2**53)."""
+    b = np.frexp(v)[1] - 1  # floor(log2 v)
+    return b + 2 * (np.frexp(b + 1)[1] - 1) + 1
+
+
+def _factor_costs(ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Serialized cost of factors given by their ``_factorize`` ends and lengths."""
+    return np.where(ends < 0, _LITERAL_COST,
+                    _delta_lengths(ends - lengths + 3) + _delta_lengths(lengths))
+
+
+def _greedy(x: BitString) -> tuple[bytes, array, array]:
+    """The bits of ``x``, the bounds of its factors (starts, then the length)
+    and the ``ends`` of :func:`_factorize`, from one build and one walk."""
+    bits = x.array.tobytes()
+    bounds, ends = _factorize(bits, _SuffixAutomaton(bits), 0)
+    bounds.append(len(bits))
+    return bits, bounds, ends
 
 
 def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
-    bits = x.tolist()
-    n = len(bits)
-    if n == 0:
-        return Lz77Parse(pairs=[], total_length=0)
-    automaton = _SuffixAutomaton(bits)
-    next0, next1, first = automaton.next0, automaton.next1, automaton.first
-    pairs: list[Lz77Pair] = []
-    i = 0
-    while i < n:
-        st = 0
-        ell = 0
-        src = -1
-        while i + ell < n:
-            st2 = (next1 if bits[i + ell] else next0)[st]
-            if st2 == -1:
-                break
-            s = first[st2] - ell  # start of the first occurrence of this match
-            if s >= i:
-                break
-            src = s
-            ell += 1
-            st = st2
-        if ell == 0:
-            pairs.append(Lz77Pair(0, bits[i]))
-            i += 1
-        else:
-            pairs.append(Lz77Pair(src + 1, ell))
-            i += ell
-    return Lz77Parse(pairs=pairs, total_length=n)
+    bits, bounds, ends = _greedy(x)
+    pairs = [Lz77Pair(0, bits[i]) if ends[j] < 0 else Lz77Pair(ends[j] - (j - i) + 2, j - i)
+             for i, j in pairwise(bounds)]
+    return Lz77Parse(pairs=pairs, total_length=len(bits))
 
 
 def pairs_cost(pairs: list[Lz77Pair]) -> int:
     """Bit length of the serialized pair stream."""
-    total = 0
-    for p, payload in pairs:
-        if p == 0:
-            total += _LITERAL_COST
-        else:
-            total += _delta_len(p + 1) + _delta_len(payload)
-    return total
+    return sum(_LITERAL_COST if p == 0 else encoded_length(p + 1) + encoded_length(payload)
+               for p, payload in pairs)
 
 
 def encode(x: BitString) -> Codeword:
@@ -188,61 +223,48 @@ def encode(x: BitString) -> Codeword:
 
 
 def decode(c: Codeword | BitString) -> BitString:
-    """Rebuild the input from a serialized pair stream."""
-    stream = c.bits if isinstance(c, Codeword) else c
+    """Rebuild the input from a serialized pair stream.
+
+    A :class:`Codeword` must decode to exactly its ``source_length`` bits,
+    and a bare stream to at most ``DEFAULT_MEMORY_CAP_BITS``.  A pair that
+    would pass the bound raises :class:`DecodeError` before it is expanded,
+    so a short hostile stream cannot allocate a long output.
+    """
+    if isinstance(c, Codeword):
+        stream, limit = c.bits, c.source_length
+    else:
+        stream, limit = c, DEFAULT_MEMORY_CAP_BITS
     reader = BitReader(stream)
-    out: list[int] = []
+    out = bytearray()
     while reader.remaining():
         at = reader.pos
         p = read_integer(reader) - 1
-        if p == 0:
-            out.append(reader.read_bit())
-            continue
         if p > len(out):
             raise DecodeError(
                 f"copy source {p} points past the {len(out)} bits decoded so far", at)
-        ell = read_integer(reader)
+        ell = 1 if p == 0 else read_integer(reader)
+        if len(out) + ell > limit:
+            raise DecodeError(f"pair decodes past the bound of {limit} bits", at)
+        if p == 0:
+            out.append(reader.read_bit())
+            continue
         s = p - 1
-        for j in range(ell):
-            out.append(out[s + j])
-    return BitString(out)
+        while ell:  # an overlapping copy repeats what it has copied so far
+            piece = out[s:s + ell]
+            out += piece
+            s += len(piece)
+            ell -= len(piece)
+    if isinstance(c, Codeword) and len(out) != limit:
+        raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
+    return BitString(np.frombuffer(out, dtype=np.uint8))
 
 
 def code_length(x: BitString) -> int:
     """``len(encode(x))`` without materializing the codeword."""
-    total = 0
-    bits = x.tolist()
-    n = len(bits)
-    if n == 0:
-        return 0
-    automaton = _SuffixAutomaton(bits)
-    next0, next1, first = automaton.next0, automaton.next1, automaton.first
-    i = 0
-    while i < n:
-        st = 0
-        ell = 0
-        src = -1
-        while i + ell < n:
-            st2 = (next1 if bits[i + ell] else next0)[st]
-            if st2 == -1:
-                break
-            s = first[st2] - ell
-            if s >= i:
-                break
-            src = s
-            ell += 1
-            st = st2
-        if ell == 0:
-            total += _LITERAL_COST
-            i += 1
-        else:
-            v = src + 2
-            b = v.bit_length() - 1
-            total += b + 2 * ((b + 1).bit_length() - 1) + 1
-            b = ell.bit_length() - 1
-            total += b + 2 * ((b + 1).bit_length() - 1) + 1
-            i += ell
-    return total
+    _, bounds, ends = _greedy(x)
+    return sum(_LITERAL_COST if ends[j] < 0
+               else encoded_length(ends[j] - (j - i) + 3) + encoded_length(j - i)
+               for i, j in pairwise(bounds))
 
 
 class PrefixCosts:
@@ -261,7 +283,9 @@ class PrefixCosts:
     Within a factor the greedy parse of a prefix is the parse of the whole
     string with its last factor shortened, and the smallest-p source of the
     shortened factor is the first occurrence of the shortened match, which
-    the automaton reports during the same walk.
+    the walk reports as ``ends``.  So ``table[m]`` is the cost of the
+    factors before the one holding bit ``m - 1`` plus that factor truncated
+    at ``m``, priced in numpy a block of positions at a time.
     """
 
     def __init__(self):
@@ -277,45 +301,27 @@ class PrefixCosts:
     def extend(self, x: BitString) -> None:
         """Append the bits of ``x`` and fill ``table`` up to the new length."""
         new = x.array.tobytes()
-        out = self.table
-        out.frombytes(bytes(8 * len(new)))
+        if not new:
+            return
+        self.table.frombytes(bytes(8 * len(new)))
         self._automaton.extend(new)
         bits = self._bits
         bits += new
         n = len(bits)
-        next0, next1, first = self._automaton.next0, self._automaton.next1, self._automaton.first
-        cum = self._closed
-        i = self._open
-        while i < n:
-            st = 0  # from the root: extending may have cloned the states of an earlier walk
-            ell = 0
-            while i + ell < n:
-                st2 = (next1 if bits[i + ell] else next0)[st]
-                if st2 == -1:
-                    break
-                s = first[st2] - ell
-                if s >= i:
-                    break
-                ell += 1
-                st = st2
-                # cost of the prefix ending inside this factor, truncated here
-                v = s + 2
-                b = v.bit_length() - 1
-                cost = b + 2 * ((b + 1).bit_length() - 1) + 1
-                b = ell.bit_length() - 1
-                cost += b + 2 * ((b + 1).bit_length() - 1) + 1
-                out[i + ell] = cum + cost
-            if ell == 0:
-                cum += _LITERAL_COST
-                out[i + 1] = cum
-                i += 1
-            elif i + ell == n:
-                break  # the open factor: the next extend walks it again
-            else:
-                cum = out[i + ell]
-                i += ell
-        self._open = i
-        self._closed = cum
+        starts, ends = _factorize(bits, self._automaton, self._open)
+        ends = np.frombuffer(ends, dtype=np.int32)
+        begin = np.frombuffer(starts, dtype=np.int32)
+        stop = np.append(begin[1:], n)
+        whole = _factor_costs(ends[stop], stop - begin)
+        before = np.cumsum(whole) - whole + self._closed  # closed cost before each factor
+        table = np.frombuffer(self.table, dtype=np.int64)
+        for lo in range(starts[0] + 1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            m = np.arange(lo, hi, dtype=np.int32)
+            f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
+            table[lo:hi] = before[f] + _factor_costs(ends[lo:hi], m - begin[f])
+        self._open = starts[-1]
+        self._closed = int(before[-1])
 
 
 def prefix_code_lengths(x: BitString) -> np.ndarray:

@@ -8,7 +8,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from rngcal import lz
 from rngcal.bits import BitString
+from rngcal.codes import encoded_length
 
 
 T = TypeVar("T")
@@ -84,6 +86,44 @@ def brute_lz77_pairs(x: BitString) -> list[tuple[int, int]]:
             pairs.append((best_src + 1, best_len))
             i += best_len
     return pairs
+
+
+def reference_prefix_costs(x: BitString) -> np.ndarray:
+    """``lz.prefix_code_lengths(x)`` by a per-bit greedy walk that prices
+    each truncated factor as it goes; the reference for the numpy table.
+
+    Every bit the walk takes is priced at once: the cost of the closed
+    factors plus the open one truncated at that bit, from the source of
+    its first occurrence.
+    """
+    bits = x.array.tobytes()
+    n = len(bits)
+    automaton = lz._SuffixAutomaton(bits)
+    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    out = [0] * (n + 1)
+    cum = 0
+    i = 0
+    while i < n:
+        st = 0
+        ell = 0
+        while i + ell < n:
+            st2 = (next1 if bits[i + ell] else next0)[st]
+            if st2 == -1:
+                break
+            s = first[st2] - ell
+            if s >= i:
+                break
+            ell += 1
+            st = st2
+            out[i + ell] = cum + encoded_length(s + 2) + encoded_length(ell)
+        if ell == 0:
+            cum += encoded_length(1) + 1
+            out[i + 1] = cum
+            i += 1
+        else:
+            cum = out[i + ell]
+            i += ell
+    return np.array(out, dtype=np.int64)
 
 
 def all_bitstrings(n: int):

@@ -44,6 +44,19 @@ def test_concat_and_add():
     assert BitString.concat([]) == BitString()
 
 
+def test_from_int_matches_formatted_string():
+    for width in range(21):
+        top = 1 << max(width - 1, 0)
+        values = {0, 1, top - 1, top, top + 1, (1 << width) - 2, (1 << width) - 1,
+                  0x5555555 & ((1 << width) - 1)}
+        for value in sorted(v for v in values if 0 <= v < 1 << width):
+            x = BitString.from_int(value, width)
+            assert x == BitString.from01(format(value, f"0{width}b") if width else "")
+            assert x.array.dtype == np.uint8 and x.array.ndim == 1
+            assert not x.array.flags.writeable
+            assert x.to_int() == value
+
+
 def test_from_int():
     assert BitString.from_int(5, 4).to01() == "0101"
     assert BitString.from_int(0, 0) == BitString()

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rngcal
 from rngcal import sources, stats
 from rngcal.bits import BitString, read_bit_file, unpack
 from rngcal.cli import main
@@ -259,15 +267,19 @@ def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):
 
 
 def test_console_script_stdin_roundtrip(tmp_path):
+    # the children import the rngcal under test, installed or not
+    src = str(Path(rngcal.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     sample = sources.BernoulliSource(0.5, seed=9).bits(4096)
     gen = subprocess.run(
         [sys.executable, "-m", "rngcal.cli", "gen", "bernoulli:0.5:seed=9",
          "--bits", "4096"],
-        capture_output=True, check=True)
+        capture_output=True, check=True, env=env)
     assert unpack(gen.stdout) == sample
     test = subprocess.run(
         [sys.executable, "-m", "rngcal.cli", "test", "--input", "-"],
-        input=gen.stdout, capture_output=True)
+        input=gen.stdout, capture_output=True, env=env)
     assert test.returncode == 0, test.stderr.decode()
 
 
@@ -275,3 +287,31 @@ def test_help_lists_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _test_stdin(data: bytes, *argv: str) -> int:
+    """Exit status of ``rngcal test --input -`` reading ``data`` from stdin."""
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(["test", "--input", "-", *argv])
+
+
+_MALFORMED_RAW = st.one_of(
+    st.binary(max_size=7),  # shorter than the 8-byte header
+    st.tuples(st.integers(0, 600) | st.integers(0, (1 << 64) - 1), st.binary(max_size=80))
+    .filter(lambda t: t[0] == 0 or len(t[1]) != (t[0] + 7) // 8)  # no bits, or a wrong payload
+    .map(lambda t: t[0].to_bytes(8, "little") + t[1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MALFORMED_RAW)
+def test_malformed_raw_stdin_exits_2(data):
+    assert _test_stdin(data) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=40), st.integers(0x80, 0xFF), st.binary(max_size=40))
+def test_non_ascii_stdin_exits_2(head, byte, tail):
+    assert _test_stdin(head + bytes([byte]) + tail, "--input-format", "ascii") == 2

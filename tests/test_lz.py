@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from rngcal import lz
 from rngcal.bits import BitString
-from rngcal.codes import encoded_length
+from rngcal.codes import BitWriter, Codeword, encoded_length, write_integer
 from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import all_bitstrings, brute_lz77_pairs, random_bits
+from helpers import all_bitstrings, brute_lz77_pairs, random_bits, reference_prefix_costs
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -191,6 +192,34 @@ def test_chunk_extended_table_property(blob, sizes):
     assert table[-1] == lz.code_length(x)
 
 
+# longer than one pricing block, with chunk ends inside blocks
+_MULTI_BLOCK_BITS = (1 << 16) + (1 << 14) + 3
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
+def test_table_matches_per_bit_reference(kind):
+    x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
+    reference = reference_prefix_costs(x)
+    assert np.array_equal(lz.prefix_code_lengths(x), reference)
+    assert np.array_equal(_chunked_table(x, [5000, 70001, 1 << 20]), reference)
+    assert reference[-1] == lz.code_length(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300), st.lists(st.integers(1, 60), max_size=10))
+def test_table_matches_per_bit_reference_property(blob, sizes):
+    x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
+    reference = reference_prefix_costs(x)
+    assert np.array_equal(lz.prefix_code_lengths(x), reference)
+    assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
+
+
+def test_vectorized_delta_lengths_match_encoded_length():
+    values = sorted({v for k in range(32) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1) if v >= 1})
+    got = lz._delta_lengths(np.array(values, dtype=np.int64))
+    assert got.tolist() == [encoded_length(v) for v in values]
+
+
 def test_random_data_expands_pinned():
     x = BernoulliSource(0.5, seed=7).bits(10 ** 5)
     assert lz.code_length(x) == RANDOM_1E5_CODE_BITS
@@ -248,6 +277,60 @@ def test_decode_rejects_truncation():
     with pytest.raises(DecodeError) as err:
         lz.decode(bits.prefix(len(bits) - 2))
     assert err.value.bit_offset >= 0
+
+
+def _copy_bomb(copy_bits: int) -> BitString:
+    """A literal, then one copy of ``copy_bits`` bits from position 1."""
+    w = BitWriter()
+    write_integer(w, 1)
+    w.write(0, 1)
+    write_integer(w, 2)
+    write_integer(w, copy_bits)
+    return w.to_bitstring()
+
+
+def _decode_peak_bytes(c) -> int:
+    """Peak bytes allocated while ``lz.decode(c)`` raises DecodeError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            lz.decode(c)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_refuses_codeword_bomb():
+    bomb = _copy_bomb(1 << 22)
+    assert len(bomb) == 37
+    assert _decode_peak_bytes(Codeword(bits=bomb, source_length=5)) < 1 << 20
+
+
+def test_decode_refuses_bare_bomb_past_the_memory_cap():
+    bomb = _copy_bomb(lz.DEFAULT_MEMORY_CAP_BITS)  # the literal makes it one bit too many
+    assert _decode_peak_bytes(bomb) < 1 << 20
+
+
+def test_decode_checks_codeword_length():
+    c = lz.encode(BitString.from01("0110"))
+    for wrong in (3, 5):
+        with pytest.raises(DecodeError):
+            lz.decode(Codeword(bits=c.bits, source_length=wrong))
+    assert lz.decode(c) == lz.decode(c.bits) == BitString.from01("0110")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40), st.integers(0, 64))
+def test_decode_fuzz_stays_bounded(blob, source_length):
+    stream = BitString(np.unpackbits(np.frombuffer(blob, dtype=np.uint8)))
+    try:
+        assert len(lz.decode(stream)) <= lz.DEFAULT_MEMORY_CAP_BITS
+    except DecodeError:
+        pass
+    try:
+        assert len(lz.decode(Codeword(bits=stream, source_length=source_length))) == source_length
+    except DecodeError:
+        pass
 
 
 def test_block_code_length_bounded_mode():
