@@ -20,7 +20,6 @@ import datetime
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__, lz, sources, stats
 from .bits import BitString, pack, read_bit_file, unpack
@@ -38,64 +37,55 @@ class CliError(Exception):
     """Configuration or I/O problem; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated settings for ``test`` and ``scan``."""
+def _check_args(args) -> stats.WeightSchedule:
+    """Check the options of ``test`` and ``scan`` before any input is read.
 
-    tests: list[str]
-    alpha: float = DEFAULT_ALPHA
-    schedule_name: str = "omega_star"
-    weights: list[float] | None = None
-    input_format: str = "raw"
-    source_spec: str | None = None
-    max_bits: int | None = None
-    window_bits: int | None = None
-    report_format: str = "text"
-    start_bits: int = 1024
-    budget_bits: int = 1 << 20
-    seed: int | None = None
+    ``args.tests`` and ``args.weights`` become lists; returns the weight
+    schedule of a battery.
+    """
+    args.tests = [t.strip() for t in args.tests.split(",") if t.strip()]
+    args.weights = _parse_weights(args.weights)
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError(f"alpha must be in (0, 1), got {args.alpha}")
+    if not args.tests:
+        raise CliError("at least one test must be selected")
+    for t in args.tests:
+        if t not in TEST_IDS:
+            raise CliError(f"unknown test {t!r}; available: {', '.join(TEST_IDS)}")
+    max_bits = getattr(args, "max_bits", None)
+    if max_bits is not None and max_bits < 1:
+        raise CliError(f"max bits must be >= 1, got {max_bits}")
+    if args.window_bits is not None:
+        if args.window_bits < 1:
+            raise CliError(f"window bits must be >= 1, got {args.window_bits}")
+        if any(t != "lz77" for t in args.tests):
+            raise CliError("bounded-window mode is only available for the lz77 test")
+    if args.command == "scan" and (args.start_bits < 1 or args.budget < args.start_bits):
+        raise CliError(f"need 1 <= start bits <= budget, got start {args.start_bits} "
+                       f"and budget {args.budget}")
+    if args.weights is not None:
+        return stats.WeightSchedule.from_weights(args.weights)
+    if args.schedule == "omega_star":
+        return stats.OMEGA_STAR
+    raise CliError(f"unknown schedule {args.schedule!r}; "
+                   f"available: omega_star (or pass --weights)")
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise CliError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.tests:
-            raise CliError("at least one test must be selected")
-        for t in self.tests:
-            if t not in TEST_IDS:
-                raise CliError(f"unknown test {t!r}; available: {', '.join(TEST_IDS)}")
-        if self.max_bits is not None and self.max_bits < 1:
-            raise CliError(f"max bits must be >= 1, got {self.max_bits}")
-        if self.window_bits is not None:
-            if self.window_bits < 1:
-                raise CliError(f"window bits must be >= 1, got {self.window_bits}")
-            if any(t != "lz77" for t in self.tests):
-                raise CliError("bounded-window mode is only available for the lz77 test")
-        if self.start_bits < 1 or self.budget_bits < self.start_bits:
-            raise CliError(f"need 1 <= start bits <= budget, got start {self.start_bits} "
-                           f"and budget {self.budget_bits}")
 
-    def schedule(self) -> stats.WeightSchedule:
-        if self.weights is not None:
-            return stats.WeightSchedule.from_weights(self.weights)
-        if self.schedule_name == "omega_star":
-            return stats.OMEGA_STAR
-        raise CliError(f"unknown schedule {self.schedule_name!r}; "
-                       f"available: omega_star (or pass --weights)")
-
-    def to_dict(self) -> dict:
-        return {
-            "tests": list(self.tests),
-            "alpha": self.alpha,
-            "schedule": self.schedule_name if self.weights is None else "custom",
-            "weights": self.weights,
-            "input_format": self.input_format,
-            "source": self.source_spec,
-            "max_bits": self.max_bits,
-            "window_bits": self.window_bits,
-            "mode": ("bounded-window (non-consistent) mode"
-                     if self.window_bits is not None else "full-window"),
-            "seed": self.seed,
-        }
+def _config(args) -> dict:
+    """The ``config`` block of a JSON report."""
+    return {
+        "tests": args.tests,
+        "alpha": args.alpha,
+        "schedule": args.schedule if args.weights is None else "custom",
+        "weights": args.weights,
+        "input_format": args.input_format,
+        "source": args.source,
+        "max_bits": getattr(args, "max_bits", None),
+        "window_bits": args.window_bits,
+        "mode": ("bounded-window (non-consistent) mode"
+                 if args.window_bits is not None else "full-window"),
+        "seed": args.seed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +142,28 @@ def _lz77_test(window_bits: int | None):
     return functools.partial(stats.compression_test, code=code, test_id="lz77")
 
 
-def _run_tests(bits: BitString, config: RunConfig) -> stats.TestReport:
+def _run_tests(bits: BitString, args, schedule: stats.WeightSchedule) -> stats.TestReport:
     if len(bits) < 1:
         raise CliError("input has no bits")
-    if config.window_bits is None and "tauk" in config.tests:
+    if args.window_bits is None and "tauk" in args.tests:
         # tau_k needs the prefix-cost table, which also holds the lz77 code length
-        table = lz.prefix_code_lengths(bits)
-        reports = stats.prefix_cost_reports(table, config.tests, config.alpha)
+        reports = stats.PrefixScanTest(*args.tests).reports(bits, args.alpha)
     else:
-        test = _lz77_test(config.window_bits)
-        reports = [test(bits, config.alpha) for _ in config.tests]
+        test = _lz77_test(args.window_bits)
+        reports = [test(bits, args.alpha) for _ in args.tests]
     if len(reports) == 1:
         return reports[0]
-    return stats.battery_report(reports, config.tests, config.alpha, config.schedule())
+    return stats.battery_report(reports, args.tests, args.alpha, schedule)
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 
-def _json_document(payload: dict, config: RunConfig, input_label: str) -> str:
+def _json_document(payload: dict, args, input_label: str) -> str:
     document = dict(payload)
     document["input"] = input_label
-    document["config"] = config.to_dict()
+    document["config"] = _config(args)
     document["tool_version"] = __version__
     document["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return json.dumps(document, sort_keys=True, separators=(", ", ": "))
@@ -220,72 +209,48 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    config = RunConfig(
-        tests=[t.strip() for t in args.tests.split(",") if t.strip()],
-        alpha=args.alpha,
-        schedule_name=args.schedule,
-        weights=_parse_weights(args.weights),
-        input_format=args.input_format,
-        source_spec=args.source,
-        max_bits=args.max_bits,
-        window_bits=args.window_bits,
-        report_format=args.report,
-        seed=args.seed,
-    )
+    schedule = _check_args(args)
     stream, label = _open_input(args)
     if isinstance(stream, BitString):
         n = len(stream) if args.max_bits is None else min(args.max_bits, len(stream))
     else:
         n = 1 << 16 if args.max_bits is None else args.max_bits
-    if config.window_bits is None:
+    if args.window_bits is None:
         _check_memory_cap(n)
     bits = stream.prefix(n) if isinstance(stream, BitString) else stream.bits(n)
-    report = _run_tests(bits, config)
-    if config.report_format == "json":
-        print(_json_document(report.to_dict(), config, label))
+    report = _run_tests(bits, args, schedule)
+    if args.report == "json":
+        print(_json_document(report.to_dict(), args, label))
     else:
         _print_report_text(report, label, len(bits))
     return _EXIT_REJECT if report.rejected else _EXIT_ACCEPT
 
 
 def cmd_scan(args) -> int:
-    config = RunConfig(
-        tests=[t.strip() for t in args.tests.split(",") if t.strip()],
-        alpha=args.alpha,
-        schedule_name=args.schedule,
-        weights=_parse_weights(args.weights),
-        input_format=args.input_format,
-        source_spec=args.source,
-        window_bits=args.window_bits,
-        report_format=args.report,
-        start_bits=args.start_bits,
-        budget_bits=args.budget,
-        seed=args.seed,
-    )
-    if len(config.tests) != 1:
+    _check_args(args)
+    if len(args.tests) != 1:
         raise CliError("scan drives a single test; pass exactly one --tests id")
     stream, label = _open_input(args)
-    if config.window_bits is None:
+    if args.window_bits is None:
         # one automaton lives for the whole scan, up to the last prefix
-        limit = config.budget_bits
+        limit = args.budget
         if isinstance(stream, BitString):
             limit = min(limit, len(stream))
         _check_memory_cap(limit)
-        runner = stats.PrefixScanTest(config.tests[0])
+        runner = stats.PrefixScanTest(args.tests[0])
     else:
-        runner = _lz77_test(config.window_bits)
-    result = stats.consistency_scan(stream, runner, config.alpha,
-                                    start_bits=config.start_bits,
-                                    max_bits=config.budget_bits)
-    if config.report_format == "json":
+        runner = _lz77_test(args.window_bits)
+    result = stats.consistency_scan(stream, runner, args.alpha,
+                                    start_bits=args.start_bits, max_bits=args.budget)
+    if args.report == "json":
         payload = {
             "first_rejection_bits": result.first_rejection_bits,
             "steps": [{"bits": s.bits, **s.report.to_dict()} for s in result.steps],
         }
-        print(_json_document(payload, config, label))
+        print(_json_document(payload, args, label))
     else:
-        print(f"scan: {config.tests[0]}, alpha {config.alpha:g}, prefixes "
-              f"{config.start_bits} x 2^k up to {config.budget_bits}")
+        print(f"scan: {args.tests[0]}, alpha {args.alpha:g}, prefixes "
+              f"{args.start_bits} x 2^k up to {args.budget}")
         for step in result.steps:
             r = step.report
             print(f"  {step.bits:>9} bits: statistic {r.statistic_bits:>12g} bits, "

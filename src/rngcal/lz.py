@@ -145,17 +145,17 @@ class _SuffixAutomaton:
 def _factorize(bits: bytes, automaton: _SuffixAutomaton, start: int) -> tuple[array, array]:
     """The greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
 
-    Returns int32 arrays of the factor starts and of ``ends``.  For
-    ``start < m <= len(bits)``, ``ends[m]`` is the end index of the first
-    occurrence of ``bits[i:m]``, where ``i`` starts the factor that holds bit
-    ``m - 1``: the factor truncated at ``m``.  It is -1 where that factor is
-    a literal.  A match may take bit ``j`` while its first occurrence ends
-    before ``j``, that is, starts before ``i``, and that first occurrence is
-    the smallest source.
+    Returns int32 arrays of the factor starts and of ``ends``, indexed from
+    ``start``.  For ``start < m <= len(bits)``, ``ends[m - start]`` is the
+    end index of the first occurrence of ``bits[i:m]``, where ``i`` starts
+    the factor that holds bit ``m - 1``: the factor truncated at ``m``.  It
+    is -1 where that factor is a literal.  A match may take bit ``j`` while
+    its first occurrence ends before ``j``, that is, starts before ``i``,
+    and that first occurrence is the smallest source.
     """
     n = len(bits)
     next0, next1, first = automaton.next0, automaton.next1, automaton.first
-    ends = array("i", [-1]) * (n + 1)
+    ends = array("i", [-1]) * (n + 1 - start)
     starts = array("i")
     i = start
     while i < n:
@@ -170,7 +170,7 @@ def _factorize(bits: bytes, automaton: _SuffixAutomaton, start: int) -> tuple[ar
             if end >= j:
                 break
             j += 1
-            ends[j] = end
+            ends[j - start] = end
         i = j if j > i else i + 1
     return starts, ends
 
@@ -307,19 +307,21 @@ class PrefixCosts:
         self._automaton.extend(new)
         bits = self._bits
         bits += new
+        del new  # the walk reads ``bits``: free the copy before it
         n = len(bits)
-        starts, ends = _factorize(bits, self._automaton, self._open)
+        first = self._open
+        starts, ends = _factorize(bits, self._automaton, first)
         ends = np.frombuffer(ends, dtype=np.int32)
         begin = np.frombuffer(starts, dtype=np.int32)
         stop = np.append(begin[1:], n)
-        whole = _factor_costs(ends[stop], stop - begin)
+        whole = _factor_costs(ends[stop - first], stop - begin)
         before = np.cumsum(whole) - whole + self._closed  # closed cost before each factor
         table = np.frombuffer(self.table, dtype=np.int64)
-        for lo in range(starts[0] + 1, n + 1, _BLOCK):
+        for lo in range(first + 1, n + 1, _BLOCK):
             hi = min(lo + _BLOCK, n + 1)
             m = np.arange(lo, hi, dtype=np.int32)
             f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
-            table[lo:hi] = before[f] + _factor_costs(ends[lo:hi], m - begin[f])
+            table[lo:hi] = before[f] + _factor_costs(ends[lo - first:hi - first], m - begin[f])
         self._open = starts[-1]
         self._closed = int(before[-1])
 

@@ -400,9 +400,19 @@ def _tau_k_evidence(joint: np.ndarray, k: int, schedule: WeightSchedule,
 
 def _default_tau_k_evidence(lz_costs: np.ndarray, start: int) -> tuple[float, int | None]:
     """:func:`_tau_k_evidence` of the default ensemble (lz77 and literal+0)
-    from the LZ77 prefix costs at scales ``start ..``, under ``OMEGA_STAR``."""
-    scales = np.arange(start, start + len(lz_costs), dtype=np.int64)
-    return _tau_k_evidence(np.minimum(lz_costs, scales), 2, OMEGA_STAR, start)
+    from the LZ77 prefix costs at scales ``start ..``, under ``OMEGA_STAR``.
+
+    The scales are scored ``lz._BLOCK`` at a time, keeping the first maximum,
+    so the temporaries stay near a few MB while a suffix automaton is alive.
+    """
+    best: tuple[float, int | None] = (float("-inf"), None)
+    for lo in range(0, len(lz_costs), lz._BLOCK):
+        costs = lz_costs[lo:lo + lz._BLOCK]
+        scales = np.arange(start + lo, start + lo + len(costs), dtype=np.int64)
+        piece = _tau_k_evidence(np.minimum(costs, scales), 2, OMEGA_STAR, start + lo)
+        if piece[0] > best[0]:
+            best = piece
+    return best
 
 
 def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
@@ -420,66 +430,51 @@ def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
 # tests read from one LZ77 prefix-cost table
 
 
-def prefix_cost_reports(table: np.ndarray, test_ids: Sequence[str],
-                        alpha: float) -> list[TestReport]:
-    """Reports of full-window tests from one prefix-cost table.
-
-    ``table`` is :func:`lz.prefix_code_lengths` of an n-bit sample.  The
-    ``lz77`` report has statistic ``n - table[n]`` and equals
-    ``compression_test``; the ``tauk`` report equals ``tau_k_test`` with
-    the default estimators and schedule.  One LZ pass serves every test.
-    """
-    alpha = _check_alpha(alpha)
-    n = len(table) - 1
-    if n < 1:
-        raise ValueError("tests need at least one bit")
-    reports = []
-    for test_id in test_ids:
-        if test_id == "lz77":
-            reports.append(_compression_report(n, int(table[n]), alpha, "lz77"))
-        elif test_id == "tauk":
-            best = _default_tau_k_evidence(table[1:], 1)
-            reports.append(_tau_k_report(best, OMEGA_STAR, alpha))
-        else:
-            raise ValueError(f"unknown test {test_id!r}")
-    return reports
-
-
 class PrefixScanTest:
-    """The ``test`` callable of a :func:`consistency_scan` that makes one
-    incremental LZ pass for the whole scan.
+    """Full-window tests of a sample, or of the growing prefixes of a
+    :func:`consistency_scan`, from one incremental LZ pass.
 
-    Each call takes a prefix that extends the previous one, feeds the new
-    bits to one :class:`lz.PrefixCosts` and reports on the prefix: ``lz77``
-    as ``m - table[m]``, ``tauk`` as a running maximum of the evidence over
-    the new scales only (the first maximum wins ties, as in
-    :func:`tau_k_test`).  Reports equal those of ``compression_test`` and
-    ``tau_k_test`` (default estimators and schedule) on the same prefix.
+    Each :meth:`reports` call takes a prefix that extends the previous one,
+    feeds the new bits to one :class:`lz.PrefixCosts` and reports each test
+    on the prefix: ``lz77`` as ``m - table[m]``, ``tauk`` as a running
+    maximum of the evidence over the new scales only (the first maximum
+    wins ties, as in :func:`tau_k_test`).  Reports equal those of
+    ``compression_test`` and ``tau_k_test`` (default estimators and
+    schedule) on the same prefix.  A battery is a single call; calling the
+    object is the one-test callable a scan drives.
     """
 
-    def __init__(self, test_id: str):
-        if test_id not in ("lz77", "tauk"):
-            raise ValueError(f"unknown test {test_id!r}")
-        self.test_id = test_id
+    def __init__(self, *test_ids: str):
+        for test_id in test_ids:
+            if test_id not in ("lz77", "tauk"):
+                raise ValueError(f"unknown test {test_id!r}")
+        self.test_ids = test_ids
         self._costs = lz.PrefixCosts()
         self._taken = BitString()
         self._best: tuple[float, int | None] = (float("-inf"), None)
 
-    def __call__(self, x: BitString, alpha: float) -> TestReport:
+    def reports(self, x: BitString, alpha: float) -> list[TestReport]:
+        """One report per test id, in order, on ``x``."""
         alpha = _check_alpha(alpha)
         k = len(self._taken)
         if len(x) < max(k, 1) or not np.array_equal(x.array[:k], self._taken.array):
             raise ValueError(f"a scan prefix must extend the {k} bits already analysed")
-        self._costs.extend(x[k:])
+        self._costs.extend(x[k:] if k else x)  # a slice is a copy
         self._taken = x
-        table = self._costs.table
         n = len(x)
-        if self.test_id == "lz77":
-            return _compression_report(n, table[n], alpha, "lz77")
-        best = _default_tau_k_evidence(np.frombuffer(table[k + 1:], dtype=np.int64), k + 1)
-        if best[0] > self._best[0]:
-            self._best = best
-        return _tau_k_report(self._best, OMEGA_STAR, alpha)
+        if "tauk" in self.test_ids:
+            costs = np.frombuffer(self._costs.table, dtype=np.int64)[k + 1:]
+            best = _default_tau_k_evidence(costs, k + 1)
+            if best[0] > self._best[0]:
+                self._best = best
+        return [_compression_report(n, self._costs.table[n], alpha, "lz77")
+                if test_id == "lz77" else _tau_k_report(self._best, OMEGA_STAR, alpha)
+                for test_id in self.test_ids]
+
+    def __call__(self, x: BitString, alpha: float) -> TestReport:
+        if len(self.test_ids) != 1:
+            raise ValueError("a scan drives one test; call reports() for a battery")
+        return self.reports(x, alpha)[0]
 
 
 # ---------------------------------------------------------------------------

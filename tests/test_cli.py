@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,17 @@ def test_battery_components_equal_standalone_tests(tests, capsys):
         assert comp["p_value"] == want.p_value
 
 
+_GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[case["name"] for case in _GOLDEN])
+def test_cli_output_matches_golden(case, capsys):
+    # whole outputs and exit statuses, JSON byte for byte apart from the timestamp
+    status = run_cli(*case["argv"])
+    out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', capsys.readouterr().out)
+    assert (status, out) == (case["status"], case["stdout"])
+
+
 def test_scan_takes_exactly_one_test(capsys):
     assert run_cli("scan", "--source", "dup:seed=1",
                    "--tests", "lz77,tauk") == 2
@@ -257,6 +269,20 @@ def test_memory_cap_is_checked_before_drawing(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"rngcal: error: input of {2 ** 24} bits exceeds the full-window "
                           f"memory cap ({2 ** 23} bits)")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("test", "--max-bits", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
+    (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
+    (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
+    (("scan", "--budget", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
+])
+def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
+    _refuse_to_draw(monkeypatch)
+    assert run_cli(*argv, "--source", "bernoulli:0.5:seed=1", "--report", "json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"rngcal: error: {message}")
 
 
 def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):

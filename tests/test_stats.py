@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,8 +378,49 @@ def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
 
 def test_prefix_cost_reports_equal_standalone_tests():
     for x in _SCAN_STREAMS.values():
-        got = stats.prefix_cost_reports(lz.prefix_code_lengths(x), ["tauk", "lz77"], 0.05)
+        got = stats.PrefixScanTest("tauk", "lz77").reports(x, 0.05)
         want = [stats.tau_k_test(x, alpha=0.05), stats.compression_test(x, 0.05)]
+        assert got == want
+        assert [r.detail for r in got] == [r.detail for r in want]
+
+
+def test_blocked_tau_k_evidence_equals_one_unblocked_call():
+    # four blocks of scales, starting off a block boundary
+    start, count = 12345, 3 * lz._BLOCK + 777
+    scales = np.arange(start, start + count, dtype=np.int64)
+    dip = scales + 5
+    dip[2 * lz._BLOCK + 10] -= 100  # the best scale in a middle block
+    tables = [lz.prefix_code_lengths(x)[start:]
+              for x in (BernoulliSource(0.1, seed=35).bits(start + count - 1),
+                        DuplicationSource(seed=36).bits(start + count - 1),
+                        random_bits(start + count - 1, seed=37))]
+    for costs in [dip, *tables]:
+        want = stats._tau_k_evidence(np.minimum(costs, scales), 2, stats.OMEGA_STAR, start)
+        got = stats._default_tau_k_evidence(costs, start)
+        assert got[0] == want[0] and got[1] == want[1]
+    assert stats._default_tau_k_evidence(dip, start)[1] == start + 2 * lz._BLOCK + 10
+
+
+def test_tau_k_evidence_temporaries_stay_bounded():
+    costs = np.arange(1 << 20, dtype=np.int64)  # allocated before tracing starts
+    tracemalloc.start()
+    try:
+        stats._default_tau_k_evidence(costs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("source", [BernoulliSource(0.1, seed=38), DuplicationSource(seed=39)],
+                         ids=["bern01", "dup"])
+def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
+    x = source.bits(2 ** 17 + 3)
+    runner = stats.PrefixScanTest("lz77", "tauk")
+    for m in (70001, len(x)):  # the second call scores scales from a mid-block start
+        y = x.prefix(m)
+        got = runner.reports(y, 0.01)
+        want = [stats.compression_test(y, 0.01), stats.tau_k_test(y, alpha=0.01)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
