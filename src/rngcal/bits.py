@@ -70,8 +70,9 @@ class BitString:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "BitString":
-        """Take ``a``, a 1-D uint8 array of 0/1 that nothing else holds,
-        without the check and the copy of ``__init__``."""
+        """Take ``a``, a 1-D uint8 array of 0/1 that nothing writes to,
+        without the check and the copy of ``__init__``: a fresh array, or a
+        view of the array of an immutable ``BitString``."""
         a.setflags(write=False)
         self = cls.__new__(cls)
         self._a = a
@@ -105,10 +106,10 @@ class BitString:
         return value
 
     def prefix(self, m: int) -> "BitString":
-        """The first ``m`` bits."""
+        """The first ``m`` bits, as a read-only view (no copy)."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range 0..{len(self)}")
-        return BitString(self._a[:m])
+        return BitString._wrap(self._a[:m])
 
     def digest(self) -> str:
         """SHA-256 over the packed payload and bit length; for regressions."""
@@ -124,7 +125,7 @@ class BitString:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return BitString(self._a[idx])
+            return BitString._wrap(self._a[idx])
         return int(self._a[idx])
 
     def __iter__(self) -> Iterator[int]:

@@ -135,9 +135,8 @@ def _check_memory_cap(n_bits: int) -> None:
             f"({cap} bits); pass --window-bits to use bounded-window mode")
 
 
-def _lz77_test(window_bits: int | None):
-    if window_bits is None:
-        return functools.partial(stats.compression_test, test_id="lz77")
+def _lz77_test(window_bits: int):
+    """The bounded-window lz77 test: each block of ``window_bits`` encoded apart."""
     code = functools.partial(lz.block_code_length, block_bits=window_bits)
     return functools.partial(stats.compression_test, code=code, test_id="lz77")
 
@@ -145,8 +144,7 @@ def _lz77_test(window_bits: int | None):
 def _run_tests(bits: BitString, args, schedule: stats.WeightSchedule) -> stats.TestReport:
     if len(bits) < 1:
         raise CliError("input has no bits")
-    if args.window_bits is None and "tauk" in args.tests:
-        # tau_k needs the prefix-cost table, which also holds the lz77 code length
+    if args.window_bits is None:
         reports = stats.PrefixScanTest(*args.tests).reports(bits, args.alpha)
     else:
         test = _lz77_test(args.window_bits)

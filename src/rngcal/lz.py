@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,42 +268,52 @@ def code_length(x: BitString) -> int:
 
 
 class PrefixCosts:
-    """Prefix-cost table of a bit string that grows at its end.
+    """Code lengths of the prefixes of a bit string that grows at its end.
 
-    ``table[m]`` (an int64 ``array``) is ``code_length`` of the first ``m``
-    bits, for every ``m`` up to the bits taken in so far.  ``extend``
-    appends bits, extends the suffix automaton and resumes the greedy walk
-    at the start of the open factor: the last one, which reached the end of
-    the input and may still grow.  The factors before it are final, since
-    each stopped at a bit already taken in and the first occurrence of a
-    substring of those bits never changes.  The table of a prefix is a
-    prefix of the table, so extending in chunks gives the table of one pass
-    over the whole string while each bit is analysed once.
+    ``extend`` takes a prefix that extends the bits taken in so far,
+    extends the suffix automaton and resumes the greedy walk at the start
+    of the open factor: the last one, which reached the end of the input
+    and may still grow.  The factors before it are final, since each
+    stopped at a bit already taken in and the first occurrence of a
+    substring of those bits never changes.  The costs of a prefix's
+    prefixes do not change as the string grows, so extending in chunks
+    gives the costs of one pass over the whole string while each bit is
+    analysed once.  ``total`` is ``code_length`` of all bits taken in.
 
     Within a factor the greedy parse of a prefix is the parse of the whole
     string with its last factor shortened, and the smallest-p source of the
     shortened factor is the first occurrence of the shortened match, which
-    the walk reports as ``ends``.  So ``table[m]`` is the cost of the
-    factors before the one holding bit ``m - 1`` plus that factor truncated
-    at ``m``, priced in numpy a block of positions at a time.
+    the walk reports as ``ends``.  So the code length of the first ``m``
+    bits is the cost of the factors before the one holding bit ``m - 1``
+    plus that factor truncated at ``m``, priced in numpy a block of
+    positions at a time.  No per-bit table is kept.
     """
 
     def __init__(self):
         self._automaton = _SuffixAutomaton()
         self._bits = bytearray()  # one byte per bit: a list would take eight
-        self.table = array("q", [0])
+        self.total = 0
         self._open = 0    # start of the open factor
         self._closed = 0  # cost of the factors before it
 
     def __len__(self) -> int:
         return len(self._bits)
 
-    def extend(self, x: BitString) -> None:
-        """Append the bits of ``x`` and fill ``table`` up to the new length."""
-        new = x.array.tobytes()
-        if not new:
-            return
-        self.table.frombytes(bytes(8 * len(new)))
+    def extend(self, x: BitString) -> Iterator[tuple[int, np.ndarray]]:
+        """Take in the prefix ``x`` of the string and set ``total`` to its code length.
+
+        ``x`` must extend the bits taken in so far.  Returns the code lengths
+        of the new prefixes, ``len(self) + 1`` to ``len(x)`` bits long, as
+        ``(m, costs)`` blocks of up to ``_BLOCK`` int64 entries, where
+        ``costs[i]`` belongs to the first ``m + i`` bits.  A block is priced
+        when it is read, so blocks nobody reads cost nothing.
+        """
+        k = len(self._bits)
+        if len(x) < k or x.array[:k].tobytes() != self._bits:
+            raise ValueError(f"a prefix must extend the {k} bits already taken in")
+        if len(x) == k:
+            return iter(())
+        new = x.array[k:].tobytes()
         self._automaton.extend(new)
         bits = self._bits
         bits += new
@@ -316,14 +326,17 @@ class PrefixCosts:
         stop = np.append(begin[1:], n)
         whole = _factor_costs(ends[stop - first], stop - begin)
         before = np.cumsum(whole) - whole + self._closed  # closed cost before each factor
-        table = np.frombuffer(self.table, dtype=np.int64)
-        for lo in range(first + 1, n + 1, _BLOCK):
+        self._open = starts[-1]
+        self._closed = int(before[-1])
+        self.total = self._closed + int(whole[-1])
+
+        def block(lo: int) -> tuple[int, np.ndarray]:
             hi = min(lo + _BLOCK, n + 1)
             m = np.arange(lo, hi, dtype=np.int32)
             f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
-            table[lo:hi] = before[f] + _factor_costs(ends[lo - first:hi - first], m - begin[f])
-        self._open = starts[-1]
-        self._closed = int(before[-1])
+            return lo, before[f] + _factor_costs(ends[lo - first:hi - first], m - begin[f])
+
+        return map(block, range(k + 1, n + 1, _BLOCK))
 
 
 def prefix_code_lengths(x: BitString) -> np.ndarray:
@@ -332,9 +345,11 @@ def prefix_code_lengths(x: BitString) -> np.ndarray:
     Returns an int64 array ``out`` of size ``len(x) + 1`` with
     ``out[m] == code_length(x.prefix(m))``; see :class:`PrefixCosts`.
     """
-    costs = PrefixCosts()
-    costs.extend(x)
-    return np.frombuffer(costs.table, dtype=np.int64)
+    blocks = PrefixCosts().extend(x)  # the automaton is freed before the pricing
+    out = np.zeros(len(x) + 1, dtype=np.int64)
+    for lo, costs in blocks:
+        out[lo:lo + len(costs)] = costs
+    return out
 
 
 def block_code_length(x: BitString, block_bits: int) -> int:

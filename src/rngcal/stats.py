@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -188,16 +188,6 @@ def _make_report(statistic_bits: float, p_value: float, kind: str, alpha: float,
 # the compression test
 
 
-def _resolve_code_length(code) -> Callable[[BitString], int]:
-    if code is None:
-        return lz.code_length
-    if callable(code):
-        return code
-    if hasattr(code, "code_length"):
-        return code.code_length
-    raise TypeError("code must be callable or expose a code_length function")
-
-
 def compression_test(x: BitString, alpha: float = 0.01, code=None,
                      test_id: str = "lz77") -> TestReport:
     """Reject uniformity when the code saves ``log2(1/alpha)`` bits or more.
@@ -209,7 +199,7 @@ def compression_test(x: BitString, alpha: float = 0.01, code=None,
     alpha = _check_alpha(alpha)
     if len(x) < 1:
         raise ValueError("compression test needs at least one bit")
-    code_length = _resolve_code_length(code)
+    code_length = lz.code_length if code is None else code
     return _compression_report(len(x), int(code_length(x)), alpha, test_id)
 
 
@@ -398,23 +388,6 @@ def _tau_k_evidence(joint: np.ndarray, k: int, schedule: WeightSchedule,
     return float(evidence[best]), start + best
 
 
-def _default_tau_k_evidence(lz_costs: np.ndarray, start: int) -> tuple[float, int | None]:
-    """:func:`_tau_k_evidence` of the default ensemble (lz77 and literal+0)
-    from the LZ77 prefix costs at scales ``start ..``, under ``OMEGA_STAR``.
-
-    The scales are scored ``lz._BLOCK`` at a time, keeping the first maximum,
-    so the temporaries stay near a few MB while a suffix automaton is alive.
-    """
-    best: tuple[float, int | None] = (float("-inf"), None)
-    for lo in range(0, len(lz_costs), lz._BLOCK):
-        costs = lz_costs[lo:lo + lz._BLOCK]
-        scales = np.arange(start + lo, start + lo + len(costs), dtype=np.int64)
-        piece = _tau_k_evidence(np.minimum(costs, scales), 2, OMEGA_STAR, start + lo)
-        if piece[0] > best[0]:
-            best = piece
-    return best
-
-
 def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
                   alpha: float) -> TestReport:
     statistic, scale = best
@@ -427,7 +400,7 @@ def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
 
 
 # ---------------------------------------------------------------------------
-# tests read from one LZ77 prefix-cost table
+# tests read from one pass of LZ77 prefix costs
 
 
 class PrefixScanTest:
@@ -435,13 +408,14 @@ class PrefixScanTest:
     :func:`consistency_scan`, from one incremental LZ pass.
 
     Each :meth:`reports` call takes a prefix that extends the previous one,
-    feeds the new bits to one :class:`lz.PrefixCosts` and reports each test
-    on the prefix: ``lz77`` as ``m - table[m]``, ``tauk`` as a running
-    maximum of the evidence over the new scales only (the first maximum
-    wins ties, as in :func:`tau_k_test`).  Reports equal those of
-    ``compression_test`` and ``tau_k_test`` (default estimators and
-    schedule) on the same prefix.  A battery is a single call; calling the
-    object is the one-test callable a scan drives.
+    feeds it to one :class:`lz.PrefixCosts` and reports each test on the
+    prefix: ``lz77`` as ``m - total``, ``tauk`` as a running maximum of the
+    evidence over the new scales only, scored on each block of prefix
+    costs as it is priced (the first maximum wins ties, as in
+    :func:`tau_k_test`).  Reports equal those of ``compression_test`` and
+    ``tau_k_test`` (default estimators and schedule) on the same prefix.  A
+    battery is a single call; calling the object is the one-test callable
+    a scan drives.
     """
 
     def __init__(self, *test_ids: str):
@@ -450,26 +424,33 @@ class PrefixScanTest:
                 raise ValueError(f"unknown test {test_id!r}")
         self.test_ids = test_ids
         self._costs = lz.PrefixCosts()
-        self._taken = BitString()
         self._best: tuple[float, int | None] = (float("-inf"), None)
 
     def reports(self, x: BitString, alpha: float) -> list[TestReport]:
         """One report per test id, in order, on ``x``."""
         alpha = _check_alpha(alpha)
-        k = len(self._taken)
-        if len(x) < max(k, 1) or not np.array_equal(x.array[:k], self._taken.array):
-            raise ValueError(f"a scan prefix must extend the {k} bits already analysed")
-        self._costs.extend(x[k:] if k else x)  # a slice is a copy
-        self._taken = x
-        n = len(x)
+        if len(x) < 1:
+            raise ValueError("a test needs at least one bit")
+        blocks = self._costs.extend(x)
         if "tauk" in self.test_ids:
-            costs = np.frombuffer(self._costs.table, dtype=np.int64)[k + 1:]
-            best = _default_tau_k_evidence(costs, k + 1)
-            if best[0] > self._best[0]:
-                self._best = best
-        return [_compression_report(n, self._costs.table[n], alpha, "lz77")
+            self._score(blocks)
+        return [_compression_report(len(x), self._costs.total, alpha, "lz77")
                 if test_id == "lz77" else _tau_k_report(self._best, OMEGA_STAR, alpha)
                 for test_id in self.test_ids]
+
+    def _score(self, blocks: Iterable[tuple[int, np.ndarray]]) -> None:
+        """Fold the tau_k evidence of the default ensemble (lz77 and
+        literal+0) under ``OMEGA_STAR`` into the running maximum, from
+        ``(m, lz77 costs of scales m ..)`` blocks.
+
+        One block at a time, so the temporaries stay near a few MB while the
+        suffix automaton is alive.
+        """
+        for lo, costs in blocks:
+            scales = np.arange(lo, lo + len(costs), dtype=np.int64)
+            piece = _tau_k_evidence(np.minimum(costs, scales), 2, OMEGA_STAR, lo)
+            if piece[0] > self._best[0]:
+                self._best = piece
 
     def __call__(self, x: BitString, alpha: float) -> TestReport:
         if len(self.test_ids) != 1:

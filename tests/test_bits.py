@@ -36,6 +36,23 @@ def test_indexing_and_prefix():
         x.prefix(6)
 
 
+@pytest.mark.parametrize("take, index", [
+    (lambda x: x.prefix(700), slice(None, 700)),
+    (lambda x: x[100:900], slice(100, 900)),
+    (lambda x: x[5::3], slice(5, None, 3)),
+    (lambda x: x[::-7], slice(None, None, -7)),
+], ids=["prefix", "slice", "step", "reverse-step"])
+def test_slices_and_prefixes_are_read_only_views(take, index):
+    x = BitString(np.random.default_rng(5).integers(0, 2, 1000))
+    y = take(x)
+    assert np.shares_memory(y.array, x.array)
+    assert not y.array.flags.writeable
+    with pytest.raises(ValueError):
+        y.array[0] = 1 - y[0]
+    assert y == BitString(x.array[index])  # the checking, copying constructor
+    assert y.to01() == x.to01()[index]
+
+
 def test_concat_and_add():
     a = BitString.from01("01")
     b = BitString.from01("10")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rngcal import lz
+from rngcal import lz, stats
 from rngcal.bits import BitString
 from rngcal.codes import BitWriter, Codeword, encoded_length, write_integer
 from rngcal.errors import DecodeError
@@ -145,17 +145,27 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
         assert table[m] == lz.code_length(y.prefix(m)), m
 
 
-def _chunked_table(x: BitString, chunks) -> np.ndarray:
-    """The table of a PrefixCosts fed ``x`` in consecutive chunks."""
+def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
+    """The costs a PrefixCosts returns when fed the prefixes of ``x`` that end
+    each of consecutive chunks; the blocks of the chunks whose indices are
+    in ``unread`` are left unread, and their entries -1."""
     costs = lz.PrefixCosts()
+    table = np.full(len(x) + 1, -1, dtype=np.int64)
+    table[0] = 0
     taken = 0
-    for size in chunks:
+    for i, size in enumerate(chunks):
         if taken >= len(x):
             break
-        costs.extend(x[taken:taken + size])
         taken = min(len(x), taken + size)
+        blocks = costs.extend(x.prefix(taken))
+        if i in unread:
+            assert costs.total == lz.code_length(x.prefix(taken))
+            continue
+        for lo, block in blocks:
+            table[lo:lo + len(block)] = block
+        assert costs.total == table[taken]
     assert len(costs) == len(x)
-    return np.frombuffer(costs.table, dtype=np.int64)
+    return table
 
 
 _CHUNKINGS = {
@@ -203,6 +213,27 @@ def test_table_matches_per_bit_reference(kind):
     assert np.array_equal(lz.prefix_code_lengths(x), reference)
     assert np.array_equal(_chunked_table(x, [5000, 70001, 1 << 20]), reference)
     assert reference[-1] == lz.code_length(x)
+    # chunk 2 spans two blocks; the blocks of chunks 1 and 3 are never read
+    table = _chunked_table(x, [3000, 5000, 70000, 2000, 1 << 20], unread={1, 3})
+    read = table >= 0
+    assert read.sum() == len(x) + 1 - 5000 - 2000
+    assert np.array_equal(table[read], reference[read])
+    want = stats.compression_test(x, 0.01)
+    got = stats.PrefixScanTest("lz77").reports(x, 0.01)
+    assert got == [want] and got[0].detail == want.detail
+    assert want.detail["code_bits"] == reference[-1]
+
+
+def test_prefix_costs_refuse_a_prefix_that_does_not_extend_their_bits():
+    x = BitString.from01("0110100110")
+    costs = lz.PrefixCosts()
+    costs.extend(x.prefix(6))
+    for other in (x.prefix(5), BitString.from01("0110110110"), BitString.from01("1")):
+        with pytest.raises(ValueError, match="extend"):
+            costs.extend(other)
+    assert list(costs.extend(x.prefix(6))) == []  # nothing new: nothing to price
+    assert [b.tolist() for _, b in costs.extend(x)] == [
+        lz.prefix_code_lengths(x)[7:].tolist()]
 
 
 @settings(max_examples=200, deadline=None)

@@ -384,6 +384,24 @@ def test_prefix_cost_reports_equal_standalone_tests():
         assert [r.detail for r in got] == [r.detail for r in want]
 
 
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _scored(costs: np.ndarray, start: int) -> tuple[float, int | None]:
+    """The tau_k evidence of ``costs`` at scales ``start ..``, fed to a fresh
+    runner in the blocks ``lz.PrefixCosts`` returns."""
+    runner = stats.PrefixScanTest("tauk")
+    runner._score((start + lo, costs[lo:lo + lz._BLOCK])
+                  for lo in range(0, len(costs), lz._BLOCK))
+    return runner._best
+
+
 def test_blocked_tau_k_evidence_equals_one_unblocked_call():
     # four blocks of scales, starting off a block boundary
     start, count = 12345, 3 * lz._BLOCK + 777
@@ -396,20 +414,21 @@ def test_blocked_tau_k_evidence_equals_one_unblocked_call():
                         random_bits(start + count - 1, seed=37))]
     for costs in [dip, *tables]:
         want = stats._tau_k_evidence(np.minimum(costs, scales), 2, stats.OMEGA_STAR, start)
-        got = stats._default_tau_k_evidence(costs, start)
+        got = _scored(costs, start)
         assert got[0] == want[0] and got[1] == want[1]
-    assert stats._default_tau_k_evidence(dip, start)[1] == start + 2 * lz._BLOCK + 10
+    assert _scored(dip, start)[1] == start + 2 * lz._BLOCK + 10
 
 
 def test_tau_k_evidence_temporaries_stay_bounded():
     costs = np.arange(1 << 20, dtype=np.int64)  # allocated before tracing starts
-    tracemalloc.start()
-    try:
-        stats._default_tau_k_evidence(costs, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
+    assert _traced_peak(_scored, costs, 1) < 8 << 20
+
+
+def test_lz77_report_keeps_no_per_bit_table():
+    x = random_bits(1 << 18, seed=40)
+    one_shot = _traced_peak(lz.code_length, x)
+    engine = _traced_peak(stats.PrefixScanTest("lz77").reports, x, 0.01)
+    assert engine <= one_shot + (2 << 20)
 
 
 @pytest.mark.parametrize("source", [BernoulliSource(0.1, seed=38), DuplicationSource(seed=39)],
