@@ -19,15 +19,23 @@ container (codeword object or bit file) to delimit the stream.
 
 Match search uses a suffix automaton over the whole input with first-
 occurrence positions, giving maximal matches and smallest-p tie-breaking in
-O(n) overall.
+O(n) overall.  The automaton build and the greedy walk run in C
+(``_lzkernel.c``) where a C compiler is at hand, else in Python.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import sysconfig
+import tempfile
 from array import array
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Iterator, NamedTuple, Sequence
+from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,6 +48,69 @@ from .errors import DecodeError
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _LITERAL_COST = encoded_length(1) + 1  # C(1) marker plus one raw bit
 _BLOCK = 1 << 16  # table positions priced per numpy step
+_MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
+_KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL | None:
+    """The C loops of ``_lzkernel.c``, or None where they cannot be had.
+
+    The library is built on first use into this package's ``__pycache__``,
+    named after the hash of the source and the extension suffix, so an
+    edited source is rebuilt; later processes load it.  If anything fails
+    (no compiler, a directory that cannot be written, a library that does
+    not load) the Python loops run instead.
+    """
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    try:
+        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+        target = _KERNEL_SOURCE.parent / "__pycache__" / f"_lzkernel.{digest}{suffix}"
+        if not target.exists():
+            _build_kernel(target)
+        lib = ctypes.CDLL(str(target))
+    except OSError:
+        return None
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    lib.sam_extend.argtypes = [ptr] * 6 + [i64, i32, ptr]
+    lib.sam_extend.restype = None
+    lib.sam_factorize.argtypes = [ptr] * 4 + [i64, i64, ptr, ptr]
+    lib.sam_factorize.restype = i64
+    return lib
+
+
+def _build_kernel(target: Path) -> None:
+    """Compile ``_KERNEL_SOURCE`` with the compiler Python was built with.
+
+    The library is written in a temporary directory and renamed into
+    place, so processes that build at once never load a partial file.
+    Raises OSError if it cannot be built.
+    """
+    import shlex
+    import subprocess  # imported here: only a build needs it, and it costs 0.6 MB
+
+    target.parent.mkdir(exist_ok=True)
+    workdir = tempfile.mkdtemp(dir=target.parent)
+    built = os.path.join(workdir, target.name)
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    try:
+        subprocess.run([*compiler, "-O2", "-shared", "-fPIC", "-o", built, str(_KERNEL_SOURCE)],
+                       check=True, capture_output=True, timeout=60)
+        os.replace(built, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{compiler[0]} could not build {_KERNEL_SOURCE.name}") from exc
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _address(buffer: bytes | bytearray | array):
+    """``buffer`` as a pointer argument of the kernel, not copied; the
+    caller keeps ``buffer`` alive and unresized during the call."""
+    if isinstance(buffer, array):
+        return buffer.buffer_info()[0]
+    if isinstance(buffer, bytearray):
+        return (ctypes.c_char * len(buffer)).from_buffer(buffer)
+    return buffer
 
 
 class Lz77Pair(NamedTuple):
@@ -80,7 +151,7 @@ class _SuffixAutomaton:
 
     __slots__ = ("next0", "next1", "link", "length", "first", "last", "states", "size")
 
-    def __init__(self, bits: Sequence[int] = ()):
+    def __init__(self, bits: bytes = b""):
         room = 2 * len(bits) + 2  # the root and two states per bit
         self.next0 = array("i", [-1]) * room
         self.next1 = array("i", [-1]) * room
@@ -92,7 +163,9 @@ class _SuffixAutomaton:
         self.size = 0  # bits taken in
         self.extend(bits)
 
-    def extend(self, bits: Sequence[int]) -> None:
+    def extend(self, bits: bytes) -> None:
+        if self.size + len(bits) > _MAX_BITS:
+            raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         size = len(self.link)
         room = self.states + 2 * len(bits) + 1 - size
         if room > 0:
@@ -105,6 +178,14 @@ class _SuffixAutomaton:
                 setattr(self, name, column)
         next0, next1, link, length, first = (self.next0, self.next1, self.link,
                                              self.length, self.first)
+        kernel = _kernel()
+        if kernel is not None:  # the loop below, in C
+            state = (ctypes.c_int32 * 2)(self.last, self.states)
+            kernel.sam_extend(*map(_address, (next0, next1, link, length, first, bits)),
+                              len(bits), self.size, state)
+            self.last, self.states = state
+            self.size += len(bits)
+            return
         last = self.last
         states = self.states
         for pos, c in enumerate(bits, self.size):
@@ -142,20 +223,31 @@ class _SuffixAutomaton:
         self.size += len(bits)
 
 
-def _factorize(bits: bytes, automaton: _SuffixAutomaton, start: int) -> tuple[array, array]:
+def _factorize(bits: bytes | bytearray, automaton: _SuffixAutomaton,
+               start: int) -> tuple[np.ndarray, np.ndarray]:
     """The greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
 
-    Returns int32 arrays of the factor starts and of ``ends``, indexed from
-    ``start``.  For ``start < m <= len(bits)``, ``ends[m - start]`` is the
-    end index of the first occurrence of ``bits[i:m]``, where ``i`` starts
-    the factor that holds bit ``m - 1``: the factor truncated at ``m``.  It
-    is -1 where that factor is a literal.  A match may take bit ``j`` while
-    its first occurrence ends before ``j``, that is, starts before ``i``,
-    and that first occurrence is the smallest source.
+    Returns int32 arrays of the factor bounds (the starts, then
+    ``len(bits)``) and of ``ends``, indexed from ``start``.  For
+    ``start < m <= len(bits)``, ``ends[m - start]`` is the end index of the
+    first occurrence of ``bits[i:m]``, where ``i`` starts the factor that
+    holds bit ``m - 1``: the factor truncated at ``m``.  It is -1 where that
+    factor is a literal.  A match may take bit ``j`` while its first
+    occurrence ends before ``j``, that is, starts before ``i``, and that
+    first occurrence is the smallest source.
     """
     n = len(bits)
     next0, next1, first = automaton.next0, automaton.next1, automaton.first
     ends = array("i", [-1]) * (n + 1 - start)
+    kernel = _kernel()
+    if kernel is not None:  # the walk below, in C
+        # Room for a factor per bit; the walk touches only the head.  numpy
+        # asks for huge pages on large arrays, so that head can hold 2 MB
+        # resident: keep a copy of it, not the room.
+        room = np.empty(n + 1 - start, dtype=np.int32)
+        count = kernel.sam_factorize(*map(_address, (next0, next1, first, bits)), n, start,
+                                     room.ctypes.data, _address(ends))
+        return room[:count + 1].copy(), np.frombuffer(ends, dtype=np.int32)
     starts = array("i")
     i = start
     while i < n:
@@ -172,35 +264,44 @@ def _factorize(bits: bytes, automaton: _SuffixAutomaton, start: int) -> tuple[ar
             j += 1
             ends[j - start] = end
         i = j if j > i else i + 1
-    return starts, ends
+    starts.append(n)
+    return np.frombuffer(starts, dtype=np.int32), np.frombuffer(ends, dtype=np.int32)
 
 
 def _delta_lengths(v: np.ndarray) -> np.ndarray:
     """:func:`encoded_length` of every entry of ``v`` (each >= 1; exact below 2**53)."""
-    b = np.frexp(v)[1] - 1  # floor(log2 v)
-    return b + 2 * (np.frexp(b + 1)[1] - 1) + 1
+    width = np.frexp(v)[1]  # bit length w: the cost is (w - 1) + 2 * (bit length of w - 1) + 1
+    cost = np.frexp(width)[1]
+    cost *= 2
+    cost += width
+    cost -= 2
+    return cost
 
 
 def _factor_costs(ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Serialized cost of factors given by their ``_factorize`` ends and lengths."""
-    return np.where(ends < 0, _LITERAL_COST,
-                    _delta_lengths(ends - lengths + 3) + _delta_lengths(lengths))
+    source = ends - lengths
+    source += 3
+    cost = _delta_lengths(source)
+    cost += _delta_lengths(lengths)
+    cost[ends < 0] = _LITERAL_COST
+    return cost
 
 
-def _greedy(x: BitString) -> tuple[bytes, array, array]:
-    """The bits of ``x``, the bounds of its factors (starts, then the length)
-    and the ``ends`` of :func:`_factorize`, from one build and one walk."""
+def _greedy(x: BitString) -> tuple[bytes, list[int], list[int], list[int]]:
+    """The bits of ``x`` and, per factor, its start, its length and the
+    ``ends`` entry of :func:`_factorize` at its end, from one build and one walk."""
     bits = x.array.tobytes()
     bounds, ends = _factorize(bits, _SuffixAutomaton(bits), 0)
-    bounds.append(len(bits))
-    return bits, bounds, ends
+    starts, stop = bounds[:-1], bounds[1:]
+    return bits, starts.tolist(), (stop - starts).tolist(), ends[stop].tolist()
 
 
 def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
-    bits, bounds, ends = _greedy(x)
-    pairs = [Lz77Pair(0, bits[i]) if ends[j] < 0 else Lz77Pair(ends[j] - (j - i) + 2, j - i)
-             for i, j in pairwise(bounds)]
+    bits, starts, lengths, ends = _greedy(x)
+    pairs = [Lz77Pair(0, bits[i]) if end < 0 else Lz77Pair(end - ell + 2, ell)
+             for i, ell, end in zip(starts, lengths, ends)]
     return Lz77Parse(pairs=pairs, total_length=len(bits))
 
 
@@ -261,10 +362,9 @@ def decode(c: Codeword | BitString) -> BitString:
 
 def code_length(x: BitString) -> int:
     """``len(encode(x))`` without materializing the codeword."""
-    _, bounds, ends = _greedy(x)
-    return sum(_LITERAL_COST if ends[j] < 0
-               else encoded_length(ends[j] - (j - i) + 3) + encoded_length(j - i)
-               for i, j in pairwise(bounds))
+    _, _, lengths, ends = _greedy(x)
+    return sum(_LITERAL_COST if end < 0 else encoded_length(end - ell + 3) + encoded_length(ell)
+               for ell, end in zip(lengths, ends))
 
 
 class PrefixCosts:
@@ -320,15 +420,15 @@ class PrefixCosts:
         del new  # the walk reads ``bits``: free the copy before it
         n = len(bits)
         first = self._open
-        starts, ends = _factorize(bits, self._automaton, first)
-        ends = np.frombuffer(ends, dtype=np.int32)
-        begin = np.frombuffer(starts, dtype=np.int32)
-        stop = np.append(begin[1:], n)
-        whole = _factor_costs(ends[stop - first], stop - begin)
-        before = np.cumsum(whole) - whole + self._closed  # closed cost before each factor
-        self._open = starts[-1]
-        self._closed = int(before[-1])
-        self.total = self._closed + int(whole[-1])
+        bounds, ends = _factorize(bits, self._automaton, first)
+        begin, stop = bounds[:-1], bounds[1:]
+        before = np.empty(len(bounds), dtype=np.int64)  # cost before each factor, then in all
+        before[0] = self._closed
+        before[1:] = _factor_costs(ends[stop - first], stop - begin)
+        np.cumsum(before, out=before)
+        self._open = int(begin[-1])
+        self._closed = int(before[-2])
+        self.total = int(before[-1])
 
         def block(lo: int) -> tuple[int, np.ndarray]:
             hi = min(lo + _BLOCK, n + 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from typing import Callable, Sequence, TypeVar
+from unittest import mock
 
 import numpy as np
 
@@ -88,17 +89,24 @@ def brute_lz77_pairs(x: BitString) -> list[tuple[int, int]]:
     return pairs
 
 
+def python_loops():
+    """Context manager under which ``lz`` runs its Python loops, not the C kernel."""
+    return mock.patch.object(lz, "_kernel", lambda: None)
+
+
 def reference_prefix_costs(x: BitString) -> np.ndarray:
     """``lz.prefix_code_lengths(x)`` by a per-bit greedy walk that prices
     each truncated factor as it goes; the reference for the numpy table.
 
     Every bit the walk takes is priced at once: the cost of the closed
     factors plus the open one truncated at that bit, from the source of
-    its first occurrence.
+    its first occurrence.  The automaton is built by the Python loop, so the
+    reference does not rest on the C kernel.
     """
     bits = x.array.tobytes()
     n = len(bits)
-    automaton = lz._SuffixAutomaton(bits)
+    with python_loops():
+        automaton = lz._SuffixAutomaton(bits)
     next0, next1, first = automaton.next0, automaton.next1, automaton.first
     out = [0] * (n + 1)
     cum = 0

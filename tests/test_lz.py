@@ -1,6 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import itertools
 import math
+import shlex
+import shutil
+import sys
+import sysconfig
 import tracemalloc
 
 import numpy as np
@@ -14,7 +22,8 @@ from rngcal.codes import BitWriter, Codeword, encoded_length, write_integer
 from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import all_bitstrings, brute_lz77_pairs, random_bits, reference_prefix_costs
+from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
+                     reference_prefix_costs)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -243,6 +252,171 @@ def test_table_matches_per_bit_reference_property(blob, sizes):
     reference = reference_prefix_costs(x)
     assert np.array_equal(lz.prefix_code_lengths(x), reference)
     assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
+
+
+# Parity of the C kernel with the Python loops: each test runs on both.
+_BACKENDS = ["native", "python"]
+
+
+def _backend(name: str):
+    """Context manager under which ``lz`` runs on the named loops; skips the
+    native run where the C kernel does not build."""
+    if name == "python":
+        return python_loops()
+    if lz._kernel() is None:
+        pytest.skip("the C kernel does not build here")
+    return contextlib.nullcontext()
+
+
+def _columns(automaton: lz._SuffixAutomaton) -> tuple:
+    """The five columns over the states in use, then ``states``, ``last`` and ``size``."""
+    k = automaton.states
+    return (*(getattr(automaton, name)[:k] for name in lz._SuffixAutomaton.__slots__[:5]),
+            automaton.states, automaton.last, automaton.size)
+
+
+def _chunked_automaton(bits: bytes, sizes) -> lz._SuffixAutomaton:
+    """An automaton extended by chunks of ``bits`` of the given sizes, then by the rest."""
+    automaton = lz._SuffixAutomaton()
+    for size in sizes:
+        automaton.extend(bits[automaton.size:automaton.size + size])
+    automaton.extend(bits[automaton.size:])
+    return automaton
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
+def test_automaton_columns_match_the_python_build(kind, backend):
+    bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
+    with python_loops():
+        want = _columns(lz._SuffixAutomaton(bits))
+    with _backend(backend):
+        assert _columns(lz._SuffixAutomaton(bits)) == want
+        for size in (1, 7, 5000, 70001):
+            chunks = itertools.repeat(size, len(bits) // size)
+            assert _columns(_chunked_automaton(bits, chunks)) == want, size
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
+def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
+    bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
+    n = len(bits)
+    with python_loops():
+        automaton = lz._SuffixAutomaton(bits)
+        starts = (0, 1, 7, 5000, 70001, n - 1, n)
+        want = [lz._factorize(bits, automaton, start) for start in starts]
+    whole_bounds, whole_ends = want[0]
+    with _backend(backend):
+        for start, (bounds, ends) in zip(starts, want):
+            got = lz._factorize(bytearray(bits), automaton, start)
+            assert np.array_equal(got[0], bounds) and np.array_equal(got[1], ends), start
+        # resumed at a factor start, the walk continues the whole parse
+        for start in whole_bounds[[1, len(whole_bounds) // 2, -2]].tolist():
+            bounds, ends = lz._factorize(bits, automaton, start)
+            assert np.array_equal(bounds, whole_bounds[whole_bounds >= start]), start
+            assert np.array_equal(ends[1:], whole_ends[start + 1:]), start
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_pinned_code_lengths_on_both_backends(backend):
+    x = BernoulliSource(0.5, seed=7).bits(10 ** 5)
+    base = BernoulliSource(0.5, seed=7).bits(2 ** 17)
+    with _backend(backend):
+        assert lz.code_length(x) == RANDOM_1E5_CODE_BITS
+        assert lz.code_length(base) == BASE_2_17_CODE_BITS
+        costs = lz.PrefixCosts()
+        for m in (70001, 2 ** 17):
+            list(costs.extend(base.prefix(m)))
+        assert costs.total == BASE_2_17_CODE_BITS
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=300), st.lists(st.integers(1, 60), max_size=10))
+def test_backends_agree_property(backend, blob, sizes):
+    x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
+    bits = x.array.tobytes()
+    with python_loops():
+        want = _columns(lz._SuffixAutomaton(bits))
+        pairs = lz.parse(x).pairs
+    reference = reference_prefix_costs(x)
+    with _backend(backend):
+        assert _columns(lz._SuffixAutomaton(bits)) == want
+        assert _columns(_chunked_automaton(bits, sizes)) == want
+        assert lz.parse(x).pairs == pairs
+        assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
+
+
+class _Reported:
+    """A bit sequence that reports a length and holds no bits."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_automaton_refuses_more_bits_than_int32_indexes(backend):
+    with _backend(backend):
+        automaton = lz._SuffixAutomaton(bytes([0, 1, 1, 0]))
+        held = _columns(automaton)
+        for n in (1 << 30, lz._MAX_BITS - 3):
+            with pytest.raises(OverflowError):
+                automaton.extend(_Reported(n))
+        assert _columns(automaton) == held
+        assert lz._MAX_BITS == (2 ** 31 - 3) // 2
+
+
+def _kernel_from(monkeypatch, source_dir) -> None:
+    """Point ``lz`` at a copy of the kernel source in ``source_dir`` and forget
+    the loaded library, so the next LZ call builds and loads it anew."""
+    source = source_dir / "_lzkernel.c"
+    source.write_bytes(lz._KERNEL_SOURCE.read_bytes())
+    monkeypatch.setattr(lz, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(lz, "_kernel", functools.cache(lz._kernel.__wrapped__))
+
+
+def _cached_name() -> str:
+    """The kernel's file name in the cache: the source's SHA-256 and the extension suffix."""
+    digest = hashlib.sha256(lz._KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    return f"_lzkernel.{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
+
+
+def test_kernel_builds_on_first_use_into_its_cache(monkeypatch, tmp_path):
+    if shutil.which(shlex.split(sysconfig.get_config_var("CC") or "cc")[0]) is None:
+        pytest.skip("no C compiler")
+    _kernel_from(monkeypatch, tmp_path)
+    assert not (tmp_path / "__pycache__").exists()
+    assert lz.code_length(BernoulliSource(0.5, seed=7).bits(10 ** 5)) == RANDOM_1E5_CODE_BITS
+    assert lz._kernel() is not None
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [_cached_name()]
+
+
+@pytest.mark.parametrize("failure", ["no compiler", "compiler fails", "cache not writable",
+                                     "library not loadable"])
+def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, failure):
+    _kernel_from(monkeypatch, tmp_path)
+    compilers = {"no compiler": str(tmp_path / "no-such-cc"),
+                 "compiler fails": f"{shlex.quote(sys.executable)} -c 'raise SystemExit(1)'"}
+    if failure in compilers:
+        config = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: compilers[failure] if name == "CC" else config(name))
+    elif failure == "cache not writable":
+        (tmp_path / "__pycache__").write_bytes(b"")  # a file where the directory goes
+    else:
+        (tmp_path / "__pycache__").mkdir()
+        (tmp_path / "__pycache__" / _cached_name()).write_bytes(b"junk")
+    x = BernoulliSource(0.5, seed=7).bits(10 ** 5)
+    assert lz.code_length(x) == RANDOM_1E5_CODE_BITS
+    assert lz._kernel() is None
+    if failure in compilers:  # nothing is left behind
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+    y = DuplicationSource(seed=13).bits(5000)
+    assert np.array_equal(lz.prefix_code_lengths(y), reference_prefix_costs(y))
 
 
 def test_vectorized_delta_lengths_match_encoded_length():

@@ -431,6 +431,15 @@ def test_lz77_report_keeps_no_per_bit_table():
     assert engine <= one_shot + (2 << 20)
 
 
+def test_lz77_report_prices_whole_factors_in_place():
+    # The whole-factor pricing runs while the automaton is alive; with a
+    # temporary per numpy step it took 0.80 MiB over the one-shot peak here.
+    x = random_bits(1 << 18, seed=40)
+    one_shot = _traced_peak(lz.code_length, x)
+    engine = _traced_peak(stats.PrefixScanTest("lz77").reports, x, 0.01)
+    assert engine - one_shot < 3 << 18  # 0.75 MiB
+
+
 @pytest.mark.parametrize("source", [BernoulliSource(0.1, seed=38), DuplicationSource(seed=39)],
                          ids=["bern01", "dup"])
 def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
