@@ -21,6 +21,22 @@ import numpy as np
 
 _HEADER_BYTES = 8
 
+# Swaps the bytes 0 and 1 with the digits '0' and '1': one table turns one
+# byte per bit into binary digits and back.
+_DIGITS = bytes.maketrans(b"\x00\x01" b"01", b"01" b"\x00\x01")
+
+
+def int_to_bit_bytes(value: int, width: int) -> bytes:
+    """The ``width`` low bits of ``value``, MSB first, one byte (0 or 1) per bit."""
+    if width <= 0:
+        return b""
+    return f"{value & ((1 << width) - 1):0{width}b}".encode().translate(_DIGITS)
+
+
+def bit_bytes_to_int(buf: bytes) -> int:
+    """The integer whose MSB-first bits are ``buf``, one byte (0 or 1) per bit."""
+    return int(buf.translate(_DIGITS), 2) if buf else 0
+
 
 class BitString:
     """Immutable sequence of bits backed by a uint8 array of 0/1 values."""
@@ -64,9 +80,7 @@ class BitString:
             raise ValueError("width must be >= 0")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        nbytes = (width + 7) // 8
-        bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
-        return cls._wrap(bits[8 * nbytes - width:])
+        return cls._wrap(np.frombuffer(int_to_bit_bytes(value, width), dtype=np.uint8))
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "BitString":
@@ -96,14 +110,11 @@ class BitString:
         return self._a.tolist()
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self._a)
+        return self._a.tobytes().translate(_DIGITS).decode()
 
     def to_int(self) -> int:
         """The integer whose big-endian binary expansion is this string."""
-        value = 0
-        for b in self._a.tolist():
-            value = (value << 1) | b
-        return value
+        return bit_bytes_to_int(self._a.tobytes())
 
     def prefix(self, m: int) -> "BitString":
         """The first ``m`` bits, as a read-only view (no copy)."""

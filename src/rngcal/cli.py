@@ -229,11 +229,14 @@ def cmd_scan(args) -> int:
     if len(args.tests) != 1:
         raise CliError("scan drives a single test; pass exactly one --tests id")
     stream, label = _open_input(args)
+    limit = args.budget
+    if isinstance(stream, BitString):
+        limit = min(limit, len(stream))
+        if limit < args.start_bits:
+            raise CliError(f"input has {len(stream)} bits, fewer than the "
+                           f"{args.start_bits} start bits")
     if args.window_bits is None:
         # one automaton lives for the whole scan, up to the last prefix
-        limit = args.budget
-        if isinstance(stream, BitString):
-            limit = min(limit, len(stream))
         _check_memory_cap(limit)
         runner = stats.PrefixScanTest(args.tests[0])
     else:

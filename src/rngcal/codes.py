@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .bits import BitString
+import numpy as np
+
+from .bits import BitString, bit_bytes_to_int, int_to_bit_bytes
 from .errors import DecodeError
 
 
@@ -34,44 +36,30 @@ class Codeword:
 
 
 class BitWriter:
-    """Accumulates MSB-first bits into bytes."""
+    """Accumulates MSB-first bits, one byte per bit."""
 
     def __init__(self):
         self._buf = bytearray()
-        self._cur = 0
-        self._nbits = 0
-        self._total = 0
 
     def write(self, value: int, nbits: int) -> None:
         """Append the ``nbits`` low bits of ``value``, MSB first."""
-        self._total += nbits
-        cur, filled = self._cur, self._nbits
-        for i in range(nbits - 1, -1, -1):
-            cur = (cur << 1) | ((value >> i) & 1)
-            filled += 1
-            if filled == 8:
-                self._buf.append(cur)
-                cur, filled = 0, 0
-        self._cur, self._nbits = cur, filled
+        self._buf += int_to_bit_bytes(value, nbits)
 
     def __len__(self) -> int:
-        return self._total
+        return len(self._buf)
 
     def to_bitstring(self) -> BitString:
-        out = []
-        for byte in self._buf:
-            out.extend((byte >> i) & 1 for i in range(7, -1, -1))
-        out.extend((self._cur >> i) & 1 for i in range(self._nbits - 1, -1, -1))
-        return BitString(out)
+        # a copy of exactly one byte per bit: the buffer's growth slack stays here
+        return BitString._wrap(np.frombuffer(self._buf, dtype=np.uint8).copy())
 
 
 class BitReader:
-    """Reads MSB-first bits from a :class:`BitString`."""
+    """Reads MSB-first bits from a :class:`BitString`, one byte per bit."""
 
     def __init__(self, bits: BitString, offset: int = 0):
         if not 0 <= offset <= len(bits):
             raise ValueError(f"offset {offset} out of range")
-        self._bits = bits.tolist()
+        self._bits = bits.array.tobytes()
         self.pos = offset
 
     def remaining(self) -> int:
@@ -85,9 +73,11 @@ class BitReader:
         return b
 
     def read(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
+        end = self.pos + nbits
+        if end > len(self._bits):
+            raise DecodeError("unexpected end of stream", len(self._bits))
+        value = bit_bytes_to_int(self._bits[self.pos:end])
+        self.pos = end
         return value
 
 
@@ -105,11 +95,8 @@ def write_integer(writer: BitWriter, m: int) -> None:
         raise ValueError(f"integer code is defined for m >= 1, got {m}")
     n = m.bit_length() - 1
     length = n + 1
-    zeros = length.bit_length() - 1
-    writer.write(0, zeros)
-    writer.write(length, zeros + 1)
-    if n:
-        writer.write(m, n)  # low bits; the leading 1 is implied by length
+    writer.write(length, 2 * length.bit_length() - 1)  # gamma(L): L after its leading zeros
+    writer.write(m, n)  # low bits; the leading 1 is implied by length
 
 
 def encode_integer(m: int) -> Codeword:
@@ -122,18 +109,17 @@ def encode_integer(m: int) -> Codeword:
 def read_integer(reader: BitReader) -> int:
     """Read one integer codeword from ``reader``."""
     start = reader.pos
-    zeros = 0
-    while True:
-        if reader.remaining() == 0:
+    one = reader._bits.find(1, start, start + 65)  # at most 64 zeros, then L's leading 1
+    if one < 0:
+        if reader.remaining() < 65:
             raise DecodeError("truncated integer codeword", start)
-        if reader.read_bit():
-            break
-        zeros += 1
-        if zeros > 64:
-            raise DecodeError("malformed integer codeword (length prefix too long)", start)
+        raise DecodeError("malformed integer codeword (length prefix too long)", start)
+    reader.pos = one + 1
+    zeros = one - start
     length = (1 << zeros) | reader.read(zeros)
     n = length - 1
-    return (1 << n) | reader.read(n)
+    # the low bits come first, so a hostile length runs out of bits before 2^n is formed
+    return reader.read(n) | (1 << n)
 
 
 def decode_integer(stream: BitString, offset: int = 0) -> tuple[int, int]:

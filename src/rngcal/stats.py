@@ -79,7 +79,7 @@ class WeightSchedule:
             w = [float(v) for v in finite_weights]
             if not w:
                 raise ValueError("finite schedule must have at least one weight")
-            if any(v <= 0.0 for v in w):
+            if not all(v > 0.0 for v in w):  # NaN fails this too
                 raise ValueError("schedule weights must be positive")
             if math.fsum(w) > 1.0 + 1e-12:
                 raise ValueError(f"schedule weights sum to {math.fsum(w)}, must be <= 1")

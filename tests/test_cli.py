@@ -276,6 +276,7 @@ def test_memory_cap_is_checked_before_drawing(argv, monkeypatch, capsys):
     (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
     (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
     (("scan", "--budget", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
+    (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
     _refuse_to_draw(monkeypatch)
@@ -290,6 +291,20 @@ def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):
     run_cli("gen", "bernoulli:0.5:seed=4", "--bits", "4096", "--output", str(path))
     assert run_cli("scan", "--input", str(path), "--budget", str(2 ** 30)) == 0
     assert "none within budget" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", [(), ("--window-bits", "256")])
+def test_scan_of_a_file_shorter_than_start_bits_is_an_error(window, tmp_path, capsys):
+    path = tmp_path / "short.bin"
+    run_cli("gen", "bernoulli:0.0:seed=1", "--bits", "500", "--output", str(path))
+    with mock.patch.object(stats, "PrefixScanTest") as engine, \
+            mock.patch.object(stats, "compression_test") as test:
+        assert run_cli("scan", "--input", str(path), *window) == 2
+    assert not engine.called and not test.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("rngcal: error: input has 500 bits, fewer than "
+                            "the 1024 start bits\n")
 
 
 def test_console_script_stdin_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rngcal.codes import (
     encode_integer,
     encoded_length,
     kraft_sum,
+    write_integer,
 )
 from rngcal.errors import DecodeError
 
@@ -32,6 +34,17 @@ def test_smallest_integer_is_one_bit():
                                         (5, "01101"), (8, "00100000")])
 def test_known_codewords(m, expected):
     assert encode_integer(m).bits.to01() == expected
+
+
+def test_codeword_bits_follow_the_definition():
+    # gamma(L), i.e. L after floor(log2 L) zeros, then the L - 1 low bits of m
+    values = {1, 2, 3} | {v for k in range(2, 71) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1)}
+    for m in sorted(values):
+        length = m.bit_length()
+        want = "0" * (length.bit_length() - 1) + f"{length:b}" + f"{m:b}"[1:]
+        bits = encode_integer(m).bits
+        assert bits.to01() == want, m
+        assert decode_integer(bits) == (m, len(want))
 
 
 def test_rejects_nonpositive():
@@ -113,11 +126,20 @@ def test_random_concatenations_round_trip():
 
 
 def test_truncated_codeword_reports_offset():
-    cw = encode_integer(1000)
-    truncated = cw.bits.prefix(len(cw.bits) - 3)
-    with pytest.raises(DecodeError) as err:
-        decode_integer(truncated)
-    assert err.value.bit_offset >= 0
+    truncated = encode_integer(1000).bits.to01()[:-3]
+    cases = [  # stream, offset, message, bit offset
+        (truncated, 0, "unexpected end of stream", len(truncated)),
+        ("1" + "0" * 64, 1, "truncated integer codeword", 1),
+        ("1" + "0" * 65, 1, "malformed integer codeword (length prefix too long)", 1),
+        ("1" + "0" * 64 + "1" + "0" * 10, 1, "unexpected end of stream", 76),
+        # a length of 2^64 - 1 bits: the low bits run out before 2^(L - 1) is formed
+        ("1" + "0" * 63 + "1" + "1" * 63, 1, "unexpected end of stream", 128),
+    ]
+    for stream, offset, message, bit_offset in cases:
+        with pytest.raises(DecodeError) as err:
+            decode_integer(BitString.from01(stream), offset)
+        assert err.value.bit_offset == bit_offset
+        assert str(err.value) == f"{message} (at bit offset {bit_offset})"
 
 
 def test_decode_empty_stream_fails():
@@ -175,9 +197,37 @@ def test_bitwriter_reader_round_trip():
     w.write(0b1011, 4)
     w.write(0b0, 1)
     w.write(0b111111111, 9)
-    assert len(w) == 14
-    r = BitReader(w.to_bitstring())
+    w.write(0b101, 0)
+    w.write(0b110110, 3)  # only the low bits
+    assert len(w) == 17
+    bits = w.to_bitstring()
+    assert bits.to01() == "10110111111111110"
+    r = BitReader(bits)
     assert r.read(4) == 0b1011
     assert r.read_bit() == 0
+    assert r.read(0) == 0
     assert r.read(9) == 0b111111111
+    assert r.read(3) == 0b110
     assert r.remaining() == 0
+    with pytest.raises(DecodeError) as err:
+        r.read(1)
+    assert err.value.bit_offset == 17
+
+
+def test_writer_holds_about_two_bytes_per_bit():
+    # a codeword keeps one byte per bit; while it is built, the writer's
+    # buffer (with its growth slack) and the codeword may both be alive
+    tracemalloc.start()
+    try:
+        w = BitWriter()
+        for m in range(1, 2 * 10 ** 5):
+            write_integer(w, m)
+        bits = w.to_bitstring()
+        del w
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(bits)
+    assert n == sum(encoded_length(m) for m in range(1, 2 * 10 ** 5))
+    assert kept < n + (1 << 16)
+    assert peak < 2.25 * n + (1 << 16)

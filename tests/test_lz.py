@@ -123,6 +123,30 @@ def test_round_trip_property(blob):
     assert lz.decode(lz.encode(x)) == x
 
 
+# Length and digest of lz.encode over 2^16 bits of each seed-7 source.
+ENCODE_2_16_PINS = {
+    "uniform": (123647, "b1ab4a31e66f287bac31b30d300c4b6227d6a29fb210af12d0f0a0d48d5e3157"),
+    "bernoulli_0.1": (62033, "f9b44e3924750ea2cf608e279a6c52a395ed45997dd76770f6d3443d23b1a596"),
+    "markov": (71324, "fe511a4b2ee596088c56b5c96c987f55141f5f009af30b5e8ec8828427f9c816"),
+    "dup": (123674, "da28ab6d205dee6995a4c1998434834d5cc2b082f075ee84159fdb6aaf1c05df"),
+}
+_ENCODE_2_16_SOURCES = {
+    "uniform": BernoulliSource(0.5, seed=7),
+    "bernoulli_0.1": BernoulliSource(0.1, seed=7),
+    "markov": MarkovSource([[0.9, 0.1], [0.3, 0.7]], seed=7),
+    "dup": DuplicationSource(seed=7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENCODE_2_16_PINS))
+def test_encode_digest_is_pinned(kind):
+    x = _ENCODE_2_16_SOURCES[kind].bits(2 ** 16)
+    cw = lz.encode(x)
+    assert (len(cw), cw.bits.digest()) == ENCODE_2_16_PINS[kind]
+    assert lz.code_length(x) == len(cw)
+    assert lz.decode(cw) == x
+
+
 def test_prefix_free_within_each_length_class():
     # Equal-length inputs never produce one codeword extending another;
     # this per-class property is what the rejection counting bound uses.
@@ -514,6 +538,11 @@ def test_decode_refuses_codeword_bomb():
 def test_decode_refuses_bare_bomb_past_the_memory_cap():
     bomb = _copy_bomb(lz.DEFAULT_MEMORY_CAP_BITS)  # the literal makes it one bit too many
     assert _decode_peak_bytes(bomb) < 1 << 20
+
+
+def test_failing_decode_of_a_long_bare_stream_holds_one_byte_per_bit():
+    # a bit list would take 8 B per bit, 32 MiB here
+    assert _decode_peak_bytes(random_bits(1 << 22, seed=8)) < 6 << 20
 
 
 def test_decode_checks_codeword_length():

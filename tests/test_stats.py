@@ -146,8 +146,9 @@ def test_custom_schedule_validation():
     assert good.weight(9) == 0.0  # beyond the list: no budget
     with pytest.raises(ValueError):
         stats.WeightSchedule.from_weights([0.7, 0.7])
-    with pytest.raises(ValueError):
-        stats.WeightSchedule.from_weights([0.5, -0.1])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            stats.WeightSchedule.from_weights([0.5, bad])
     with pytest.raises(ValueError):
         stats.WeightSchedule.from_weights([])
 
