@@ -9,7 +9,10 @@ Two persistence formats are supported:
 
 * raw: an 8-byte little-endian unsigned bit count, then the payload packed
   MSB-first into bytes (the final byte is zero-padded);
-* ascii: the characters '0' and '1', any whitespace ignored.
+* ascii: the ASCII digits '0' and '1', any ASCII whitespace ignored.
+
+:func:`decode_bits` and :func:`encode_bits` read and write both, for files,
+standard streams and ``str`` alike.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _HEADER_BYTES = 8
+_ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 # Swaps the bytes 0 and 1 with the digits '0' and '1': one table turns one
 # byte per bit into binary digits and back.
@@ -57,13 +61,8 @@ class BitString:
 
     @classmethod
     def from01(cls, text: str) -> "BitString":
-        """Parse a string of '0'/'1' characters; whitespace is ignored."""
-        stripped = "".join(text.split())
-        if stripped and set(stripped) - {"0", "1"}:
-            bad = sorted(set(stripped) - {"0", "1"})
-            raise ValueError(f"invalid bit characters: {bad}")
-        return cls(np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
-                   if stripped else np.empty(0, dtype=np.uint8))
+        """Parse a string of '0'/'1' characters; ASCII whitespace is ignored."""
+        return decode_bits(text.encode(), "ascii")
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":
@@ -184,24 +183,34 @@ def unpack(data: bytes) -> BitString:
     return BitString(np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n])
 
 
-def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
+def decode_bits(data: bytes, fmt: str = "raw") -> BitString:
+    """The bits that ``data``, in format ``fmt``, holds."""
     if fmt == "raw":
-        with open(path, "wb") as f:
-            f.write(pack(bits))
-    elif fmt == "ascii":
-        with open(path, "w") as f:
-            f.write(bits.to01())
-            f.write("\n")
-    else:
+        return unpack(data)
+    if fmt != "ascii":
         raise ValueError(f"unknown bit file format: {fmt!r}")
+    digits = data.translate(None, _ASCII_WHITESPACE)
+    bad = digits.translate(None, b"01")
+    if bad:
+        raise ValueError(f"invalid bit characters: {bytes(sorted(set(bad)))!r}")
+    return BitString._wrap(np.frombuffer(digits.translate(_DIGITS), dtype=np.uint8))
+
+
+def encode_bits(bits: BitString, fmt: str = "raw") -> bytes:
+    """``bits`` in format ``fmt``; ascii ends with a newline."""
+    if fmt == "raw":
+        return pack(bits)
+    if fmt != "ascii":
+        raise ValueError(f"unknown bit file format: {fmt!r}")
+    return bits.array.tobytes().translate(_DIGITS) + b"\n"
+
+
+def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
+    data = encode_bits(bits, fmt)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 def read_bit_file(path, fmt: str = "raw") -> BitString:
-    if fmt == "raw":
-        with open(path, "rb") as f:
-            return unpack(f.read())
-    if fmt == "ascii":
-        with open(path, "r") as f:
-            return BitString.from01(f.read())
-    raise ValueError(f"unknown bit file format: {fmt!r}")
-
+    with open(path, "rb") as f:
+        return decode_bits(f.read(), fmt)

@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__, lz, sources, stats
-from .bits import BitString, pack, read_bit_file, unpack
+from .bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
 TEST_IDS = ("lz77", "tauk")
@@ -52,6 +52,8 @@ def _check_args(args) -> stats.WeightSchedule:
     for t in args.tests:
         if t not in TEST_IDS:
             raise CliError(f"unknown test {t!r}; available: {', '.join(TEST_IDS)}")
+    if args.command == "scan" and len(args.tests) != 1:
+        raise CliError("scan drives a single test; pass exactly one --tests id")
     max_bits = getattr(args, "max_bits", None)
     if max_bits is not None and max_bits < 1:
         raise CliError(f"max bits must be >= 1, got {max_bits}")
@@ -64,7 +66,11 @@ def _check_args(args) -> stats.WeightSchedule:
         raise CliError(f"need 1 <= start bits <= budget, got start {args.start_bits} "
                        f"and budget {args.budget}")
     if args.weights is not None:
-        return stats.WeightSchedule.from_weights(args.weights)
+        schedule = stats.WeightSchedule.from_weights(args.weights)
+        if len(args.tests) > max(1, len(args.weights)):
+            raise CliError(f"schedule {schedule.name!r} has no weight for "
+                           f"component {len(args.weights) + 1}")
+        return schedule
     if args.schedule == "omega_star":
         return stats.OMEGA_STAR
     raise CliError(f"unknown schedule {args.schedule!r}; "
@@ -99,40 +105,38 @@ def _apply_seed(spec: str, seed: int | None) -> str:
     return f"{base}:seed={seed}"
 
 
-def _open_input(args) -> tuple[BitString | sources.Source, str]:
-    """The stream named by ``--input`` or ``--source``, and its label.
+def _resolve_sample(args, limit: int | None):
+    """The sample named by ``--input`` or ``--source``: ``(prefix, n, label)``.
 
-    A file or stdin is read whole; a source spec is only parsed, so the
-    caller can check the sample size before any bit is drawn.
+    ``prefix(m)`` returns its first ``m <= n`` bits.  ``n`` is ``limit``
+    capped at the bits a file holds (a source draws 2^16 bits when
+    ``limit`` is None), checked against the full-window memory cap before
+    any bit is drawn.
     """
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
     if args.source is not None:
-        spec = _apply_seed(args.source, args.seed)
+        label = _apply_seed(args.source, args.seed)
         try:
-            return sources.parse_source_spec(spec), spec
+            prefix = sources.parse_source_spec(label).bits
         except ValueError as exc:
             raise CliError(str(exc)) from None
-    label = "stdin" if args.input == "-" else args.input
-    try:
-        if args.input == "-":
-            data = sys.stdin.buffer.read()
-            bits = (unpack(data) if args.input_format == "raw"
-                    else BitString.from01(data.decode("ascii", errors="strict")))
-        else:
-            bits = read_bit_file(args.input, fmt=args.input_format)
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {label}: {exc}") from None
-    return bits, label
-
-
-def _check_memory_cap(n_bits: int) -> None:
-    """A full-window analysis holds a suffix automaton of all its bits at once."""
-    cap = DEFAULT_MEMORY_CAP_BITS
-    if n_bits > cap:
-        raise CliError(
-            f"input of {n_bits} bits exceeds the full-window memory cap "
-            f"({cap} bits); pass --window-bits to use bounded-window mode")
+        n = 1 << 16 if limit is None else limit
+    else:
+        label = "stdin" if args.input == "-" else args.input
+        try:
+            bits = (decode_bits(sys.stdin.buffer.read(), args.input_format)
+                    if args.input == "-" else read_bit_file(args.input, fmt=args.input_format))
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read {label}: {exc}") from None
+        prefix = bits.prefix
+        n = len(bits) if limit is None else min(limit, len(bits))
+    # a full-window analysis holds a suffix automaton of all n bits at once
+    if args.window_bits is None and n > DEFAULT_MEMORY_CAP_BITS:
+        raise CliError(f"input of {n} bits exceeds the full-window memory cap "
+                       f"({DEFAULT_MEMORY_CAP_BITS} bits); pass --window-bits to use "
+                       f"bounded-window mode")
+    return prefix, n, label
 
 
 def _lz77_test(window_bits: int):
@@ -193,56 +197,35 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.output == "-":
-        if args.format == "raw":
-            sys.stdout.buffer.write(pack(bits))
-        else:
-            sys.stdout.write(bits.to01() + "\n")
-    else:
-        try:
-            from .bits import write_bit_file
-            write_bit_file(args.output, bits, fmt=args.format)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc}") from None
+        sys.stdout.buffer.write(encode_bits(bits, args.format))
+        return _EXIT_ACCEPT
+    try:
+        write_bit_file(args.output, bits, fmt=args.format)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc}") from None
     return _EXIT_ACCEPT
 
 
 def cmd_test(args) -> int:
     schedule = _check_args(args)
-    stream, label = _open_input(args)
-    if isinstance(stream, BitString):
-        n = len(stream) if args.max_bits is None else min(args.max_bits, len(stream))
-    else:
-        n = 1 << 16 if args.max_bits is None else args.max_bits
-    if args.window_bits is None:
-        _check_memory_cap(n)
-    bits = stream.prefix(n) if isinstance(stream, BitString) else stream.bits(n)
-    report = _run_tests(bits, args, schedule)
+    prefix, n, label = _resolve_sample(args, args.max_bits)
+    report = _run_tests(prefix(n), args, schedule)
     if args.report == "json":
         print(_json_document(report.to_dict(), args, label))
     else:
-        _print_report_text(report, label, len(bits))
+        _print_report_text(report, label, n)
     return _EXIT_REJECT if report.rejected else _EXIT_ACCEPT
 
 
 def cmd_scan(args) -> int:
     _check_args(args)
-    if len(args.tests) != 1:
-        raise CliError("scan drives a single test; pass exactly one --tests id")
-    stream, label = _open_input(args)
-    limit = args.budget
-    if isinstance(stream, BitString):
-        limit = min(limit, len(stream))
-        if limit < args.start_bits:
-            raise CliError(f"input has {len(stream)} bits, fewer than the "
-                           f"{args.start_bits} start bits")
-    if args.window_bits is None:
-        # one automaton lives for the whole scan, up to the last prefix
-        _check_memory_cap(limit)
-        runner = stats.PrefixScanTest(args.tests[0])
-    else:
-        runner = _lz77_test(args.window_bits)
-    result = stats.consistency_scan(stream, runner, args.alpha,
-                                    start_bits=args.start_bits, max_bits=args.budget)
+    prefix, n, label = _resolve_sample(args, args.budget)
+    if n < args.start_bits:
+        raise CliError(f"input has {n} bits, fewer than the {args.start_bits} start bits")
+    runner = (stats.PrefixScanTest(args.tests[0]) if args.window_bits is None
+              else _lz77_test(args.window_bits))
+    result = stats.consistency_scan(prefix, runner, args.alpha,
+                                    start_bits=args.start_bits, max_bits=n)
     if args.report == "json":
         payload = {
             "first_rejection_bits": result.first_rejection_bits,

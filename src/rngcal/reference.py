@@ -49,13 +49,11 @@ def known_mu_log2_p_value(x: BitString, p: float) -> float:
     if p == 0.5:
         return 0.0  # every string is equally probable
     # mu(w) is monotone in the ones count: decreasing for p < 1/2.
-    if p < 0.5:
-        counts = np.arange(0, ones + 1)
-    else:
-        counts = np.arange(ones, n + 1)
-    from scipy.special import gammaln, logsumexp  # imported here: it costs ~26 MB of RSS
-    log_binom = (gammaln(n + 1) - gammaln(counts + 1) - gammaln(n - counts + 1))
-    log_total = float(logsumexp(log_binom))
+    counts = range(ones + 1) if p < 0.5 else range(ones, n + 1)
+    log_binom = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                 for k in counts]
+    top = max(log_binom)
+    log_total = top + math.log(math.fsum(math.exp(v - top) for v in log_binom))
     return min(0.0, (log_total - n * math.log(2.0)) / math.log(2.0))
 
 

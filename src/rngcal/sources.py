@@ -108,7 +108,7 @@ class MarkovSource(Source):
         m = np.asarray(rows, dtype=np.float64)
         if m.shape != (2, 2):
             raise ValueError(f"transition matrix must be 2x2, got shape {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not np.all((m >= 0.0) & (m <= 1.0)):  # NaN fails this too
             raise ValueError("transition probabilities must be in [0, 1]")
         sums = m.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
@@ -116,15 +116,21 @@ class MarkovSource(Source):
         self.rows = m
 
     def _draw(self, n: int) -> np.ndarray:
+        # Bit i is 1 when u[i] < P(next=1 | bit i-1), bit 0 when u[0] < 1/2: 1 below
+        # both thresholds, 0 above both, and between them a copy of the previous
+        # bit if P11 > P01, its flip otherwise.
         u = _rng(self.seed).random(n)
-        t = (self.rows[0, 1], self.rows[1, 1])  # P(next=1 | current)
-        out = np.empty(n, dtype=np.uint8)
-        state = 1 if u[0] < 0.5 else 0
-        out[0] = state
-        uu = u.tolist()
-        for i in range(1, n):
-            state = 1 if uu[i] < t[state] else 0
-            out[i] = state
+        p01, p11 = self.rows[0, 1], self.rows[1, 1]
+        lo, hi = sorted((p01, p11))
+        fixed = (u < lo) | (u >= hi)
+        value = (u < lo).view(np.uint8)
+        fixed[0], value[0] = True, u[0] < 0.5
+        last = np.where(fixed, np.arange(n), 0)
+        np.maximum.accumulate(last, out=last)
+        out = value[last]
+        if p11 < p01:
+            last -= np.arange(n)
+            out ^= (last & 1).astype(np.uint8)
         return out
 
     def spec_string(self) -> str:
@@ -141,6 +147,8 @@ class DriftingBiasSource(Source):
         super().__init__(seed)
         self.p0 = _check_probability("p0", p0)
         self.rate = float(rate)
+        if not np.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
 
     def _draw(self, n: int) -> np.ndarray:
         p = np.clip(self.p0 + self.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
@@ -325,11 +333,9 @@ def parse_source_spec(spec: str) -> Source:
         v = floats()
         if len(v) < 2 or len(v) % 2:
             raise ValueError(f"regime takes pairs L,P in {spec!r}")
-        segs = [(int(v[i]), v[i + 1]) for i in range(0, len(v), 2)]
-        for (length, _), raw in zip(segs, v[::2]):
-            if length != raw:
-                raise ValueError(f"segment lengths must be integers in {spec!r}")
-        return RegimeSwitchSource(segs, seed=seed)
+        if not all(length.is_integer() for length in v[::2]):  # inf and NaN fail too
+            raise ValueError(f"segment lengths must be integers in {spec!r}")
+        return RegimeSwitchSource(list(zip(v[::2], v[1::2])), seed=seed)
     if params:
         raise ValueError(f"source kind 'dup' takes no parameters in {spec!r}")
     return DuplicationSource(seed=seed)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 
-from rngcal import lz
+from rngcal import lz, sources
 from rngcal.bits import BitString
 from rngcal.codes import encoded_length
 
@@ -137,3 +137,18 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
 def all_bitstrings(n: int):
     for value in range(1 << n):
         yield BitString.from_int(value, n)
+
+
+def reference_markov_bits(source, n: int) -> np.ndarray:
+    """``MarkovSource._draw(n)`` by the per-bit chain walk it replaces: bit i
+    is 1 when the i-th uniform is below P(next=1 | bit i-1), the first bit
+    when it is below 1/2."""
+    u = sources._rng(source.seed).random(n).tolist()
+    t = (source.rows[0, 1], source.rows[1, 1])
+    out = np.empty(n, dtype=np.uint8)
+    state = 1 if u[0] < 0.5 else 0
+    out[0] = state
+    for i in range(1, n):
+        state = 1 if u[i] < t[state] else 0
+        out[i] = state
+    return out

@@ -24,6 +24,8 @@ def test_rejects_non_binary():
         BitString([0, 2, 1])
     with pytest.raises(ValueError):
         BitString.from01("0102")
+    with pytest.raises(ValueError):
+        BitString.from01("0\u00a01")  # ascii: only ASCII whitespace is skipped
 
 
 def test_indexing_and_prefix():

@@ -7,16 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rngcal
 from rngcal import sources, stats
-from rngcal.bits import BitString, read_bit_file, unpack
+from rngcal.bits import BitString, pack, read_bit_file, unpack
 from rngcal.cli import main
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
@@ -277,6 +278,8 @@ def test_memory_cap_is_checked_before_drawing(argv, monkeypatch, capsys):
     (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
     (("scan", "--budget", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
+    (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
+     "schedule 'custom' has no weight for component 2"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
     _refuse_to_draw(monkeypatch)
@@ -330,12 +333,19 @@ def test_help_lists_subcommands():
     assert exc.value.code == 0
 
 
+def _run_with_stdin(data: bytes, *argv: str) -> tuple[int, str]:
+    """Exit status and stdout of ``rngcal argv`` reading ``data`` from stdin."""
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(list(argv))
+    return status, out.getvalue()
+
+
 def _test_stdin(data: bytes, *argv: str) -> int:
     """Exit status of ``rngcal test --input -`` reading ``data`` from stdin."""
-    stdin = io.TextIOWrapper(io.BytesIO(data))
-    with mock.patch.object(sys, "stdin", stdin), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(["test", "--input", "-", *argv])
+    return _run_with_stdin(data, "test", "--input", "-", *argv)[0]
 
 
 _MALFORMED_RAW = st.one_of(
@@ -356,3 +366,44 @@ def test_malformed_raw_stdin_exits_2(data):
 @given(st.binary(max_size=40), st.integers(0x80, 0xFF), st.binary(max_size=40))
 def test_non_ascii_stdin_exits_2(head, byte, tail):
     assert _test_stdin(head + bytes([byte]) + tail, "--input-format", "ascii") == 2
+
+
+_ASCII_BYTES = st.lists(st.sampled_from([b"0", b"1", b" ", b"\t", b"\n", b"\r", b"\x0b",
+                                         b"\x0c", b"\x1c", b"\x85", b"\xa0", b"\xc2",
+                                         b"\xef\xbb\xbf", b"2", b"\x00"]),
+                        max_size=300).map(b"".join)
+_RAW_BYTES = st.one_of(
+    st.lists(st.integers(0, 1), max_size=300).map(lambda b: pack(BitString(b))),
+    _MALFORMED_RAW)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.just("ascii"), _ASCII_BYTES),
+                 st.tuples(st.just("raw"), _RAW_BYTES)))
+@example(("ascii", b"0\xc2\xa01\n"))  # a UTF-8 no-break space is not ASCII whitespace
+@example(("ascii", b"\xef\xbb\xbf0101\n"))  # nor is a byte-order mark
+@example(("ascii", b"0110 1\r\n\x0b\x0c0"))
+def test_file_and_stdin_give_the_same_result(case):
+    fmt, data = case
+    argv = ("--input-format", fmt, "--tests", "lz77,tauk", "--report", "json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sample")
+        Path(path).write_bytes(data)
+        from_file = _run_with_stdin(b"", "test", "--input", path, *argv)
+    from_stdin = _run_with_stdin(data, "test", "--input", "-", *argv)
+
+    def masked(result):
+        status, out = result
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', out)
+        return status, re.sub(r'"input": "[^"]*"', '"input": "*"', out)
+
+    assert masked(from_file) == masked(from_stdin)
+
+
+@pytest.mark.parametrize("fmt", ["raw", "ascii"])
+@pytest.mark.parametrize("spec,n", [("markov:0.9,0.1,0.3,0.7:seed=2", 1000), ("dup:seed=3", 0)])
+def test_gen_to_file_and_to_stdout_write_the_same_bytes(fmt, spec, n, tmp_path, capsysbinary):
+    path = tmp_path / "sample"
+    assert run_cli("gen", spec, "--bits", str(n), "--format", fmt, "--output", str(path)) == 0
+    assert run_cli("gen", spec, "--bits", str(n), "--format", fmt) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,19 @@ def test_log2_variant_matches_plain_value_in_range():
         assert 2.0 ** log2pv == pytest.approx(reference.known_mu_p_value(x, p))
         assert reference.known_mu_p_value(x, p) == pytest.approx(
             _direct_mu_p_value(x, p), rel=1e-11)
+
+
+def test_package_runs_without_scipy():
+    # numpy is the only runtime dependency, the reference oracles included
+    src = str(Path(reference.__file__).parent.parent)
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import rngcal, rngcal.cli, rngcal.reference as r\n"
+            "from rngcal.bits import BitString\n"
+            "print(r.known_mu_p_value(BitString.from01('111'), 0.9))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(1 / 8)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from rngcal.sources import (
     required_base_length,
 )
 
+from helpers import reference_markov_bits
+
 # Frozen stream digests (Philox keyed by seed; stable across platforms).
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -89,6 +91,19 @@ def test_markov_validates_rows():
         MarkovSource([[1.1, -0.1], [0.5, 0.5]], seed=0)
     with pytest.raises(ValueError):
         MarkovSource([[1.0, 0.0]], seed=0)
+    with pytest.raises(ValueError):
+        MarkovSource([[np.nan, np.nan], [0.5, 0.5]], seed=0)  # NaN rows pass a sum test
+
+
+def test_markov_draw_matches_the_chain_walk():
+    rng = np.random.default_rng(3)
+    rows = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]],
+            [[0.3, 0.7], [0.3, 0.7]], [[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]]]
+    rows += [[[1.0 - a, a], [1.0 - b, b]] for a, b in rng.random((100, 2))]
+    for seed, m in enumerate(rows):
+        source = MarkovSource(m, seed=seed)
+        for n in (1, 2, 3, 1000):
+            assert np.array_equal(source.bits(n).array, reference_markov_bits(source, n)), m
 
 
 def test_markov_transition_frequencies():
@@ -220,6 +235,10 @@ def test_parse_spec_defaults_seed_zero():
     "regime:100:seed=1",
     "regime:2.5,0.5:seed=1",
     "dup:0.5:seed=1",
+    "markov:nan,nan,0.5,0.5:seed=1",
+    "drift:0.5,nan:seed=1",
+    "drift:0.5,inf:seed=1",
+    "regime:inf,0.5:seed=1",
 ])
 def test_parse_spec_rejects_malformed(bad):
     with pytest.raises(ValueError):
