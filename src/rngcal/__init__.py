@@ -27,7 +27,6 @@ from .sources import (
 )
 from .stats import (
     OMEGA_STAR,
-    ComplexityEstimator,
     TestReport,
     WeightSchedule,
     battery_p_value,
@@ -63,7 +62,6 @@ __all__ = [
     "TestReport",
     "WeightSchedule",
     "OMEGA_STAR",
-    "ComplexityEstimator",
     "compression_test",
     "exact_p_value",
     "battery_p_value",

@@ -25,7 +25,6 @@ from . import __version__, lz, sources, stats
 from .bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
-TEST_IDS = ("lz77", "tauk")
 DEFAULT_ALPHA = 0.01
 
 _EXIT_ACCEPT = 0
@@ -50,8 +49,8 @@ def _check_args(args) -> stats.WeightSchedule:
     if not args.tests:
         raise CliError("at least one test must be selected")
     for t in args.tests:
-        if t not in TEST_IDS:
-            raise CliError(f"unknown test {t!r}; available: {', '.join(TEST_IDS)}")
+        if t not in stats.TEST_IDS:
+            raise CliError(f"unknown test {t!r}; available: {', '.join(stats.TEST_IDS)}")
     if args.command == "scan" and len(args.tests) != 1:
         raise CliError("scan drives a single test; pass exactly one --tests id")
     max_bits = getattr(args, "max_bits", None)
@@ -99,6 +98,8 @@ def _config(args) -> dict:
 
 
 def _apply_seed(spec: str, seed: int | None) -> str:
+    """``spec`` with ``seed`` in place of its own; ``spec`` must parse as given."""
+    sources.parse_source_spec(spec)
     if seed is None:
         return spec
     base = spec.split(":seed=")[0]
@@ -116,8 +117,8 @@ def _resolve_sample(args, limit: int | None):
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
     if args.source is not None:
-        label = _apply_seed(args.source, args.seed)
         try:
+            label = _apply_seed(args.source, args.seed)
             prefix = sources.parse_source_spec(label).bits
         except ValueError as exc:
             raise CliError(str(exc)) from None
@@ -142,7 +143,7 @@ def _resolve_sample(args, limit: int | None):
 def _lz77_test(window_bits: int):
     """The bounded-window lz77 test: each block of ``window_bits`` encoded apart."""
     code = functools.partial(lz.block_code_length, block_bits=window_bits)
-    return functools.partial(stats.compression_test, code=code, test_id="lz77")
+    return functools.partial(stats.compression_test, code=code)
 
 
 def _run_tests(bits: BitString, args, schedule: stats.WeightSchedule) -> stats.TestReport:
@@ -191,13 +192,20 @@ def _print_report_text(report: stats.TestReport, input_label: str, n_bits: int) 
 
 
 def cmd_gen(args) -> int:
-    spec = _apply_seed(args.spec, args.seed)
+    # a text-only stdout (one without a byte buffer) takes ascii, never raw bytes
+    binary_out = getattr(sys.stdout, "buffer", None)
+    if args.output == "-" and binary_out is None and args.format == "raw":
+        raise CliError("standard output takes only text; write raw bits with --output PATH")
     try:
-        bits = sources.generate(spec, args.bits)
+        bits = sources.generate(_apply_seed(args.spec, args.seed), args.bits)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.output == "-":
-        sys.stdout.buffer.write(encode_bits(bits, args.format))
+        data = encode_bits(bits, args.format)
+        if binary_out is None:
+            sys.stdout.write(data.decode("ascii"))
+        else:
+            binary_out.write(data)
         return _EXIT_ACCEPT
     try:
         write_bit_file(args.output, bits, fmt=args.format)
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", default=None, help="generate the sample instead")
         p.add_argument("--input-format", choices=("raw", "ascii"), default="raw")
         p.add_argument("--tests", default="lz77",
-                       help=f"comma-separated test ids from: {', '.join(TEST_IDS)}")
+                       help=f"comma-separated test ids from: {', '.join(stats.TEST_IDS)}")
         p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
         p.add_argument("--schedule", default="omega_star")
         p.add_argument("--weights", default=None,

@@ -40,6 +40,17 @@ def _check_probability(name: str, p: float) -> float:
     return p
 
 
+def _check_integer(name: str, v) -> int:
+    """``v`` as an int, refusing a fractional or non-finite value (2.5, inf, NaN)."""
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {v}") from None
+    if i != v:
+        raise ValueError(f"{name} must be an integer, got {v}")
+    return i
+
+
 def _fmt(v: float) -> str:
     return repr(float(v))
 
@@ -50,7 +61,7 @@ class Source:
     kind: str = "source"
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.seed = _check_integer("seed", seed)
 
     def bits(self, n: int) -> BitString:
         """First ``n`` bits of the stream."""
@@ -169,7 +180,7 @@ class RegimeSwitchSource(Source):
             raise ValueError("at least one (length, p) segment is required")
         cleaned = []
         for length, p in segments:
-            length = int(length)
+            length = _check_integer("segment length", length)
             if length < 1:
                 raise ValueError(f"segment lengths must be >= 1, got {length}")
             cleaned.append((length, _check_probability("segment p", p)))
@@ -333,8 +344,6 @@ def parse_source_spec(spec: str) -> Source:
         v = floats()
         if len(v) < 2 or len(v) % 2:
             raise ValueError(f"regime takes pairs L,P in {spec!r}")
-        if not all(length.is_integer() for length in v[::2]):  # inf and NaN fail too
-            raise ValueError(f"segment lengths must be integers in {spec!r}")
         return RegimeSwitchSource(list(zip(v[::2], v[1::2])), seed=seed)
     if params:
         raise ValueError(f"source kind 'dup' takes no parameters in {spec!r}")

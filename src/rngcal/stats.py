@@ -30,6 +30,8 @@ P_VALUE_FLOOR = 2.0 ** -1024
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
+TEST_IDS = ("lz77", "tauk")
+
 
 def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
@@ -188,8 +190,7 @@ def _make_report(statistic_bits: float, p_value: float, kind: str, alpha: float,
 # the compression test
 
 
-def compression_test(x: BitString, alpha: float = 0.01, code=None,
-                     test_id: str = "lz77") -> TestReport:
+def compression_test(x: BitString, alpha: float = 0.01, code=None) -> TestReport:
     """Reject uniformity when the code saves ``log2(1/alpha)`` bits or more.
 
     The statistic is ``len(x) - code_length(x)``; ``2**-statistic`` is an
@@ -200,13 +201,13 @@ def compression_test(x: BitString, alpha: float = 0.01, code=None,
     if len(x) < 1:
         raise ValueError("compression test needs at least one bit")
     code_length = lz.code_length if code is None else code
-    return _compression_report(len(x), int(code_length(x)), alpha, test_id)
+    return _compression_report(len(x), int(code_length(x)), alpha)
 
 
-def _compression_report(n: int, clen: int, alpha: float, test_id: str) -> TestReport:
+def _compression_report(n: int, clen: int, alpha: float) -> TestReport:
     statistic = n - clen
     return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
-                        detail={"test_id": test_id, "code_bits": clen, "input_bits": n})
+                        detail={"test_id": "lz77", "code_bits": clen, "input_bits": n})
 
 
 def exact_p_value(x: BitString, tau: Callable[[BitString], float],
@@ -276,127 +277,49 @@ def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# complexity estimators and the prefix-scanning ensemble test
+# the prefix-scanning ensemble test
 
 
-class ComplexityEstimator:
-    """Upper bound on description length via a concrete prefix-free code.
-
-    Implementations must assign, within every input length class, lengths
-    satisfying the Kraft inequality; that is what makes the counting bound
-    of :func:`tau_k_test` valid.  These estimators are static code lengths
-    (the ensemble composition plays the role of a resource index).
-    """
-
-    identifier: str = "estimator"
-
-    def estimate(self, x: BitString) -> int:
-        raise NotImplementedError
-
-    def estimate_prefixes(self, x: BitString) -> np.ndarray:
-        """``estimate`` of every prefix; index m holds the m-bit prefix value."""
-        return np.array([self.estimate(x.prefix(m)) for m in range(len(x) + 1)],
-                        dtype=np.int64)
-
-
-class Lz77Estimator(ComplexityEstimator):
-    """Description length by the LZ77 pair code."""
-
-    identifier = "lz77"
-
-    def estimate(self, x: BitString) -> int:
-        return lz.code_length(x)
-
-    def estimate_prefixes(self, x: BitString) -> np.ndarray:
-        return lz.prefix_code_lengths(x)
-
-
-class LiteralLengthEstimator(ComplexityEstimator):
-    """The trivial bound: a string describes itself in ``len + extra`` bits.
-
-    Within each length class this is the identity code, so the class Kraft
-    sum is ``2**-extra_bits <= 1``.  It never finds structure; its role in
-    an ensemble is to cap the joint estimate at roughly the input length.
-    """
-
-    def __init__(self, extra_bits: int = 0):
-        if extra_bits < 0:
-            raise ValueError("extra_bits must be >= 0")
-        self.extra_bits = extra_bits
-        self.identifier = f"literal+{extra_bits}"
-
-    def estimate(self, x: BitString) -> int:
-        return len(x) + self.extra_bits
-
-    def estimate_prefixes(self, x: BitString) -> np.ndarray:
-        return np.arange(len(x) + 1, dtype=np.int64) + self.extra_bits
-
-
-def default_estimators() -> list[ComplexityEstimator]:
-    return [Lz77Estimator(), LiteralLengthEstimator()]
-
-
-def tau_k_test(x: BitString, estimators: Sequence[ComplexityEstimator] | None = None,
-               schedule: WeightSchedule = OMEGA_STAR, alpha: float = 0.01) -> TestReport:
+def tau_k_test(x: BitString, alpha: float = 0.01) -> TestReport:
     """Prefix-scanning ensemble test.
 
-    For every prefix length m the joint estimate is ``log2(k) + min_j
-    estimate_j(prefix)`` over the k estimators (the log2 k surcharge keeps
-    the ensemble prefix-free per length class).  Scale m contributes
-    evidence ``m - estimate - log2(1/w_m)``; the statistic is the best
-    evidence over all scales, and rejection at the ``log2(1/alpha)``
-    threshold keeps the Type-I probability at most ``alpha * sum(w_m)``.
-    Scales with zero schedule weight carry no budget and are skipped.
+    The ensemble is fixed: the LZ77 code and the literal length (a string
+    describing itself in ``len`` bits), k = 2.  For every prefix length m
+    the joint estimate is ``log2(k) + min(lz77, m)`` (the log2 k surcharge
+    keeps the ensemble prefix-free per length class).  Scale m contributes
+    evidence ``m - estimate - log2(1/w_m)`` under ``OMEGA_STAR``; the
+    statistic is the best evidence over all scales, and rejection at the
+    ``log2(1/alpha)`` threshold keeps the Type-I probability at most
+    ``alpha``.  One step of :class:`PrefixScanTest`.
     """
-    alpha = _check_alpha(alpha)
-    if estimators is None:
-        estimators = default_estimators()
-    if not estimators:
-        raise ValueError("at least one complexity estimator is required")
-    n = len(x)
-    if n < 1:
-        raise ValueError("tau_k test needs at least one bit")
-
-    tables = np.minimum.reduce([np.asarray(e.estimate_prefixes(x), dtype=np.float64)
-                                for e in estimators])
-    best = _tau_k_evidence(tables[1:], len(estimators), schedule, 1)
-    return _tau_k_report(best, schedule, alpha)
+    return PrefixScanTest("tauk").reports(x, alpha)[0]
 
 
 def _tau_k_evidence(joint: np.ndarray, k: int, schedule: WeightSchedule,
-                    start: int) -> tuple[float, int | None]:
+                    start: int) -> tuple[float, int]:
     """Best evidence over scales ``start .. start + len(joint) - 1``.
 
     ``joint`` holds the joint estimate ``min_j estimate_j`` of the k
-    estimators at those scales.  Returns the evidence and its scale, the
-    first one on ties, or ``(-inf, None)`` when no scale carries weight.
-    Every scale's evidence is computed on its own, so a range split into
-    pieces gives the same values as the whole.  The arithmetic runs in
+    estimators at those scales, and every weight of ``schedule`` there must
+    be positive.  Returns the evidence and its scale, the first one on
+    ties.  Every scale's evidence is computed on its own, so a range split
+    into pieces gives the same values as the whole.  The arithmetic runs in
     place, since a scan calls this while its suffix automaton is alive.
     """
     stop = start + len(joint) - 1
     w = schedule.weights(stop, start)
-    usable = w > 0.0
-    if not usable.any():
-        return float("-inf"), None
     evidence = np.arange(start, stop + 1, dtype=np.float64)
     evidence -= math.log2(k) + np.asarray(joint, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        evidence += np.log2(w, out=w)
-    evidence[~usable] = -np.inf
+    evidence += np.log2(w, out=w)
     best = int(np.argmax(evidence))
     return float(evidence[best]), start + best
 
 
-def _tau_k_report(best: tuple[float, int | None], schedule: WeightSchedule,
-                  alpha: float) -> TestReport:
+def _tau_k_report(best: tuple[float, int], alpha: float) -> TestReport:
     statistic, scale = best
-    if scale is None:
-        return _make_report(float("-inf"), 1.0, UPPER_BOUND, alpha,
-                            detail={"test_id": "tauk", "best_scale": None})
     return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
                         detail={"test_id": "tauk", "best_scale": scale,
-                                "schedule": schedule.name})
+                                "schedule": OMEGA_STAR.name})
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +334,19 @@ class PrefixScanTest:
     feeds it to one :class:`lz.PrefixCosts` and reports each test on the
     prefix: ``lz77`` as ``m - total``, ``tauk`` as a running maximum of the
     evidence over the new scales only, scored on each block of prefix
-    costs as it is priced (the first maximum wins ties, as in
-    :func:`tau_k_test`).  Reports equal those of ``compression_test`` and
-    ``tau_k_test`` (default estimators and schedule) on the same prefix.  A
-    battery is a single call; calling the object is the one-test callable
-    a scan drives.
+    costs as it is priced (the first maximum wins ties).  Reports equal
+    those of ``compression_test`` on the same prefix, and
+    :func:`tau_k_test` is one call of this engine.  A battery is a single
+    call; calling the object is the one-test callable a scan drives.
     """
 
     def __init__(self, *test_ids: str):
         for test_id in test_ids:
-            if test_id not in ("lz77", "tauk"):
+            if test_id not in TEST_IDS:
                 raise ValueError(f"unknown test {test_id!r}")
         self.test_ids = test_ids
         self._costs = lz.PrefixCosts()
-        self._best: tuple[float, int | None] = (float("-inf"), None)
+        self._best: tuple[float, int] = (float("-inf"), 0)
 
     def reports(self, x: BitString, alpha: float) -> list[TestReport]:
         """One report per test id, in order, on ``x``."""
@@ -434,13 +356,13 @@ class PrefixScanTest:
         blocks = self._costs.extend(x)
         if "tauk" in self.test_ids:
             self._score(blocks)
-        return [_compression_report(len(x), self._costs.total, alpha, "lz77")
-                if test_id == "lz77" else _tau_k_report(self._best, OMEGA_STAR, alpha)
+        return [_compression_report(len(x), self._costs.total, alpha)
+                if test_id == "lz77" else _tau_k_report(self._best, alpha)
                 for test_id in self.test_ids]
 
     def _score(self, blocks: Iterable[tuple[int, np.ndarray]]) -> None:
-        """Fold the tau_k evidence of the default ensemble (lz77 and
-        literal+0) under ``OMEGA_STAR`` into the running maximum, from
+        """Fold the tau_k evidence of the ensemble (lz77 and the literal
+        length) under ``OMEGA_STAR`` into the running maximum, from
         ``(m, lz77 costs of scales m ..)`` blocks.
 
         One block at a time, so the temporaries stay near a few MB while the

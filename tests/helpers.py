@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 
-from rngcal import lz, sources
+from rngcal import lz, sources, stats
 from rngcal.bits import BitString
 from rngcal.codes import encoded_length
 
@@ -132,6 +132,17 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
             cum = out[i + ell]
             i += ell
     return np.array(out, dtype=np.int64)
+
+
+def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:
+    """``stats.tau_k_test(x, alpha)`` from whole per-bit tables: the lz77
+    prefix costs, capped by the literal length, scored by one unblocked
+    evidence call; the reference for the engine's blocks and running maximum.
+    """
+    tables = np.minimum.reduce([lz.prefix_code_lengths(x).astype(np.float64),
+                                np.arange(len(x) + 1, dtype=np.float64)])
+    best = stats._tau_k_evidence(tables[1:], 2, stats.OMEGA_STAR, 1)
+    return stats._tau_k_report(best, stats._check_alpha(alpha))
 
 
 def all_bitstrings(n: int):

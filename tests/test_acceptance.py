@@ -178,13 +178,12 @@ def test_criterion_6_battery_arithmetic():
 
 
 def test_criterion_7_tau_k_test():
-    ests = stats.default_estimators()
-    log_k = math.log2(len(ests))
+    log_k = math.log2(2)  # the ensemble: lz77 and the literal length
     count_ok = True
     worst = 0
     for m in range(1, 13):
         w = stats.omega_star(m)
-        estimates = [log_k + min(e.estimate(x) for e in ests)
+        estimates = [log_k + min(lz.code_length(x), len(x))
                      for x in all_bitstrings(m)]
         for alpha in (0.5, 0.1, 0.01):
             threshold = math.log2(1.0 / alpha)

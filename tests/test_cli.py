@@ -20,6 +20,8 @@ from rngcal import sources, stats
 from rngcal.bits import BitString, pack, read_bit_file, unpack
 from rngcal.cli import main
 
+from helpers import reference_tau_k_test
+
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
 
@@ -60,6 +62,23 @@ def test_gen_bad_spec_exits_2(capsys):
     assert run_cli("gen", "noise:1:seed=0", "--bits", "8") == 2
     err = capsys.readouterr().err
     assert "bernoulli" in err and "dup" in err  # usage error lists valid kinds
+
+
+def test_gen_seed_override_keeps_a_bad_spec_bad(capsys):
+    # the spec is checked as given, before --seed replaces its seed
+    for spec in ("bernoulli:0.5:seed=3:extra", "bernoulli:0.5:seed=oops"):
+        assert run_cli("gen", spec, "--bits", "8", "--format", "ascii", "--seed", "9") == 2
+        assert "malformed" in capsys.readouterr().err
+
+
+def test_gen_to_a_text_only_stdout():
+    argv = ["gen", "bernoulli:0.5:seed=1", "--bits", "8"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv + ["--format", "ascii"]) == 0
+        assert main(argv) == 2
+    assert out.getvalue() == sources.generate("bernoulli:0.5:seed=1", 8).to01() + "\n"
+    assert err.getvalue().count("\n") == 1 and "--output" in err.getvalue()
 
 
 def test_zeros_are_rejected(tmp_path, capsys):
@@ -106,7 +125,7 @@ def test_battery_combination_matches_hand_arithmetic(capsys):
     p1, p2 = (c["p_value"] for c in doc["components"])
     x = sources.generate("bernoulli:0.5:seed=11", 4096)
     assert p1 == stats.compression_test(x, 0.05).p_value
-    assert p2 == stats.tau_k_test(x, alpha=0.05).p_value
+    assert p2 == reference_tau_k_test(x, 0.05).p_value
     assert doc["p_value"] == pytest.approx(min(1.0, p1 / 0.5, p2 / (1 / 6)))
 
 
@@ -153,8 +172,7 @@ def test_scan_steps_equal_from_scratch_scan(spec, test_id, budget, capsys):
     status = run_cli("scan", "--source", spec, "--tests", test_id, "--alpha", "1e-6",
                      "--start-bits", "512", "--budget", str(budget), "--report", "json")
     doc = json.loads(capsys.readouterr().out)
-    test = (stats.compression_test if test_id == "lz77"
-            else lambda x, alpha: stats.tau_k_test(x, alpha=alpha))
+    test = stats.compression_test if test_id == "lz77" else reference_tau_k_test
     ref = stats.consistency_scan(sources.parse_source_spec(spec), test, 1e-6,
                                  start_bits=512, max_bits=budget)
     assert status == int(ref.rejected)
@@ -174,7 +192,7 @@ def test_battery_components_equal_standalone_tests(tests, capsys):
     doc = json.loads(capsys.readouterr().out)
     x = sources.generate(spec, 3000)
     standalone = {"lz77": stats.compression_test(x, 0.05),
-                  "tauk": stats.tau_k_test(x, alpha=0.05)}
+                  "tauk": reference_tau_k_test(x, 0.05)}
     ids = tests.split(",")
     got = doc["components"] if len(ids) > 1 else [dict(doc, test_id=ids[0])]
     assert [c["test_id"] for c in got] == ids
@@ -234,6 +252,8 @@ def test_window_mode_flagged_and_lz_only(capsys):
     ("test",),  # neither --input nor --source
     ("test", "--source", "bernoulli:0.5:seed=1", "--input", "x.bin"),
     ("test", "--source", "bad:spec"),
+    ("test", "--source", "bernoulli:0.5:seed=3:extra", "--max-bits", "1024", "--seed", "9"),
+    ("test", "--source", "bernoulli:0.5:seed=oops", "--max-bits", "1024", "--seed", "9"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2

@@ -148,6 +148,11 @@ def test_regime_switch_validation():
         RegimeSwitchSource([(0, 0.5)], seed=0)
     with pytest.raises(ValueError):
         RegimeSwitchSource([(10, 1.2)], seed=0)
+    for length in (2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="integer"):
+            RegimeSwitchSource([(length, 0.5)], seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        BernoulliSource(0.5, seed=2.7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import all_bitstrings, random_bits
+from helpers import all_bitstrings, random_bits, reference_tau_k_test
 
 # Frozen regression constants.
 TAU_K_ZEROS_2_14_STAT = 16328.999912
@@ -233,10 +233,9 @@ def test_tau_k_all_zeros_rejects():
 
 def test_tau_k_smallest_rejecting_scale():
     z = BitString.zeros(2 ** 14)
-    ests = stats.default_estimators()
-    tables = np.minimum.reduce([e.estimate_prefixes(z).astype(float) for e in ests])
-    evidence = (np.arange(1, 2 ** 14 + 1)
-                - (math.log2(len(ests)) + tables[1:])
+    scales = np.arange(1, 2 ** 14 + 1)
+    joint = np.minimum(lz.prefix_code_lengths(z)[1:], scales)  # lz77, capped by len
+    evidence = (scales - (math.log2(2) + joint)
                 + np.log2(stats.OMEGA_STAR.weights(2 ** 14)))
     first = int(np.argmax(evidence >= math.log2(1 / 0.01))) + 1
     assert first == TAU_K_ZEROS_SMALLEST_REJECTING_M
@@ -250,58 +249,33 @@ def test_tau_k_accepts_random_data():
     assert rejected == 0
 
 
-def test_tau_k_literal_only_never_rejects():
-    # the self-description estimator yields no evidence at any scale
-    est = [stats.LiteralLengthEstimator()]
-    for seed in (0, 1):
-        x = random_bits(512, seed=seed)
-        report = stats.tau_k_test(x, estimators=est, alpha=0.5)
-        assert not report.rejected
-        assert report.statistic_bits < 0
-
-
 def test_tau_k_validates_arguments():
     with pytest.raises(ValueError):
         stats.tau_k_test(BitString(), alpha=0.01)
-    with pytest.raises(ValueError):
-        stats.tau_k_test(BitString.from01("01"), estimators=[], alpha=0.01)
 
 
 def test_tau_k_per_scale_rejection_counts():
     # at every scale m the rejection count obeys 2^m * alpha * w_m
-    ests = stats.default_estimators()
-    log_k = math.log2(len(ests))
+    log_k = math.log2(2)
     for m in range(1, 11):
         w = stats.omega_star(m)
         for alpha in (0.5, 0.1, 0.01):
             threshold = math.log2(1.0 / alpha)
             count = 0
             for x in all_bitstrings(m):
-                estimate = log_k + min(e.estimate(x) for e in ests)
+                estimate = log_k + min(lz.code_length(x), len(x))
                 if m - estimate - math.log2(1.0 / w) >= threshold:
                     count += 1
             assert count <= (2 ** m) * alpha * w, (m, alpha)
 
 
-def test_estimator_prefix_tables_default_agrees():
-    x = random_bits(40, seed=6)
-
-    class Slow(stats.ComplexityEstimator):
-        identifier = "slow-lz"
-
-        def estimate(self, b):
-            return lz.code_length(b)
-
-    assert np.array_equal(Slow().estimate_prefixes(x), lz.prefix_code_lengths(x))
-
-
 def test_estimator_class_kraft_inequality():
     # per length class, sum of 2^-estimate stays at most 1 (here: <= 12 bits)
     from rngcal.codes import kraft_sum
-    for est in stats.default_estimators():
+    for code in (lz.code_length, len):
         for n in (1, 4, 8, 12):
-            lengths = [est.estimate(x) for x in all_bitstrings(n)]
-            assert kraft_sum(lengths) <= 1.0 + 1e-12, (est.identifier, n)
+            lengths = [code(x) for x in all_bitstrings(n)]
+            assert kraft_sum(lengths) <= 1.0 + 1e-12, (code.__name__, n)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +338,7 @@ _SCAN_STREAMS = {
 def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
     x = _SCAN_STREAMS[kind]
     references = {"lz77": stats.compression_test,
-                  "tauk": lambda y, alpha: stats.tau_k_test(y, alpha=alpha)}
+                  "tauk": reference_tau_k_test}
     for test_id, reference in references.items():
         got = stats.consistency_scan(x, stats.PrefixScanTest(test_id), 0.01,
                                      start_bits=start_bits, stop_at_rejection=False)
@@ -380,7 +354,7 @@ def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
 def test_prefix_cost_reports_equal_standalone_tests():
     for x in _SCAN_STREAMS.values():
         got = stats.PrefixScanTest("tauk", "lz77").reports(x, 0.05)
-        want = [stats.tau_k_test(x, alpha=0.05), stats.compression_test(x, 0.05)]
+        want = [reference_tau_k_test(x, 0.05), stats.compression_test(x, 0.05)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
@@ -449,7 +423,7 @@ def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
     for m in (70001, len(x)):  # the second call scores scales from a mid-block start
         y = x.prefix(m)
         got = runner.reports(y, 0.01)
-        want = [stats.compression_test(y, 0.01), stats.tau_k_test(y, alpha=0.01)]
+        want = [stats.compression_test(y, 0.01), reference_tau_k_test(y, 0.01)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
