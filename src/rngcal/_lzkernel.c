@@ -52,31 +52,34 @@ void sam_extend(int32_t *next0, int32_t *next1, int32_t *link, int32_t *length,
     state[1] = states;
 }
 
-/* lz._factorize: the greedy parse of bits[start:n].  Writes the factor
-   starts, then n, to bounds (room for n + 1 - start entries) and the ends
-   of first occurrences to ends, indexed from start; returns the number of
-   factors. */
+/* lz._factorize: the greedy parse of bits[start:n], at most ``room``
+   factors of it.  Writes each factor's start to bounds and the end of its
+   first occurrence (-1 for a literal) to ends, then the position the walk
+   stopped at (n, or the start of the next factor) to bounds[count], and
+   the widths of the sources of the truncated factors to widths, indexed
+   from start; returns the number of factors. */
 int64_t sam_factorize(const int32_t *next0, const int32_t *next1, const int32_t *first,
-                      const uint8_t *bits, int64_t n, int64_t start,
-                      int32_t *bounds, int32_t *ends)
+                      const uint8_t *bits, int64_t n, int64_t start, int64_t room,
+                      int32_t *bounds, int32_t *ends, uint8_t *widths)
 {
     int64_t count = 0, i = start;
-    while (i < n) {
-        bounds[count++] = (int32_t)i;
-        int32_t st = 0;  /* from the root: extending may have cloned states */
+    while (i < n && count < room) {
+        int32_t st = 0, end = -1;  /* from the root: extending may have cloned states */
         int64_t j = i;
         while (j < n) {
             st = (bits[j] ? next1 : next0)[st];
-            if (st == -1)
+            if (st == -1 || first[st] >= j)
                 break;
-            int32_t end = first[st];
-            if (end >= j)
-                break;
+            end = first[st];
             j++;
-            ends[j - start] = end;
+            widths[j - start] = (uint8_t)(64 - __builtin_clzll((uint64_t)(end - (j - i) + 3)));
         }
-        i = j > i ? j : i + 1;
+        if (j == i)
+            widths[++j - start] = 1;  /* a literal: p + 1 = 1 */
+        bounds[count] = (int32_t)i;
+        ends[count++] = end;
+        i = j;
     }
-    bounds[count] = (int32_t)n;
+    bounds[count] = (int32_t)i;
     return count;
 }

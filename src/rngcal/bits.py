@@ -17,7 +17,6 @@ standard streams and ``str`` alike.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -123,6 +122,8 @@ class BitString:
 
     def digest(self) -> str:
         """SHA-256 over the packed payload and bit length; for regressions."""
+        import hashlib  # here: its OpenSSL costs every process about 3 MB
+
         h = hashlib.sha256()
         h.update(len(self).to_bytes(8, "little"))
         h.update(np.packbits(self._a).tobytes())

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
 import sysconfig
 import tempfile
+import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,11 +43,14 @@ from .bits import BitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
-# A full-window analysis holds a suffix automaton of all its bits, about 40
-# bytes per bit; a bare pair stream decodes to at most this many bits.
+# A full-window analysis holds a suffix automaton of all its bits, 40 bytes
+# per bit, and two more bytes per bit beside it: a `test` at this cap peaks
+# below 48 bytes per bit, interpreter included.  A bare pair stream decodes
+# to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _LITERAL_COST = encoded_length(1) + 1  # C(1) marker plus one raw bit
-_BLOCK = 1 << 16  # table positions priced per numpy step
+_BLOCK = 1 << 14  # positions, or factors, priced per numpy step
+_ROOM = 1 << 12  # factors the C walk records per call
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
 
@@ -57,15 +60,18 @@ def _kernel() -> ctypes.CDLL | None:
     """The C loops of ``_lzkernel.c``, or None where they cannot be had.
 
     The library is built on first use into this package's ``__pycache__``,
-    named after the hash of the source and the extension suffix, so an
-    edited source is rebuilt; later processes load it.  If anything fails
+    named after a content key of the source (two checksums and its length)
+    and the extension suffix, so an edited source is rebuilt; later
+    processes load it.  The key takes no ``hashlib``, whose OpenSSL would
+    add about 3 MB to every process.  If anything fails
     (no compiler, a directory that cannot be written, a library that does
     not load) the Python loops run instead.
     """
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     try:
-        digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
-        target = _KERNEL_SOURCE.parent / "__pycache__" / f"_lzkernel.{digest}{suffix}"
+        source = _KERNEL_SOURCE.read_bytes()
+        key = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}{len(source):x}"
+        target = _KERNEL_SOURCE.parent / "__pycache__" / f"_lzkernel.{key}{suffix}"
         if not target.exists():
             _build_kernel(target)
         lib = ctypes.CDLL(str(target))
@@ -74,7 +80,7 @@ def _kernel() -> ctypes.CDLL | None:
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     lib.sam_extend.argtypes = [ptr] * 6 + [i64, i32, ptr]
     lib.sam_extend.restype = None
-    lib.sam_factorize.argtypes = [ptr] * 4 + [i64, i64, ptr, ptr]
+    lib.sam_factorize.argtypes = [ptr] * 4 + [i64, i64, i64, ptr, ptr, ptr]
     lib.sam_factorize.restype = i64
     return lib
 
@@ -103,13 +109,14 @@ def _build_kernel(target: Path) -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _address(buffer: bytes | bytearray | array):
-    """``buffer`` as a pointer argument of the kernel, not copied; the
-    caller keeps ``buffer`` alive and unresized during the call."""
+def _address(buffer: bytes | array | np.ndarray):
+    """``buffer`` (a numpy array must be contiguous) as a pointer argument
+    of the kernel, not copied; the caller keeps ``buffer`` alive and
+    unresized during the call."""
     if isinstance(buffer, array):
         return buffer.buffer_info()[0]
-    if isinstance(buffer, bytearray):
-        return (ctypes.c_char * len(buffer)).from_buffer(buffer)
+    if isinstance(buffer, np.ndarray):
+        return buffer.ctypes.data
     return buffer
 
 
@@ -163,7 +170,7 @@ class _SuffixAutomaton:
         self.size = 0  # bits taken in
         self.extend(bits)
 
-    def extend(self, bits: bytes) -> None:
+    def extend(self, bits: bytes | np.ndarray) -> None:
         if self.size + len(bits) > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         size = len(self.link)
@@ -188,7 +195,7 @@ class _SuffixAutomaton:
             return
         last = self.last
         states = self.states
-        for pos, c in enumerate(bits, self.size):
+        for pos, c in enumerate(memoryview(bits), self.size):
             cur = states
             states += 1
             length[cur] = pos + 1
@@ -223,78 +230,99 @@ class _SuffixAutomaton:
         self.size += len(bits)
 
 
-def _factorize(bits: bytes | bytearray, automaton: _SuffixAutomaton,
-               start: int) -> tuple[np.ndarray, np.ndarray]:
+def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton,
+               start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
 
     Returns int32 arrays of the factor bounds (the starts, then
-    ``len(bits)``) and of ``ends``, indexed from ``start``.  For
-    ``start < m <= len(bits)``, ``ends[m - start]`` is the end index of the
-    first occurrence of ``bits[i:m]``, where ``i`` starts the factor that
-    holds bit ``m - 1``: the factor truncated at ``m``.  It is -1 where that
-    factor is a literal.  A match may take bit ``j`` while its first
+    ``len(bits)``) and of the factor ends, and a uint8 array of ``widths``
+    indexed from ``start``.  A factor's end is the end index of its first
+    occurrence, -1 for a literal.  For ``start < m <= len(bits)``,
+    ``widths[m - start]`` is the bit length of ``end - (m - i) + 3``, where
+    ``i`` starts the factor that holds bit ``m - 1`` and ``end`` is the end
+    of the first occurrence of ``bits[i:m]``, -1 for a literal: the factor
+    truncated at ``m``.  A match may take bit ``j`` while its first
     occurrence ends before ``j``, that is, starts before ``i``, and that
     first occurrence is the smallest source.
+
+    ``end - (m - i) + 3`` is ``p + 1`` for the 1-based source ``p`` of the
+    truncated factor (``p = 0`` for a literal), and C of an integer depends
+    only on its bit length.  So a width and a length price a factor, whole
+    or truncated, and one byte per position is all the prefix costs need.
+
+    The C walk records at most ``_ROOM`` factors per call and resumes at
+    the next factor start, so it needs no room sized by the input.
     """
     n = len(bits)
     next0, next1, first = automaton.next0, automaton.next1, automaton.first
-    ends = array("i", [-1]) * (n + 1 - start)
+    widths = array("B", [0]) * (n + 1 - start)
     kernel = _kernel()
     if kernel is not None:  # the walk below, in C
-        # Room for a factor per bit; the walk touches only the head.  numpy
-        # asks for huge pages on large arrays, so that head can hold 2 MB
-        # resident: keep a copy of it, not the room.
-        room = np.empty(n + 1 - start, dtype=np.int32)
-        count = kernel.sam_factorize(*map(_address, (next0, next1, first, bits)), n, start,
-                                     room.ctypes.data, _address(ends))
-        return room[:count + 1].copy(), np.frombuffer(ends, dtype=np.int32)
-    starts = array("i")
-    i = start
-    while i < n:
-        starts.append(i)
-        st = 0  # from the root: extending may have cloned the states of an earlier walk
-        j = i
-        while j < n:
-            st = (next1 if bits[j] else next0)[st]
-            if st == -1:
-                break
-            end = first[st]
-            if end >= j:
-                break
-            j += 1
-            ends[j - start] = end
-        i = j if j > i else i + 1
+        room = min(_ROOM, n - start)  # a short input takes one call
+        bounds, ends = array("i", [0]) * (room + 1), array("i", [0]) * room
+        args = [*map(_address, (next0, next1, first, bits)), n]
+        out = _address(bounds), _address(ends)
+        base = _address(widths) - start  # a call indexes widths from its own start
+        count = kernel.sam_factorize(*args, start, room, *out, base + start)
+        starts, factor_ends = bounds[:count], ends[:count]
+        while bounds[count] < n:  # the room filled: resume at the next factor
+            i = bounds[count]
+            count = kernel.sam_factorize(*args, i, room, *out, base + i)
+            starts += bounds[:count]
+            factor_ends += ends[:count]
+    else:
+        bits = memoryview(bits)
+        starts, factor_ends = array("i"), array("i")
+        i = start
+        while i < n:
+            starts.append(i)
+            st = 0  # from the root: extending may have cloned the states of an earlier walk
+            end = -1
+            j = i
+            while j < n:
+                st = (next1 if bits[j] else next0)[st]
+                if st == -1 or first[st] >= j:
+                    break
+                end = first[st]
+                j += 1
+                widths[j - start] = (end - (j - i) + 3).bit_length()
+            if j == i:  # a literal
+                j += 1
+                widths[j - start] = 1
+            factor_ends.append(end)
+            i = j
     starts.append(n)
-    return np.frombuffer(starts, dtype=np.int32), np.frombuffer(ends, dtype=np.int32)
+    return (np.frombuffer(starts, dtype=np.int32), np.frombuffer(factor_ends, dtype=np.int32),
+            np.frombuffer(widths, dtype=np.uint8))
+
+
+# ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
+_CODE_LENGTHS = np.array([0] + [encoded_length(1 << k) for k in range(63)], dtype=np.int64)
 
 
 def _delta_lengths(v: np.ndarray) -> np.ndarray:
     """:func:`encoded_length` of every entry of ``v`` (each >= 1; exact below 2**53)."""
-    width = np.frexp(v)[1]  # bit length w: the cost is (w - 1) + 2 * (bit length of w - 1) + 1
-    cost = np.frexp(width)[1]
-    cost *= 2
-    cost += width
-    cost -= 2
-    return cost
+    return _CODE_LENGTHS[np.frexp(v)[1]]
 
 
-def _factor_costs(ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Serialized cost of factors given by their ``_factorize`` ends and lengths."""
-    source = ends - lengths
-    source += 3
-    cost = _delta_lengths(source)
+def _factor_costs(widths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Serialized cost of factors given by their ``_factorize`` widths and lengths.
+
+    A literal, of width 1 and length 1, costs C(1) and one raw bit: two bits,
+    as ``_LITERAL_COST`` says.
+    """
+    cost = _CODE_LENGTHS[widths]
     cost += _delta_lengths(lengths)
-    cost[ends < 0] = _LITERAL_COST
     return cost
 
 
 def _greedy(x: BitString) -> tuple[bytes, list[int], list[int], list[int]]:
-    """The bits of ``x`` and, per factor, its start, its length and the
-    ``ends`` entry of :func:`_factorize` at its end, from one build and one walk."""
+    """The bits of ``x`` and, per factor, its start, its length and its end
+    (see :func:`_factorize`), from one build and one walk."""
     bits = x.array.tobytes()
-    bounds, ends = _factorize(bits, _SuffixAutomaton(bits), 0)
-    starts, stop = bounds[:-1], bounds[1:]
-    return bits, starts.tolist(), (stop - starts).tolist(), ends[stop].tolist()
+    bounds, ends, _ = _factorize(bits, _SuffixAutomaton(bits), 0)
+    starts = bounds[:-1]
+    return bits, starts.tolist(), (bounds[1:] - starts).tolist(), ends.tolist()
 
 
 def parse(x: BitString) -> Lz77Parse:
@@ -382,16 +410,16 @@ class PrefixCosts:
 
     Within a factor the greedy parse of a prefix is the parse of the whole
     string with its last factor shortened, and the smallest-p source of the
-    shortened factor is the first occurrence of the shortened match, which
-    the walk reports as ``ends``.  So the code length of the first ``m``
-    bits is the cost of the factors before the one holding bit ``m - 1``
-    plus that factor truncated at ``m``, priced in numpy a block of
-    positions at a time.  No per-bit table is kept.
+    shortened factor is the first occurrence of the shortened match, whose
+    width the walk reports, one byte per position.  So the code length of
+    the first ``m`` bits is the cost of the factors before the one holding
+    bit ``m - 1`` plus that factor truncated at ``m``, priced in numpy a
+    block of positions at a time.  No per-bit table is kept.
     """
 
     def __init__(self):
         self._automaton = _SuffixAutomaton()
-        self._bits = bytearray()  # one byte per bit: a list would take eight
+        self._bits = np.empty(0, dtype=np.uint8)  # the bits taken in
         self.total = 0
         self._open = 0    # start of the open factor
         self._closed = 0  # cost of the factors before it
@@ -409,22 +437,24 @@ class PrefixCosts:
         when it is read, so blocks nobody reads cost nothing.
         """
         k = len(self._bits)
-        if len(x) < k or x.array[:k].tobytes() != self._bits:
+        if len(x) < k or not np.array_equal(x.array[:k], self._bits):
             raise ValueError(f"a prefix must extend the {k} bits already taken in")
         if len(x) == k:
             return iter(())
-        new = x.array[k:].tobytes()
-        self._automaton.extend(new)
-        bits = self._bits
-        bits += new
-        del new  # the walk reads ``bits``: free the copy before it
+        # Nothing writes to a BitString's array, so the bits of ``x`` are
+        # kept as they are; only a strided view is copied.
+        self._bits = bits = np.ascontiguousarray(x.array)
+        self._automaton.extend(bits[k:])
         n = len(bits)
         first = self._open
-        bounds, ends = _factorize(bits, self._automaton, first)
-        begin, stop = bounds[:-1], bounds[1:]
+        bounds, _, widths = _factorize(bits, self._automaton, first)
+        begin = bounds[:-1]
         before = np.empty(len(bounds), dtype=np.int64)  # cost before each factor, then in all
         before[0] = self._closed
-        before[1:] = _factor_costs(ends[stop - first], stop - begin)
+        for lo in range(0, len(begin), _BLOCK):  # a block of factors at a time
+            stop = bounds[lo + 1:lo + 1 + _BLOCK]
+            before[lo + 1:lo + 1 + len(stop)] = _factor_costs(widths[stop - first],
+                                                              stop - begin[lo:lo + _BLOCK])
         np.cumsum(before, out=before)
         self._open = int(begin[-1])
         self._closed = int(before[-2])
@@ -434,7 +464,7 @@ class PrefixCosts:
             hi = min(lo + _BLOCK, n + 1)
             m = np.arange(lo, hi, dtype=np.int32)
             f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
-            return lo, before[f] + _factor_costs(ends[lo - first:hi - first], m - begin[f])
+            return lo, before[f] + _factor_costs(widths[lo - first:hi - first], m - begin[f])
 
         return map(block, range(k + 1, n + 1, _BLOCK))
 

@@ -94,6 +94,41 @@ def python_loops():
     return mock.patch.object(lz, "_kernel", lambda: None)
 
 
+def reference_factorize(bits, automaton: lz._SuffixAutomaton,
+                        start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy walk of ``lz._factorize`` with a per-position int32 end
+    in place of the one-byte widths; the reference for both backends.
+
+    Returns the factor bounds (the starts, then ``len(bits)``) and
+    ``ends``, indexed from ``start``.  For ``start < m <= len(bits)``,
+    ``ends[m - start]`` is the end index of the first occurrence of
+    ``bits[i:m]``, where ``i`` starts the factor that holds bit ``m - 1``:
+    the factor truncated at ``m``.  It is -1 where that factor is a literal.
+    """
+    bits = memoryview(bits)
+    n = len(bits)
+    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    ends = [-1] * (n + 1 - start)
+    starts = []
+    i = start
+    while i < n:
+        starts.append(i)
+        st = 0
+        j = i
+        while j < n:
+            st = (next1 if bits[j] else next0)[st]
+            if st == -1:
+                break
+            end = first[st]
+            if end >= j:
+                break
+            j += 1
+            ends[j - start] = end
+        i = j if j > i else i + 1
+    starts.append(n)
+    return np.array(starts, dtype=np.int32), np.array(ends, dtype=np.int32)
+
+
 def reference_prefix_costs(x: BitString) -> np.ndarray:
     """``lz.prefix_code_lengths(x)`` by a per-bit greedy walk that prices
     each truncated factor as it goes; the reference for the numpy table.

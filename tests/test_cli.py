@@ -11,14 +11,16 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rngcal
 from rngcal import sources, stats
-from rngcal.bits import BitString, pack, read_bit_file, unpack
+from rngcal.bits import BitString, pack, read_bit_file, unpack, write_bit_file
 from rngcal.cli import main
+from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
 from helpers import reference_tau_k_test
 
@@ -307,6 +309,33 @@ def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"rngcal: error: {message}")
+
+
+# Peak RSS of a full-window test at the memory cap, interpreter included, in
+# bytes per bit; the comment on lz.DEFAULT_MEMORY_CAP_BITS states it too.
+CAP_PEAK_BYTES_PER_BIT = 48
+
+
+def test_full_window_test_at_the_cap_stays_within_its_bytes_per_bit(tmp_path):
+    n = DEFAULT_MEMORY_CAP_BITS
+    path = tmp_path / "cap.bin"
+    write_bit_file(path, BitString(np.random.default_rng(23).integers(0, 2, n, dtype=np.uint8)))
+    src = str(Path(rngcal.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "out.json", "w+b") as out:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "rngcal.cli", "test", "--input", str(path),
+             "--tests", "lz77,tauk", "--report", "json"],
+            stdout=out, stderr=subprocess.DEVNULL, env=env)
+        # wait4 gives this child's own peak, not the largest of all children
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        report = json.loads(out.read())
+    assert child.returncode == 0 and report["decision"] == "accept"
+    peak = usage.ru_maxrss * 1024  # KiB on Linux
+    assert peak <= CAP_PEAK_BYTES_PER_BIT * n, f"{peak / n:.1f} bytes per bit"
 
 
 def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import math
 import shlex
 import shutil
+import subprocess
 import sys
 import sysconfig
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
-                     reference_prefix_costs)
+                     reference_factorize, reference_prefix_costs)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -321,25 +323,85 @@ def test_automaton_columns_match_the_python_build(kind, backend):
             assert _columns(_chunked_automaton(bits, chunks)) == want, size
 
 
+def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int) -> tuple:
+    """What ``lz._factorize`` returns, from the per-position ends of
+    ``reference_factorize``: the bounds, each factor's end (its ``ends``
+    entry at its stop) and, at each position, the bit length of
+    ``ends - len + 3`` for the factor truncated there (1 for a literal,
+    whose end is -1)."""
+    bounds, ends = reference_factorize(bits, automaton, start)
+    widths = np.zeros(len(ends), dtype=np.uint8)
+    for i, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for m in range(i + 1, stop + 1):
+            widths[m - start] = (int(ends[m - start]) - (m - i) + 3).bit_length()
+    return bounds, ends[bounds[1:] - start], widths
+
+
+def _assert_walk(got: tuple, want: tuple, label) -> None:
+    for name, a, b in zip(("bounds", "ends", "widths"), got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (label, name)
+
+
+# Rooms of factors per C walk call: 1 and 3 make the walk resume often.
+_ROOMS = (1, 3, lz._ROOM)
+
+
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
-def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
+def test_factorize_from_a_start_matches_the_python_walk(kind, backend, monkeypatch):
     bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
     n = len(bits)
     with python_loops():
         automaton = lz._SuffixAutomaton(bits)
-        starts = (0, 1, 7, 5000, 70001, n - 1, n)
-        want = [lz._factorize(bits, automaton, start) for start in starts]
-    whole_bounds, whole_ends = want[0]
+    whole = _reference_walk(bits, automaton, 0)
+    resumed = whole[0][[1, len(whole[0]) // 2, -2]].tolist()
+    starts = (0, 1, 7, 5000, 70001, n - 1, n, *resumed)
+    want = {start: _reference_walk(bits, automaton, start) for start in starts}
+    # resumed at a factor start, the walk continues the whole parse
+    for start in resumed:
+        bounds, _, widths = want[start]
+        assert np.array_equal(bounds, whole[0][whole[0] >= start]), start
+        assert np.array_equal(widths[1:], whole[2][start + 1:]), start
     with _backend(backend):
-        for start, (bounds, ends) in zip(starts, want):
-            got = lz._factorize(bytearray(bits), automaton, start)
-            assert np.array_equal(got[0], bounds) and np.array_equal(got[1], ends), start
-        # resumed at a factor start, the walk continues the whole parse
-        for start in whole_bounds[[1, len(whole_bounds) // 2, -2]].tolist():
-            bounds, ends = lz._factorize(bits, automaton, start)
-            assert np.array_equal(bounds, whole_bounds[whole_bounds >= start]), start
-            assert np.array_equal(ends[1:], whole_ends[start + 1:]), start
+        for room in _ROOMS if backend == "native" else (lz._ROOM,):
+            monkeypatch.setattr(lz, "_ROOM", room)
+            for start in starts:
+                _assert_walk(lz._factorize(bits, automaton, start), want[start], (start, room))
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
+    walk = lz._factorize
+    starts = []
+
+    def checked(bits, automaton, start):
+        got = walk(bits, automaton, start)
+        _assert_walk(got, _reference_walk(bits, automaton, start), (len(bits), start))
+        starts.append(start)
+        return got
+
+    monkeypatch.setattr(lz, "_factorize", checked)
+    with _backend(backend):
+        for room in _ROOMS:
+            monkeypatch.setattr(lz, "_ROOM", room)
+            for kind in sorted(_PARITY_INPUTS):
+                x = _PARITY_INPUTS[kind](3000)
+                table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
+                assert np.array_equal(table, reference_prefix_costs(x)), (kind, room)
+    assert len(starts) == 6 * len(_ROOMS) * len(_PARITY_INPUTS) and max(starts) > 1000
+
+
+def test_strided_views_give_the_results_of_a_contiguous_copy():
+    base = DuplicationSource(seed=13).bits(40000)
+    for x in (base[::2], base[::-1]):
+        copy = BitString(x.array)
+        assert not x.array.flags.c_contiguous and copy.array.flags.c_contiguous
+        assert lz.code_length(x) == lz.code_length(copy)
+        table = lz.prefix_code_lengths(copy)
+        assert np.array_equal(lz.prefix_code_lengths(x), table)
+        assert np.array_equal(_chunked_table(x, [100, 1000, 20000, 1 << 20]), table)
+        got, want = (stats.PrefixScanTest("lz77", "tauk").reports(y, 0.01) for y in (x, copy))
+        assert got == want and [r.detail for r in got] == [r.detail for r in want]
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -404,9 +466,23 @@ def _kernel_from(monkeypatch, source_dir) -> None:
 
 
 def _cached_name() -> str:
-    """The kernel's file name in the cache: the source's SHA-256 and the extension suffix."""
-    digest = hashlib.sha256(lz._KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
-    return f"_lzkernel.{digest}{sysconfig.get_config_var('EXT_SUFFIX')}"
+    """The kernel's file name in the cache: the source's content key and the extension suffix."""
+    source = lz._KERNEL_SOURCE.read_bytes()
+    key = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}{len(source):x}"
+    return f"_lzkernel.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
+
+
+def test_cli_and_a_code_length_load_no_openssl():
+    # hashlib maps OpenSSL, about 3 MB of every process; only digest() needs it
+    src = str(Path(lz.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import rngcal.cli\n"
+            "from rngcal import lz\n"
+            "from rngcal.bits import BitString\n"
+            "print(lz.code_length(BitString.from01('0110')), '_hashlib' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(lz.code_length(BitString.from01("0110"))), "False"]
 
 
 def test_kernel_builds_on_first_use_into_its_cache(monkeypatch, tmp_path):
