@@ -17,7 +17,8 @@ standard streams and ``str`` alike.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import os
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -68,10 +69,6 @@ class BitString:
         return cls(np.zeros(n, dtype=np.uint8))
 
     @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls(np.ones(n, dtype=np.uint8))
-
-    @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """The ``width``-bit big-endian binary expansion of ``value``."""
         if width < 0:
@@ -90,22 +87,12 @@ class BitString:
         self._a = a
         return self
 
-    @classmethod
-    def concat(cls, parts: Iterable["BitString"]) -> "BitString":
-        arrays = [p._a for p in parts]
-        if not arrays:
-            return cls()
-        return cls(np.concatenate(arrays))
-
     # -- views -------------------------------------------------------------
 
     @property
     def array(self) -> np.ndarray:
         """Read-only uint8 view of the bits."""
         return self._a
-
-    def tolist(self) -> list[int]:
-        return self._a.tolist()
 
     def to01(self) -> str:
         return self._a.tobytes().translate(_DIGITS).decode()
@@ -139,9 +126,6 @@ class BitString:
             return BitString._wrap(self._a[idx])
         return int(self._a[idx])
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._a.tolist())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
@@ -149,11 +133,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((len(self), self._a.tobytes()))
-
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString.concat([self, other])
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -167,21 +146,31 @@ def pack(bits: BitString) -> bytes:
     return len(bits).to_bytes(_HEADER_BYTES, "little") + payload
 
 
+def _raw_count(header: bytes, size: int) -> int:
+    """The bit count in ``header``, the start of a raw stream of ``size``
+    bytes, checked against that size."""
+    if size < _HEADER_BYTES:
+        raise ValueError(f"raw bit stream too short for header: {size} bytes")
+    n = int.from_bytes(header[:_HEADER_BYTES], "little")
+    payload, need = size - _HEADER_BYTES, (n + 7) // 8
+    if payload < need:
+        raise ValueError(f"raw bit stream truncated: header says {n} bits, "
+                         f"payload has {8 * payload}")
+    if payload > need:
+        raise ValueError(f"raw bit stream has {payload - need} trailing bytes")
+    return n
+
+
+def _unpack_payload(payload: bytes | memoryview, n: int) -> BitString:
+    """The first ``n`` bits of a raw payload that holds them."""
+    # unpackbits yields only 0 and 1 in a fresh array: no check, no copy
+    return BitString._wrap(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n))
+
+
 def unpack(data: bytes) -> BitString:
     """Inverse of :func:`pack`."""
-    if len(data) < _HEADER_BYTES:
-        raise ValueError(f"raw bit stream too short for header: {len(data)} bytes")
-    n = int.from_bytes(data[:_HEADER_BYTES], "little")
-    payload = data[_HEADER_BYTES:]
-    need = (n + 7) // 8
-    if len(payload) < need:
-        raise ValueError(f"raw bit stream truncated: header says {n} bits, "
-                         f"payload has {8 * len(payload)}")
-    if len(payload) > need:
-        raise ValueError(f"raw bit stream has {len(payload) - need} trailing bytes")
-    if n == 0:
-        return BitString()
-    return BitString(np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n])
+    n = _raw_count(data, len(data))
+    return _unpack_payload(memoryview(data)[_HEADER_BYTES:], n)
 
 
 def decode_bits(data: bytes, fmt: str = "raw") -> BitString:
@@ -212,6 +201,22 @@ def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
         f.write(data)
 
 
-def read_bit_file(path, fmt: str = "raw") -> BitString:
+def read_bit_file(path, fmt: str = "raw",
+                  take: Callable[[int], int] | None = None) -> BitString:
+    """The bits of the file at ``path``, in format ``fmt``.
+
+    ``take(count)``, given the number of bits the file holds, returns how
+    many of the first ones to read; all of them by default.  A raw file is
+    sized from its header, checked against the file's size, and only the
+    payload of the bits taken is read and unpacked.
+    """
     with open(path, "rb") as f:
-        return decode_bits(f.read(), fmt)
+        if fmt != "raw":
+            bits = decode_bits(f.read(), fmt)
+            return bits if take is None else bits.prefix(take(len(bits)))
+        count = _raw_count(f.read(_HEADER_BYTES), os.fstat(f.fileno()).st_size)
+        n = count if take is None else take(count)
+        payload = f.read((n + 7) // 8)
+    if 8 * len(payload) < n:  # the file shrank after it was sized
+        raise ValueError(f"raw bit stream truncated: header says {count} bits")
+    return _unpack_payload(payload, n)

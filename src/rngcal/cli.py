@@ -112,32 +112,37 @@ def _resolve_sample(args, limit: int | None):
     ``prefix(m)`` returns its first ``m <= n`` bits.  ``n`` is ``limit``
     capped at the bits a file holds (a source draws 2^16 bits when
     ``limit`` is None), checked against the full-window memory cap before
-    any bit is drawn.
+    any bit is drawn, and before a raw file's payload is read.
     """
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
+
+    def size(count: int) -> int:
+        n = count if limit is None else min(limit, count)
+        # a full-window analysis holds a suffix automaton of all n bits at once
+        if args.window_bits is None and n > DEFAULT_MEMORY_CAP_BITS:
+            raise CliError(f"input of {n} bits exceeds the full-window memory cap "
+                           f"({DEFAULT_MEMORY_CAP_BITS} bits); pass --window-bits to use "
+                           f"bounded-window mode")
+        return n
+
     if args.source is not None:
         try:
             label = _apply_seed(args.source, args.seed)
             prefix = sources.parse_source_spec(label).bits
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        n = 1 << 16 if limit is None else limit
-    else:
-        label = "stdin" if args.input == "-" else args.input
-        try:
-            bits = (decode_bits(sys.stdin.buffer.read(), args.input_format)
-                    if args.input == "-" else read_bit_file(args.input, fmt=args.input_format))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read {label}: {exc}") from None
-        prefix = bits.prefix
-        n = len(bits) if limit is None else min(limit, len(bits))
-    # a full-window analysis holds a suffix automaton of all n bits at once
-    if args.window_bits is None and n > DEFAULT_MEMORY_CAP_BITS:
-        raise CliError(f"input of {n} bits exceeds the full-window memory cap "
-                       f"({DEFAULT_MEMORY_CAP_BITS} bits); pass --window-bits to use "
-                       f"bounded-window mode")
-    return prefix, n, label
+        return prefix, size(1 << 16 if limit is None else limit), label
+    label = "stdin" if args.input == "-" else args.input
+    try:
+        if args.input == "-":
+            bits = decode_bits(sys.stdin.buffer.read(), args.input_format)
+            bits = bits.prefix(size(len(bits)))
+        else:
+            bits = read_bit_file(args.input, fmt=args.input_format, take=size)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {label}: {exc}") from None
+    return bits.prefix, len(bits), label
 
 
 def _lz77_test(window_bits: int):
@@ -242,7 +247,7 @@ def cmd_scan(args) -> int:
         print(_json_document(payload, args, label))
     else:
         print(f"scan: {args.tests[0]}, alpha {args.alpha:g}, prefixes "
-              f"{args.start_bits} x 2^k up to {args.budget}")
+              f"{args.start_bits} x 2^k up to {n}")
         for step in result.steps:
             r = step.report
             print(f"  {step.bits:>9} bits: statistic {r.statistic_bits:>12g} bits, "

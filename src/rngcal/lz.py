@@ -424,14 +424,11 @@ class PrefixCosts:
         self._open = 0    # start of the open factor
         self._closed = 0  # cost of the factors before it
 
-    def __len__(self) -> int:
-        return len(self._bits)
-
     def extend(self, x: BitString) -> Iterator[tuple[int, np.ndarray]]:
         """Take in the prefix ``x`` of the string and set ``total`` to its code length.
 
         ``x`` must extend the bits taken in so far.  Returns the code lengths
-        of the new prefixes, ``len(self) + 1`` to ``len(x)`` bits long, as
+        of the prefixes longer than those bits, up to ``len(x)`` bits, as
         ``(m, costs)`` blocks of up to ``_BLOCK`` int64 entries, where
         ``costs[i]`` belongs to the first ``m + i`` bits.  A block is priced
         when it is read, so blocks nobody reads cost nothing.

@@ -57,23 +57,6 @@ def known_mu_log2_p_value(x: BitString, p: float) -> float:
     return min(0.0, (log_total - n * math.log(2.0)) / math.log(2.0))
 
 
-def known_mu_p_value(x: BitString, p: float) -> float:
-    """Exact p-value of the known-coin likelihood statistic.
-
-    Returned as a plain float, which is exact whenever the value is
-    representable; below float range it degrades to the nearest float
-    (eventually 0.0), so rate computations should use
-    :func:`known_mu_log2_p_value` instead.
-    """
-    return 2.0 ** known_mu_log2_p_value(x, p)
-
-
-def enumerate_bitstrings(n: int):
-    """All n-bit strings in numeric order."""
-    for value in range(1 << n):
-        yield BitString.from_int(value, n)
-
-
 def exhaustive_reject_count(test: Callable[[BitString, float], object], n: int,
                             alpha: float) -> int:
     """Number of n-bit inputs ``test`` rejects at level ``alpha``.
@@ -86,8 +69,8 @@ def exhaustive_reject_count(test: Callable[[BitString, float], object], n: int,
             f"exhaustive rejection count over 2**{n} inputs exceeds the "
             f"{_ENUMERATION_GUARD}-bit guard")
     count = 0
-    for y in enumerate_bitstrings(n):
-        report = test(y, alpha)
+    for value in range(1 << n):
+        report = test(BitString.from_int(value, n), alpha)
         if getattr(report, "rejected", False):
             count += 1
     return count

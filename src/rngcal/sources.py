@@ -80,14 +80,6 @@ class Source:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
-    def __eq__(self, other) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.spec_string() == other.spec_string()
-
-    def __hash__(self) -> int:
-        return hash(self.spec_string())
-
 
 class BernoulliSource(Source):
     """Independent bits, each 1 with probability ``p``."""
@@ -350,7 +342,6 @@ def parse_source_spec(spec: str) -> Source:
     return DuplicationSource(seed=seed)
 
 
-def generate(spec: Source | str, n: int) -> BitString:
-    """First ``n`` bits from a source instance or its spec string."""
-    source = parse_source_spec(spec) if isinstance(spec, str) else spec
-    return source.bits(n)
+def generate(spec: str, n: int) -> BitString:
+    """First ``n`` bits of the source that ``spec`` names."""
+    return parse_source_spec(spec).bits(n)

@@ -65,17 +65,14 @@ class WeightSchedule:
     """Weights ``w_1, w_2, ...`` with total mass at most 1.
 
     Used to split a significance budget across the components of a battery
-    and across prefix scales in :func:`tau_k_test`.  Built-ins: the infinite
-    ``omega_star`` schedule (mass exactly 1) and finite explicit lists.
-    Indices beyond a finite list carry weight 0, i.e. no budget.
+    and across prefix scales in :func:`tau_k_test`.  Without
+    ``finite_weights`` the schedule is the infinite ``omega_star`` (mass
+    exactly 1); with them it is that explicit list, and indices beyond it
+    carry weight 0, i.e. no budget.
     """
 
-    def __init__(self, name: str, weight_fn: Callable[[int], float] | None = None,
-                 finite_weights: Sequence[float] | None = None):
-        if (weight_fn is None) == (finite_weights is None):
-            raise ValueError("provide exactly one of weight_fn or finite_weights")
+    def __init__(self, name: str, finite_weights: Sequence[float] | None = None):
         self.name = name
-        self._fn = weight_fn
         self._finite = None
         if finite_weights is not None:
             w = [float(v) for v in finite_weights]
@@ -88,39 +85,26 @@ class WeightSchedule:
             self._finite = w
 
     @classmethod
-    def omega_star(cls) -> "WeightSchedule":
-        return cls("omega_star", weight_fn=omega_star)
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[float], name: str = "custom") -> "WeightSchedule":
-        return cls(name, finite_weights=weights)
-
-    def weight(self, i: int) -> float:
-        if i < 1:
-            raise ValueError(f"schedule index must be >= 1, got {i}")
-        if self._finite is not None:
-            return self._finite[i - 1] if i <= len(self._finite) else 0.0
-        return self._fn(i)
+    def from_weights(cls, weights: Sequence[float]) -> "WeightSchedule":
+        return cls("custom", finite_weights=weights)
 
     def weights(self, k: int, start: int = 1) -> np.ndarray:
         """Weights ``w_start .. w_k`` as a float array (the first ``k`` by default)."""
         if start < 1:
             raise ValueError(f"schedule index must be >= 1, got {start}")
-        if self._finite is not None:
-            out = np.zeros(max(0, k - start + 1))
-            upto = min(k, len(self._finite))
-            out[:max(0, upto - start + 1)] = self._finite[start - 1:upto]
-            return out
-        if self._fn is omega_star:
+        if self._finite is None:
             i = np.arange(start, k + 1, dtype=np.float64)
             return 1.0 / (i * (i + 1))
-        return np.array([self._fn(i) for i in range(start, k + 1)])
+        out = np.zeros(max(0, k - start + 1))
+        upto = min(k, len(self._finite))
+        out[:max(0, upto - start + 1)] = self._finite[start - 1:upto]
+        return out
 
     def __repr__(self) -> str:
         return f"WeightSchedule({self.name!r})"
 
 
-OMEGA_STAR = WeightSchedule.omega_star()
+OMEGA_STAR = WeightSchedule("omega_star")
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +179,16 @@ def compression_test(x: BitString, alpha: float = 0.01, code=None) -> TestReport
 
     The statistic is ``len(x) - code_length(x)``; ``2**-statistic`` is an
     upper bound on the p-value by the Kraft counting argument, so the
-    reported p-value has kind ``upper_bound``.
+    reported p-value has kind ``upper_bound``.  With the LZ77 code, the
+    default, this is one step of :class:`PrefixScanTest`; another ``code``
+    prices ``x`` as a whole.
     """
+    if code is None:
+        return PrefixScanTest("lz77").reports(x, alpha)[0]
     alpha = _check_alpha(alpha)
     if len(x) < 1:
         raise ValueError("compression test needs at least one bit")
-    code_length = lz.code_length if code is None else code
-    return _compression_report(len(x), int(code_length(x)), alpha)
+    return _compression_report(len(x), int(code(x)), alpha)
 
 
 def _compression_report(n: int, clen: int, alpha: float) -> TestReport:
@@ -249,8 +236,7 @@ def battery_p_value(component_p_values: Sequence[float],
         if not 0.0 < p <= 1.0:
             raise ValueError(f"component p-values must be in (0, 1], got {p}")
     ratios = []
-    for i, p in enumerate(pvals, start=1):
-        w = schedule.weight(i)
+    for i, (p, w) in enumerate(zip(pvals, schedule.weights(len(pvals)).tolist()), start=1):
         if w <= 0.0:
             raise ValueError(
                 f"schedule {schedule.name!r} has no weight for component {i}")
@@ -295,21 +281,20 @@ def tau_k_test(x: BitString, alpha: float = 0.01) -> TestReport:
     return PrefixScanTest("tauk").reports(x, alpha)[0]
 
 
-def _tau_k_evidence(joint: np.ndarray, k: int, schedule: WeightSchedule,
-                    start: int) -> tuple[float, int]:
+def _tau_k_evidence(joint: np.ndarray, start: int) -> tuple[float, int]:
     """Best evidence over scales ``start .. start + len(joint) - 1``.
 
-    ``joint`` holds the joint estimate ``min_j estimate_j`` of the k
-    estimators at those scales, and every weight of ``schedule`` there must
-    be positive.  Returns the evidence and its scale, the first one on
-    ties.  Every scale's evidence is computed on its own, so a range split
-    into pieces gives the same values as the whole.  The arithmetic runs in
-    place, since a scan calls this while its suffix automaton is alive.
+    ``joint`` holds the joint estimate ``min(lz77, m)`` of the two
+    estimators at those scales, weighted by ``OMEGA_STAR``.  Returns the
+    evidence and its scale, the first one on ties.  Every scale's evidence
+    is computed on its own, so a range split into pieces gives the same
+    values as the whole.  The arithmetic runs in place, since a scan calls
+    this while its suffix automaton is alive.
     """
     stop = start + len(joint) - 1
-    w = schedule.weights(stop, start)
+    w = OMEGA_STAR.weights(stop, start)
     evidence = np.arange(start, stop + 1, dtype=np.float64)
-    evidence -= math.log2(k) + np.asarray(joint, dtype=np.float64)
+    evidence -= math.log2(2) + np.asarray(joint, dtype=np.float64)
     evidence += np.log2(w, out=w)
     best = int(np.argmax(evidence))
     return float(evidence[best]), start + best
@@ -334,10 +319,10 @@ class PrefixScanTest:
     feeds it to one :class:`lz.PrefixCosts` and reports each test on the
     prefix: ``lz77`` as ``m - total``, ``tauk`` as a running maximum of the
     evidence over the new scales only, scored on each block of prefix
-    costs as it is priced (the first maximum wins ties).  Reports equal
-    those of ``compression_test`` on the same prefix, and
-    :func:`tau_k_test` is one call of this engine.  A battery is a single
-    call; calling the object is the one-test callable a scan drives.
+    costs as it is priced (the first maximum wins ties).
+    :func:`compression_test` with its default code and :func:`tau_k_test`
+    are each one call of this engine.  A battery is a single call; calling
+    the object is the one-test callable a scan drives.
     """
 
     def __init__(self, *test_ids: str):
@@ -370,7 +355,7 @@ class PrefixScanTest:
         """
         for lo, costs in blocks:
             scales = np.arange(lo, lo + len(costs), dtype=np.int64)
-            piece = _tau_k_evidence(np.minimum(costs, scales), 2, OMEGA_STAR, lo)
+            piece = _tau_k_evidence(np.minimum(costs, scales), lo)
             if piece[0] > self._best[0]:
                 self._best = piece
 
@@ -402,38 +387,25 @@ class ScanResult:
         return self.first_rejection_bits is not None
 
 
-def consistency_scan(source, test: Callable[..., TestReport], alpha: float,
-                     start_bits: int = 1024, max_bits: int = 2 ** 20,
+def consistency_scan(prefix: Callable[[int], BitString], test: Callable[..., TestReport],
+                     alpha: float, start_bits: int = 1024, max_bits: int = 2 ** 20,
                      stop_at_rejection: bool = True) -> ScanResult:
     """Apply ``test`` to prefixes of a fixed stream at doubling lengths.
 
-    ``source`` is a callable mapping a length to that prefix (sources and
-    fixed bit strings are accepted too).  The grid is ``start_bits``,
-    ``2*start_bits``, ... up to ``max_bits`` (and never beyond the length of
-    a fixed input).  Returns the first grid length at which ``test``
-    rejects, or None if the budget is exhausted without rejection; the
-    budget running out is an outcome, not an error.
+    ``prefix(m)`` returns the first ``m`` bits of the stream, for instance
+    ``Source.bits`` or ``BitString.prefix``.  The grid is ``start_bits``,
+    ``2*start_bits``, ... up to ``max_bits``.  Returns the first grid length
+    at which ``test`` rejects, or None if the budget is exhausted without
+    rejection; the budget running out is an outcome, not an error.
     """
     alpha = _check_alpha(alpha)
     if start_bits < 1 or max_bits < start_bits:
         raise ValueError("need 1 <= start_bits <= max_bits")
-    if isinstance(source, BitString):
-        prefix_fn = source.prefix
-        limit = min(max_bits, len(source))
-    elif callable(getattr(source, "bits", None)):
-        prefix_fn = source.bits
-        limit = max_bits
-    elif callable(source):
-        prefix_fn = source
-        limit = max_bits
-    else:
-        raise TypeError("source must be a BitString, a generator object, or a callable")
-
     steps: list[ScanStep] = []
     first = None
     n = start_bits
-    while n <= limit:
-        report = test(prefix_fn(n), alpha)
+    while n <= max_bits:
+        report = test(prefix(n), alpha)
         steps.append(ScanStep(bits=n, report=report))
         if report.rejected and first is None:
             first = n

@@ -66,7 +66,7 @@ def brute_lz77_pairs(x: BitString) -> list[tuple[int, int]]:
     Maximal match, overlap allowed, smallest 1-based source position among
     maximal matches; (0, bit) for literals.
     """
-    bits = x.tolist()
+    bits = x.array.tolist()
     n = len(bits)
     pairs = []
     i = 0
@@ -169,6 +169,13 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def reference_compression_test(x: BitString, alpha: float) -> stats.TestReport:
+    """``stats.compression_test(x, alpha)`` priced by the scalar
+    ``lz.code_length``, one build and one walk of the whole sample; the
+    reference for the engine's incremental pricing."""
+    return stats.compression_test(x, alpha, code=lz.code_length)
+
+
 def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:
     """``stats.tau_k_test(x, alpha)`` from whole per-bit tables: the lz77
     prefix costs, capped by the literal length, scored by one unblocked
@@ -176,7 +183,7 @@ def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:
     """
     tables = np.minimum.reduce([lz.prefix_code_lengths(x).astype(np.float64),
                                 np.arange(len(x) + 1, dtype=np.float64)])
-    best = stats._tau_k_evidence(tables[1:], 2, stats.OMEGA_STAR, 1)
+    best = stats._tau_k_evidence(tables[1:], 1)
     return stats._tau_k_report(best, stats._check_alpha(alpha))
 
 

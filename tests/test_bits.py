@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rngcal.bits import BitString, pack, read_bit_file, unpack, write_bit_file
+from rngcal.bits import BitString, decode_bits, pack, read_bit_file, unpack, write_bit_file
 
 
 def test_length_matches_stored_bits():
@@ -55,14 +57,6 @@ def test_slices_and_prefixes_are_read_only_views(take, index):
     assert y.to01() == x.to01()[index]
 
 
-def test_concat_and_add():
-    a = BitString.from01("01")
-    b = BitString.from01("10")
-    assert (a + b).to01() == "0110"
-    assert BitString.concat([a, b, a]).to01() == "011001"
-    assert BitString.concat([]) == BitString()
-
-
 def test_from_int_matches_formatted_string():
     for width in range(21):
         top = 1 << max(width - 1, 0)
@@ -98,13 +92,16 @@ def test_pack_header_is_little_endian_bit_count():
     assert unpack(raw) == x
 
 
-def test_unpack_rejects_bad_streams():
-    with pytest.raises(ValueError):
-        unpack(b"\x01\x00")  # too short for the header
-    with pytest.raises(ValueError):
-        unpack((9).to_bytes(8, "little") + b"\xff")  # payload too short
-    with pytest.raises(ValueError):
-        unpack((1).to_bytes(8, "little") + b"\xff\x00")  # trailing bytes
+def test_unpack_rejects_bad_streams(tmp_path):
+    path = tmp_path / "bad.bin"
+    for data, message in [(b"\x01\x00", "too short for header: 2 bytes"),
+                          ((9).to_bytes(8, "little") + b"\xff", "truncated"),
+                          ((1).to_bytes(8, "little") + b"\xff\x00", "1 trailing bytes")]:
+        with pytest.raises(ValueError, match=message):
+            unpack(data)
+        path.write_bytes(data)  # a file is sized from its header, before any bit is taken
+        with pytest.raises(ValueError, match=message):
+            read_bit_file(path, take=lambda count: 0)
 
 
 @pytest.mark.parametrize("fmt", ["raw", "ascii"])
@@ -113,6 +110,22 @@ def test_file_round_trip(tmp_path, fmt):
     path = tmp_path / f"bits.{fmt}"
     write_bit_file(path, x, fmt=fmt)
     assert read_bit_file(path, fmt=fmt) == x
+    counts = []
+    first = read_bit_file(path, fmt=fmt, take=lambda count: counts.append(count) or 9)
+    assert counts == [len(x)] and first == x.prefix(9)
+
+
+def test_decode_bits_holds_one_byte_per_bit():
+    n = 1 << 20
+    data = pack(BitString(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        bits = decode_bits(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == n
+    assert peak <= 1.25 * n, f"{peak / n:.2f} bytes per bit"  # 2.03 with a check and a copy
 
 
 def test_ascii_file_ignores_whitespace(tmp_path):

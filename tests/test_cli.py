@@ -22,7 +22,7 @@ from rngcal.bits import BitString, pack, read_bit_file, unpack, write_bit_file
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import reference_tau_k_test
+from helpers import reference_compression_test, reference_tau_k_test
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -126,7 +126,7 @@ def test_battery_combination_matches_hand_arithmetic(capsys):
     assert [c["test_id"] for c in doc["components"]] == ["lz77", "tauk"]
     p1, p2 = (c["p_value"] for c in doc["components"])
     x = sources.generate("bernoulli:0.5:seed=11", 4096)
-    assert p1 == stats.compression_test(x, 0.05).p_value
+    assert p1 == reference_compression_test(x, 0.05).p_value
     assert p2 == reference_tau_k_test(x, 0.05).p_value
     assert doc["p_value"] == pytest.approx(min(1.0, p1 / 0.5, p2 / (1 / 6)))
 
@@ -174,8 +174,8 @@ def test_scan_steps_equal_from_scratch_scan(spec, test_id, budget, capsys):
     status = run_cli("scan", "--source", spec, "--tests", test_id, "--alpha", "1e-6",
                      "--start-bits", "512", "--budget", str(budget), "--report", "json")
     doc = json.loads(capsys.readouterr().out)
-    test = stats.compression_test if test_id == "lz77" else reference_tau_k_test
-    ref = stats.consistency_scan(sources.parse_source_spec(spec), test, 1e-6,
+    test = reference_compression_test if test_id == "lz77" else reference_tau_k_test
+    ref = stats.consistency_scan(sources.parse_source_spec(spec).bits, test, 1e-6,
                                  start_bits=512, max_bits=budget)
     assert status == int(ref.rejected)
     assert doc["first_rejection_bits"] == ref.first_rejection_bits
@@ -193,7 +193,7 @@ def test_battery_components_equal_standalone_tests(tests, capsys):
                    "--alpha", "0.05", "--report", "json") == 1
     doc = json.loads(capsys.readouterr().out)
     x = sources.generate(spec, 3000)
-    standalone = {"lz77": stats.compression_test(x, 0.05),
+    standalone = {"lz77": reference_compression_test(x, 0.05),
                   "tauk": reference_tau_k_test(x, 0.05)}
     ids = tests.split(",")
     got = doc["components"] if len(ids) > 1 else [dict(doc, test_id=ids[0])]
@@ -233,7 +233,7 @@ def test_max_bits_caps_file_input(tmp_path, capsys):
             "--report", "json")
     doc = json.loads(capsys.readouterr().out)
     x = sources.BernoulliSource(0.5, seed=6).bits(1024)
-    assert doc["statistic_bits"] == stats.compression_test(x, 0.01).statistic_bits
+    assert doc["statistic_bits"] == reference_compression_test(x, 0.01).statistic_bits
 
 
 def test_window_mode_flagged_and_lz_only(capsys):
@@ -285,10 +285,19 @@ def _refuse_to_draw(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("test", "--source", "bernoulli:0.5", "--max-bits", str(2 ** 24)),
     ("scan", "--source", "bernoulli:0.5", "--budget", str(2 ** 24)),
+    ("test", "--input", "RAW"),
+    ("scan", "--input", "RAW", "--budget", str(2 ** 25)),
 ])
-def test_memory_cap_is_checked_before_drawing(argv, monkeypatch, capsys):
+def test_memory_cap_is_checked_before_drawing(argv, tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "big.bin"  # 2^24 bits, sized from its header
+    raw.write_bytes((2 ** 24).to_bytes(8, "little") + bytes(2 ** 21))
+
+    def unpack(*args, **kwargs):
+        raise AssertionError("unpacked a raw payload before checking the memory cap")
+
     _refuse_to_draw(monkeypatch)
-    assert run_cli(*argv) == 2
+    monkeypatch.setattr(np, "unpackbits", unpack)
+    assert run_cli(*(str(raw) if a == "RAW" else a for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rngcal: error: input of {2 ** 24} bits exceeds the full-window "
                           f"memory cap ({2 ** 23} bits)")
@@ -316,33 +325,61 @@ def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, ca
 CAP_PEAK_BYTES_PER_BIT = 48
 
 
+# A child's peak RSS counts the peak of the process it was forked from, so
+# the CLI runs under a small interpreter that waits for it and reports.
+_WAIT4 = ("import os, subprocess, sys\n"
+          "child = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
+          "_, status, usage = os.wait4(child.pid, 0)\n"
+          "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
+
+
+def _run_child(tmp_path, *argv: str) -> tuple[int, bytes, int]:
+    """Exit status, stdout and peak RSS in bytes of ``python -m rngcal.cli argv``."""
+    # the child imports the rngcal under test, installed or not
+    src = str(Path(rngcal.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "out", "w+b") as out:
+        run = subprocess.run([sys.executable, "-c", _WAIT4, sys.executable, "-m", "rngcal.cli",
+                              *argv], stdout=out, stderr=subprocess.PIPE, env=env, check=True)
+        out.seek(0)
+        status, peak = map(int, run.stderr.split())
+        return status, out.read(), peak * 1024  # KiB on Linux
+
+
 def test_full_window_test_at_the_cap_stays_within_its_bytes_per_bit(tmp_path):
     n = DEFAULT_MEMORY_CAP_BITS
     path = tmp_path / "cap.bin"
     write_bit_file(path, BitString(np.random.default_rng(23).integers(0, 2, n, dtype=np.uint8)))
-    src = str(Path(rngcal.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with open(tmp_path / "out.json", "w+b") as out:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "rngcal.cli", "test", "--input", str(path),
-             "--tests", "lz77,tauk", "--report", "json"],
-            stdout=out, stderr=subprocess.DEVNULL, env=env)
-        # wait4 gives this child's own peak, not the largest of all children
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        report = json.loads(out.read())
-    assert child.returncode == 0 and report["decision"] == "accept"
-    peak = usage.ru_maxrss * 1024  # KiB on Linux
+    status, out, peak = _run_child(tmp_path, "test", "--input", str(path),
+                                   "--tests", "lz77,tauk", "--report", "json")
+    assert status == 0 and json.loads(out)["decision"] == "accept"
     assert peak <= CAP_PEAK_BYTES_PER_BIT * n, f"{peak / n:.1f} bytes per bit"
+
+
+# Peak RSS, interpreter included, of a run that reads the header of a large
+# raw file and at most a few of its bits: unpacking all 2^26 took 174 MiB.
+SIZED_READ_PEAK_BYTES = 48 << 20
+
+
+@pytest.mark.parametrize("argv,status", [((), 2), (("--max-bits", "4096"), 0)],
+                         ids=["refused", "max-bits"])
+def test_a_raw_file_is_sized_from_its_header(argv, status, tmp_path):
+    n = 1 << 26  # eight times the memory cap
+    path = tmp_path / "big.bin"
+    path.write_bytes(n.to_bytes(8, "little") + np.random.default_rng(24).bytes(n // 8))
+    got, _, peak = _run_child(tmp_path, "test", "--input", str(path), *argv)
+    assert got == status
+    assert peak <= SIZED_READ_PEAK_BYTES, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):
     path = tmp_path / "short.bin"
     run_cli("gen", "bernoulli:0.5:seed=4", "--bits", "4096", "--output", str(path))
     assert run_cli("scan", "--input", str(path), "--budget", str(2 ** 30)) == 0
-    assert "none within budget" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("scan: lz77, alpha 0.01, prefixes 1024 x 2^k up to 4096\n")
+    assert "none within budget" in out
 
 
 @pytest.mark.parametrize("window", [(), ("--window-bits", "256")])

@@ -45,7 +45,7 @@ def test_entropy_validates_range():
 def _direct_mu_p_value(x: BitString, p: float) -> float:
     """Literal 2^n enumeration; independent of the binomial-tail path."""
     n = len(x)
-    mu_x = p ** sum(x.tolist()) * (1 - p) ** (n - sum(x.tolist()))
+    mu_x = p ** sum(x.array.tolist()) * (1 - p) ** (n - sum(x.array.tolist()))
     count = 0
     for v in range(1 << n):
         ones = v.bit_count()
@@ -56,17 +56,17 @@ def _direct_mu_p_value(x: BitString, p: float) -> float:
 
 def test_fair_coin_gives_p_one():
     for s in ("0", "0101", "1111111"):
-        assert reference.known_mu_p_value(BitString.from01(s), 0.5) == 1.0
+        assert 2.0 ** reference.known_mu_log2_p_value(BitString.from01(s), 0.5) == 1.0
 
 
 def test_most_probable_singleton():
     # under p = 0.9, "111" is the unique most probable 3-bit string
-    assert reference.known_mu_p_value(BitString.from01("111"), 0.9) == pytest.approx(1 / 8)
+    assert 2.0 ** reference.known_mu_log2_p_value(BitString.from01("111"), 0.9) == pytest.approx(1 / 8)
 
 
 def test_ties_count_against_randomness():
     # p=0.9, x="110": mu = .9*.9*.1; the three two-one strings tie, "111" beats
-    p = reference.known_mu_p_value(BitString.from01("110"), 0.9)
+    p = 2.0 ** reference.known_mu_log2_p_value(BitString.from01("110"), 0.9)
     assert p == pytest.approx(4 / 8)
 
 
@@ -76,7 +76,7 @@ def test_matches_direct_enumeration_exhaustive():
         for p in (0.1, 0.3, 0.45):
             for _ in range(6):
                 x = BitString.from_int(int(rng.integers(0, 1 << n)), n)
-                assert reference.known_mu_p_value(x, p) == pytest.approx(
+                assert 2.0 ** reference.known_mu_log2_p_value(x, p) == pytest.approx(
                     _direct_mu_p_value(x, p), rel=1e-11), (n, p)
 
 
@@ -85,14 +85,14 @@ def test_matches_direct_enumeration_sampled_large():
     for n in (17, 20):
         for p in (0.1, 0.45):
             x = BitString.from_int(int(rng.integers(0, 1 << n)), n)
-            assert reference.known_mu_p_value(x, p) == pytest.approx(
+            assert 2.0 ** reference.known_mu_log2_p_value(x, p) == pytest.approx(
                 _direct_mu_p_value(x, p), rel=1e-10), (n, p)
 
 
 def test_validates_probability():
     for bad in (0.0, 1.0, -1.0):
         with pytest.raises(ValueError):
-            reference.known_mu_p_value(BitString.from01("01"), bad)
+            2.0 ** reference.known_mu_log2_p_value(BitString.from01("01"), bad)
 
 
 def test_rate_against_known_bias():
@@ -110,9 +110,7 @@ def test_rate_against_known_bias():
 def test_log2_variant_matches_plain_value_in_range():
     x = BitString.from01("1110010111")
     for p in (0.2, 0.8):
-        log2pv = reference.known_mu_log2_p_value(x, p)
-        assert 2.0 ** log2pv == pytest.approx(reference.known_mu_p_value(x, p))
-        assert reference.known_mu_p_value(x, p) == pytest.approx(
+        assert 2.0 ** reference.known_mu_log2_p_value(x, p) == pytest.approx(
             _direct_mu_p_value(x, p), rel=1e-11)
 
 
@@ -123,7 +121,7 @@ def test_package_runs_without_scipy():
             f"sys.path.insert(0, {src!r})\n"
             "import rngcal, rngcal.cli, rngcal.reference as r\n"
             "from rngcal.bits import BitString\n"
-            "print(r.known_mu_p_value(BitString.from01('111'), 0.9))\n")
+            "print(2.0 ** r.known_mu_log2_p_value(BitString.from01('111'), 0.9))\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert float(run.stdout) == pytest.approx(1 / 8)

@@ -12,7 +12,8 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import all_bitstrings, random_bits, reference_tau_k_test
+from helpers import (all_bitstrings, random_bits, reference_compression_test,
+                     reference_tau_k_test)
 
 # Frozen regression constants.
 TAU_K_ZEROS_2_14_STAT = 16328.999912
@@ -60,10 +61,35 @@ def test_p_value_floor():
 
 
 def test_compression_test_validates_input():
-    with pytest.raises(ValueError):
-        stats.compression_test(BitString(), 0.01)
-    with pytest.raises(ValueError):
-        stats.compression_test(BitString.from01("01"), 1.5)
+    for code in (None, len):  # the engine, and a code of the caller's
+        with pytest.raises(ValueError):
+            stats.compression_test(BitString(), 0.01, code=code)
+        with pytest.raises(ValueError):
+            stats.compression_test(BitString.from01("01"), 1.5, code=code)
+
+
+_PARITY_SOURCES = {
+    "uniform": BernoulliSource(0.5, seed=41).bits,
+    "bern01": BernoulliSource(0.1, seed=42).bits,
+    "markov": MarkovSource([[0.9, 0.1], [0.2, 0.8]], seed=43).bits,
+    "dup": DuplicationSource(seed=44).bits,
+    "zeros": BitString.zeros,
+}
+
+
+@pytest.mark.parametrize("n", [1, 12, 1024, 2 ** 17 + 3])
+@pytest.mark.parametrize("kind", sorted(_PARITY_SOURCES))
+def test_compression_test_equals_the_scalar_reference(kind, n, monkeypatch):
+    x = _PARITY_SOURCES[kind](n)
+    want = [reference_compression_test(x, alpha) for alpha in (0.5, 1e-6)]
+
+    def scalar(y):
+        raise AssertionError("the default code prices through the prefix-cost engine")
+
+    monkeypatch.setattr(lz, "code_length", scalar)
+    got = [stats.compression_test(x, alpha) for alpha in (0.5, 1e-6)]
+    assert got == want
+    assert [r.detail for r in got] == [r.detail for r in want]
 
 
 def test_type_one_error_bound_exhaustive():
@@ -87,7 +113,7 @@ def test_constant_statistic_gives_p_one():
 
 
 def test_ones_count_statistic():
-    p = stats.exact_p_value(BitString.from01("111"), lambda y: sum(y.tolist()))
+    p = stats.exact_p_value(BitString.from01("111"), lambda y: sum(y.array.tolist()))
     assert p == 1.0 / 8.0
 
 
@@ -132,7 +158,6 @@ def test_omega_star_telescopes():
 @pytest.mark.parametrize("schedule", [
     stats.OMEGA_STAR,
     stats.WeightSchedule.from_weights([0.5, 0.25, 0.125]),
-    stats.WeightSchedule("halving", weight_fn=lambda i: 2.0 ** -i),
 ])
 def test_schedule_weight_ranges_are_slices(schedule):
     full = schedule.weights(9)
@@ -142,8 +167,7 @@ def test_schedule_weight_ranges_are_slices(schedule):
 
 def test_custom_schedule_validation():
     good = stats.WeightSchedule.from_weights([0.5, 0.25, 0.125])
-    assert good.weight(2) == 0.25
-    assert good.weight(9) == 0.0  # beyond the list: no budget
+    assert good.weights(9)[[1, 8]].tolist() == [0.25, 0.0]  # beyond the list: no budget
     with pytest.raises(ValueError):
         stats.WeightSchedule.from_weights([0.7, 0.7])
     for bad in (-0.1, math.nan):
@@ -283,7 +307,7 @@ def test_estimator_class_kraft_inequality():
 
 
 def test_scan_detects_duplication_stream():
-    result = stats.consistency_scan(DuplicationSource(seed=7),
+    result = stats.consistency_scan(DuplicationSource(seed=7).bits,
                                     stats.compression_test, 1e-6,
                                     start_bits=1024, max_bits=2 ** 20)
     assert result.first_rejection_bits == DUP_SCAN_FIRST_REJECTION
@@ -293,7 +317,7 @@ def test_scan_detects_duplication_stream():
 def test_scan_random_stream_stays_quiet():
     for seed in range(5):
         src = BernoulliSource(0.5, seed=seed)
-        result = stats.consistency_scan(src, stats.compression_test, 1e-6,
+        result = stats.consistency_scan(src.bits, stats.compression_test, 1e-6,
                                         start_bits=1024, max_bits=2 ** 16)
         assert result.first_rejection_bits is None
         assert len(result.steps) == 7  # 1024 .. 65536
@@ -305,7 +329,7 @@ def test_scan_stronger_bias_rejects_no_later():
         firsts[p] = []
         for seed in range(20):
             src = BernoulliSource(p, seed=seed)
-            r = stats.consistency_scan(src, stats.compression_test, 0.01,
+            r = stats.consistency_scan(src.bits, stats.compression_test, 0.01,
                                        start_bits=1024, max_bits=2 ** 14)
             firsts[p].append(r.first_rejection_bits)
     assert all(f is not None for f in firsts[0.03] + firsts[0.08])
@@ -315,12 +339,12 @@ def test_scan_stronger_bias_rejects_no_later():
 
 def test_scan_accepts_fixed_bitstring_capped_at_length():
     x = BitString.zeros(3000)
-    result = stats.consistency_scan(x, stats.compression_test, 0.01,
-                                    start_bits=1024, max_bits=2 ** 20)
+    result = stats.consistency_scan(x.prefix, stats.compression_test, 0.01,
+                                    start_bits=1024, max_bits=len(x))
     assert result.first_rejection_bits == 1024
-    result2 = stats.consistency_scan(random_bits(3000, seed=8),
-                                     stats.compression_test, 0.01,
-                                     start_bits=1024, max_bits=2 ** 20)
+    y = random_bits(3000, seed=8)
+    result2 = stats.consistency_scan(y.prefix, stats.compression_test, 0.01,
+                                     start_bits=1024, max_bits=len(y))
     assert [s.bits for s in result2.steps] == [1024, 2048]
 
 
@@ -337,13 +361,14 @@ _SCAN_STREAMS = {
 @pytest.mark.parametrize("kind", sorted(_SCAN_STREAMS))
 def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
     x = _SCAN_STREAMS[kind]
-    references = {"lz77": stats.compression_test,
+    references = {"lz77": reference_compression_test,
                   "tauk": reference_tau_k_test}
     for test_id, reference in references.items():
-        got = stats.consistency_scan(x, stats.PrefixScanTest(test_id), 0.01,
-                                     start_bits=start_bits, stop_at_rejection=False)
-        want = stats.consistency_scan(x, reference, 0.01, start_bits=start_bits,
-                                      stop_at_rejection=False)
+        got = stats.consistency_scan(x.prefix, stats.PrefixScanTest(test_id), 0.01,
+                                     start_bits=start_bits, max_bits=len(x),
+                                     stop_at_rejection=False)
+        want = stats.consistency_scan(x.prefix, reference, 0.01, start_bits=start_bits,
+                                      max_bits=len(x), stop_at_rejection=False)
         assert got.first_rejection_bits == want.first_rejection_bits
         assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
         for a, b in zip(got.steps, want.steps):
@@ -354,7 +379,7 @@ def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
 def test_prefix_cost_reports_equal_standalone_tests():
     for x in _SCAN_STREAMS.values():
         got = stats.PrefixScanTest("tauk", "lz77").reports(x, 0.05)
-        want = [reference_tau_k_test(x, 0.05), stats.compression_test(x, 0.05)]
+        want = [reference_tau_k_test(x, 0.05), reference_compression_test(x, 0.05)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
@@ -388,7 +413,7 @@ def test_blocked_tau_k_evidence_equals_one_unblocked_call():
                         DuplicationSource(seed=36).bits(start + count - 1),
                         random_bits(start + count - 1, seed=37))]
     for costs in [dip, *tables]:
-        want = stats._tau_k_evidence(np.minimum(costs, scales), 2, stats.OMEGA_STAR, start)
+        want = stats._tau_k_evidence(np.minimum(costs, scales), start)
         got = _scored(costs, start)
         assert got[0] == want[0] and got[1] == want[1]
     assert _scored(dip, start)[1] == start + 2 * lz._BLOCK + 10
@@ -423,7 +448,7 @@ def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
     for m in (70001, len(x)):  # the second call scores scales from a mid-block start
         y = x.prefix(m)
         got = runner.reports(y, 0.01)
-        want = [stats.compression_test(y, 0.01), reference_tau_k_test(y, 0.01)]
+        want = [reference_compression_test(y, 0.01), reference_tau_k_test(y, 0.01)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
@@ -442,7 +467,7 @@ def test_prefix_scan_test_refuses_a_prefix_it_has_not_seen():
 
 def test_scan_validates_arguments():
     with pytest.raises(ValueError):
-        stats.consistency_scan(BitString.zeros(10), stats.compression_test, 0.01,
+        stats.consistency_scan(BitString.zeros(10).prefix, stats.compression_test, 0.01,
                                start_bits=0)
     with pytest.raises(TypeError):
         stats.consistency_scan(42, stats.compression_test, 0.01)
