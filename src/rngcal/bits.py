@@ -11,12 +11,14 @@ Two persistence formats are supported:
   MSB-first into bytes (the final byte is zero-padded);
 * ascii: the ASCII digits '0' and '1', any ASCII whitespace ignored.
 
-:func:`decode_bits` and :func:`encode_bits` read and write both, for files,
-standard streams and ``str`` alike.
+:func:`read_bit_file` reads both from a file or a stream, and
+:func:`decode_bits` and :func:`encode_bits` convert both from and to bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 from typing import Callable, Iterable
 
@@ -140,56 +142,27 @@ class BitString:
         return f"BitString('{self.prefix(24).to01()}...', length={len(self)})"
 
 
-def pack(bits: BitString) -> bytes:
-    """Raw format: 8-byte little-endian bit count, then MSB-first payload."""
-    payload = np.packbits(bits.array).tobytes() if len(bits) else b""
-    return len(bits).to_bytes(_HEADER_BYTES, "little") + payload
-
-
-def _raw_count(header: bytes, size: int) -> int:
-    """The bit count in ``header``, the start of a raw stream of ``size``
-    bytes, checked against that size."""
+def _check_raw_size(count: int, size: int) -> None:
+    """Raise unless ``size`` bytes is the size of a raw stream whose header says ``count`` bits."""
     if size < _HEADER_BYTES:
         raise ValueError(f"raw bit stream too short for header: {size} bytes")
-    n = int.from_bytes(header[:_HEADER_BYTES], "little")
-    payload, need = size - _HEADER_BYTES, (n + 7) // 8
+    payload, need = size - _HEADER_BYTES, (count + 7) // 8
     if payload < need:
-        raise ValueError(f"raw bit stream truncated: header says {n} bits, "
+        raise ValueError(f"raw bit stream truncated: header says {count} bits, "
                          f"payload has {8 * payload}")
     if payload > need:
         raise ValueError(f"raw bit stream has {payload - need} trailing bytes")
-    return n
-
-
-def _unpack_payload(payload: bytes | memoryview, n: int) -> BitString:
-    """The first ``n`` bits of a raw payload that holds them."""
-    # unpackbits yields only 0 and 1 in a fresh array: no check, no copy
-    return BitString._wrap(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n))
-
-
-def unpack(data: bytes) -> BitString:
-    """Inverse of :func:`pack`."""
-    n = _raw_count(data, len(data))
-    return _unpack_payload(memoryview(data)[_HEADER_BYTES:], n)
 
 
 def decode_bits(data: bytes, fmt: str = "raw") -> BitString:
     """The bits that ``data``, in format ``fmt``, holds."""
-    if fmt == "raw":
-        return unpack(data)
-    if fmt != "ascii":
-        raise ValueError(f"unknown bit file format: {fmt!r}")
-    digits = data.translate(None, _ASCII_WHITESPACE)
-    bad = digits.translate(None, b"01")
-    if bad:
-        raise ValueError(f"invalid bit characters: {bytes(sorted(set(bad)))!r}")
-    return BitString._wrap(np.frombuffer(digits.translate(_DIGITS), dtype=np.uint8))
+    return read_bit_file(io.BytesIO(data), fmt)
 
 
 def encode_bits(bits: BitString, fmt: str = "raw") -> bytes:
     """``bits`` in format ``fmt``; ascii ends with a newline."""
     if fmt == "raw":
-        return pack(bits)
+        return len(bits).to_bytes(_HEADER_BYTES, "little") + np.packbits(bits.array).tobytes()
     if fmt != "ascii":
         raise ValueError(f"unknown bit file format: {fmt!r}")
     return bits.array.tobytes().translate(_DIGITS) + b"\n"
@@ -203,20 +176,45 @@ def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
 
 def read_bit_file(path, fmt: str = "raw",
                   take: Callable[[int], int] | None = None) -> BitString:
-    """The bits of the file at ``path``, in format ``fmt``.
+    """The bits of ``path``, a file path or an open binary stream, in format ``fmt``.
 
-    ``take(count)``, given the number of bits the file holds, returns how
-    many of the first ones to read; all of them by default.  A raw file is
-    sized from its header, checked against the file's size, and only the
-    payload of the bits taken is read and unpacked.
+    ``take(count)``, given the number of bits the input holds, returns how
+    many of the first ones to read; all of them by default.  ascii is read
+    whole.  A raw input is sized from its header and only the payload of the
+    bits taken is unpacked.  A file, or a stream that can seek, is checked
+    against its size before ``take`` is called and only that payload is
+    read; a stream that cannot seek is read to its end in bounded pieces,
+    after ``take``, and then checked.
     """
-    with open(path, "rb") as f:
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as f:
         if fmt != "raw":
-            bits = decode_bits(f.read(), fmt)
+            if fmt != "ascii":
+                raise ValueError(f"unknown bit file format: {fmt!r}")
+            digits = f.read().translate(None, _ASCII_WHITESPACE)
+            bad = digits.translate(None, b"01")
+            if bad:
+                raise ValueError(f"invalid bit characters: {bytes(sorted(set(bad)))!r}")
+            bits = BitString._wrap(np.frombuffer(digits.translate(_DIGITS), dtype=np.uint8))
             return bits if take is None else bits.prefix(take(len(bits)))
-        count = _raw_count(f.read(_HEADER_BYTES), os.fstat(f.fileno()).st_size)
+        size = None
+        if f.seekable():
+            start = f.tell()
+            size = f.seek(0, os.SEEK_END) - f.seek(start)
+        header = f.read(_HEADER_BYTES)
+        count = int.from_bytes(header, "little")
+        if size is not None or len(header) < _HEADER_BYTES:
+            _check_raw_size(count, len(header) if size is None else size)
         n = count if take is None else take(count)
-        payload = f.read((n + 7) // 8)
-    if 8 * len(payload) < n:  # the file shrank after it was sized
+        need = (n + 7) // 8
+        if size is not None:
+            payload = f.read(need)
+        else:  # in 64 KiB pieces: a header that overstates it allocates only what it holds
+            payload, size = bytearray(), len(header)
+            for piece in iter(lambda: f.read(1 << 16), b""):
+                payload += piece[:need - len(payload)]
+                size += len(piece)
+            _check_raw_size(count, size)
+    if 8 * len(payload) < n:  # the input shrank after it was sized
         raise ValueError(f"raw bit stream truncated: header says {count} bits")
-    return _unpack_payload(payload, n)
+    # unpackbits yields only 0 and 1 in a fresh array: no check, no copy
+    return BitString._wrap(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n))

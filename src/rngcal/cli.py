@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__, lz, sources, stats
-from .bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
+from .bits import BitString, encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
 DEFAULT_ALPHA = 0.01
@@ -110,9 +110,9 @@ def _resolve_sample(args, limit: int | None):
     """The sample named by ``--input`` or ``--source``: ``(prefix, n, label)``.
 
     ``prefix(m)`` returns its first ``m <= n`` bits.  ``n`` is ``limit``
-    capped at the bits a file holds (a source draws 2^16 bits when
+    capped at the bits the input holds (a source draws 2^16 bits when
     ``limit`` is None), checked against the full-window memory cap before
-    any bit is drawn, and before a raw file's payload is read.
+    any bit is drawn, and before a raw input's payload is read.
     """
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
@@ -135,11 +135,8 @@ def _resolve_sample(args, limit: int | None):
         return prefix, size(1 << 16 if limit is None else limit), label
     label = "stdin" if args.input == "-" else args.input
     try:
-        if args.input == "-":
-            bits = decode_bits(sys.stdin.buffer.read(), args.input_format)
-            bits = bits.prefix(size(len(bits)))
-        else:
-            bits = read_bit_file(args.input, fmt=args.input_format, take=size)
+        bits = read_bit_file(sys.stdin.buffer if args.input == "-" else args.input,
+                             fmt=args.input_format, take=size)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {label}: {exc}") from None
     return bits.prefix, len(bits), label

@@ -173,6 +173,8 @@ class _SuffixAutomaton:
     def extend(self, bits: bytes | np.ndarray) -> None:
         if self.size + len(bits) > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
+        if not len(bits):
+            return
         size = len(self.link)
         room = self.states + 2 * len(bits) + 1 - size
         if room > 0:

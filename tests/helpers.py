@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import multiprocessing
 import os
 from typing import Callable, Sequence, TypeVar
@@ -52,6 +53,13 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     chunk = max(1, len(items) // (workers * 8))
     with ctx.Pool(workers) as pool:
         return pool.map(fn, items, chunksize=chunk)
+
+
+class Pipe(io.BytesIO):
+    """A binary stream that cannot seek, as a pipe on standard input."""
+
+    def seekable(self) -> bool:
+        return False
 
 
 def random_bits(n: int, seed: int, p: float = 0.5) -> BitString:

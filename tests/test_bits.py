@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rngcal.bits import BitString, decode_bits, pack, read_bit_file, unpack, write_bit_file
+from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
+
+from helpers import Pipe
 
 
 def test_length_matches_stored_bits():
@@ -86,22 +90,46 @@ def test_immutability():
 
 def test_pack_header_is_little_endian_bit_count():
     x = BitString.from01("1" * 9)
-    raw = pack(x)
+    raw = encode_bits(x)
     assert raw[:8] == (9).to_bytes(8, "little")
     assert raw[8:] == bytes([0xFF, 0x80])  # MSB-first payload, zero padded
-    assert unpack(raw) == x
+    assert decode_bits(raw) == x
 
 
-def test_unpack_rejects_bad_streams(tmp_path):
+def test_bad_raw_streams_are_refused_from_bytes_files_and_pipes(tmp_path):
     path = tmp_path / "bad.bin"
     for data, message in [(b"\x01\x00", "too short for header: 2 bytes"),
                           ((9).to_bytes(8, "little") + b"\xff", "truncated"),
                           ((1).to_bytes(8, "little") + b"\xff\x00", "1 trailing bytes")]:
         with pytest.raises(ValueError, match=message):
-            unpack(data)
+            decode_bits(data)
         path.write_bytes(data)  # a file is sized from its header, before any bit is taken
         with pytest.raises(ValueError, match=message):
             read_bit_file(path, take=lambda count: 0)
+        with pytest.raises(ValueError, match=message):  # a pipe is drained to be sized
+            read_bit_file(Pipe(data), take=lambda count: 0)
+
+
+@pytest.mark.parametrize("stream", [io.BytesIO, Pipe], ids=["seekable", "pipe"])
+def test_a_raw_stream_is_read_from_where_it_stands(stream):
+    x = BitString(np.random.default_rng(7).integers(0, 2, 150_000, dtype=np.uint8))
+    f = stream(b"head" + encode_bits(x))
+    f.read(4)
+    counts = []
+    assert read_bit_file(f, take=lambda count: counts.append(count) or 1000) == x.prefix(1000)
+    assert counts == [len(x)]
+    assert read_bit_file(stream(encode_bits(x))) == x
+
+
+def test_a_pipe_whose_header_overstates_it_allocates_only_what_it_holds():
+    # one read of the 2^57 bytes the header promises would raise MemoryError
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as f:
+        with open(write_end, "wb") as w:
+            w.write((1 << 60).to_bytes(8, "little") + bytes(100))
+        with pytest.raises(ValueError, match=f"truncated: header says {1 << 60} bits, "
+                                             f"payload has 800$"):
+            read_bit_file(f)
 
 
 @pytest.mark.parametrize("fmt", ["raw", "ascii"])
@@ -117,7 +145,7 @@ def test_file_round_trip(tmp_path, fmt):
 
 def test_decode_bits_holds_one_byte_per_bit():
     n = 1 << 20
-    data = pack(BitString(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8)))
+    data = encode_bits(BitString(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8)))
     tracemalloc.start()
     try:
         bits = decode_bits(data)
@@ -137,7 +165,7 @@ def test_ascii_file_ignores_whitespace(tmp_path):
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_pack_unpack_identity(bits):
     x = BitString(np.array(bits, dtype=np.uint8))
-    assert unpack(pack(x)) == x
+    assert decode_bits(encode_bits(x)) == x
 
 
 def test_digest_depends_on_length_not_padding():

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 import rngcal
 from rngcal import sources, stats
-from rngcal.bits import BitString, pack, read_bit_file, unpack, write_bit_file
+from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import reference_compression_test, reference_tau_k_test
+from helpers import Pipe, reference_compression_test, reference_tau_k_test
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -287,6 +287,7 @@ def _refuse_to_draw(monkeypatch):
     ("scan", "--source", "bernoulli:0.5", "--budget", str(2 ** 24)),
     ("test", "--input", "RAW"),
     ("scan", "--input", "RAW", "--budget", str(2 ** 25)),
+    ("test", "--input", "-"),
 ])
 def test_memory_cap_is_checked_before_drawing(argv, tmp_path, monkeypatch, capsys):
     raw = tmp_path / "big.bin"  # 2^24 bits, sized from its header
@@ -297,7 +298,9 @@ def test_memory_cap_is_checked_before_drawing(argv, tmp_path, monkeypatch, capsy
 
     _refuse_to_draw(monkeypatch)
     monkeypatch.setattr(np, "unpackbits", unpack)
-    assert run_cli(*(str(raw) if a == "RAW" else a for a in argv)) == 2
+    with open(raw, "rb") as stdin:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+        assert run_cli(*(str(raw) if a == "RAW" else a for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rngcal: error: input of {2 ** 24} bits exceeds the full-window "
                           f"memory cap ({2 ** 23} bits)")
@@ -333,15 +336,20 @@ _WAIT4 = ("import os, subprocess, sys\n"
           "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n")
 
 
-def _run_child(tmp_path, *argv: str) -> tuple[int, bytes, int]:
-    """Exit status, stdout and peak RSS in bytes of ``python -m rngcal.cli argv``."""
+def _run_child(tmp_path, *argv: str, stdin=None) -> tuple[int, bytes, int]:
+    """Exit status, stdout and peak RSS in bytes of ``python -m rngcal.cli argv``.
+
+    ``stdin`` is a file to redirect standard input from, or bytes to pipe in.
+    """
     # the child imports the rngcal under test, installed or not
     src = str(Path(rngcal.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    feed = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
     with open(tmp_path / "out", "w+b") as out:
         run = subprocess.run([sys.executable, "-c", _WAIT4, sys.executable, "-m", "rngcal.cli",
-                              *argv], stdout=out, stderr=subprocess.PIPE, env=env, check=True)
+                              *argv], stdout=out, stderr=subprocess.PIPE, env=env, check=True,
+                             **feed)
         out.seek(0)
         status, peak = map(int, run.stderr.split())
         return status, out.read(), peak * 1024  # KiB on Linux
@@ -358,17 +366,25 @@ def test_full_window_test_at_the_cap_stays_within_its_bytes_per_bit(tmp_path):
 
 
 # Peak RSS, interpreter included, of a run that reads the header of a large
-# raw file and at most a few of its bits: unpacking all 2^26 took 174 MiB.
+# raw file and at most a few of its bits: unpacking all 2^26 took 174 MiB,
+# and reading all of standard input before sizing it 101 MiB.
 SIZED_READ_PEAK_BYTES = 48 << 20
 
 
-@pytest.mark.parametrize("argv,status", [((), 2), (("--max-bits", "4096"), 0)],
-                         ids=["refused", "max-bits"])
-def test_a_raw_file_is_sized_from_its_header(argv, status, tmp_path):
+@pytest.mark.parametrize("feed,argv,status", [
+    pytest.param(feed, argv, status, id=prefix + name)
+    for feed, prefix in [("path", ""), ("redirected", "stdin-"), ("piped", "pipe-")]
+    for argv, status, name in [((), 2, "refused"), (("--max-bits", "4096"), 0, "max-bits")]])
+def test_a_raw_file_is_sized_from_its_header(feed, argv, status, tmp_path):
     n = 1 << 26  # eight times the memory cap
     path = tmp_path / "big.bin"
     path.write_bytes(n.to_bytes(8, "little") + np.random.default_rng(24).bytes(n // 8))
-    got, _, peak = _run_child(tmp_path, "test", "--input", str(path), *argv)
+    with open(path, "rb") as f:
+        if feed == "path":
+            got, _, peak = _run_child(tmp_path, "test", "--input", str(path), *argv)
+        else:
+            got, _, peak = _run_child(tmp_path, "test", "--input", "-", *argv,
+                                      stdin=f if feed == "redirected" else f.read())
     assert got == status
     assert peak <= SIZED_READ_PEAK_BYTES, f"{peak / 2 ** 20:.1f} MiB"
 
@@ -406,7 +422,7 @@ def test_console_script_stdin_roundtrip(tmp_path):
         [sys.executable, "-m", "rngcal.cli", "gen", "bernoulli:0.5:seed=9",
          "--bits", "4096"],
         capture_output=True, check=True, env=env)
-    assert unpack(gen.stdout) == sample
+    assert decode_bits(gen.stdout) == sample
     test = subprocess.run(
         [sys.executable, "-m", "rngcal.cli", "test", "--input", "-"],
         input=gen.stdout, capture_output=True, env=env)
@@ -419,9 +435,10 @@ def test_help_lists_subcommands():
     assert exc.value.code == 0
 
 
-def _run_with_stdin(data: bytes, *argv: str) -> tuple[int, str]:
-    """Exit status and stdout of ``rngcal argv`` reading ``data`` from stdin."""
-    stdin = io.TextIOWrapper(io.BytesIO(data))
+def _run_with_stdin(data: bytes, *argv: str, stream=io.BytesIO) -> tuple[int, str]:
+    """Exit status and stdout of ``rngcal argv`` reading ``data`` from stdin,
+    a ``stream`` of it."""
+    stdin = io.TextIOWrapper(stream(data))
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -459,7 +476,7 @@ _ASCII_BYTES = st.lists(st.sampled_from([b"0", b"1", b" ", b"\t", b"\n", b"\r", 
                                          b"\xef\xbb\xbf", b"2", b"\x00"]),
                         max_size=300).map(b"".join)
 _RAW_BYTES = st.one_of(
-    st.lists(st.integers(0, 1), max_size=300).map(lambda b: pack(BitString(b))),
+    st.lists(st.integers(0, 1), max_size=300).map(lambda b: encode_bits(BitString(b))),
     _MALFORMED_RAW)
 
 
@@ -477,13 +494,14 @@ def test_file_and_stdin_give_the_same_result(case):
         Path(path).write_bytes(data)
         from_file = _run_with_stdin(b"", "test", "--input", path, *argv)
     from_stdin = _run_with_stdin(data, "test", "--input", "-", *argv)
+    from_pipe = _run_with_stdin(data, "test", "--input", "-", *argv, stream=Pipe)
 
     def masked(result):
         status, out = result
         out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', out)
         return status, re.sub(r'"input": "[^"]*"', '"input": "*"', out)
 
-    assert masked(from_file) == masked(from_stdin)
+    assert masked(from_file) == masked(from_stdin) == masked(from_pipe)
 
 
 @pytest.mark.parametrize("fmt", ["raw", "ascii"])

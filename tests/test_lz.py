@@ -459,6 +459,17 @@ def test_automaton_refuses_more_bits_than_int32_indexes(backend):
         assert lz._MAX_BITS == (2 ** 31 - 3) // 2
 
 
+def test_an_empty_automaton_calls_no_kernel(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lz, "_kernel", lambda: calls.append("kernel"))  # then Python loops
+    automaton = lz._SuffixAutomaton()
+    lz.PrefixCosts()
+    automaton.extend(b"")
+    assert calls == []
+    automaton.extend(bytes([0, 1]))
+    assert calls == ["kernel"]
+
+
 def _kernel_from(monkeypatch, source_dir) -> None:
     """Point ``lz`` at a copy of the kernel source in ``source_dir`` and forget
     the loaded library, so the next LZ call builds and loads it anew."""
