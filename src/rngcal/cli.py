@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import functools
 import json
 import sys
 
-from . import __version__, lz, sources, stats
+from . import __version__, sources, stats
 from .bits import BitString, encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
@@ -111,19 +110,22 @@ def _resolve_sample(args, limit: int | None):
 
     ``prefix(m)`` returns its first ``m <= n`` bits.  ``n`` is ``limit``
     capped at the bits the input holds (a source draws 2^16 bits when
-    ``limit`` is None), checked against the full-window memory cap before
-    any bit is drawn, and before a raw input's payload is read.
+    ``limit`` is None); it, or a window of it, is checked against the memory
+    cap before any bit is drawn, and before a raw input's payload is read.
     """
     if (args.source is None) == (args.input is None):
         raise CliError("exactly one of --input or --source is required")
 
     def size(count: int) -> int:
         n = count if limit is None else min(limit, count)
-        # a full-window analysis holds a suffix automaton of all n bits at once
+        # an analysis holds a suffix automaton of all the bits of a window at once
         if args.window_bits is None and n > DEFAULT_MEMORY_CAP_BITS:
             raise CliError(f"input of {n} bits exceeds the full-window memory cap "
                            f"({DEFAULT_MEMORY_CAP_BITS} bits); pass --window-bits to use "
                            f"bounded-window mode")
+        if args.window_bits is not None and min(n, args.window_bits) > DEFAULT_MEMORY_CAP_BITS:
+            raise CliError(f"window of {min(n, args.window_bits)} bits exceeds the "
+                           f"full-window memory cap ({DEFAULT_MEMORY_CAP_BITS} bits)")
         return n
 
     if args.source is not None:
@@ -142,20 +144,11 @@ def _resolve_sample(args, limit: int | None):
     return bits.prefix, len(bits), label
 
 
-def _lz77_test(window_bits: int):
-    """The bounded-window lz77 test: each block of ``window_bits`` encoded apart."""
-    code = functools.partial(lz.block_code_length, block_bits=window_bits)
-    return functools.partial(stats.compression_test, code=code)
-
-
 def _run_tests(bits: BitString, args, schedule: stats.WeightSchedule) -> stats.TestReport:
     if len(bits) < 1:
         raise CliError("input has no bits")
-    if args.window_bits is None:
-        reports = stats.PrefixScanTest(*args.tests).reports(bits, args.alpha)
-    else:
-        test = _lz77_test(args.window_bits)
-        reports = [test(bits, args.alpha) for _ in args.tests]
+    reports = stats.PrefixScanTest(*args.tests, window_bits=args.window_bits).reports(
+        bits, args.alpha)
     if len(reports) == 1:
         return reports[0]
     return stats.battery_report(reports, args.tests, args.alpha, schedule)
@@ -232,8 +225,7 @@ def cmd_scan(args) -> int:
     prefix, n, label = _resolve_sample(args, args.budget)
     if n < args.start_bits:
         raise CliError(f"input has {n} bits, fewer than the {args.start_bits} start bits")
-    runner = (stats.PrefixScanTest(args.tests[0]) if args.window_bits is None
-              else _lz77_test(args.window_bits))
+    runner = stats.PrefixScanTest(args.tests[0], window_bits=args.window_bits)
     result = stats.consistency_scan(prefix, runner, args.alpha,
                                     start_bits=args.start_bits, max_bits=n)
     if args.report == "json":

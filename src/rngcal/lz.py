@@ -480,20 +480,3 @@ def prefix_code_lengths(x: BitString) -> np.ndarray:
         out[lo:lo + len(costs)] = costs
     return out
 
-
-def block_code_length(x: BitString, block_bits: int) -> int:
-    """Bounded-memory variant: the input is split into consecutive blocks of
-    ``block_bits`` and each block is encoded independently.
-
-    Memory stays proportional to the block size, but matches cannot reach
-    across block boundaries, so the scheme loses the asymptotic guarantees
-    of the unbounded window; reports should flag results computed this way.
-    For a fixed input length the block layout is fixed, so the implied
-    codeword set is still prefix-free within each length class.
-    """
-    if block_bits < 1:
-        raise ValueError("block_bits must be >= 1")
-    total = 0
-    for start in range(0, len(x), block_bits):
-        total += code_length(x[start:start + block_bits])
-    return total

@@ -179,9 +179,9 @@ class RegimeSwitchSource(Source):
         self.segments = tuple(cleaned)
 
     def _draw(self, n: int) -> np.ndarray:
-        period = np.concatenate([np.full(length, p) for length, p in self.segments])
-        reps = -(-n // len(period))
-        p = np.tile(period, reps)[:n]
+        lengths, ps = zip(*self.segments)
+        cut = np.diff(np.minimum(np.cumsum(lengths), n), prepend=0)  # within the first n bits
+        p = np.resize(np.repeat(ps, cut), n)  # cycled: no whole period is built
         return (_rng(self.seed).random(n) < p).astype(np.uint8)
 
     def spec_string(self) -> str:

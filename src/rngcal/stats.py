@@ -27,7 +27,6 @@ from .errors import InfeasibleError
 
 P_VALUE_FLOOR = 2.0 ** -1024
 
-EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
 TEST_IDS = ("lz77", "tauk")
@@ -126,10 +125,10 @@ class ComponentResult:
 class TestReport:
     """Outcome of one test (or one combined battery) on one sample.
 
-    ``p_value_kind`` distinguishes exactly computed p-values from
-    Kraft-bound upper bounds; decisions made from upper bounds are
-    conservative.  ``detail`` carries diagnostic extras and is not part of
-    the serialized report.
+    ``p_value_kind`` is ``upper_bound`` for every report made here: a Kraft
+    bound, or a battery's ``min(p_i / w_i)``, a bound even over exact
+    ``p_i``; so decisions are conservative.  ``detail`` carries diagnostic
+    extras and is not part of the serialized report.
     """
 
     statistic_bits: float
@@ -156,13 +155,13 @@ class TestReport:
         }
 
 
-def _make_report(statistic_bits: float, p_value: float, kind: str, alpha: float,
+def _make_report(statistic_bits: float, p_value: float, alpha: float,
                  components=None, detail=None) -> TestReport:
     p = _clamp_p(p_value)
     return TestReport(
         statistic_bits=float(statistic_bits),
         p_value=p,
-        p_value_kind=kind,
+        p_value_kind=UPPER_BOUND,
         alpha=alpha,
         decision="reject" if p <= alpha else "accept",
         components=components,
@@ -193,7 +192,7 @@ def compression_test(x: BitString, alpha: float = 0.01, code=None) -> TestReport
 
 def _compression_report(n: int, clen: int, alpha: float) -> TestReport:
     statistic = n - clen
-    return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
+    return _make_report(statistic, _bound_from_bits(statistic), alpha,
                         detail={"test_id": "lz77", "code_bits": clen, "input_bits": n})
 
 
@@ -249,16 +248,16 @@ def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
     """Fold per-test reports into a single combined report.
 
     Components keep their order; weights are assigned by position.  The
-    combined statistic is the combined p-value expressed in bits.
+    combined statistic is the combined p-value expressed in bits, and its
+    kind is ``upper_bound`` whatever the components' kinds.
     """
     alpha = _check_alpha(alpha)
     if len(reports) != len(ids):
         raise ValueError("one id per report required")
     combined = battery_p_value([r.p_value for r in reports], schedule)
-    kind = EXACT if all(r.p_value_kind == EXACT for r in reports) else UPPER_BOUND
     components = [ComponentResult(i, r.statistic_bits, r.p_value)
                   for i, r in zip(ids, reports)]
-    return _make_report(-math.log2(combined), combined, kind, alpha,
+    return _make_report(-math.log2(combined), combined, alpha,
                         components=components)
 
 
@@ -302,7 +301,7 @@ def _tau_k_evidence(joint: np.ndarray, start: int) -> tuple[float, int]:
 
 def _tau_k_report(best: tuple[float, int], alpha: float) -> TestReport:
     statistic, scale = best
-    return _make_report(statistic, _bound_from_bits(statistic), UPPER_BOUND, alpha,
+    return _make_report(statistic, _bound_from_bits(statistic), alpha,
                         detail={"test_id": "tauk", "best_scale": scale,
                                 "schedule": OMEGA_STAR.name})
 
@@ -312,7 +311,7 @@ def _tau_k_report(best: tuple[float, int], alpha: float) -> TestReport:
 
 
 class PrefixScanTest:
-    """Full-window tests of a sample, or of the growing prefixes of a
+    """Tests of a sample, or of the growing prefixes of a
     :func:`consistency_scan`, from one incremental LZ pass.
 
     Each :meth:`reports` call takes a prefix that extends the previous one,
@@ -323,25 +322,47 @@ class PrefixScanTest:
     :func:`compression_test` with its default code and :func:`tau_k_test`
     are each one call of this engine.  A battery is a single call; calling
     the object is the one-test callable a scan drives.
+
+    With ``window_bits`` (bounded-window mode, lz77 only) each window of
+    that many bits has its own ``PrefixCosts``: memory follows the window,
+    but no match reaches across windows, so the test is not consistent.
+    The windows are fixed by the length, so codewords stay prefix-free.
     """
 
-    def __init__(self, *test_ids: str):
+    def __init__(self, *test_ids: str, window_bits: int | None = None):
         for test_id in test_ids:
             if test_id not in TEST_IDS:
                 raise ValueError(f"unknown test {test_id!r}")
+        if window_bits is not None and (window_bits < 1 or "tauk" in test_ids):
+            raise ValueError(f"bounded-window mode needs a window of >= 1 bit and only lz77, "
+                             f"got {window_bits} bits for {test_ids}")
         self.test_ids = test_ids
-        self._costs = lz.PrefixCosts()
+        self._window = window_bits
+        self._costs = lz.PrefixCosts()  # of the open window
+        self._closed = 0  # code length of the windows before it
+        self._start = 0   # the open window's first bit
         self._best: tuple[float, int] = (float("-inf"), 0)
 
     def reports(self, x: BitString, alpha: float) -> list[TestReport]:
         """One report per test id, in order, on ``x``."""
         alpha = _check_alpha(alpha)
-        if len(x) < 1:
+        n = len(x)
+        if n < 1:
             raise ValueError("a test needs at least one bit")
+        if self._window is not None:  # close each window that x fills
+            if n < self._start:
+                raise ValueError(f"a prefix must extend the {self._start} bits already taken in")
+            while n - self._start >= self._window:
+                end = self._start + self._window
+                self._costs.extend(x[self._start:end])
+                self._closed += self._costs.total
+                self._costs = lz.PrefixCosts()
+                self._start = end
+            x = x[self._start:]  # PrefixCosts checks only these bits against its own
         blocks = self._costs.extend(x)
         if "tauk" in self.test_ids:
             self._score(blocks)
-        return [_compression_report(len(x), self._costs.total, alpha)
+        return [_compression_report(n, self._closed + self._costs.total, alpha)
                 if test_id == "lz77" else _tau_k_report(self._best, alpha)
                 for test_id in self.test_ids]
 

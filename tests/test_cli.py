@@ -282,14 +282,21 @@ def _refuse_to_draw(monkeypatch):
     monkeypatch.setattr(sources.Source, "bits", draw)
 
 
-@pytest.mark.parametrize("argv", [
-    ("test", "--source", "bernoulli:0.5", "--max-bits", str(2 ** 24)),
-    ("scan", "--source", "bernoulli:0.5", "--budget", str(2 ** 24)),
-    ("test", "--input", "RAW"),
-    ("scan", "--input", "RAW", "--budget", str(2 ** 25)),
-    ("test", "--input", "-"),
-])
-def test_memory_cap_is_checked_before_drawing(argv, tmp_path, monkeypatch, capsys):
+_INPUT_OVER_CAP = f"input of {2 ** 24} bits"
+_WINDOW_OVER_CAP = f"window of {2 ** 24} bits"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("test", "--source", "bernoulli:0.5", "--max-bits", str(2 ** 24)), _INPUT_OVER_CAP),
+    (("scan", "--source", "bernoulli:0.5", "--budget", str(2 ** 24)), _INPUT_OVER_CAP),
+    (("test", "--input", "RAW"), _INPUT_OVER_CAP),
+    (("scan", "--input", "RAW", "--budget", str(2 ** 25)), _INPUT_OVER_CAP),
+    (("test", "--input", "-"), _INPUT_OVER_CAP),
+    (("test", "--input", "RAW", "--window-bits", str(2 ** 24)), _WINDOW_OVER_CAP),
+    (("scan", "--input", "RAW", "--budget", str(2 ** 25), "--window-bits", str(2 ** 24)),
+     _WINDOW_OVER_CAP),
+], ids=[f"argv{i}" for i in range(7)])
+def test_memory_cap_is_checked_before_drawing(argv, message, tmp_path, monkeypatch, capsys):
     raw = tmp_path / "big.bin"  # 2^24 bits, sized from its header
     raw.write_bytes((2 ** 24).to_bytes(8, "little") + bytes(2 ** 21))
 
@@ -302,7 +309,7 @@ def test_memory_cap_is_checked_before_drawing(argv, tmp_path, monkeypatch, capsy
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
         assert run_cli(*(str(raw) if a == "RAW" else a for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"rngcal: error: input of {2 ** 24} bits exceeds the full-window "
+    assert err.startswith(f"rngcal: error: {message} exceeds the full-window "
                           f"memory cap ({2 ** 23} bits)")
 
 

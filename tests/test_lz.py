@@ -657,12 +657,22 @@ def test_decode_fuzz_stays_bounded(blob, source_length):
         pass
 
 
-def test_block_code_length_bounded_mode():
+def test_bounded_window_mode_prices_each_window_apart():
     x = random_bits(4096, seed=12)
+    priced = {}
+    for window in (1, 7, 512, len(x), len(x) + 1):
+        report = stats.PrefixScanTest("lz77", window_bits=window).reports(x, 0.01)[0]
+        want = sum(lz.code_length(x[i:i + window]) for i in range(0, len(x), window))
+        assert report.detail["code_bits"] == want, window
+        assert report.statistic_bits == len(x) - want
+        priced[window] = want
     full = lz.code_length(x)
-    blocked = lz.block_code_length(x, 512)
-    expected = sum(lz.code_length(x[i:i + 512]) for i in range(0, 4096, 512))
-    assert blocked == expected
-    assert blocked >= full * 0.9  # restarting context cannot help much
-    with pytest.raises(ValueError):
-        lz.block_code_length(x, 0)
+    assert priced[len(x)] == priced[len(x) + 1] == full
+    assert priced[512] >= full * 0.9  # restarting context cannot help much
+    engine = stats.PrefixScanTest("lz77", window_bits=512)
+    engine.reports(x, 0.01)
+    with pytest.raises(ValueError, match="must extend"):  # it fills no window taken in
+        engine.reports(x.prefix(1000), 0.01)
+    for window, tests in ((0, ("lz77",)), (512, ("tauk",)), (512, ("lz77", "tauk"))):
+        with pytest.raises(ValueError):
+            stats.PrefixScanTest(*tests, window_bits=window)

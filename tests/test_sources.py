@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
 DIGEST_DUP_SEED7_4096 = (
     "aac389ce04e2f0b31c2b6b5b1a72f52a2554b8aefd3b6b68b15cfd579045ea91")
+DIGEST_REGIME_SEED7_4096 = (
+    "195385eb67a4f38979703501b1fc07230ee8da878105c8f3f7b01b005315f38a")
 
 
 def test_degenerate_probabilities():
@@ -34,6 +38,8 @@ def test_degenerate_probabilities():
 def test_pinned_digests():
     assert generate("bernoulli:0.5:seed=7", 1024).digest() == DIGEST_BERNOULLI_05_SEED7_1024
     assert generate("dup:seed=7", 4096).digest() == DIGEST_DUP_SEED7_4096
+    assert (generate("regime:100,0.2,50,0.8:seed=7", 4096).digest()
+            == DIGEST_REGIME_SEED7_4096)
 
 
 def test_same_spec_same_bits():
@@ -139,6 +145,32 @@ def test_regime_switch_segment_frequencies():
     highs = blocks[1::2].mean()
     assert abs(lows - 0.1) < 0.02
     assert abs(highs - 0.9) < 0.02
+
+
+@pytest.mark.parametrize("segments", [
+    [(1, 0.3)],
+    [(100, 0.2), (50, 0.8)],
+    [(3, 0.1), (1, 0.9), (7, 0.5), (2, 1.0)],
+    [(5000, 0.4)],
+])
+def test_regime_switch_equals_the_whole_period_construction(segments):
+    n = 3000
+    period = np.concatenate([np.full(length, p) for length, p in segments])
+    p = np.tile(period, -(-n // len(period)))[:n]
+    want = np.random.Generator(np.random.Philox(key=9)).random(n) < p
+    assert np.array_equal(RegimeSwitchSource(segments, seed=9).bits(n).array, want)
+
+
+def test_regime_switch_memory_follows_the_bits_drawn():
+    # the whole 2^25-position period would take 256 MiB of probabilities
+    source = RegimeSwitchSource([(2 ** 25, 0.5)], seed=1)
+    tracemalloc.start()
+    try:
+        source.bits(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_regime_switch_validation():

@@ -244,6 +244,15 @@ def test_battery_report_structure():
     assert combined.statistic_bits == pytest.approx(-math.log2(expected))
 
 
+def test_a_battery_of_exact_reports_is_an_upper_bound():
+    # min(p_i / w_i) is a weighted-Bonferroni bound even over exact p-values
+    exact = stats.TestReport(statistic_bits=3.0, p_value=0.125, p_value_kind="exact",
+                             alpha=0.05, decision="accept")
+    combined = stats.battery_report([exact, exact], ["a", "b"], 0.05)
+    assert combined.p_value == 0.25
+    assert combined.p_value_kind == "upper_bound"
+
+
 # ---------------------------------------------------------------------------
 # the prefix-scanning ensemble test
 
@@ -374,6 +383,46 @@ def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
         for a, b in zip(got.steps, want.steps):
             assert a.report == b.report, (test_id, a.bits)
             assert a.report.detail == b.report.detail, (test_id, a.bits)
+
+
+def _windowed_code(window: int):
+    """The bounded-window code length: each window of ``window`` bits priced apart."""
+    return lambda y: sum(lz.code_length(y[i:i + window]) for i in range(0, len(y), window))
+
+
+@pytest.mark.parametrize("start_bits,window", [(1, 256), (3, 384), (1000, 2000), (3, 700)])
+@pytest.mark.parametrize("kind", sorted(_SCAN_STREAMS))
+def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, window):
+    # every window but 700 ends on a scan step
+    x = _SCAN_STREAMS[kind]
+    code = _windowed_code(window)
+    got = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
+                                 0.01, start_bits=start_bits, max_bits=len(x),
+                                 stop_at_rejection=False)
+    want = stats.consistency_scan(
+        x.prefix, lambda y, alpha: stats.compression_test(y, alpha, code=code), 0.01,
+        start_bits=start_bits, max_bits=len(x), stop_at_rejection=False)
+    assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
+    for a, b in zip(got.steps, want.steps):
+        assert a.report == b.report, a.bits
+        assert a.report.detail == b.report.detail, a.bits
+
+
+@pytest.mark.parametrize("window", [384, 700, 1 << 20])
+def test_a_windowed_scan_puts_each_bit_through_the_automaton_once(window, monkeypatch):
+    taken = []
+    extend = lz._SuffixAutomaton.extend
+
+    def counted(self, bits):
+        taken.append(len(bits))
+        extend(self, bits)
+
+    monkeypatch.setattr(lz._SuffixAutomaton, "extend", counted)
+    x = _SCAN_STREAMS["uniform"]
+    result = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
+                                    0.01, start_bits=3, max_bits=len(x),
+                                    stop_at_rejection=False)
+    assert sum(taken) == result.steps[-1].bits == 3072
 
 
 def test_prefix_cost_reports_equal_standalone_tests():
