@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import __version__, sources, stats
-from .bits import BitString, encode_bits, read_bit_file, write_bit_file
+from .bits import encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
 DEFAULT_ALPHA = 0.01
@@ -35,44 +35,35 @@ class CliError(Exception):
     """Configuration or I/O problem; maps to exit status 2."""
 
 
-def _check_args(args) -> stats.WeightSchedule:
+def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
     """Check the options of ``test`` and ``scan`` before any input is read.
 
-    ``args.tests`` and ``args.weights`` become lists; returns the weight
-    schedule of a battery.
+    ``args.tests`` and ``args.weights`` become lists; returns the run's
+    engine and the weight schedule of a battery.  ``stats`` checks the
+    rules of the test run itself; the checks here name the CLI's own flags.
     """
     args.tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     args.weights = _parse_weights(args.weights)
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError(f"alpha must be in (0, 1), got {args.alpha}")
-    if not args.tests:
-        raise CliError("at least one test must be selected")
-    for t in args.tests:
-        if t not in stats.TEST_IDS:
-            raise CliError(f"unknown test {t!r}; available: {', '.join(stats.TEST_IDS)}")
+    stats._check_alpha(args.alpha)
+    engine = stats.PrefixScanTest(*args.tests, window_bits=args.window_bits)
     if args.command == "scan" and len(args.tests) != 1:
         raise CliError("scan drives a single test; pass exactly one --tests id")
     max_bits = getattr(args, "max_bits", None)
     if max_bits is not None and max_bits < 1:
         raise CliError(f"max bits must be >= 1, got {max_bits}")
-    if args.window_bits is not None:
-        if args.window_bits < 1:
-            raise CliError(f"window bits must be >= 1, got {args.window_bits}")
-        if any(t != "lz77" for t in args.tests):
-            raise CliError("bounded-window mode is only available for the lz77 test")
     if args.command == "scan" and (args.start_bits < 1 or args.budget < args.start_bits):
         raise CliError(f"need 1 <= start bits <= budget, got start {args.start_bits} "
                        f"and budget {args.budget}")
     if args.weights is not None:
         schedule = stats.WeightSchedule.from_weights(args.weights)
-        if len(args.tests) > max(1, len(args.weights)):
-            raise CliError(f"schedule {schedule.name!r} has no weight for "
-                           f"component {len(args.weights) + 1}")
-        return schedule
-    if args.schedule == "omega_star":
-        return stats.OMEGA_STAR
-    raise CliError(f"unknown schedule {args.schedule!r}; "
-                   f"available: omega_star (or pass --weights)")
+    elif args.schedule == "omega_star":
+        schedule = stats.OMEGA_STAR
+    else:
+        raise CliError(f"unknown schedule {args.schedule!r}; "
+                       f"available: omega_star (or pass --weights)")
+    if len(args.tests) > 1:
+        stats._battery_weights(schedule, len(args.tests))
+    return engine, schedule
 
 
 def _config(args) -> dict:
@@ -144,16 +135,6 @@ def _resolve_sample(args, limit: int | None):
     return bits.prefix, len(bits), label
 
 
-def _run_tests(bits: BitString, args, schedule: stats.WeightSchedule) -> stats.TestReport:
-    if len(bits) < 1:
-        raise CliError("input has no bits")
-    reports = stats.PrefixScanTest(*args.tests, window_bits=args.window_bits).reports(
-        bits, args.alpha)
-    if len(reports) == 1:
-        return reports[0]
-    return stats.battery_report(reports, args.tests, args.alpha, schedule)
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -210,9 +191,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    schedule = _check_args(args)
+    engine, schedule = _check_args(args)
     prefix, n, label = _resolve_sample(args, args.max_bits)
-    report = _run_tests(prefix(n), args, schedule)
+    reports = engine.reports(prefix(n), args.alpha)
+    report = (reports[0] if len(reports) == 1
+              else stats.battery_report(reports, args.tests, args.alpha, schedule))
     if args.report == "json":
         print(_json_document(report.to_dict(), args, label))
     else:
@@ -221,12 +204,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _check_args(args)
+    engine, _ = _check_args(args)
     prefix, n, label = _resolve_sample(args, args.budget)
     if n < args.start_bits:
         raise CliError(f"input has {n} bits, fewer than the {args.start_bits} start bits")
-    runner = stats.PrefixScanTest(args.tests[0], window_bits=args.window_bits)
-    result = stats.consistency_scan(prefix, runner, args.alpha,
+    result = stats.consistency_scan(prefix, engine, args.alpha,
                                     start_bits=args.start_bits, max_bits=n)
     if args.report == "json":
         payload = {

@@ -58,8 +58,6 @@ def _fmt(v: float) -> str:
 class Source:
     """Deterministic bit-stream generator; subclasses define ``_draw``."""
 
-    kind: str = "source"
-
     def __init__(self, seed: int = 0):
         self.seed = _check_integer("seed", seed)
 
@@ -84,8 +82,6 @@ class Source:
 class BernoulliSource(Source):
     """Independent bits, each 1 with probability ``p``."""
 
-    kind = "bernoulli"
-
     def __init__(self, p: float, seed: int = 0):
         super().__init__(seed)
         self.p = _check_probability("p", p)
@@ -103,8 +99,6 @@ class MarkovSource(Source):
     ``rows[s]`` is the distribution of the next bit given the current bit
     ``s``; rows must sum to 1 within 1e-12.  The initial bit is equiprobable.
     """
-
-    kind = "markov"
 
     def __init__(self, rows: Sequence[Sequence[float]], seed: int = 0):
         super().__init__(seed)
@@ -144,8 +138,6 @@ class MarkovSource(Source):
 class DriftingBiasSource(Source):
     """Ones-probability ramps linearly: ``p_i = clip(p0 + rate * i, 0, 1)``."""
 
-    kind = "drift"
-
     def __init__(self, p0: float, rate: float, seed: int = 0):
         super().__init__(seed)
         self.p0 = _check_probability("p0", p0)
@@ -154,7 +146,8 @@ class DriftingBiasSource(Source):
             raise ValueError(f"rate must be finite, got {self.rate}")
 
     def _draw(self, n: int) -> np.ndarray:
-        p = np.clip(self.p0 + self.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # clip maps the infinities to 0 or 1
+            p = np.clip(self.p0 + self.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
         return (_rng(self.seed).random(n) < p).astype(np.uint8)
 
     def spec_string(self) -> str:
@@ -163,8 +156,6 @@ class DriftingBiasSource(Source):
 
 class RegimeSwitchSource(Source):
     """Piecewise-constant bias: ``segments`` of (length, p) applied cyclically."""
-
-    kind = "regime"
 
     def __init__(self, segments: Sequence[tuple[int, float]], seed: int = 0):
         super().__init__(seed)
@@ -180,7 +171,8 @@ class RegimeSwitchSource(Source):
 
     def _draw(self, n: int) -> np.ndarray:
         lengths, ps = zip(*self.segments)
-        cut = np.diff(np.minimum(np.cumsum(lengths), n), prepend=0)  # within the first n bits
+        # within the first n bits; clipped first, so the sum fits int64
+        cut = np.diff(np.minimum(np.cumsum([min(k, n) for k in lengths]), n), prepend=0)
         p = np.resize(np.repeat(ps, cut), n)  # cycled: no whole period is built
         return (_rng(self.seed).random(n) < p).astype(np.uint8)
 
@@ -261,8 +253,6 @@ class DuplicationSource(Source):
     strength counter-based stream is the practical surrogate, so statements
     about the construction hold relative to that surrogate.
     """
-
-    kind = "dup"
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)

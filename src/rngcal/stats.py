@@ -31,10 +31,12 @@ UPPER_BOUND = "upper_bound"
 
 TEST_IDS = ("lz77", "tauk")
 
+EXACT_MAX_BITS = 24  # exact_p_value enumerates 2**n strings
+
 
 def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return float(alpha)
 
 
@@ -173,41 +175,35 @@ def _make_report(statistic_bits: float, p_value: float, alpha: float,
 # the compression test
 
 
-def compression_test(x: BitString, alpha: float = 0.01, code=None) -> TestReport:
-    """Reject uniformity when the code saves ``log2(1/alpha)`` bits or more.
+def compression_test(x: BitString, alpha: float = 0.01) -> TestReport:
+    """Reject uniformity when the LZ77 code saves ``log2(1/alpha)`` bits or more.
 
     The statistic is ``len(x) - code_length(x)``; ``2**-statistic`` is an
     upper bound on the p-value by the Kraft counting argument, so the
-    reported p-value has kind ``upper_bound``.  With the LZ77 code, the
-    default, this is one step of :class:`PrefixScanTest`; another ``code``
-    prices ``x`` as a whole.
+    reported p-value has kind ``upper_bound``.  One step of
+    :class:`PrefixScanTest`.
     """
-    if code is None:
-        return PrefixScanTest("lz77").reports(x, alpha)[0]
-    alpha = _check_alpha(alpha)
-    if len(x) < 1:
-        raise ValueError("compression test needs at least one bit")
-    return _compression_report(len(x), int(code(x)), alpha)
+    return PrefixScanTest("lz77").reports(x, alpha)[0]
 
 
 def _compression_report(n: int, clen: int, alpha: float) -> TestReport:
+    """The report of ``n`` bits priced at ``clen`` by a prefix-free code."""
     statistic = n - clen
     return _make_report(statistic, _bound_from_bits(statistic), alpha,
                         detail={"test_id": "lz77", "code_bits": clen, "input_bits": n})
 
 
-def exact_p_value(x: BitString, tau: Callable[[BitString], float],
-                  max_bits: int = 24) -> float:
+def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
     """Exact p-value of statistic ``tau`` at ``x`` by full enumeration.
 
     Counts the n-bit strings whose statistic is at least ``tau(x)`` (ties
-    count).  Enumeration is guarded at ``max_bits`` since the cost is 2**n
-    statistic evaluations.
+    count).  Enumeration is guarded at ``EXACT_MAX_BITS`` since the cost is
+    2**n statistic evaluations.
     """
     n = len(x)
-    if n > max_bits:
+    if n > EXACT_MAX_BITS:
         raise InfeasibleError(
-            f"exact enumeration over 2**{n} strings exceeds the {max_bits}-bit guard")
+            f"exact enumeration over 2**{n} strings exceeds the {EXACT_MAX_BITS}-bit guard")
     observed = tau(x)
     count = 0
     for value in range(1 << n):
@@ -218,6 +214,15 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float],
 
 # ---------------------------------------------------------------------------
 # batteries
+
+
+def _battery_weights(schedule: WeightSchedule, k: int) -> list[float]:
+    """The weights of a battery's ``k`` components; each must be positive."""
+    weights = schedule.weights(k).tolist()
+    for i, w in enumerate(weights, start=1):
+        if w <= 0.0:
+            raise ValueError(f"schedule {schedule.name!r} has no weight for component {i}")
+    return weights
 
 
 def battery_p_value(component_p_values: Sequence[float],
@@ -234,13 +239,8 @@ def battery_p_value(component_p_values: Sequence[float],
     for p in pvals:
         if not 0.0 < p <= 1.0:
             raise ValueError(f"component p-values must be in (0, 1], got {p}")
-    ratios = []
-    for i, (p, w) in enumerate(zip(pvals, schedule.weights(len(pvals)).tolist()), start=1):
-        if w <= 0.0:
-            raise ValueError(
-                f"schedule {schedule.name!r} has no weight for component {i}")
-        ratios.append(p / w)
-    return _clamp_p(min(ratios))
+    weights = _battery_weights(schedule, len(pvals))
+    return _clamp_p(min(p / w for p, w in zip(pvals, weights)))
 
 
 def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
@@ -319,9 +319,9 @@ class PrefixScanTest:
     prefix: ``lz77`` as ``m - total``, ``tauk`` as a running maximum of the
     evidence over the new scales only, scored on each block of prefix
     costs as it is priced (the first maximum wins ties).
-    :func:`compression_test` with its default code and :func:`tau_k_test`
-    are each one call of this engine.  A battery is a single call; calling
-    the object is the one-test callable a scan drives.
+    :func:`compression_test` and :func:`tau_k_test` are each one call of
+    this engine.  A battery is a single call; calling the object is the
+    one-test callable a scan drives.
 
     With ``window_bits`` (bounded-window mode, lz77 only) each window of
     that many bits has its own ``PrefixCosts``: memory follows the window,
@@ -330,12 +330,16 @@ class PrefixScanTest:
     """
 
     def __init__(self, *test_ids: str, window_bits: int | None = None):
+        if not test_ids:
+            raise ValueError("at least one test must be selected")
         for test_id in test_ids:
             if test_id not in TEST_IDS:
-                raise ValueError(f"unknown test {test_id!r}")
-        if window_bits is not None and (window_bits < 1 or "tauk" in test_ids):
-            raise ValueError(f"bounded-window mode needs a window of >= 1 bit and only lz77, "
-                             f"got {window_bits} bits for {test_ids}")
+                raise ValueError(f"unknown test {test_id!r}; available: {', '.join(TEST_IDS)}")
+        if window_bits is not None:
+            if window_bits < 1:
+                raise ValueError(f"window bits must be >= 1, got {window_bits}")
+            if "tauk" in test_ids:
+                raise ValueError("bounded-window mode is only available for the lz77 test")
         self.test_ids = test_ids
         self._window = window_bits
         self._costs = lz.PrefixCosts()  # of the open window
@@ -348,7 +352,7 @@ class PrefixScanTest:
         alpha = _check_alpha(alpha)
         n = len(x)
         if n < 1:
-            raise ValueError("a test needs at least one bit")
+            raise ValueError("input has no bits")
         if self._window is not None:  # close each window that x fills
             if n < self._start:
                 raise ValueError(f"a prefix must extend the {self._start} bits already taken in")

@@ -181,7 +181,7 @@ def reference_compression_test(x: BitString, alpha: float) -> stats.TestReport:
     """``stats.compression_test(x, alpha)`` priced by the scalar
     ``lz.code_length``, one build and one walk of the whole sample; the
     reference for the engine's incremental pricing."""
-    return stats.compression_test(x, alpha, code=lz.code_length)
+    return stats._compression_report(len(x), lz.code_length(x), stats._check_alpha(alpha))
 
 
 def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:

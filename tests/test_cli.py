@@ -313,6 +313,13 @@ def test_memory_cap_is_checked_before_drawing(argv, message, tmp_path, monkeypat
                           f"memory cap ({2 ** 23} bits)")
 
 
+def _raised(call) -> str:
+    """The ``ValueError`` text that ``call()`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
 @pytest.mark.parametrize("argv,message", [
     (("test", "--max-bits", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
@@ -321,13 +328,31 @@ def test_memory_cap_is_checked_before_drawing(argv, message, tmp_path, monkeypat
     (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
     (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
      "schedule 'custom' has no weight for component 2"),
+    # rules of the test run itself: the CLI prints what stats raises
+    pytest.param(("test", "--max-bits", "4096", "--tests", "bogus"),
+                 lambda: stats.PrefixScanTest("bogus"), id="unknown-test"),
+    pytest.param(("scan", "--budget", "4096", "--tests", ","),
+                 lambda: stats.PrefixScanTest(), id="no-test"),
+    pytest.param(("test", "--max-bits", "4096", "--window-bits", "0"),
+                 lambda: stats.PrefixScanTest("lz77", window_bits=0), id="window-0"),
+    pytest.param(("scan", "--budget", "4096", "--tests", "tauk", "--window-bits", "8"),
+                 lambda: stats.PrefixScanTest("tauk", window_bits=8), id="window-tauk"),
+    pytest.param(("test", "--max-bits", "4096", "--alpha", "1.5"),
+                 lambda: stats.compression_test(BitString.zeros(8), 1.5), id="alpha"),
+    pytest.param(("test", "--max-bits", "4096", "--tests", "lz77,lz77", "--weights", "0.5"),
+                 lambda: stats.battery_p_value([0.5, 0.5],
+                                               stats.WeightSchedule.from_weights([0.5])),
+                 id="battery-weights"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
     _refuse_to_draw(monkeypatch)
     assert run_cli(*argv, "--source", "bernoulli:0.5:seed=1", "--report", "json") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"rngcal: error: {message}")
+    if callable(message):
+        assert captured.err == f"rngcal: error: {_raised(message)}\n"
+    else:
+        assert captured.err.startswith(f"rngcal: error: {message}")
 
 
 # Peak RSS of a full-window test at the memory cap, interpreter included, in
@@ -409,14 +434,25 @@ def test_scan_cap_counts_the_bits_a_file_holds(tmp_path, capsys):
 def test_scan_of_a_file_shorter_than_start_bits_is_an_error(window, tmp_path, capsys):
     path = tmp_path / "short.bin"
     run_cli("gen", "bernoulli:0.0:seed=1", "--bits", "500", "--output", str(path))
-    with mock.patch.object(stats, "PrefixScanTest") as engine, \
+    with mock.patch.object(stats.PrefixScanTest, "reports") as analysis, \
             mock.patch.object(stats, "compression_test") as test:
         assert run_cli("scan", "--input", str(path), *window) == 2
-    assert not engine.called and not test.called
+    assert not analysis.called and not test.called
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("rngcal: error: input has 500 bits, fewer than "
                             "the 1024 start bits\n")
+
+
+@pytest.mark.parametrize("fmt,data", [("raw", bytes(8)), ("ascii", b" \n")])
+@pytest.mark.parametrize("argv", [(), ("--tests", "lz77,tauk"), ("--window-bits", "8")])
+def test_an_input_with_no_bits_is_an_error(fmt, data, argv, tmp_path, capsys):
+    path = tmp_path / "empty"
+    path.write_bytes(data)
+    assert run_cli("test", "--input", str(path), "--input-format", fmt, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rngcal: error: input has no bits\n"
 
 
 def test_console_script_stdin_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,14 @@ def test_drifting_bias_clips():
     assert x.array[-100:].mean() == 1.0  # ramp saturates at probability 1
 
 
+@pytest.mark.parametrize("rate,bit", [(1e308, 1), (-1e308, 0)])
+def test_drifting_bias_overflow_is_clipped_silently(rate, bit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = DriftingBiasSource(0.5, rate, seed=3).bits(64)
+    assert x.array[1:].tolist() == [bit] * 63  # p is 0 or 1 from the second bit on
+
+
 def test_regime_switch_segment_frequencies():
     src = RegimeSwitchSource([(1000, 0.1), (1000, 0.9)], seed=8)
     x = src.bits(2 * 10 ** 5).array
@@ -159,6 +168,16 @@ def test_regime_switch_equals_the_whole_period_construction(segments):
     p = np.tile(period, -(-n // len(period)))[:n]
     want = np.random.Generator(np.random.Philox(key=9)).random(n) < p
     assert np.array_equal(RegimeSwitchSource(segments, seed=9).bits(n).array, want)
+
+
+@pytest.mark.parametrize("spec", [
+    "regime:4611686018427387904,0.5,4611686018427387904,0.9,64,0.1:seed=1",
+    "regime:9e18,0.5,9e18,0.2:seed=1",
+    "regime:1e300,0.5:seed=1",
+])
+def test_regime_switch_lengths_past_int64(spec):
+    # the first 64 bits lie in the first segment
+    assert generate(spec, 64) == generate("regime:64,0.5:seed=1", 64)
 
 
 def test_regime_switch_memory_follows_the_bits_drawn():

@@ -27,7 +27,7 @@ DUP_SCAN_FIRST_REJECTION = 131072
 
 def test_no_compression_no_evidence():
     x = random_bits(64, seed=0)
-    report = stats.compression_test(x, 0.5, code=lambda b: len(b))  # tau = 0
+    report = stats._compression_report(len(x), len(x), 0.5)  # tau = 0
     assert report.p_value == 1.0
     assert not report.rejected
 
@@ -35,8 +35,8 @@ def test_no_compression_no_evidence():
 def test_threshold_is_log2_inverse_alpha():
     # at alpha = 0.01 rejection needs ceil(log2 100) = 7 whole bits saved
     x = random_bits(128, seed=1)
-    saved6 = stats.compression_test(x, 0.01, code=lambda b: len(b) - 6)
-    saved7 = stats.compression_test(x, 0.01, code=lambda b: len(b) - 7)
+    saved6 = stats._compression_report(len(x), len(x) - 6, 0.01)
+    saved7 = stats._compression_report(len(x), len(x) - 7, 0.01)
     assert not saved6.rejected and saved6.p_value == 2.0 ** -6
     assert saved7.rejected and saved7.p_value == 2.0 ** -7
 
@@ -45,7 +45,7 @@ def test_reject_iff_p_at_most_alpha():
     x = random_bits(100, seed=2)
     for saved in range(-3, 12):
         for alpha in (0.5, 0.1, 0.01):
-            r = stats.compression_test(x, alpha, code=lambda b, s=saved: len(b) - s)
+            r = stats._compression_report(len(x), len(x) - saved, alpha)
             assert r.rejected == (r.p_value <= alpha)
 
 
@@ -61,11 +61,10 @@ def test_p_value_floor():
 
 
 def test_compression_test_validates_input():
-    for code in (None, len):  # the engine, and a code of the caller's
-        with pytest.raises(ValueError):
-            stats.compression_test(BitString(), 0.01, code=code)
-        with pytest.raises(ValueError):
-            stats.compression_test(BitString.from01("01"), 1.5, code=code)
+    with pytest.raises(ValueError, match="input has no bits"):
+        stats.compression_test(BitString(), 0.01)
+    with pytest.raises(ValueError):
+        stats.compression_test(BitString.from01("01"), 1.5)
 
 
 _PARITY_SOURCES = {
@@ -400,7 +399,7 @@ def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, wi
                                  0.01, start_bits=start_bits, max_bits=len(x),
                                  stop_at_rejection=False)
     want = stats.consistency_scan(
-        x.prefix, lambda y, alpha: stats.compression_test(y, alpha, code=code), 0.01,
+        x.prefix, lambda y, alpha: stats._compression_report(len(y), code(y), alpha), 0.01,
         start_bits=start_bits, max_bits=len(x), stop_at_rejection=False)
     assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
     for a, b in zip(got.steps, want.steps):
@@ -510,8 +509,9 @@ def test_prefix_scan_test_refuses_a_prefix_it_has_not_seen():
         runner(random_bits(64, seed=10), 0.01)
     with pytest.raises(ValueError, match="extend"):
         runner(x.prefix(16), 0.01)
-    with pytest.raises(ValueError):
-        stats.PrefixScanTest("nope")
+    for ids in (("nope",), ()):
+        with pytest.raises(ValueError):
+            stats.PrefixScanTest(*ids)
 
 
 def test_scan_validates_arguments():
