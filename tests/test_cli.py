@@ -339,10 +339,6 @@ def _raised(call) -> str:
                  lambda: stats.PrefixScanTest("tauk", window_bits=8), id="window-tauk"),
     pytest.param(("test", "--max-bits", "4096", "--alpha", "1.5"),
                  lambda: stats.compression_test(BitString.zeros(8), 1.5), id="alpha"),
-    pytest.param(("test", "--max-bits", "4096", "--tests", "lz77,lz77", "--weights", "0.5"),
-                 lambda: stats.battery_p_value([0.5, 0.5],
-                                               stats.WeightSchedule.from_weights([0.5])),
-                 id="battery-weights"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
     _refuse_to_draw(monkeypatch)
