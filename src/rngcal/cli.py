@@ -92,7 +92,7 @@ def _apply_seed(spec: str, seed: int | None) -> str:
     sources.parse_source_spec(spec)
     if seed is None:
         return spec
-    base = spec.split(":seed=")[0]
+    base = spec.strip().split(":seed=")[0]
     return f"{base}:seed={seed}"
 
 

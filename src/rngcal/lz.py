@@ -178,13 +178,16 @@ class _SuffixAutomaton:
         size = len(self.link)
         room = self.states + 2 * len(bits) + 1 - size
         if room > 0:
-            # Copy into a new column of the exact size: no temporary and no
-            # slack (``array.extend`` adds a sixteenth).  Growing by at least
-            # an eighth keeps short extensions amortized.
+            # Grow each column in place, a bounded fill piece at a time, so no
+            # old column is held beside its new one; the slack ``extend`` adds
+            # is never written, so it is not resident.  Growing by at least an
+            # eighth keeps short extensions amortized.
+            grow = max(room, size >> 3)
+            fill = array("i", [-1]) * min(grow, _BLOCK)
             for name in self.__slots__[:5]:
-                column = array("i", [-1]) * (size + max(room, size >> 3))
-                column[:size] = getattr(self, name)
-                setattr(self, name, column)
+                column = getattr(self, name)
+                for done in range(0, grow, _BLOCK):
+                    column.extend(fill[:grow - done])
         next0, next1, link, length, first = (self.next0, self.next1, self.link,
                                              self.length, self.first)
         kernel = _kernel()
@@ -420,7 +423,7 @@ class PrefixCosts:
     """
 
     def __init__(self):
-        self._automaton = _SuffixAutomaton()
+        self._automaton = None  # built from the first bits, at their size
         self._bits = np.empty(0, dtype=np.uint8)  # the bits taken in
         self.total = 0
         self._open = 0    # start of the open factor
@@ -443,7 +446,10 @@ class PrefixCosts:
         # Nothing writes to a BitString's array, so the bits of ``x`` are
         # kept as they are; only a strided view is copied.
         self._bits = bits = np.ascontiguousarray(x.array)
-        self._automaton.extend(bits[k:])
+        if k:
+            self._automaton.extend(bits[k:])
+        else:
+            self._automaton = _SuffixAutomaton(bits)
         n = len(bits)
         first = self._open
         bounds, _, widths = _factorize(bits, self._automaton, first)

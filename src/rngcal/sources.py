@@ -20,6 +20,7 @@ long-window compressor detects.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .bits import BitString
 
 _SPEC_KINDS = ("bernoulli", "markov", "drift", "regime", "dup")
+_PIECE = 2 ** 16  # uniforms drawn at a time: 512 KiB of float64
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -51,32 +53,34 @@ def _check_integer(name: str, v) -> int:
     return i
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 class Source:
-    """Deterministic bit-stream generator; subclasses define ``_draw``."""
+    """Deterministic bit-stream generator; subclasses define ``_bits``."""
 
     def __init__(self, seed: int = 0):
         self.seed = _check_integer("seed", seed)
 
     def bits(self, n: int) -> BitString:
-        """First ``n`` bits of the stream."""
+        """First ``n`` bits of the stream.
+
+        The seed's Philox uniforms are drawn ``_PIECE`` at a time, one per
+        bit; consecutive ``random`` calls continue one stream, so the bits do
+        not depend on the piece size.
+        """
         if n < 0:
             raise ValueError(f"bit count must be >= 0, got {n}")
-        if n == 0:
-            return BitString()
-        return BitString(self._draw(n))
+        rng = _rng(self.seed)
+        out = np.empty(n, dtype=np.uint8)
+        prev = None
+        for lo in range(0, n, _PIECE):
+            hi = min(lo + _PIECE, n)
+            out[lo:hi] = self._bits(rng.random(hi - lo), lo, prev)
+            prev = out[hi - 1]
+        return BitString._wrap(out)
 
-    def _draw(self, n: int) -> np.ndarray:
+    def _bits(self, u: np.ndarray, lo: int, prev) -> np.ndarray:
+        """Bits ``lo .. lo + len(u)`` from their uniforms ``u``; ``prev`` is
+        bit ``lo - 1``, None for the first piece."""
         raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec_string()!r})"
 
 
 class BernoulliSource(Source):
@@ -86,11 +90,8 @@ class BernoulliSource(Source):
         super().__init__(seed)
         self.p = _check_probability("p", p)
 
-    def _draw(self, n: int) -> np.ndarray:
-        return (_rng(self.seed).random(n) < self.p).astype(np.uint8)
-
-    def spec_string(self) -> str:
-        return f"bernoulli:{_fmt(self.p)}:seed={self.seed}"
+    def _bits(self, u, lo, prev):
+        return u < self.p
 
 
 class MarkovSource(Source):
@@ -112,27 +113,24 @@ class MarkovSource(Source):
             raise ValueError(f"transition matrix rows must sum to 1, got {sums}")
         self.rows = m
 
-    def _draw(self, n: int) -> np.ndarray:
-        # Bit i is 1 when u[i] < P(next=1 | bit i-1), bit 0 when u[0] < 1/2: 1 below
-        # both thresholds, 0 above both, and between them a copy of the previous
-        # bit if P11 > P01, its flip otherwise.
-        u = _rng(self.seed).random(n)
+    def _bits(self, u, lo, prev):
+        # Bit i is 1 when u[i] < P(next=1 | bit i-1), the piece's first bit when
+        # it is below the threshold of ``prev`` (1/2 for the stream's first): 1
+        # below both thresholds, 0 above both, and between them a copy of the
+        # previous bit if P11 > P01, its flip otherwise.
+        m = len(u)
         p01, p11 = self.rows[0, 1], self.rows[1, 1]
-        lo, hi = sorted((p01, p11))
-        fixed = (u < lo) | (u >= hi)
-        value = (u < lo).view(np.uint8)
-        fixed[0], value[0] = True, u[0] < 0.5
-        last = np.where(fixed, np.arange(n), 0)
+        low, high = sorted((p01, p11))
+        fixed = (u < low) | (u >= high)
+        value = (u < low).view(np.uint8)
+        fixed[0], value[0] = True, u[0] < (0.5 if prev is None else self.rows[prev, 1])
+        last = np.where(fixed, np.arange(m), 0)
         np.maximum.accumulate(last, out=last)
         out = value[last]
         if p11 < p01:
-            last -= np.arange(n)
+            last -= np.arange(m)
             out ^= (last & 1).astype(np.uint8)
         return out
-
-    def spec_string(self) -> str:
-        vals = ",".join(_fmt(v) for v in self.rows.reshape(-1))
-        return f"markov:{vals}:seed={self.seed}"
 
 
 class DriftingBiasSource(Source):
@@ -145,13 +143,10 @@ class DriftingBiasSource(Source):
         if not np.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate}")
 
-    def _draw(self, n: int) -> np.ndarray:
+    def _bits(self, u, lo, prev):
+        i = np.arange(lo, lo + len(u), dtype=np.float64)
         with np.errstate(over="ignore"):  # clip maps the infinities to 0 or 1
-            p = np.clip(self.p0 + self.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
-        return (_rng(self.seed).random(n) < p).astype(np.uint8)
-
-    def spec_string(self) -> str:
-        return f"drift:{_fmt(self.p0)},{_fmt(self.rate)}:seed={self.seed}"
+            return u < np.clip(self.p0 + self.rate * i, 0.0, 1.0)
 
 
 class RegimeSwitchSource(Source):
@@ -168,17 +163,24 @@ class RegimeSwitchSource(Source):
                 raise ValueError(f"segment lengths must be >= 1, got {length}")
             cleaned.append((length, _check_probability("segment p", p)))
         self.segments = tuple(cleaned)
-
-    def _draw(self, n: int) -> np.ndarray:
         lengths, ps = zip(*self.segments)
-        # within the first n bits; clipped first, so the sum fits int64
-        cut = np.diff(np.minimum(np.cumsum([min(k, n) for k in lengths]), n), prepend=0)
-        p = np.resize(np.repeat(ps, cut), n)  # cycled: no whole period is built
-        return (_rng(self.seed).random(n) < p).astype(np.uint8)
+        self._ends = list(itertools.accumulate(lengths))  # Python ints: may pass int64
+        self._ps = np.array(ps)
 
-    def spec_string(self) -> str:
-        vals = ",".join(f"{length},{_fmt(p)}" for length, p in self.segments)
-        return f"regime:{vals}:seed={self.seed}"
+    def _bits(self, u, lo, prev):
+        # one run of the period from bit lo's position on, wrapping to 0, at
+        # most a piece long; resize cycles it over the piece
+        period = self._ends[-1]
+        start = lo % period
+        stop = start + min(period, len(u))
+        wrap = max(0, stop - period)
+        return u < np.resize(np.concatenate((self._bias(start, stop - wrap),
+                                             self._bias(0, wrap))), len(u))
+
+    def _bias(self, a: int, b: int) -> np.ndarray:
+        """Bias of positions ``a .. b`` of the period, ``0 <= a <= b <= period``."""
+        cut = np.diff([min(max(end, a), b) for end in self._ends], prepend=a)  # clipped: int64
+        return np.repeat(self._ps, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -212,38 +214,25 @@ def required_base_length(n: int) -> int:
     return 0
 
 
-def duplication_construction(base, n: int) -> BitString:
-    """First ``n`` bits of ``u_0 u_0 u_1 u_1 u_2 u_2 ...`` over ``base``.
-
-    ``base`` may be a :class:`BitString` (long enough to cover the needed
-    blocks) or a :class:`Source` from which exactly the needed prefix is
-    drawn.
-    """
-    if n < 0:
-        raise ValueError(f"bit count must be >= 0, got {n}")
+def duplication_construction(base: BitString, n: int) -> BitString:
+    """First ``n`` bits of ``u_0 u_0 u_1 u_1 u_2 u_2 ...`` over ``base``,
+    which must hold at least ``required_base_length(n)`` bits."""
     need = required_base_length(n)
-    if isinstance(base, Source):
-        base_bits = base.bits(need)
-    elif isinstance(base, BitString):
-        if len(base) < need:
-            raise ValueError(
-                f"base sequence has {len(base)} bits; {need} are required "
-                f"for {n} output bits")
-        base_bits = base
-    else:
-        raise TypeError("base must be a BitString or a Source")
-    arr = base_bits.array
-    parts = []
+    if len(base) < need:
+        raise ValueError(f"base sequence has {len(base)} bits; {need} are required "
+                         f"for {n} output bits")
+    arr = base.array
+    out = np.empty(n, dtype=np.uint8)
     emitted = 0
     k = 0
     while emitted < n:
         start, end = block_span(k)
-        u = arr[start:min(end, len(arr))]
-        parts.append(u)
-        parts.append(u)
-        emitted += 2 * len(u)
+        for _ in range(2):
+            m = min(end - start, n - emitted)
+            out[emitted:emitted + m] = arr[start:start + m]
+            emitted += m
         k += 1
-    return BitString(np.concatenate(parts)[:n])
+    return BitString._wrap(out)
 
 
 class DuplicationSource(Source):
@@ -258,11 +247,8 @@ class DuplicationSource(Source):
         super().__init__(seed)
         self._base = BernoulliSource(0.5, seed=seed)
 
-    def _draw(self, n: int) -> np.ndarray:
-        return duplication_construction(self._base, n).array
-
-    def spec_string(self) -> str:
-        return f"dup:seed={self.seed}"
+    def bits(self, n: int) -> BitString:
+        return duplication_construction(self._base.bits(required_base_length(n)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ UPPER_BOUND = "upper_bound"
 TEST_IDS = ("lz77", "tauk")
 
 EXACT_MAX_BITS = 24  # exact_p_value enumerates 2**n strings
+_EXACT_ROWS = 1 << 12  # strings exact_p_value unpacks at a time, 32 B each
 
 
 def _check_alpha(alpha: float) -> float:
@@ -206,9 +207,14 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
             f"exact enumeration over 2**{n} strings exceeds the {EXACT_MAX_BITS}-bit guard")
     observed = tau(x)
     count = 0
-    for value in range(1 << n):
-        if tau(BitString.from_int(value, n)) >= observed:
-            count += 1
+    for lo in range(0, 1 << n, _EXACT_ROWS):
+        # the n-bit rows of consecutive integers, big-endian: the low n bits
+        # of each integer's four bytes
+        values = np.arange(lo, min(lo + _EXACT_ROWS, 1 << n), dtype=">u4")
+        rows = np.unpackbits(values.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
+        for row in rows:
+            if tau(BitString._wrap(row)) >= observed:
+                count += 1
     return count / float(1 << n)
 
 

@@ -201,7 +201,7 @@ def all_bitstrings(n: int):
 
 
 def reference_markov_bits(source, n: int) -> np.ndarray:
-    """``MarkovSource._draw(n)`` by the per-bit chain walk it replaces: bit i
+    """``MarkovSource.bits(n)`` by the per-bit chain walk it replaces: bit i
     is 1 when the i-th uniform is below P(next=1 | bit i-1), the first bit
     when it is below 1/2."""
     u = sources._rng(source.seed).random(n).tolist()

@@ -73,6 +73,20 @@ def test_gen_seed_override_keeps_a_bad_spec_bad(capsys):
         assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "SPEC", "--bits", "64", "--format", "ascii"),
+    ("test", "--source", "SPEC", "--max-bits", "1024"),
+    ("scan", "--source", "SPEC", "--budget", "2048"),
+], ids=["gen", "test", "scan"])
+def test_seed_override_of_a_spec_in_whitespace(argv, capsys):
+    # the spec parses stripped, and --seed replaces the seed of the stripped spec
+    for spec in ("dup ", " dup:seed=3\t"):
+        assert run_cli(*(spec if a == "SPEC" else a for a in argv), "--seed", "5") == 0
+        with_seed = capsys.readouterr()
+        assert run_cli(*("dup:seed=5" if a == "SPEC" else a for a in argv)) == 0
+        assert with_seed == capsys.readouterr()
+
+
 def test_gen_to_a_text_only_stdout():
     argv = ["gen", "bernoulli:0.5:seed=1", "--bits", "8"]
     out, err = io.StringIO(), io.StringIO()

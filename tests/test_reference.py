@@ -169,3 +169,18 @@ def test_p_value_table_agrees_with_per_string_enumeration():
     for x in all_bitstrings(n):
         assert table[x.to_int()] == pytest.approx(stats.exact_p_value(x, tau),
                                                   abs=0.0), x.to01()
+
+
+def test_exact_p_value_enumerates_every_string_across_row_blocks():
+    n = 14  # 2^14 strings: four blocks of rows
+    seen = []
+
+    def tau(y):
+        seen.append(y.to_int())
+        return seen[-1] * 2654435761 % 97
+
+    table = reference.exhaustive_p_values(tau, n)
+    for v in (0, 4095, 4096, 12345, (1 << n) - 1):
+        seen.clear()
+        assert stats.exact_p_value(BitString.from_int(v, n), tau) == table[v], v
+        assert seen == [v] + list(range(1 << n))

@@ -29,6 +29,19 @@ DIGEST_DUP_SEED7_4096 = (
     "aac389ce04e2f0b31c2b6b5b1a72f52a2554b8aefd3b6b68b15cfd579045ea91")
 DIGEST_REGIME_SEED7_4096 = (
     "195385eb67a4f38979703501b1fc07230ee8da878105c8f3f7b01b005315f38a")
+# 2^22 bits: 64 pieces of uniforms
+DIGESTS_2_22 = {
+    "bernoulli:0.5:seed=1":
+        "413101f6af71afe82eb7e0d0841d8468126d4785179f4565b98a8cf274bcd7a9",
+    "markov:0.9,0.1,0.2,0.8:seed=1":
+        "a5657465a2835ab1488083c3d8fad8a13469fa0b8f5f491538332b74a70bfed8",
+    "drift:0.5,1e-08:seed=1":
+        "f87964207f40c049a1f1a1a33795c7e45c860cad99c0392e36cd70d329f550c0",
+    "regime:262144,0.5,262144,0.4:seed=1":
+        "d264bce96e00588235e837ed1ab0344833fb9de840db1f27c9f4228f5b6223a4",
+    "dup:seed=1":
+        "1048f866943e10adc265f4b60f963d72816f50ebf9f3fab189b9492ab6d937d6",
+}
 
 
 def test_degenerate_probabilities():
@@ -43,6 +56,11 @@ def test_pinned_digests():
             == DIGEST_REGIME_SEED7_4096)
 
 
+@pytest.mark.parametrize("spec", DIGESTS_2_22)
+def test_pinned_digests_at_2_22_bits(spec):
+    assert generate(spec, 1 << 22).digest() == DIGESTS_2_22[spec]
+
+
 def test_same_spec_same_bits():
     a = BernoulliSource(0.3, seed=42).bits(4096)
     b = BernoulliSource(0.3, seed=42).bits(4096)
@@ -51,28 +69,61 @@ def test_same_spec_same_bits():
     assert a != c
 
 
-ALL_SOURCES = [
-    BernoulliSource(0.5, seed=5),
-    BernoulliSource(0.1, seed=5),
-    MarkovSource([[0.7, 0.3], [0.4, 0.6]], seed=5),
-    DriftingBiasSource(0.5, 1e-5, seed=5),
-    RegimeSwitchSource([(100, 0.2), (50, 0.8)], seed=5),
-    DuplicationSource(seed=5),
-]
+ALL_SOURCES = {
+    "bernoulli:0.5:seed=5": BernoulliSource(0.5, seed=5),
+    "bernoulli:0.1:seed=5": BernoulliSource(0.1, seed=5),
+    "markov:0.7,0.3,0.4,0.6:seed=5": MarkovSource([[0.7, 0.3], [0.4, 0.6]], seed=5),
+    "drift:0.5,1e-05:seed=5": DriftingBiasSource(0.5, 1e-5, seed=5),
+    "regime:100,0.2,50,0.8:seed=5": RegimeSwitchSource([(100, 0.2), (50, 0.8)], seed=5),
+    "dup:seed=5": DuplicationSource(seed=5),
+}
 
 
-@pytest.mark.parametrize("source", ALL_SOURCES, ids=lambda s: s.spec_string())
+@pytest.mark.parametrize("source", ALL_SOURCES.values(), ids=ALL_SOURCES)
 def test_prefix_consistency(source):
     long = source.bits(3000)
     for n in (0, 1, 17, 512, 2999):
         assert source.bits(n) == long.prefix(n)
 
 
-@pytest.mark.parametrize("source", ALL_SOURCES, ids=lambda s: s.spec_string())
-def test_spec_string_round_trip(source):
-    rebuilt = parse_source_spec(source.spec_string())
-    assert rebuilt.spec_string() == source.spec_string()
-    assert rebuilt.bits(256) == source.bits(256)
+@pytest.mark.parametrize("spec,source", ALL_SOURCES.items(), ids=ALL_SOURCES)
+def test_spec_string_round_trip(spec, source):
+    # the spec string names the source: same type, seed and bits
+    parsed = parse_source_spec(spec)
+    assert type(parsed) is type(source) and parsed.seed == source.seed
+    assert parsed.bits(256) == source.bits(256)
+
+
+def _one_draw(source, n: int) -> np.ndarray:
+    """``source.bits(n)`` from one whole-length draw of its uniforms."""
+    if isinstance(source, MarkovSource):
+        return reference_markov_bits(source, n)
+    if isinstance(source, DuplicationSource):
+        base = BernoulliSource(0.5, seed=source.seed)
+        return duplication_construction(
+            BitString(_one_draw(base, required_base_length(n))), n).array
+    if isinstance(source, DriftingBiasSource):
+        p = np.clip(source.p0 + source.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
+    elif isinstance(source, RegimeSwitchSource):
+        period = np.concatenate([np.full(length, p) for length, p in source.segments])
+        p = np.tile(period, -(-n // len(period)))[:n]
+    else:
+        p = source.p
+    return (np.random.Generator(np.random.Philox(key=source.seed)).random(n) < p).astype(np.uint8)
+
+
+@pytest.mark.parametrize("spec", [
+    "bernoulli:0.3:seed=11",
+    "markov:0.9,0.1,0.2,0.8:seed=12",
+    "markov:0.2,0.8,0.7,0.3:seed=13",  # P11 < P01: the flipping branch
+    "drift:0.1,4e-06:seed=14",
+    "regime:40000,0.2,30000,0.9,7,0.5:seed=15",
+    "dup:seed=16",
+])
+def test_bits_across_pieces_equal_one_draw(spec):
+    source = parse_source_spec(spec)
+    for n in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
+        assert np.array_equal(source.bits(n).array, _one_draw(source, n)), n
 
 
 def test_bits_validates_count():
@@ -180,16 +231,24 @@ def test_regime_switch_lengths_past_int64(spec):
     assert generate(spec, 64) == generate("regime:64,0.5:seed=1", 64)
 
 
-def test_regime_switch_memory_follows_the_bits_drawn():
-    # the whole 2^25-position period would take 256 MiB of probabilities
-    source = RegimeSwitchSource([(2 ** 25, 0.5)], seed=1)
+@pytest.mark.parametrize("spec,mib", [
+    ("bernoulli:0.5:seed=1", 8),
+    ("markov:0.9,0.1,0.2,0.8:seed=1", 8),
+    ("drift:0.5,1e-08:seed=1", 8),
+    ("regime:33554432,0.5,3,0.1:seed=1", 8),
+    ("dup:seed=1", 12),  # its base, about as long, beside the output
+], ids=["bernoulli", "markov", "drift", "regime", "dup"])
+def test_memory_follows_the_bits_drawn(spec, mib):
+    # 4 MiB of bits; one whole-length float64 draw would add 32 MiB, and the
+    # regime source's whole 2^25-position period 256 MiB of probabilities
+    source = parse_source_spec(spec)
     tracemalloc.start()
     try:
-        source.bits(4096)
+        source.bits(1 << 22)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak <= mib << 20
 
 
 def test_regime_switch_validation():
@@ -264,12 +323,9 @@ def test_minimal_base_suffices_and_shorter_fails():
 
 
 def test_duplication_from_source_matches_explicit_base():
-    base_src = BernoulliSource(0.5, seed=33)
     n = 600
-    via_source = duplication_construction(base_src, n)
-    explicit = duplication_construction(base_src.bits(required_base_length(n)), n)
-    assert via_source == explicit
-    assert DuplicationSource(seed=33).bits(n) == via_source
+    base = BernoulliSource(0.5, seed=33).bits(required_base_length(n) + 50)
+    assert DuplicationSource(seed=33).bits(n) == duplication_construction(base, n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +333,11 @@ def test_duplication_from_source_matches_explicit_base():
 
 
 def test_parse_spec_defaults_seed_zero():
-    assert (parse_source_spec("bernoulli:0.25").spec_string()
-            == BernoulliSource(0.25, seed=0).spec_string())
-    assert parse_source_spec("dup").spec_string() == DuplicationSource(seed=0).spec_string()
+    for spec, source in (("bernoulli:0.25", BernoulliSource(0.25, seed=0)),
+                         ("dup", DuplicationSource(seed=0))):
+        parsed = parse_source_spec(spec)
+        assert parsed.seed == 0
+        assert parsed.bits(256) == source.bits(256)
 
 
 @pytest.mark.parametrize("bad", [
