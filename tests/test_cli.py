@@ -290,10 +290,10 @@ def test_unexpected_exception_fails_closed(monkeypatch, capsys):
 
 
 def _refuse_to_draw(monkeypatch):
-    def draw(self, n):
-        raise AssertionError(f"drew {n} bits before checking the memory cap")
+    def draw(seed):  # every kind, dup's base included, draws from its seed's stream
+        raise AssertionError("drew bits before checking the memory cap")
 
-    monkeypatch.setattr(sources.Source, "bits", draw)
+    monkeypatch.setattr(sources, "_rng", draw)
 
 
 _INPUT_OVER_CAP = f"input of {2 ** 24} bits"
