@@ -400,10 +400,11 @@ def code_length(x: BitString) -> int:
                for ell, end in zip(lengths, ends))
 
 
-class PrefixCosts:
+class _PrefixCosts:
     """Code lengths of the prefixes of a bit string that grows at its end.
 
-    ``extend`` takes a prefix that extends the bits taken in so far,
+    ``extend`` takes a prefix that extends the bits taken in so far (the
+    caller's rule: :class:`rngcal.stats.PrefixScanTest` checks it),
     extends the suffix automaton and resumes the greedy walk at the start
     of the open factor: the last one, which reached the end of the input
     and may still grow.  The factors before it are final, since each
@@ -419,12 +420,11 @@ class PrefixCosts:
     width the walk reports, one byte per position.  So the code length of
     the first ``m`` bits is the cost of the factors before the one holding
     bit ``m - 1`` plus that factor truncated at ``m``, priced in numpy a
-    block of positions at a time.  No per-bit table is kept.
+    block of positions at a time.  No per-bit table is kept, and no bits.
     """
 
     def __init__(self):
         self._automaton = None  # built from the first bits, at their size
-        self._bits = np.empty(0, dtype=np.uint8)  # the bits taken in
         self.total = 0
         self._open = 0    # start of the open factor
         self._closed = 0  # cost of the factors before it
@@ -432,20 +432,16 @@ class PrefixCosts:
     def extend(self, x: BitString) -> Iterator[tuple[int, np.ndarray]]:
         """Take in the prefix ``x`` of the string and set ``total`` to its code length.
 
-        ``x`` must extend the bits taken in so far.  Returns the code lengths
-        of the prefixes longer than those bits, up to ``len(x)`` bits, as
-        ``(m, costs)`` blocks of up to ``_BLOCK`` int64 entries, where
-        ``costs[i]`` belongs to the first ``m + i`` bits.  A block is priced
-        when it is read, so blocks nobody reads cost nothing.
+        Returns the code lengths of the prefixes longer than the bits taken
+        in so far, up to ``len(x)`` bits, as ``(m, costs)`` blocks of up to
+        ``_BLOCK`` int64 entries, where ``costs[i]`` belongs to the first
+        ``m + i`` bits.  A block is priced when it is read, so blocks nobody
+        reads cost nothing.
         """
-        k = len(self._bits)
-        if len(x) < k or not np.array_equal(x.array[:k], self._bits):
-            raise ValueError(f"a prefix must extend the {k} bits already taken in")
+        k = 0 if self._automaton is None else self._automaton.size
         if len(x) == k:
             return iter(())
-        # Nothing writes to a BitString's array, so the bits of ``x`` are
-        # kept as they are; only a strided view is copied.
-        self._bits = bits = np.ascontiguousarray(x.array)
+        bits = np.ascontiguousarray(x.array)  # only a strided view is copied
         if k:
             self._automaton.extend(bits[k:])
         else:
@@ -478,9 +474,9 @@ def prefix_code_lengths(x: BitString) -> np.ndarray:
     """``code_length`` of every prefix in one pass.
 
     Returns an int64 array ``out`` of size ``len(x) + 1`` with
-    ``out[m] == code_length(x.prefix(m))``; see :class:`PrefixCosts`.
+    ``out[m] == code_length(x.prefix(m))``; see :class:`_PrefixCosts`.
     """
-    blocks = PrefixCosts().extend(x)  # the automaton is freed before the pricing
+    blocks = _PrefixCosts().extend(x)  # the automaton is freed before the pricing
     out = np.zeros(len(x) + 1, dtype=np.int64)
     for lo, costs in blocks:
         out[lo:lo + len(costs)] = costs

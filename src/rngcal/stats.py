@@ -263,7 +263,7 @@ def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
     combined = battery_p_value([r.p_value for r in reports], schedule)
     components = [ComponentResult(i, r.statistic_bits, r.p_value)
                   for i, r in zip(ids, reports)]
-    return _make_report(-math.log2(combined), combined, alpha,
+    return _make_report(0.0 - math.log2(combined), combined, alpha,  # 0.0, not -0.0, at p = 1
                         components=components)
 
 
@@ -320,19 +320,19 @@ class PrefixScanTest:
     """Tests of a sample, or of the growing prefixes of a
     :func:`consistency_scan`, from one incremental LZ pass.
 
-    Each :meth:`reports` call takes a prefix that extends the previous one,
-    feeds it to one :class:`lz.PrefixCosts` and reports each test on the
-    prefix: ``lz77`` as ``m - total``, ``tauk`` as a running maximum of the
-    evidence over the new scales only, scored on each block of prefix
-    costs as it is priced (the first maximum wins ties).
-    :func:`compression_test` and :func:`tau_k_test` are each one call of
-    this engine.  A battery is a single call; calling the object is the
-    one-test callable a scan drives.
+    Each :meth:`reports` call takes a prefix that extends the last one (kept,
+    not copied: a ``BitString`` is immutable), feeds it to the prefix costs
+    of the open window and reports each test on the prefix: ``lz77`` as
+    ``m - total``, ``tauk`` as a running maximum of the evidence over the
+    new scales only, scored on each block of prefix costs as it is priced
+    (the first maximum wins ties).  :func:`compression_test` and
+    :func:`tau_k_test` are each one call of this engine.  A battery is a
+    single call; calling the object is the one-test callable a scan drives.
 
-    With ``window_bits`` (bounded-window mode, lz77 only) each window of
-    that many bits has its own ``PrefixCosts``: memory follows the window,
-    but no match reaches across windows, so the test is not consistent.
-    The windows are fixed by the length, so codewords stay prefix-free.
+    The one window is unbounded unless ``window_bits`` is given
+    (bounded-window mode, lz77 only): memory then follows the window, but
+    no match reaches across windows, so the test is not consistent.  The
+    windows are fixed by the length, so codewords stay prefix-free.
     """
 
     def __init__(self, *test_ids: str, window_bits: int | None = None):
@@ -347,8 +347,9 @@ class PrefixScanTest:
             if "tauk" in test_ids:
                 raise ValueError("bounded-window mode is only available for the lz77 test")
         self.test_ids = test_ids
-        self._window = window_bits
-        self._costs = lz.PrefixCosts()  # of the open window
+        self._window = math.inf if window_bits is None else window_bits
+        self._taken = np.empty(0, dtype=np.uint8)  # the last prefix
+        self._costs = lz._PrefixCosts()  # of the open window
         self._closed = 0  # code length of the windows before it
         self._start = 0   # the open window's first bit
         self._best: tuple[float, int] = (float("-inf"), 0)
@@ -359,17 +360,17 @@ class PrefixScanTest:
         n = len(x)
         if n < 1:
             raise ValueError("input has no bits")
-        if self._window is not None:  # close each window that x fills
-            if n < self._start:
-                raise ValueError(f"a prefix must extend the {self._start} bits already taken in")
-            while n - self._start >= self._window:
-                end = self._start + self._window
-                self._costs.extend(x[self._start:end])
-                self._closed += self._costs.total
-                self._costs = lz.PrefixCosts()
-                self._start = end
-            x = x[self._start:]  # PrefixCosts checks only these bits against its own
-        blocks = self._costs.extend(x)
+        k = len(self._taken)
+        if n < k or not np.array_equal(x.array[:k], self._taken):
+            raise ValueError(f"a prefix must extend the {k} bits already taken in")
+        self._taken = x.array
+        while n - self._start >= self._window:  # close each window that x fills
+            end = self._start + self._window
+            self._costs.extend(x[self._start:end])
+            self._closed += self._costs.total
+            self._costs = lz._PrefixCosts()
+            self._start = end
+        blocks = self._costs.extend(x[self._start:])
         if "tauk" in self.test_ids:
             self._score(blocks)
         return [_compression_report(n, self._closed + self._costs.total, alpha)

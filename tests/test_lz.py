@@ -184,10 +184,10 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
 
 
 def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
-    """The costs a PrefixCosts returns when fed the prefixes of ``x`` that end
+    """The costs a _PrefixCosts returns when fed the prefixes of ``x`` that end
     each of consecutive chunks; the blocks of the chunks whose indices are
     in ``unread`` are left unread, and their entries -1."""
-    costs = lz.PrefixCosts()
+    costs = lz._PrefixCosts()
     table = np.full(len(x) + 1, -1, dtype=np.int64)
     table[0] = 0
     taken = 0
@@ -202,7 +202,7 @@ def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
         for lo, block in blocks:
             table[lo:lo + len(block)] = block
         assert costs.total == table[taken]
-    assert len(costs._bits) == len(x)
+    assert (0 if costs._automaton is None else costs._automaton.size) == len(x)
     return table
 
 
@@ -262,14 +262,13 @@ def test_table_matches_per_bit_reference(kind):
     assert want.detail["code_bits"] == reference[-1]
 
 
-def test_prefix_costs_refuse_a_prefix_that_does_not_extend_their_bits():
+def test_prefix_costs_price_nothing_when_nothing_is_new():
     x = BitString.from01("0110100110")
-    costs = lz.PrefixCosts()
+    costs = lz._PrefixCosts()
+    assert list(costs.extend(x.prefix(0))) == [] and costs.total == 0
     costs.extend(x.prefix(6))
-    for other in (x.prefix(5), BitString.from01("0110110110"), BitString.from01("1")):
-        with pytest.raises(ValueError, match="extend"):
-            costs.extend(other)
     assert list(costs.extend(x.prefix(6))) == []  # nothing new: nothing to price
+    assert costs.total == lz.code_length(x.prefix(6))
     assert [b.tolist() for _, b in costs.extend(x)] == [
         lz.prefix_code_lengths(x)[7:].tolist()]
 
@@ -414,7 +413,7 @@ def test_pinned_code_lengths_on_both_backends(backend):
     with _backend(backend):
         assert lz.code_length(x) == RANDOM_1E5_CODE_BITS
         assert lz.code_length(base) == BASE_2_17_CODE_BITS
-        costs = lz.PrefixCosts()
+        costs = lz._PrefixCosts()
         for m in (70001, 2 ** 17):
             list(costs.extend(base.prefix(m)))
         assert costs.total == BASE_2_17_CODE_BITS
@@ -463,7 +462,7 @@ def test_an_empty_automaton_calls_no_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(lz, "_kernel", lambda: calls.append("kernel"))  # then Python loops
     automaton = lz._SuffixAutomaton()
-    lz.PrefixCosts()
+    lz._PrefixCosts()
     automaton.extend(b"")
     assert calls == []
     automaton.extend(bytes([0, 1]))

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rngcal import lz, stats
 from rngcal.bits import BitString
@@ -243,6 +245,16 @@ def test_battery_report_structure():
     assert combined.statistic_bits == pytest.approx(-math.log2(expected))
 
 
+def test_an_accepted_battery_saves_zero_bits_not_minus_zero():
+    x = random_bits(4096, seed=1)
+    reports = [stats.compression_test(x, 0.01), stats.tau_k_test(x, 0.01)]
+    assert [r.p_value for r in reports] == [1.0, 1.0]
+    combined = stats.battery_report(reports, ["lz77", "tauk"], 0.01)
+    assert combined.p_value == 1.0
+    assert math.copysign(1.0, combined.statistic_bits) == 1.0
+    assert '"statistic_bits": 0.0,' in json.dumps(combined.to_dict())
+
+
 def test_a_battery_of_exact_reports_is_an_upper_bound():
     # min(p_i / w_i) is a weighted-Bonferroni bound even over exact p-values
     exact = stats.TestReport(statistic_bits=3.0, p_value=0.125, p_value_kind="exact",
@@ -443,7 +455,7 @@ def _traced_peak(fn, *args) -> int:
 
 def _scored(costs: np.ndarray, start: int) -> tuple[float, int | None]:
     """The tau_k evidence of ``costs`` at scales ``start ..``, fed to a fresh
-    runner in the blocks ``lz.PrefixCosts`` returns."""
+    runner in the blocks ``lz._PrefixCosts`` returns."""
     runner = stats.PrefixScanTest("tauk")
     runner._score((start + lo, costs[lo:lo + lz._BLOCK])
                   for lo in range(0, len(costs), lz._BLOCK))
@@ -509,9 +521,48 @@ def test_prefix_scan_test_refuses_a_prefix_it_has_not_seen():
         runner(random_bits(64, seed=10), 0.01)
     with pytest.raises(ValueError, match="extend"):
         runner(x.prefix(16), 0.01)
+    windowed = stats.PrefixScanTest("lz77", window_bits=4)  # its closed windows differ
+    windowed(BitString.from01("00000000"), 0.01)
+    with pytest.raises(ValueError, match="a prefix must extend the 8 bits already taken in"):
+        windowed(BitString.from01("101101001"), 0.01)
     for ids in (("nope",), ()):
         with pytest.raises(ValueError):
             stats.PrefixScanTest(*ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=2, max_size=200), st.lists(st.integers(1, 60), max_size=6),
+       st.sampled_from([None, 1, 7, 64]), st.data())
+def test_the_engine_checks_every_prefix_windowed_or_not(blob, steps, window, data):
+    x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
+    ids = ("lz77",) if window else ("lz77", "tauk")
+    runner = stats.PrefixScanTest(*ids, window_bits=window)
+    m = 0
+    for step in steps + [len(x)]:
+        m = min(len(x), m + step)
+        y = x.prefix(m)
+        want = ([stats._compression_report(m, _windowed_code(window)(y), 0.01)] if window
+                else [reference_compression_test(y, 0.01), reference_tau_k_test(y, 0.01)])
+        got = runner.reports(y, 0.01)
+        assert got == want and [r.detail for r in got] == [r.detail for r in want]
+    # the last prefix is x; its windows close at each multiple of the window,
+    # and all of x is one open window without one
+    start = len(x) // window * window if window else 0
+    flips = []
+    if start:
+        flips.append(data.draw(st.integers(0, start - 1), label="closed flip"))
+    if start < len(x):
+        flips.append(data.draw(st.integers(start, len(x) - 1), label="open flip"))
+    refused = [x.prefix(data.draw(st.integers(1, len(x) - 1), label="shorter"))]
+    for i in flips:
+        bits = x.array.copy()
+        bits[i] ^= 1
+        refused.append(BitString(bits))
+    for y in refused:
+        with pytest.raises(ValueError,
+                           match=f"^a prefix must extend the {len(x)} bits already taken in$"):
+            runner.reports(y, 0.01)
+    assert runner.reports(x, 0.01) == want  # a refused prefix changes nothing
 
 
 def test_scan_validates_arguments():
