@@ -50,12 +50,11 @@ class BitString:
     __slots__ = ("_a",)
 
     def __init__(self, bits: Iterable[int] | np.ndarray = ()):
-        a = np.asarray(bits, dtype=np.uint8)
-        if a.ndim != 1:
-            a = a.reshape(-1)
-        if a.size and not np.all(a <= 1):
+        a = np.asarray(bits)
+        # checked before the cast, which would wrap 256 and -255 and truncate 1.7
+        if a.size and not np.all(a <= 1 if a.dtype == np.uint8 else (a == 0) | (a == 1)):
             raise ValueError("bits must be 0 or 1")
-        a = a.copy()
+        a = a.astype(np.uint8).reshape(-1)
         a.setflags(write=False)
         self._a = a
 

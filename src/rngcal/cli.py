@@ -40,7 +40,9 @@ def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
 
     ``args.tests`` and ``args.weights`` become lists; returns the run's
     engine and the weight schedule of a battery.  ``stats`` checks the
-    rules of the test run itself; the checks here name the CLI's own flags.
+    rules of the test run itself, and the parser the choices of each flag
+    (``--schedule``, one of ``--input`` or ``--source``); the checks here
+    name the CLI's own flags.
     """
     args.tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     args.weights = _parse_weights(args.weights)
@@ -54,13 +56,8 @@ def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
     if args.command == "scan" and (args.start_bits < 1 or args.budget < args.start_bits):
         raise CliError(f"need 1 <= start bits <= budget, got start {args.start_bits} "
                        f"and budget {args.budget}")
-    if args.weights is not None:
-        schedule = stats.WeightSchedule.from_weights(args.weights)
-    elif args.schedule == "omega_star":
-        schedule = stats.OMEGA_STAR
-    else:
-        raise CliError(f"unknown schedule {args.schedule!r}; "
-                       f"available: omega_star (or pass --weights)")
+    schedule = (stats.OMEGA_STAR if args.weights is None
+                else stats.WeightSchedule.from_weights(args.weights))
     if len(args.tests) > 1:
         stats._battery_weights(schedule, len(args.tests))
     return engine, schedule
@@ -104,9 +101,6 @@ def _resolve_sample(args, limit: int | None):
     ``limit`` is None); it, or a window of it, is checked against the memory
     cap before any bit is drawn, and before a raw input's payload is read.
     """
-    if (args.source is None) == (args.input is None):
-        raise CliError("exactly one of --input or --source is required")
-
     def size(count: int) -> int:
         n = count if limit is None else min(limit, count)
         # an analysis holds a suffix automaton of all the bits of a window at once
@@ -259,13 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     def common_test_args(p):
-        p.add_argument("--input", default=None, help="input path, '-' for stdin")
-        p.add_argument("--source", default=None, help="generate the sample instead")
+        sample = p.add_mutually_exclusive_group(required=True)
+        sample.add_argument("--input", help="input path, '-' for stdin")
+        sample.add_argument("--source", help="generate the sample instead")
         p.add_argument("--input-format", choices=("raw", "ascii"), default="raw")
         p.add_argument("--tests", default="lz77",
                        help=f"comma-separated test ids from: {', '.join(stats.TEST_IDS)}")
         p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-        p.add_argument("--schedule", default="omega_star")
+        p.add_argument("--schedule", choices=("omega_star",), default="omega_star")
         p.add_argument("--weights", default=None,
                        help="custom battery weights, comma separated")
         p.add_argument("--window-bits", type=int, default=None,

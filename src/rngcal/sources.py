@@ -196,22 +196,24 @@ def block_span(k: int) -> tuple[int, int]:
     return start, end
 
 
+def _copies(n: int):
+    """``(base start, length)`` of each block copy in the first ``n`` output
+    bits, in output order: ``u_0 u_0 u_1 u_1 ...``, the last one cut at ``n``."""
+    emitted, k = 0, 0
+    while emitted < n:
+        start, end = block_span(k)
+        for _ in range(2):
+            m = min(end - start, n - emitted)
+            yield start, m
+            emitted += m
+        k += 1
+
+
 def required_base_length(n: int) -> int:
     """Minimal base length defining the first ``n`` duplicated-output bits."""
     if n < 0:
         raise ValueError(f"bit count must be >= 0, got {n}")
-    emitted = 0
-    k = 0
-    while emitted < n:
-        start, end = block_span(k)
-        blk = end - start
-        if n <= emitted + blk:          # ends inside the first copy of u_k
-            return start + (n - emitted)
-        if n <= emitted + 2 * blk:      # ends inside the second copy
-            return end
-        emitted += 2 * blk
-        k += 1
-    return 0
+    return max((start + m for start, m in _copies(n)), default=0)
 
 
 def duplication_construction(base: BitString, n: int) -> BitString:
@@ -222,17 +224,8 @@ def duplication_construction(base: BitString, n: int) -> BitString:
         raise ValueError(f"base sequence has {len(base)} bits; {need} are required "
                          f"for {n} output bits")
     arr = base.array
-    out = np.empty(n, dtype=np.uint8)
-    emitted = 0
-    k = 0
-    while emitted < n:
-        start, end = block_span(k)
-        for _ in range(2):
-            m = min(end - start, n - emitted)
-            out[emitted:emitted + m] = arr[start:start + m]
-            emitted += m
-        k += 1
-    return BitString._wrap(out)
+    return BitString._wrap(np.concatenate(  # arr[:0]: n = 0 has no copies
+        [arr[:0], *(arr[start:start + m] for start, m in _copies(n))]))
 
 
 class DuplicationSource(Source):
@@ -313,7 +306,7 @@ def parse_source_spec(spec: str) -> Source:
         if len(v) < 2 or len(v) % 2:
             raise ValueError(f"regime takes pairs L,P in {spec!r}")
         return RegimeSwitchSource(list(zip(v[::2], v[1::2])), seed=seed)
-    if params:
+    if len(fields) > 1:  # an empty field too: "dup:" and "dup::seed=3"
         raise ValueError(f"source kind 'dup' takes no parameters in {spec!r}")
     return DuplicationSource(seed=seed)
 

@@ -58,9 +58,7 @@ def _bound_from_bits(saved_bits: float) -> float:
 
 def omega_star(i: int) -> float:
     """The default weight schedule value 1/(i*(i+1)); sums to 1 over all i."""
-    if i < 1:
-        raise ValueError(f"schedule index must be >= 1, got {i}")
-    return 1.0 / (i * (i + 1))
+    return float(OMEGA_STAR.weights(i, i)[0])
 
 
 class WeightSchedule:

@@ -28,10 +28,21 @@ def test_round_trip_01_text():
 def test_rejects_non_binary():
     with pytest.raises(ValueError):
         BitString([0, 2, 1])
+    # values that a uint8 cast would wrap (256, 257, -255) or truncate into bits
+    for bits in (np.array([256, 257]), np.array([-255]), [0.5, 1.7], [0, float("nan")]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitString(bits)
     with pytest.raises(ValueError):
         BitString.from01("0102")
     with pytest.raises(ValueError):
         BitString.from01("0\u00a01")  # ascii: only ASCII whitespace is skipped
+
+
+def test_bools_and_binary_integers_are_bits():
+    assert BitString([True, False, True]).to01() == "101"
+    assert BitString(np.array([False, True])).to01() == "01"
+    assert BitString(np.array([1, 0, 1], dtype=np.int64)).to01() == "101"
+    assert BitString([1.0, 0.0]).to01() == "10"
 
 
 def test_indexing_and_prefix():

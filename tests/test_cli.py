@@ -29,7 +29,12 @@ DIGEST_BERNOULLI_05_SEED7_1024 = (
 
 
 def run_cli(*argv):
-    return main(list(argv))
+    """The exit status: what ``main`` returns, or the code of the
+    ``SystemExit`` that argparse raises for a flag error."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_gen_ascii_degenerate(capsys):
@@ -270,6 +275,8 @@ def test_window_mode_flagged_and_lz_only(capsys):
     ("test", "--source", "bad:spec"),
     ("test", "--source", "bernoulli:0.5:seed=3:extra", "--max-bits", "1024", "--seed", "9"),
     ("test", "--source", "bernoulli:0.5:seed=oops", "--max-bits", "1024", "--seed", "9"),
+    ("gen", "dup:", "--bits", "8"),
+    ("gen", "dup::seed=3", "--bits", "8"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -335,10 +342,12 @@ def _raised(call) -> str:
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("test", "--max-bits", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
+    (("test", "--max-bits", "4096", "--schedule", "bogus"),
+     "argument --schedule: invalid choice: 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
     (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
-    (("scan", "--budget", "4096", "--schedule", "bogus"), "unknown schedule 'bogus'"),
+    (("scan", "--budget", "4096", "--schedule", "bogus"),
+     "argument --schedule: invalid choice: 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
     (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
      "schedule 'custom' has no weight for component 2"),
@@ -361,8 +370,34 @@ def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, ca
     assert captured.out == ""
     if callable(message):
         assert captured.err == f"rngcal: error: {_raised(message)}\n"
+    elif message.startswith("argument "):  # argparse: usage, then the error
+        assert captured.err.startswith(f"usage: rngcal {argv[0]} ")
+        assert f"\nrngcal {argv[0]}: error: {message}" in captured.err
     else:
         assert captured.err.startswith(f"rngcal: error: {message}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("test",), "one of the arguments --input --source is required"),
+    (("scan", "--budget", "4096"), "one of the arguments --input --source is required"),
+    (("test", "--input", "RAW", "--source", "bernoulli:0.5:seed=1"),
+     "argument --source: not allowed with argument --input"),
+    (("scan", "--source", "bernoulli:0.5:seed=1", "--input", "RAW"),
+     "argument --input: not allowed with argument --source"),
+])
+def test_the_parser_takes_one_of_input_or_source(argv, message, tmp_path, monkeypatch, capsys):
+    # exit status 2 with argparse's usage message, before any bit is read or drawn
+    raw = tmp_path / "sample.bin"
+    write_bit_file(raw, BitString.zeros(64))
+    _refuse_to_draw(monkeypatch)
+    monkeypatch.setattr(rngcal.cli, "read_bit_file", lambda *a, **k: pytest.fail("read input"))
+    with pytest.raises(SystemExit) as exc:
+        main([str(raw) if a == "RAW" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: rngcal {argv[0]} ")
+    assert captured.err.endswith(f"\nrngcal {argv[0]}: error: {message}\n")
 
 
 # Peak RSS of a full-window test at the memory cap, interpreter included, in

@@ -350,6 +350,8 @@ def test_parse_spec_defaults_seed_zero():
     "regime:100:seed=1",
     "regime:2.5,0.5:seed=1",
     "dup:0.5:seed=1",
+    "dup:",
+    "dup::seed=3",
     "markov:nan,nan,0.5,0.5:seed=1",
     "drift:0.5,nan:seed=1",
     "drift:0.5,inf:seed=1",
