@@ -2,49 +2,50 @@
 
    Each function transliterates a Python loop in lz.py, which stays the
    fallback and the reference the tests compare against; lz.py says what
-   the arrays hold.  Python sizes every array and checks that every state
-   index and length fits in int32 before it calls. */
+   the arrays hold.  A transition is 0 when absent (no transition enters
+   the root), +t for a solid edge to state t and -t for a secondary one:
+   s -> t is solid when the longest substring of t is that of s plus one
+   bit, which is all the build asks of the state lengths.  Python sizes
+   every array and checks that every state index fits in int32 before it
+   calls. */
 
 #include <stdint.h>
 
 /* _SuffixAutomaton.extend: take in bits[0:n] as positions size.. of the
    string.  state[0] is ``last`` and state[1] ``states``, updated in place. */
-void sam_extend(int32_t *next0, int32_t *next1, int32_t *link, int32_t *length,
-                int32_t *first, const uint8_t *bits, int64_t n, int32_t size,
-                int32_t *state)
+void sam_extend(int32_t *next0, int32_t *next1, int32_t *link, int32_t *first,
+                const uint8_t *bits, int64_t n, int32_t size, int32_t *state)
 {
     int32_t last = state[0], states = state[1];
     for (int64_t k = 0; k < n; k++) {
-        int32_t pos = size + (int32_t)k;
         int32_t cur = states++;
-        length[cur] = pos + 1;
-        first[cur] = pos;
+        first[cur] = size + (int32_t)k;
         int32_t *nx = bits[k] ? next1 : next0;
-        int32_t p = last;
-        while (p != -1 && nx[p] == -1) {
-            nx[p] = cur;
+        nx[last] = cur;  /* last has no transitions yet; this one is solid */
+        int32_t p = link[last];
+        while (p != -1 && nx[p] == 0) {
+            nx[p] = -cur;
             p = link[p];
         }
         if (p == -1) {
             link[cur] = 0;
+        } else if (nx[p] > 0) {
+            link[cur] = nx[p];
         } else {
-            int32_t q = nx[p];
-            if (length[p] + 1 == length[q]) {
-                link[cur] = q;
-            } else {
-                int32_t clone = states++;
-                next0[clone] = next0[q];
-                next1[clone] = next1[q];
-                link[clone] = link[q];
-                length[clone] = length[p] + 1;
-                first[clone] = first[q];
-                while (p != -1 && nx[p] == q) {
-                    nx[p] = clone;
-                    p = link[p];
-                }
-                link[q] = clone;
-                link[cur] = clone;
+            int32_t q = -nx[p], clone = states++;
+            /* a clone is shorter than q: its edges are all secondary */
+            next0[clone] = next0[q] > 0 ? -next0[q] : next0[q];
+            next1[clone] = next1[q] > 0 ? -next1[q] : next1[q];
+            link[clone] = link[q];
+            first[clone] = first[q];
+            nx[p] = clone;
+            p = link[p];
+            while (p != -1 && nx[p] == -q) {
+                nx[p] = -clone;
+                p = link[p];
             }
+            link[q] = clone;
+            link[cur] = clone;
         }
         last = cur;
     }
@@ -68,7 +69,9 @@ int64_t sam_factorize(const int32_t *next0, const int32_t *next1, const int32_t 
         int64_t j = i;
         while (j < n) {
             st = (bits[j] ? next1 : next0)[st];
-            if (st == -1 || first[st] >= j)
+            if (st < 0)
+                st = -st;
+            if (st == 0 || first[st] >= j)
                 break;
             end = first[st];
             j++;

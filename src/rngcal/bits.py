@@ -179,40 +179,46 @@ def read_bit_file(path, fmt: str = "raw",
 
     ``take(count)``, given the number of bits the input holds, returns how
     many of the first ones to read; all of them by default.  ascii is read
-    whole.  A raw input is sized from its header and only the payload of the
-    bits taken is unpacked.  A file, or a stream that can seek, is checked
-    against its size before ``take`` is called and only that payload is
-    read; a stream that cannot seek is read to its end in bounded pieces,
-    after ``take``, and then checked.
+    in 64 KiB pieces, each checked and packed.  A raw input is sized from its
+    header and only the payload of the bits taken is unpacked.  A file, or a
+    stream that can seek, is checked against its size before ``take`` is
+    called and only that payload is read; a stream that cannot seek is read
+    to its end in bounded pieces, after ``take``, and then checked.
     """
     with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as f:
-        if fmt != "raw":
-            if fmt != "ascii":
-                raise ValueError(f"unknown bit file format: {fmt!r}")
-            digits = f.read().translate(None, _ASCII_WHITESPACE)
-            bad = digits.translate(None, b"01")
-            if bad:
-                raise ValueError(f"invalid bit characters: {bytes(sorted(set(bad)))!r}")
-            bits = BitString._wrap(np.frombuffer(digits.translate(_DIGITS), dtype=np.uint8))
-            return bits if take is None else bits.prefix(take(len(bits)))
-        size = None
-        if f.seekable():
-            start = f.tell()
-            size = f.seek(0, os.SEEK_END) - f.seek(start)
-        header = f.read(_HEADER_BYTES)
-        count = int.from_bytes(header, "little")
-        if size is not None or len(header) < _HEADER_BYTES:
-            _check_raw_size(count, len(header) if size is None else size)
-        n = count if take is None else take(count)
-        need = (n + 7) // 8
-        if size is not None:
-            payload = f.read(need)
-        else:  # in 64 KiB pieces: a header that overstates it allocates only what it holds
-            payload, size = bytearray(), len(header)
+        if fmt == "ascii":  # '0' and '1' end in bits 0 and 1, packed 8 at a time
+            payload, bad, rest = bytearray(), set(), b""
             for piece in iter(lambda: f.read(1 << 16), b""):
-                payload += piece[:need - len(payload)]
-                size += len(piece)
-            _check_raw_size(count, size)
+                rest += piece.translate(None, _ASCII_WHITESPACE)
+                bad.update(rest.translate(None, b"01"))
+                payload += np.packbits(np.frombuffer(rest, np.uint8, len(rest) & ~7) & 1).tobytes()
+                rest = rest[len(rest) & ~7:]
+            if bad:
+                raise ValueError(f"invalid bit characters: {bytes(sorted(bad))!r}")
+            count = 8 * len(payload) + len(rest)
+            payload += np.packbits(np.frombuffer(rest, np.uint8) & 1).tobytes()
+            n = count if take is None else take(count)
+        elif fmt != "raw":
+            raise ValueError(f"unknown bit file format: {fmt!r}")
+        else:
+            size = None
+            if f.seekable():
+                start = f.tell()
+                size = f.seek(0, os.SEEK_END) - f.seek(start)
+            header = f.read(_HEADER_BYTES)
+            count = int.from_bytes(header, "little")
+            if size is not None or len(header) < _HEADER_BYTES:
+                _check_raw_size(count, len(header) if size is None else size)
+            n = count if take is None else take(count)
+            need = (n + 7) // 8
+            if size is not None:
+                payload = f.read(need)
+            else:  # in 64 KiB pieces: a header that overstates it allocates only what it holds
+                payload, size = bytearray(), len(header)
+                for piece in iter(lambda: f.read(1 << 16), b""):
+                    payload += piece[:need - len(payload)]
+                    size += len(piece)
+                _check_raw_size(count, size)
     if 8 * len(payload) < n:  # the input shrank after it was sized
         raise ValueError(f"raw bit stream truncated: header says {count} bits")
     # unpackbits yields only 0 and 1 in a fresh array: no check, no copy

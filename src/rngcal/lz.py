@@ -43,9 +43,9 @@ from .bits import BitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
-# A full-window analysis holds a suffix automaton of all its bits, 40 bytes
+# A full-window analysis holds a suffix automaton of all its bits, 32 bytes
 # per bit, and two more bytes per bit beside it: a `test` at this cap peaks
-# below 48 bytes per bit, interpreter included.  A bare pair stream decodes
+# below 40 bytes per bit, interpreter included.  A bare pair stream decodes
 # to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _LITERAL_COST = encoded_length(1) + 1  # C(1) marker plus one raw bit
@@ -78,7 +78,7 @@ def _kernel() -> ctypes.CDLL | None:
     except OSError:
         return None
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    lib.sam_extend.argtypes = [ptr] * 6 + [i64, i32, ptr]
+    lib.sam_extend.argtypes = [ptr] * 5 + [i64, i32, ptr]
     lib.sam_extend.restype = None
     lib.sam_factorize.argtypes = [ptr] * 4 + [i64, i64, i64, ptr, ptr, ptr]
     lib.sam_factorize.restype = i64
@@ -143,31 +143,29 @@ class Lz77Parse:
 class _SuffixAutomaton:
     """Suffix automaton of a bit string, built online (Blumer et al. 1985).
 
-    ``next0``/``next1`` hold transitions (-1 means absent) and ``first[s]``
-    is the end index (0-based, inclusive) of the first occurrence of the
-    substrings of state ``s``.  ``extend`` appends bits; a substring of the
-    bits already taken in keeps its first occurrence, so walks over the
-    automaton of a prefix and of the extended string agree on that prefix.
-    Extending can clone a state, though, so a walk must restart from the
-    root after an extension.
+    ``next0``/``next1`` hold transitions: 0 when absent (no transition
+    enters the root), ``t`` for a solid edge to state ``t`` and ``-t`` for a
+    secondary one.  An edge ``s -> t`` is solid when the longest substring
+    of ``t`` is that of ``s`` plus one bit, and the build needs no more of
+    the state lengths than that.  ``first[s]`` is the end index (0-based,
+    inclusive) of the first occurrence of the substrings of state ``s``.
+    ``extend`` appends bits; a substring of the bits already taken in keeps
+    its first occurrence, so walks over the automaton of a prefix and of the
+    extended string agree on that prefix.  Extending can clone a state,
+    though, so a walk must restart from the root after an extension.
 
-    A bit adds at most two states (itself and a clone), so the five arrays
+    A bit adds at most two states (itself and a clone), so the four arrays
     are sized once per construction or ``extend`` and filled by index;
     ``states`` counts the states in use and the rest is room.
     """
 
-    __slots__ = ("next0", "next1", "link", "length", "first", "last", "states", "size")
+    __slots__ = ("next0", "next1", "link", "first", "last", "states", "size")
 
     def __init__(self, bits: bytes = b""):
         room = 2 * len(bits) + 2  # the root and two states per bit
-        self.next0 = array("i", [-1]) * room
-        self.next1 = array("i", [-1]) * room
-        self.link = array("i", [-1]) * room
-        self.length = array("i", [0]) * room
-        self.first = array("i", [-1]) * room
-        self.last = 0
-        self.states = 1
-        self.size = 0  # bits taken in
+        self.next0, self.next1, self.link, self.first = (array("i", [0]) * room for _ in range(4))
+        self.link[0] = self.first[0] = -1  # the root
+        self.last, self.states, self.size = 0, 1, 0  # ``size`` counts the bits taken in
         self.extend(bits)
 
     def extend(self, bits: bytes | np.ndarray) -> None:
@@ -175,7 +173,8 @@ class _SuffixAutomaton:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         if not len(bits):
             return
-        size = len(self.link)
+        next0, next1, link, first = self.next0, self.next1, self.link, self.first
+        size = len(link)
         room = self.states + 2 * len(bits) + 1 - size
         if room > 0:
             # Grow each column in place, a bounded fill piece at a time, so no
@@ -183,17 +182,14 @@ class _SuffixAutomaton:
             # is never written, so it is not resident.  Growing by at least an
             # eighth keeps short extensions amortized.
             grow = max(room, size >> 3)
-            fill = array("i", [-1]) * min(grow, _BLOCK)
-            for name in self.__slots__[:5]:
-                column = getattr(self, name)
+            fill = array("i", [0]) * min(grow, _BLOCK)
+            for column in (next0, next1, link, first):
                 for done in range(0, grow, _BLOCK):
                     column.extend(fill[:grow - done])
-        next0, next1, link, length, first = (self.next0, self.next1, self.link,
-                                             self.length, self.first)
         kernel = _kernel()
         if kernel is not None:  # the loop below, in C
             state = (ctypes.c_int32 * 2)(self.last, self.states)
-            kernel.sam_extend(*map(_address, (next0, next1, link, length, first, bits)),
+            kernel.sam_extend(*map(_address, (next0, next1, link, first, bits)),
                               len(bits), self.size, state)
             self.last, self.states = state
             self.size += len(bits)
@@ -203,32 +199,31 @@ class _SuffixAutomaton:
         for pos, c in enumerate(memoryview(bits), self.size):
             cur = states
             states += 1
-            length[cur] = pos + 1
             first[cur] = pos
             nx = next1 if c else next0
-            p = last
-            while p != -1 and nx[p] == -1:
-                nx[p] = cur
+            nx[last] = cur  # ``last`` has no transitions yet; this one is solid
+            p = link[last]
+            while p != -1 and nx[p] == 0:
+                nx[p] = -cur
                 p = link[p]
             if p == -1:
                 link[cur] = 0
+            elif nx[p] > 0:
+                link[cur] = nx[p]
             else:
-                q = nx[p]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = states
-                    states += 1
-                    next0[clone] = next0[q]
-                    next1[clone] = next1[q]
-                    link[clone] = link[q]
-                    length[clone] = length[p] + 1
-                    first[clone] = first[q]
-                    while p != -1 and nx[p] == q:
-                        nx[p] = clone
-                        p = link[p]
-                    link[q] = clone
-                    link[cur] = clone
+                q = -nx[p]
+                clone = states
+                states += 1
+                next0[clone], next1[clone] = -abs(next0[q]), -abs(next1[q])  # all secondary
+                link[clone] = link[q]
+                first[clone] = first[q]
+                nx[p] = clone
+                p = link[p]
+                while p != -1 and nx[p] == -q:
+                    nx[p] = -clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
             last = cur
         self.last = last
         self.states = states
@@ -285,8 +280,8 @@ def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton,
             end = -1
             j = i
             while j < n:
-                st = (next1 if bits[j] else next0)[st]
-                if st == -1 or first[st] >= j:
+                st = abs((next1 if bits[j] else next0)[st])
+                if not st or first[st] >= j:
                     break
                 end = first[st]
                 j += 1

@@ -102,6 +102,45 @@ def python_loops():
     return mock.patch.object(lz, "_kernel", lambda: None)
 
 
+def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
+    """The suffix automaton of ``bits`` by the classic length-based build
+    (Blumer et al. 1985), one state per list entry; the reference for the
+    signed columns of ``lz._SuffixAutomaton`` on both backends.
+
+    Returns the five columns ``next0``, ``next1`` (-1 where there is no
+    transition), ``link``, ``length`` (of each state's longest substring)
+    and ``first``, then ``last``.  An edge ``s -> t`` is solid when
+    ``length[t] == length[s] + 1``.
+    """
+    columns = next0, next1, link, length, first = [-1], [-1], [-1], [0], [-1]
+    last = 0
+    for pos, c in enumerate(memoryview(bits)):
+        cur = len(link)
+        for column, value in zip(columns, (-1, -1, -1, pos + 1, pos)):
+            column.append(value)
+        nx = next1 if c else next0
+        p = last
+        while p != -1 and nx[p] == -1:
+            nx[p] = cur
+            p = link[p]
+        if p == -1:
+            link[cur] = 0
+        elif length[p] + 1 == length[nx[p]]:
+            link[cur] = nx[p]
+        else:
+            q = nx[p]
+            clone = len(link)
+            for column, value in zip(columns, (next0[q], next1[q], link[q], length[p] + 1,
+                                               first[q])):
+                column.append(value)
+            while p != -1 and nx[p] == q:
+                nx[p] = clone
+                p = link[p]
+            link[q] = link[cur] = clone
+        last = cur
+    return (*columns, last)
+
+
 def reference_factorize(bits, automaton: lz._SuffixAutomaton,
                         start: int) -> tuple[np.ndarray, np.ndarray]:
     """The greedy walk of ``lz._factorize`` with a per-position int32 end
@@ -112,6 +151,7 @@ def reference_factorize(bits, automaton: lz._SuffixAutomaton,
     ``ends[m - start]`` is the end index of the first occurrence of
     ``bits[i:m]``, where ``i`` starts the factor that holds bit ``m - 1``:
     the factor truncated at ``m``.  It is -1 where that factor is a literal.
+    A transition is read by its magnitude, and 0 stops the walk.
     """
     bits = memoryview(bits)
     n = len(bits)
@@ -124,8 +164,8 @@ def reference_factorize(bits, automaton: lz._SuffixAutomaton,
         st = 0
         j = i
         while j < n:
-            st = (next1 if bits[j] else next0)[st]
-            if st == -1:
+            st = abs((next1 if bits[j] else next0)[st])
+            if not st:
                 break
             end = first[st]
             if end >= j:
@@ -158,8 +198,8 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
         st = 0
         ell = 0
         while i + ell < n:
-            st2 = (next1 if bits[i + ell] else next0)[st]
-            if st2 == -1:
+            st2 = abs((next1 if bits[i + ell] else next0)[st])
+            if not st2:
                 break
             s = first[st2] - ell
             if s >= i:

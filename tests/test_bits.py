@@ -173,6 +173,35 @@ def test_ascii_file_ignores_whitespace(tmp_path):
     assert read_bit_file(path, fmt="ascii").to01() == "0110110"
 
 
+def test_ascii_read_in_pieces_gives_its_digits():
+    # about three 64 KiB pieces, whose digits do not fill whole bytes
+    text = np.random.default_rng(25).choice(np.frombuffer(b"0101 \n", np.uint8), 200003).tobytes()
+    want = BitString(np.frombuffer(text.translate(None, b" \n"), np.uint8) - ord("0"))
+    assert read_bit_file(io.BytesIO(text), "ascii") == want
+    counts = []
+    first = read_bit_file(Pipe(text), "ascii", take=lambda count: counts.append(count) or 1001)
+    assert counts == [len(want)] and first == want.prefix(1001)
+
+
+def test_ascii_names_the_bad_characters_of_every_piece():
+    with pytest.raises(ValueError, match=r"^invalid bit characters: b'2x'$"):
+        read_bit_file(io.BytesIO(b"x" + b"01" * (1 << 16) + b"2\n"), "ascii")
+
+
+def test_ascii_holds_its_digits_packed():
+    n = 1 << 22
+    text = encode_bits(BitString(np.random.default_rng(27).integers(0, 2, n, dtype=np.uint8)),
+                       "ascii")
+    tracemalloc.start()
+    try:
+        bits = read_bit_file(io.BytesIO(text), "ascii", take=lambda count: 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == 4096
+    assert peak <= n / 4, f"{peak / n:.2f} bytes per bit"
+
+
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_pack_unpack_identity(bits):
     x = BitString(np.array(bits, dtype=np.uint8))

@@ -402,7 +402,7 @@ def test_the_parser_takes_one_of_input_or_source(argv, message, tmp_path, monkey
 
 # Peak RSS of a full-window test at the memory cap, interpreter included, in
 # bytes per bit; the comment on lz.DEFAULT_MEMORY_CAP_BITS states it too.
-CAP_PEAK_BYTES_PER_BIT = 48
+CAP_PEAK_BYTES_PER_BIT = 40
 
 
 # A child's peak RSS counts the peak of the process it was forked from, so
@@ -462,6 +462,22 @@ def test_a_raw_file_is_sized_from_its_header(feed, argv, status, tmp_path):
         else:
             got, _, peak = _run_child(tmp_path, "test", "--input", "-", *argv,
                                       stdin=f if feed == "redirected" else f.read())
+    assert got == status
+    assert peak <= SIZED_READ_PEAK_BYTES, f"{peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("argv,status", [((), 2), (("--max-bits", "4096"), 0)],
+                         ids=["refused", "max-bits"])
+def test_an_ascii_file_is_read_in_pieces(argv, status, tmp_path):
+    n = 1 << 26  # eight times the memory cap, one line of 64 digits at a time
+    path = tmp_path / "big.txt"
+    rng = np.random.default_rng(26)
+    with open(path, "wb") as f:
+        for _ in range(8):
+            digits = rng.integers(0, 2, (n // 8 // 64, 64), dtype=np.uint8) + ord("0")
+            f.write(np.hstack([digits, np.full((len(digits), 1), ord("\n"), np.uint8)]).tobytes())
+    got, _, peak = _run_child(tmp_path, "test", "--input", str(path), "--input-format", "ascii",
+                              *argv)
     assert got == status
     assert peak <= SIZED_READ_PEAK_BYTES, f"{peak / 2 ** 20:.1f} MiB"
 

@@ -25,7 +25,8 @@ from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
-                     reference_compression_test, reference_factorize, reference_prefix_costs)
+                     reference_automaton, reference_compression_test, reference_factorize,
+                     reference_prefix_costs)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -297,9 +298,9 @@ def _backend(name: str):
 
 
 def _columns(automaton: lz._SuffixAutomaton) -> tuple:
-    """The five columns over the states in use, then ``states``, ``last`` and ``size``."""
+    """The four columns over the states in use, then ``states``, ``last`` and ``size``."""
     k = automaton.states
-    return (*(getattr(automaton, name)[:k] for name in lz._SuffixAutomaton.__slots__[:5]),
+    return (*(getattr(automaton, name)[:k] for name in lz._SuffixAutomaton.__slots__[:4]),
             automaton.states, automaton.last, automaton.size)
 
 
@@ -312,17 +313,37 @@ def _chunked_automaton(bits: bytes, sizes) -> lz._SuffixAutomaton:
     return automaton
 
 
+def _assert_matches_reference(automaton: lz._SuffixAutomaton, reference: tuple) -> None:
+    """``automaton`` is the ``reference_automaton`` build without its
+    ``length`` column: the same states, links and first occurrences, each
+    transition to the same state, positive exactly where the edge is solid
+    (``length[t] == length[s] + 1``), and 0 where there is none."""
+    next0, next1, link, length, first, last = reference
+    k = len(link)
+    assert (automaton.states, automaton.last) == (k, last)
+    assert automaton.link[:k].tolist() == link
+    assert automaton.first[:k].tolist() == first
+    for got, want in ((automaton.next0[:k], next0), (automaton.next1[:k], next1)):
+        assert [abs(t) for t in got] == [max(t, 0) for t in want]
+        assert [t > 0 for t in got] == [t != -1 and length[t] == length[s] + 1
+                                        for s, t in enumerate(want)]
+
+
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_automaton_columns_match_the_python_build(kind, backend):
     bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
+    reference = reference_automaton(bits)
     with python_loops():
         want = _columns(lz._SuffixAutomaton(bits))
     with _backend(backend):
-        assert _columns(lz._SuffixAutomaton(bits)) == want
+        automaton = lz._SuffixAutomaton(bits)
+        assert _columns(automaton) == want
+        _assert_matches_reference(automaton, reference)
         for size in (1, 7, 5000, 70001):
-            chunks = itertools.repeat(size, len(bits) // size)
-            assert _columns(_chunked_automaton(bits, chunks)) == want, size
+            automaton = _chunked_automaton(bits, itertools.repeat(size, len(bits) // size))
+            assert _columns(automaton) == want, size
+            _assert_matches_reference(automaton, reference)
 
 
 def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int) -> tuple:
@@ -429,9 +450,12 @@ def test_backends_agree_property(backend, blob, sizes):
         want = _columns(lz._SuffixAutomaton(bits))
         pairs = lz.parse(x).pairs
     reference = reference_prefix_costs(x)
+    automaton = reference_automaton(bits)
     with _backend(backend):
         assert _columns(lz._SuffixAutomaton(bits)) == want
         assert _columns(_chunked_automaton(bits, sizes)) == want
+        _assert_matches_reference(lz._SuffixAutomaton(bits), automaton)
+        _assert_matches_reference(_chunked_automaton(bits, sizes), automaton)
         assert lz.parse(x).pairs == pairs
         assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
 
