@@ -185,6 +185,8 @@ def read_bit_file(path, fmt: str = "raw",
     called and only that payload is read; a stream that cannot seek is read
     to its end in bounded pieces, after ``take``, and then checked.
     """
+    if fmt not in ("raw", "ascii"):  # before the input is opened
+        raise ValueError(f"unknown bit file format: {fmt!r}")
     with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as f:
         if fmt == "ascii":  # '0' and '1' end in bits 0 and 1, packed 8 at a time
             payload, bad, rest = bytearray(), set(), b""
@@ -198,8 +200,6 @@ def read_bit_file(path, fmt: str = "raw",
             count = 8 * len(payload) + len(rest)
             payload += np.packbits(np.frombuffer(rest, np.uint8) & 1).tobytes()
             n = count if take is None else take(count)
-        elif fmt != "raw":
-            raise ValueError(f"unknown bit file format: {fmt!r}")
         else:
             size = None
             if f.seekable():

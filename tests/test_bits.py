@@ -173,6 +173,11 @@ def test_ascii_file_ignores_whitespace(tmp_path):
     assert read_bit_file(path, fmt="ascii").to01() == "0110110"
 
 
+def test_an_unknown_format_is_refused_before_the_input_is_opened(tmp_path):
+    with pytest.raises(ValueError, match="^unknown bit file format: 'hex'$"):
+        read_bit_file(tmp_path / "missing", "hex")
+
+
 def test_ascii_read_in_pieces_gives_its_digits():
     # about three 64 KiB pieces, whose digits do not fill whole bytes
     text = np.random.default_rng(25).choice(np.frombuffer(b"0101 \n", np.uint8), 200003).tobytes()
