@@ -25,6 +25,7 @@ from .bits import encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
 DEFAULT_ALPHA = 0.01
+_WINDOWED = "bounded-window (non-consistent) mode"
 
 _EXIT_ACCEPT = 0
 _EXIT_REJECT = 1
@@ -38,24 +39,20 @@ class CliError(Exception):
 def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
     """Check the options of ``test`` and ``scan`` before any input is read.
 
-    ``args.tests`` and ``args.weights`` become lists; returns the run's
-    engine and the weight schedule of a battery.  ``stats`` checks the
-    rules of the test run itself, and the parser the choices of each flag
-    (``--schedule``, one of ``--input`` or ``--source``); the checks here
-    name the CLI's own flags.
+    Returns the run's engine and the weight schedule of a battery.
+    ``stats`` checks the rules of the test run itself (alpha, test ids,
+    window, weights, the scan's grid), and the parser the syntax and choices
+    of each flag; the checks here name the CLI's own flags.
     """
-    args.tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-    args.weights = _parse_weights(args.weights)
     stats._check_alpha(args.alpha)
     engine = stats.PrefixScanTest(*args.tests, window_bits=args.window_bits)
-    if args.command == "scan" and len(args.tests) != 1:
-        raise CliError("scan drives a single test; pass exactly one --tests id")
+    if args.command == "scan":
+        if len(args.tests) != 1:
+            raise CliError("scan drives a single test; pass exactly one --tests id")
+        stats._check_grid(args.start_bits, args.budget)
     max_bits = getattr(args, "max_bits", None)
     if max_bits is not None and max_bits < 1:
         raise CliError(f"max bits must be >= 1, got {max_bits}")
-    if args.command == "scan" and (args.start_bits < 1 or args.budget < args.start_bits):
-        raise CliError(f"need 1 <= start bits <= budget, got start {args.start_bits} "
-                       f"and budget {args.budget}")
     schedule = (stats.OMEGA_STAR if args.weights is None
                 else stats.WeightSchedule.from_weights(args.weights))
     if len(args.tests) > 1:
@@ -74,23 +71,13 @@ def _config(args) -> dict:
         "source": args.source,
         "max_bits": getattr(args, "max_bits", None),
         "window_bits": args.window_bits,
-        "mode": ("bounded-window (non-consistent) mode"
-                 if args.window_bits is not None else "full-window"),
+        "mode": "full-window" if args.window_bits is None else _WINDOWED,
         "seed": args.seed,
     }
 
 
 # ---------------------------------------------------------------------------
 # input plumbing
-
-
-def _apply_seed(spec: str, seed: int | None) -> str:
-    """``spec`` with ``seed`` in place of its own; ``spec`` must parse as given."""
-    sources.parse_source_spec(spec)
-    if seed is None:
-        return spec
-    base = spec.strip().split(":seed=")[0]
-    return f"{base}:seed={seed}"
 
 
 def _resolve_sample(args, limit: int | None):
@@ -115,7 +102,7 @@ def _resolve_sample(args, limit: int | None):
 
     if args.source is not None:
         try:
-            label = _apply_seed(args.source, args.seed)
+            label = sources.apply_seed(args.source, args.seed)
             prefix = sources.parse_source_spec(label).bits
         except ValueError as exc:
             raise CliError(str(exc)) from None
@@ -142,8 +129,13 @@ def _json_document(payload: dict, args, input_label: str) -> str:
     return json.dumps(document, sort_keys=True, separators=(", ", ": "))
 
 
-def _print_report_text(report: stats.TestReport, input_label: str, n_bits: int) -> None:
-    print(f"input: {input_label} ({n_bits} bits)")
+def _mode_note(args) -> str:
+    """What a text report's first line ends with: the mode of a windowed run."""
+    return "" if args.window_bits is None else f", {_WINDOWED}"
+
+
+def _print_report_text(report: stats.TestReport, head: str) -> None:
+    print(f"input: {head}")
     if report.components:
         for comp in report.components:
             print(f"  {comp.test_id}: statistic {comp.statistic_bits:g} bits, "
@@ -167,7 +159,7 @@ def cmd_gen(args) -> int:
     if args.output == "-" and binary_out is None and args.format == "raw":
         raise CliError("standard output takes only text; write raw bits with --output PATH")
     try:
-        bits = sources.generate(_apply_seed(args.spec, args.seed), args.bits)
+        bits = sources.generate(sources.apply_seed(args.spec, args.seed), args.bits)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.output == "-":
@@ -193,15 +185,13 @@ def cmd_test(args) -> int:
     if args.report == "json":
         print(_json_document(report.to_dict(), args, label))
     else:
-        _print_report_text(report, label, n)
+        _print_report_text(report, f"{label} ({n} bits){_mode_note(args)}")
     return _EXIT_REJECT if report.rejected else _EXIT_ACCEPT
 
 
 def cmd_scan(args) -> int:
     engine, _ = _check_args(args)
     prefix, n, label = _resolve_sample(args, args.budget)
-    if n < args.start_bits:
-        raise CliError(f"input has {n} bits, fewer than the {args.start_bits} start bits")
     result = stats.consistency_scan(prefix, engine, args.alpha,
                                     start_bits=args.start_bits, max_bits=n)
     if args.report == "json":
@@ -212,7 +202,7 @@ def cmd_scan(args) -> int:
         print(_json_document(payload, args, label))
     else:
         print(f"scan: {args.tests[0]}, alpha {args.alpha:g}, prefixes "
-              f"{args.start_bits} x 2^k up to {n}")
+              f"{args.start_bits} x 2^k up to {n}{_mode_note(args)}")
         for step in result.steps:
             r = step.report
             print(f"  {step.bits:>9} bits: statistic {r.statistic_bits:>12g} bits, "
@@ -222,15 +212,6 @@ def cmd_scan(args) -> int:
         else:
             print(f"first rejection: {result.first_rejection_bits} bits")
     return _EXIT_REJECT if result.rejected else _EXIT_ACCEPT
-
-
-def _parse_weights(raw: str | None) -> list[float] | None:
-    if raw is None:
-        return None
-    try:
-        return [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise CliError(f"malformed --weights {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the seed embedded in the spec")
     gen.set_defaults(func=cmd_gen)
 
+    def weights(raw: str) -> list[float]:  # argparse names it in a malformed value's error
+        return [float(v) for v in raw.split(",")]
+
     def common_test_args(p):
         sample = p.add_mutually_exclusive_group(required=True)
         sample.add_argument("--input", help="input path, '-' for stdin")
         sample.add_argument("--source", help="generate the sample instead")
         p.add_argument("--input-format", choices=("raw", "ascii"), default="raw")
-        p.add_argument("--tests", default="lz77",
+        p.add_argument("--tests", default="lz77",  # argparse parses a str default too
+                       type=lambda raw: [t.strip() for t in raw.split(",") if t.strip()],
                        help=f"comma-separated test ids from: {', '.join(stats.TEST_IDS)}")
         p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
         p.add_argument("--schedule", choices=("omega_star",), default="omega_star")
-        p.add_argument("--weights", default=None,
+        p.add_argument("--weights", type=weights, default=None,
                        help="custom battery weights, comma separated")
         p.add_argument("--window-bits", type=int, default=None,
                        help="bounded-window (non-consistent) mode block size")

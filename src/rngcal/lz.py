@@ -10,6 +10,7 @@ bit-reproducible.
 
 Each pair is serialized as ``C(p + 1)`` followed by one raw bit (literal)
 or ``C(l)`` (copy), where C is the integer code from :mod:`rngcal.codes`.
+A factor costs ``|C(p + 1)| + |C(l)|`` bits; a literal's raw bit is as long as ``C(1)``.
 The pair stream carries no terminator: within any fixed input length the
 codeword set is prefix-free (decoding is unambiguous pair by pair and the
 reconstructed length identifies the input), which is what the rejection
@@ -48,7 +49,6 @@ from .errors import DecodeError
 # below 40 bytes per bit, interpreter included.  A bare pair stream decodes
 # to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
-_LITERAL_COST = encoded_length(1) + 1  # C(1) marker plus one raw bit
 _BLOCK = 1 << 14  # positions, or factors, priced per numpy step
 _ROOM = 1 << 12  # factors the C walk records per call
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
@@ -308,8 +308,8 @@ def _delta_lengths(v: np.ndarray) -> np.ndarray:
 def _factor_costs(widths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Serialized cost of factors given by their ``_factorize`` widths and lengths.
 
-    A literal, of width 1 and length 1, costs C(1) and one raw bit: two bits,
-    as ``_LITERAL_COST`` says.
+    A literal, of width 1 and length 1, costs C(1) + C(1): its marker and
+    its raw bit.
     """
     cost = _CODE_LENGTHS[widths]
     cost += _delta_lengths(lengths)
@@ -335,7 +335,7 @@ def parse(x: BitString) -> Lz77Parse:
 
 def pairs_cost(pairs: list[Lz77Pair]) -> int:
     """Bit length of the serialized pair stream."""
-    return sum(_LITERAL_COST if p == 0 else encoded_length(p + 1) + encoded_length(payload)
+    return sum(encoded_length(p + 1) + (encoded_length(payload) if p else 1)
                for p, payload in pairs)
 
 
@@ -391,7 +391,7 @@ def decode(c: Codeword | BitString) -> BitString:
 def code_length(x: BitString) -> int:
     """``len(encode(x))`` without materializing the codeword."""
     _, _, lengths, ends = _greedy(x)
-    return sum(_LITERAL_COST if end < 0 else encoded_length(end - ell + 3) + encoded_length(ell)
+    return sum(encoded_length(end - ell + 3) + encoded_length(ell)
                for ell, end in zip(lengths, ends))
 
 

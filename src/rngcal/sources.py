@@ -32,7 +32,7 @@ _PIECE = 2 ** 16  # uniforms drawn at a time: 512 KiB of float64
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _check_probability(name: str, p: float) -> float:
@@ -58,6 +58,8 @@ class Source:
 
     def __init__(self, seed: int = 0):
         self.seed = _check_integer("seed", seed)
+        if not 0 <= self.seed < 2 ** 64:  # one 64-bit Philox key per seed
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def bits(self, n: int) -> BitString:
         """First ``n`` bits of the stream.
@@ -255,6 +257,12 @@ def _parse_seed(field: str, spec: str) -> int:
         return int(field[5:], 0)
     except ValueError:
         raise ValueError(f"malformed seed in source spec {spec!r}") from None
+
+
+def apply_seed(spec: str, seed: int | None) -> str:
+    """``spec`` with ``seed`` in place of its own; ``spec`` must parse as given."""
+    parse_source_spec(spec)
+    return spec if seed is None else f"{spec.strip().split(':seed=')[0]}:seed={seed}"
 
 
 def parse_source_spec(spec: str) -> Source:

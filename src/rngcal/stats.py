@@ -41,6 +41,13 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_grid(start_bits: int, max_bits: int) -> None:
+    """A scan's doubling grid, ``start_bits`` up to ``max_bits``, must hold a length."""
+    if not 1 <= start_bits <= max_bits:
+        raise ValueError(f"need 1 <= start_bits <= max_bits, got start_bits {start_bits} "
+                         f"and max_bits {max_bits}")
+
+
 def _clamp_p(p: float) -> float:
     return min(1.0, max(p, P_VALUE_FLOOR))
 
@@ -429,8 +436,7 @@ def consistency_scan(prefix: Callable[[int], BitString], test: Callable[..., Tes
     rejection; the budget running out is an outcome, not an error.
     """
     alpha = _check_alpha(alpha)
-    if start_bits < 1 or max_bits < start_bits:
-        raise ValueError("need 1 <= start_bits <= max_bits")
+    _check_grid(start_bits, max_bits)
     steps: list[ScanStep] = []
     first = None
     n = start_bits

@@ -262,6 +262,13 @@ def test_window_mode_flagged_and_lz_only(capsys):
     assert status == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["mode"] == "bounded-window (non-consistent) mode"
+    # the text reports name the mode on their first line
+    for argv, head in ((("test", "--max-bits", "4096"), "input: bernoulli:0.5:seed=8 (4096 bits)"),
+                       (("scan", "--budget", "4096"),
+                        "scan: lz77, alpha 0.01, prefixes 1024 x 2^k up to 4096")):
+        assert run_cli(*argv, "--source", "bernoulli:0.5:seed=8", "--window-bits", "1024") == 0
+        assert capsys.readouterr().out.startswith(
+            f"{head}, bounded-window (non-consistent) mode\n")
     assert run_cli("test", "--source", "bernoulli:0.5:seed=8",
                    "--tests", "tauk", "--window-bits", "1024") == 2
 
@@ -277,6 +284,7 @@ def test_window_mode_flagged_and_lz_only(capsys):
     ("test", "--source", "bernoulli:0.5:seed=oops", "--max-bits", "1024", "--seed", "9"),
     ("gen", "dup:", "--bits", "8"),
     ("gen", "dup::seed=3", "--bits", "8"),
+    ("test", "--source", "bernoulli:0.5:seed=-1"),
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(*argv) == 2
@@ -362,6 +370,16 @@ def _raised(call) -> str:
                  lambda: stats.PrefixScanTest("tauk", window_bits=8), id="window-tauk"),
     pytest.param(("test", "--max-bits", "4096", "--alpha", "1.5"),
                  lambda: stats.compression_test(BitString.zeros(8), 1.5), id="alpha"),
+    pytest.param(("test", "--max-bits", "4096", "--weights", "a,b"),
+                 "argument --weights: invalid weights value: 'a,b'", id="weights-malformed"),
+    pytest.param(("scan", "--start-bits", "4096", "--budget", "2048"),
+                 lambda: stats.consistency_scan(BitString.zeros(8).prefix, stats.compression_test,
+                                                0.01, start_bits=4096, max_bits=2048),
+                 id="start-past-budget"),
+    pytest.param(("scan", "--start-bits", "0"),
+                 lambda: stats.consistency_scan(BitString.zeros(8).prefix, stats.compression_test,
+                                                0.01, start_bits=0, max_bits=2 ** 20),
+                 id="start-0"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):
     _refuse_to_draw(monkeypatch)
@@ -501,8 +519,8 @@ def test_scan_of_a_file_shorter_than_start_bits_is_an_error(window, tmp_path, ca
     assert not analysis.called and not test.called
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("rngcal: error: input has 500 bits, fewer than "
-                            "the 1024 start bits\n")
+    assert captured.err == ("rngcal: error: need 1 <= start_bits <= max_bits, "
+                            "got start_bits 1024 and max_bits 500\n")
 
 
 @pytest.mark.parametrize("fmt,data", [("raw", bytes(8)), ("ascii", b" \n")])

@@ -54,6 +54,8 @@ def test_pinned_digests():
     assert generate("dup:seed=7", 4096).digest() == DIGEST_DUP_SEED7_4096
     assert (generate("regime:100,0.2,50,0.8:seed=7", 4096).digest()
             == DIGEST_REGIME_SEED7_4096)
+    assert (generate(f"bernoulli:0.5:seed={2 ** 64 - 1}", 64).to01()  # the largest seed
+            == "1010100111111101111011100111011101100001101110010111110100010111")
 
 
 @pytest.mark.parametrize("spec", DIGESTS_2_22)
@@ -360,6 +362,15 @@ def test_parse_spec_defaults_seed_zero():
 def test_parse_spec_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_source_spec(bad)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # a Philox key taken modulo 2^64 would give -1 the stream of 2^64 - 1, 2^64 that of 0
+    for make in (lambda: BernoulliSource(0.5, seed=seed),
+                 lambda: parse_source_spec(f"dup:seed={seed}")):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got "):
+            make()
 
 
 def test_unknown_kind_lists_valid_kinds():

@@ -566,9 +566,11 @@ def test_the_engine_checks_every_prefix_windowed_or_not(blob, steps, window, dat
 
 
 def test_scan_validates_arguments():
-    with pytest.raises(ValueError):
-        stats.consistency_scan(BitString.zeros(10).prefix, stats.compression_test, 0.01,
-                               start_bits=0)
+    for start_bits, max_bits in ((0, 2 ** 20), (16, 10)):  # the grid's text names both
+        with pytest.raises(ValueError, match=f"^need 1 <= start_bits <= max_bits, got "
+                                             f"start_bits {start_bits} and max_bits {max_bits}$"):
+            stats.consistency_scan(BitString.zeros(10).prefix, stats.compression_test, 0.01,
+                                   start_bits=start_bits, max_bits=max_bits)
     with pytest.raises(TypeError):
         stats.consistency_scan(42, stats.compression_test, 0.01)
 
