@@ -1,13 +1,13 @@
 /* The two per-bit loops of rngcal.lz, compiled on first use (see lz._kernel).
 
    Each function transliterates a Python loop in lz.py, which stays the
-   fallback and the reference the tests compare against; lz.py says what
-   the arrays hold.  A transition is 0 when absent (no transition enters
-   the root), +t for a solid edge to state t and -t for a secondary one:
-   s -> t is solid when the longest substring of t is that of s plus one
-   bit, which is all the build asks of the state lengths.  Python sizes
-   every array and checks that every state index fits in int32 before it
-   calls. */
+   fallback; tests/test_lz.py checks both against the references in
+   tests/helpers.py, and lz.py says what the arrays hold.  A transition is
+   0 when absent (no transition enters the root), +t for a solid edge to
+   state t and -t for a secondary one: s -> t is solid when the longest
+   substring of t is that of s plus one bit, which is all the build asks
+   of the state lengths.  Python sizes every array and checks that every
+   state index fits in int32 before it calls. */
 
 #include <stdint.h>
 
@@ -53,18 +53,17 @@ void sam_extend(int32_t *next0, int32_t *next1, int32_t *link, int32_t *first,
     state[1] = states;
 }
 
-/* lz._factorize: the greedy parse of bits[start:n], at most ``room``
-   factors of it.  Writes each factor's start to bounds and the end of its
-   first occurrence (-1 for a literal) to ends, then the position the walk
-   stopped at (n, or the start of the next factor) to bounds[count], and
-   the widths of the sources of the truncated factors to widths, indexed
-   from start; returns the number of factors. */
-int64_t sam_factorize(const int32_t *next0, const int32_t *next1, const int32_t *first,
-                      const uint8_t *bits, int64_t n, int64_t start, int64_t room,
-                      int32_t *bounds, int32_t *ends, uint8_t *widths)
+/* lz._factorize: the greedy parse of bits[start:n].  Writes the width of
+   the source of each truncated factor to widths, indexed from start, and
+   marks each factor's last position m by setting bit 7 of widths[m - start];
+   where ends is not NULL, writes the end of the factor's first occurrence
+   (-1 for a literal) to ends[m - start]. */
+void sam_factorize(const int32_t *next0, const int32_t *next1, const int32_t *first,
+                   const uint8_t *bits, uint8_t *widths, int64_t n, int64_t start,
+                   int32_t *ends)
 {
-    int64_t count = 0, i = start;
-    while (i < n && count < room) {
+    int64_t i = start;
+    while (i < n) {
         int32_t st = 0, end = -1;  /* from the root: extending may have cloned states */
         int64_t j = i;
         while (j < n) {
@@ -79,10 +78,9 @@ int64_t sam_factorize(const int32_t *next0, const int32_t *next1, const int32_t 
         }
         if (j == i)
             widths[++j - start] = 1;  /* a literal: p + 1 = 1 */
-        bounds[count] = (int32_t)i;
-        ends[count++] = end;
+        widths[j - start] |= 0x80;
+        if (ends)
+            ends[j - start] = end;
         i = j;
     }
-    bounds[count] = (int32_t)i;
-    return count;
 }

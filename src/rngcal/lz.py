@@ -50,7 +50,7 @@ from .errors import DecodeError
 # to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _BLOCK = 1 << 14  # positions, or factors, priced per numpy step
-_ROOM = 1 << 12  # factors the C walk records per call
+_END = 0x80  # bit 7 of a width marks the last position of a factor
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
 
@@ -80,8 +80,8 @@ def _kernel() -> ctypes.CDLL | None:
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     lib.sam_extend.argtypes = [ptr] * 5 + [i64, i32, ptr]
     lib.sam_extend.restype = None
-    lib.sam_factorize.argtypes = [ptr] * 4 + [i64, i64, i64, ptr, ptr, ptr]
-    lib.sam_factorize.restype = i64
+    lib.sam_factorize.argtypes = [ptr] * 5 + [i64, i64, ptr]
+    lib.sam_factorize.restype = None
     return lib
 
 
@@ -230,70 +230,58 @@ class _SuffixAutomaton:
         self.size += len(bits)
 
 
-def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton,
-               start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
+def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton, start: int,
+               ends: array | None = None) -> np.ndarray:
+    """Walk the greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
 
-    Returns int32 arrays of the factor bounds (the starts, then
-    ``len(bits)``) and of the factor ends, and a uint8 array of ``widths``
-    indexed from ``start``.  A factor's end is the end index of its first
-    occurrence, -1 for a literal.  For ``start < m <= len(bits)``,
-    ``widths[m - start]`` is the bit length of ``end - (m - i) + 3``, where
-    ``i`` starts the factor that holds bit ``m - 1`` and ``end`` is the end
-    of the first occurrence of ``bits[i:m]``, -1 for a literal: the factor
-    truncated at ``m``.  A match may take bit ``j`` while its first
-    occurrence ends before ``j``, that is, starts before ``i``, and that
-    first occurrence is the smallest source.
+    Returns a uint8 array ``widths`` indexed from ``start``.  For ``start <
+    m <= len(bits)``, the low seven bits of ``widths[m - start]`` are the bit
+    length of ``end - (m - i) + 3``, where ``i`` starts the factor that
+    holds bit ``m - 1`` and ``end`` is the end index of the first occurrence
+    of ``bits[i:m]``, -1 for a literal: the factor truncated at ``m``.  A
+    match may take bit ``j`` while its first occurrence ends before ``j``,
+    that is, starts before ``i``, and that first occurrence is the smallest
+    source.  ``_END`` marks ``widths[0]`` and each factor's last position,
+    so the marked indices are the factor bounds counted from ``start``: the
+    starts, then ``len(bits) - start``.  Where the int32 array ``ends`` of
+    ``len(widths)`` entries is given, the walk writes the end of each
+    factor's first occurrence into it at the factor's mark.
 
     ``end - (m - i) + 3`` is ``p + 1`` for the 1-based source ``p`` of the
     truncated factor (``p = 0`` for a literal), and C of an integer depends
     only on its bit length.  So a width and a length price a factor, whole
     or truncated, and one byte per position is all the prefix costs need.
-
-    The C walk records at most ``_ROOM`` factors per call and resumes at
-    the next factor start, so it needs no room sized by the input.
     """
     n = len(bits)
     next0, next1, first = automaton.next0, automaton.next1, automaton.first
     widths = array("B", [0]) * (n + 1 - start)
+    widths[0] = _END
     kernel = _kernel()
     if kernel is not None:  # the walk below, in C
-        room = min(_ROOM, n - start)  # a short input takes one call
-        bounds, ends = array("i", [0]) * (room + 1), array("i", [0]) * room
-        args = [*map(_address, (next0, next1, first, bits)), n]
-        out = _address(bounds), _address(ends)
-        base = _address(widths) - start  # a call indexes widths from its own start
-        count = kernel.sam_factorize(*args, start, room, *out, base + start)
-        starts, factor_ends = bounds[:count], ends[:count]
-        while bounds[count] < n:  # the room filled: resume at the next factor
-            i = bounds[count]
-            count = kernel.sam_factorize(*args, i, room, *out, base + i)
-            starts += bounds[:count]
-            factor_ends += ends[:count]
-    else:
-        bits = memoryview(bits)
-        starts, factor_ends = array("i"), array("i")
-        i = start
-        while i < n:
-            starts.append(i)
-            st = 0  # from the root: extending may have cloned the states of an earlier walk
-            end = -1
-            j = i
-            while j < n:
-                st = abs((next1 if bits[j] else next0)[st])
-                if not st or first[st] >= j:
-                    break
-                end = first[st]
-                j += 1
-                widths[j - start] = (end - (j - i) + 3).bit_length()
-            if j == i:  # a literal
-                j += 1
-                widths[j - start] = 1
-            factor_ends.append(end)
-            i = j
-    starts.append(n)
-    return (np.frombuffer(starts, dtype=np.int32), np.frombuffer(factor_ends, dtype=np.int32),
-            np.frombuffer(widths, dtype=np.uint8))
+        kernel.sam_factorize(*map(_address, (next0, next1, first, bits, widths)), n, start,
+                             None if ends is None else _address(ends))
+        return np.frombuffer(widths, dtype=np.uint8)
+    bits = memoryview(bits)
+    i = start
+    while i < n:
+        st = 0  # from the root: extending may have cloned the states of an earlier walk
+        end = -1
+        j = i
+        while j < n:
+            st = abs((next1 if bits[j] else next0)[st])
+            if not st or first[st] >= j:
+                break
+            end = first[st]
+            j += 1
+            widths[j - start] = (end - (j - i) + 3).bit_length()
+        if j == i:  # a literal
+            j += 1
+            widths[j - start] = 1
+        widths[j - start] |= _END
+        if ends is not None:
+            ends[j - start] = end
+        i = j
+    return np.frombuffer(widths, dtype=np.uint8)
 
 
 # ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
@@ -320,9 +308,10 @@ def _greedy(x: BitString) -> tuple[bytes, list[int], list[int], list[int]]:
     """The bits of ``x`` and, per factor, its start, its length and its end
     (see :func:`_factorize`), from one build and one walk."""
     bits = x.array.tobytes()
-    bounds, ends, _ = _factorize(bits, _SuffixAutomaton(bits), 0)
-    starts = bounds[:-1]
-    return bits, starts.tolist(), (bounds[1:] - starts).tolist(), ends.tolist()
+    ends = array("i", [0]) * (len(bits) + 1)
+    bounds = (_factorize(bits, _SuffixAutomaton(bits), 0, ends) >= _END).nonzero()[0].tolist()
+    stops = bounds[1:]
+    return bits, bounds[:-1], [b - a for a, b in zip(bounds, stops)], [ends[m] for m in stops]
 
 
 def parse(x: BitString) -> Lz77Parse:
@@ -443,22 +432,24 @@ class _PrefixCosts:
             self._automaton = _SuffixAutomaton(bits)
         n = len(bits)
         first = self._open
-        bounds, _, widths = _factorize(bits, self._automaton, first)
+        widths = _factorize(bits, self._automaton, first)
+        bounds = (widths >= _END).nonzero()[0].astype(np.int32)  # counted from ``first``
+        widths &= _END - 1
         begin = bounds[:-1]
         before = np.empty(len(bounds), dtype=np.int64)  # cost before each factor, then in all
         before[0] = self._closed
         for lo in range(0, len(begin), _BLOCK):  # a block of factors at a time
             stop = bounds[lo + 1:lo + 1 + _BLOCK]
-            before[lo + 1:lo + 1 + len(stop)] = _factor_costs(widths[stop - first],
+            before[lo + 1:lo + 1 + len(stop)] = _factor_costs(widths[stop],
                                                               stop - begin[lo:lo + _BLOCK])
         np.cumsum(before, out=before)
-        self._open = int(begin[-1])
+        self._open = first + int(begin[-1])
         self._closed = int(before[-2])
         self.total = int(before[-1])
 
         def block(lo: int) -> tuple[int, np.ndarray]:
             hi = min(lo + _BLOCK, n + 1)
-            m = np.arange(lo, hi, dtype=np.int32)
+            m = np.arange(lo - first, hi - first, dtype=np.int32)
             f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
             return lo, before[f] + _factor_costs(widths[lo - first:hi - first], m - begin[f])
 

@@ -425,27 +425,27 @@ class ScanResult:
 
 
 def consistency_scan(prefix: Callable[[int], BitString], test: Callable[..., TestReport],
-                     alpha: float, start_bits: int = 1024, max_bits: int = 2 ** 20,
-                     stop_at_rejection: bool = True) -> ScanResult:
+                     alpha: float, start_bits: int = 1024, max_bits: int = 2 ** 20) -> ScanResult:
     """Apply ``test`` to prefixes of a fixed stream at doubling lengths.
 
     ``prefix(m)`` returns the first ``m`` bits of the stream, for instance
     ``Source.bits`` or ``BitString.prefix``.  The grid is ``start_bits``,
     ``2*start_bits``, ... up to ``max_bits``.  Returns the first grid length
     at which ``test`` rejects, or None if the budget is exhausted without
-    rejection; the budget running out is an outcome, not an error.
+    rejection; the budget running out is an outcome, not an error.  Each
+    step is judged at the full ``alpha``, so the chance that a scan of
+    uniform bits rejects is bounded by ``alpha`` times the number of steps,
+    not by ``alpha``, unless the statistic is already a maximum over every
+    prefix, as ``tauk``'s is (ROADMAP item 1).
     """
     alpha = _check_alpha(alpha)
     _check_grid(start_bits, max_bits)
     steps: list[ScanStep] = []
-    first = None
     n = start_bits
     while n <= max_bits:
         report = test(prefix(n), alpha)
         steps.append(ScanStep(bits=n, report=report))
-        if report.rejected and first is None:
-            first = n
-            if stop_at_rejection:
-                break
+        if report.rejected:
+            return ScanResult(first_rejection_bits=n, steps=steps)
         n *= 2
-    return ScanResult(first_rejection_bits=first, steps=steps)
+    return ScanResult(first_rejection_bits=None, steps=steps)

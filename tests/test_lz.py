@@ -11,6 +11,7 @@ import sys
 import sysconfig
 import tracemalloc
 import zlib
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -347,49 +348,49 @@ def test_automaton_columns_match_the_python_build(kind, backend):
 
 
 def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int) -> tuple:
-    """What ``lz._factorize`` returns, from the per-position ends of
-    ``reference_factorize``: the bounds, each factor's end (its ``ends``
-    entry at its stop) and, at each position, the bit length of
-    ``ends - len + 3`` for the factor truncated there (1 for a literal,
-    whose end is -1)."""
+    """What ``lz._factorize`` writes, from ``reference_factorize``: at each
+    position the bit length of ``ends - len + 3`` for the factor truncated
+    there (1 for a literal, whose end is -1), with ``lz._END`` set at the
+    bounds, and the per-position ends."""
     bounds, ends = reference_factorize(bits, automaton, start)
     widths = np.zeros(len(ends), dtype=np.uint8)
     for i, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         for m in range(i + 1, stop + 1):
             widths[m - start] = (int(ends[m - start]) - (m - i) + 3).bit_length()
-    return bounds, ends[bounds[1:] - start], widths
+    widths[bounds - start] |= lz._END
+    return widths, ends
 
 
-def _assert_walk(got: tuple, want: tuple, label) -> None:
-    for name, a, b in zip(("bounds", "ends", "widths"), got, want, strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b), (label, name)
-
-
-# Rooms of factors per C walk call: 1 and 3 make the walk resume often.
-_ROOMS = (1, 3, lz._ROOM)
+def _assert_walk(widths: np.ndarray, ends, want: tuple, label) -> None:
+    """The marked widths equal the reference, and so do ``ends`` (unless
+    None) at the marks that end a factor."""
+    assert widths.dtype == want[0].dtype and np.array_equal(widths, want[0]), (label, "widths")
+    if ends is not None:
+        marks = np.flatnonzero(widths & lz._END)[1:]
+        assert np.array_equal(np.frombuffer(ends, dtype=np.int32)[marks], want[1][marks]), (
+            label, "ends")
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
-def test_factorize_from_a_start_matches_the_python_walk(kind, backend, monkeypatch):
+def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
     bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
     n = len(bits)
     with python_loops():
         automaton = lz._SuffixAutomaton(bits)
     whole = _reference_walk(bits, automaton, 0)
-    resumed = whole[0][[1, len(whole[0]) // 2, -2]].tolist()
+    bounds = np.flatnonzero(whole[0] & lz._END)
+    resumed = bounds[[1, len(bounds) // 2, -2]].tolist()
     starts = (0, 1, 7, 5000, 70001, n - 1, n, *resumed)
     want = {start: _reference_walk(bits, automaton, start) for start in starts}
     # resumed at a factor start, the walk continues the whole parse
     for start in resumed:
-        bounds, _, widths = want[start]
-        assert np.array_equal(bounds, whole[0][whole[0] >= start]), start
-        assert np.array_equal(widths[1:], whole[2][start + 1:]), start
+        for got, entire in zip(want[start], whole):
+            assert np.array_equal(got[1:], entire[start + 1:]), start
     with _backend(backend):
-        for room in _ROOMS if backend == "native" else (lz._ROOM,):
-            monkeypatch.setattr(lz, "_ROOM", room)
-            for start in starts:
-                _assert_walk(lz._factorize(bits, automaton, start), want[start], (start, room))
+        for start in starts:
+            ends = array("i", [0]) * (n + 1 - start)
+            _assert_walk(lz._factorize(bits, automaton, start, ends), ends, want[start], start)
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -399,19 +400,17 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
 
     def checked(bits, automaton, start):
         got = walk(bits, automaton, start)
-        _assert_walk(got, _reference_walk(bits, automaton, start), (len(bits), start))
+        _assert_walk(got, None, _reference_walk(bits, automaton, start), (len(bits), start))
         starts.append(start)
         return got
 
     monkeypatch.setattr(lz, "_factorize", checked)
     with _backend(backend):
-        for room in _ROOMS:
-            monkeypatch.setattr(lz, "_ROOM", room)
-            for kind in sorted(_PARITY_INPUTS):
-                x = _PARITY_INPUTS[kind](3000)
-                table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
-                assert np.array_equal(table, reference_prefix_costs(x)), (kind, room)
-    assert len(starts) == 6 * len(_ROOMS) * len(_PARITY_INPUTS) and max(starts) > 1000
+        for kind in sorted(_PARITY_INPUTS):
+            x = _PARITY_INPUTS[kind](3000)
+            table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
+            assert np.array_equal(table, reference_prefix_costs(x)), kind
+    assert len(starts) == 6 * len(_PARITY_INPUTS) and max(starts) > 1000
 
 
 def test_strided_views_give_the_results_of_a_contiguous_copy():

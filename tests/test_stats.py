@@ -377,23 +377,27 @@ _SCAN_STREAMS = {
 }
 
 
+def _grid(start_bits: int, max_bits: int) -> list[int]:
+    """The doubling grid of a scan from ``start_bits`` up to ``max_bits``."""
+    return [start_bits << k for k in range((max_bits // start_bits).bit_length())]
+
+
+def _assert_steps_equal(engine, reference, x: BitString, start_bits: int, label) -> None:
+    """``engine`` reports on every prefix of ``x`` on the grid as ``reference``
+    does, past any rejection."""
+    for m in _grid(start_bits, len(x)):
+        got, want = engine(x.prefix(m), 0.01), reference(x.prefix(m), 0.01)
+        assert got == want and got.detail == want.detail, (label, m)
+
+
 @pytest.mark.parametrize("start_bits", [1, 3, 1000])
 @pytest.mark.parametrize("kind", sorted(_SCAN_STREAMS))
 def test_prefix_scan_test_equals_from_scratch_scan(kind, start_bits):
-    x = _SCAN_STREAMS[kind]
     references = {"lz77": reference_compression_test,
                   "tauk": reference_tau_k_test}
     for test_id, reference in references.items():
-        got = stats.consistency_scan(x.prefix, stats.PrefixScanTest(test_id), 0.01,
-                                     start_bits=start_bits, max_bits=len(x),
-                                     stop_at_rejection=False)
-        want = stats.consistency_scan(x.prefix, reference, 0.01, start_bits=start_bits,
-                                      max_bits=len(x), stop_at_rejection=False)
-        assert got.first_rejection_bits == want.first_rejection_bits
-        assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
-        for a, b in zip(got.steps, want.steps):
-            assert a.report == b.report, (test_id, a.bits)
-            assert a.report.detail == b.report.detail, (test_id, a.bits)
+        _assert_steps_equal(stats.PrefixScanTest(test_id), reference, _SCAN_STREAMS[kind],
+                            start_bits, test_id)
 
 
 def _windowed_code(window: int):
@@ -405,18 +409,10 @@ def _windowed_code(window: int):
 @pytest.mark.parametrize("kind", sorted(_SCAN_STREAMS))
 def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, window):
     # every window but 700 ends on a scan step
-    x = _SCAN_STREAMS[kind]
     code = _windowed_code(window)
-    got = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
-                                 0.01, start_bits=start_bits, max_bits=len(x),
-                                 stop_at_rejection=False)
-    want = stats.consistency_scan(
-        x.prefix, lambda y, alpha: stats._compression_report(len(y), code(y), alpha), 0.01,
-        start_bits=start_bits, max_bits=len(x), stop_at_rejection=False)
-    assert [s.bits for s in got.steps] == [s.bits for s in want.steps]
-    for a, b in zip(got.steps, want.steps):
-        assert a.report == b.report, a.bits
-        assert a.report.detail == b.report.detail, a.bits
+    _assert_steps_equal(stats.PrefixScanTest("lz77", window_bits=window),
+                        lambda y, alpha: stats._compression_report(len(y), code(y), alpha),
+                        _SCAN_STREAMS[kind], start_bits, window)
 
 
 @pytest.mark.parametrize("window", [384, 700, 1 << 20])
@@ -431,8 +427,7 @@ def test_a_windowed_scan_puts_each_bit_through_the_automaton_once(window, monkey
     monkeypatch.setattr(lz._SuffixAutomaton, "extend", counted)
     x = _SCAN_STREAMS["uniform"]
     result = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
-                                    0.01, start_bits=3, max_bits=len(x),
-                                    stop_at_rejection=False)
+                                    0.01, start_bits=3, max_bits=len(x))
     assert sum(taken) == result.steps[-1].bits == 3072
 
 
