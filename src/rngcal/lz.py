@@ -78,9 +78,9 @@ def _kernel() -> ctypes.CDLL | None:
     except OSError:
         return None
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    lib.sam_extend.argtypes = [ptr] * 5 + [i64, i32, ptr]
+    lib.sam_extend.argtypes = [ptr, ptr, i64, i32, ptr]
     lib.sam_extend.restype = None
-    lib.sam_factorize.argtypes = [ptr] * 5 + [i64, i64, ptr]
+    lib.sam_factorize.argtypes = [ptr] * 3 + [i64, i64, ptr]
     lib.sam_factorize.restype = None
     return lib
 
@@ -143,28 +143,29 @@ class Lz77Parse:
 class _SuffixAutomaton:
     """Suffix automaton of a bit string, built online (Blumer et al. 1985).
 
-    ``next0``/``next1`` hold transitions: 0 when absent (no transition
-    enters the root), ``t`` for a solid edge to state ``t`` and ``-t`` for a
-    secondary one.  An edge ``s -> t`` is solid when the longest substring
-    of ``t`` is that of ``s`` plus one bit, and the build needs no more of
-    the state lengths than that.  ``first[s]`` is the end index (0-based,
-    inclusive) of the first occurrence of the substrings of state ``s``.
-    ``extend`` appends bits; a substring of the bits already taken in keeps
-    its first occurrence, so walks over the automaton of a prefix and of the
-    extended string agree on that prefix.  Extending can clone a state,
-    though, so a walk must restart from the root after an extension.
+    ``table`` holds one row of four int32 entries per state ``s``:
+    ``table[4*s + c]`` is the transition on bit ``c``, 0 when absent (no
+    transition enters the root), ``t`` for a solid edge to state ``t`` and
+    ``-t`` for a secondary one; ``table[4*s + 2]`` is the suffix link and
+    ``table[4*s + 3]`` the end index (0-based, inclusive) of the first
+    occurrence of the substrings of ``s``.  An edge ``s -> t`` is solid
+    when the longest substring of ``t`` is that of ``s`` plus one bit, and
+    the build needs no more of the state lengths than that.  ``extend``
+    appends bits; a substring of the bits already taken in keeps its first
+    occurrence, so walks over the automaton of a prefix and of the extended
+    string agree on that prefix.  Extending can clone a state, though, so a
+    walk must restart from the root after an extension.
 
-    A bit adds at most two states (itself and a clone), so the four arrays
-    are sized once per construction or ``extend`` and filled by index;
-    ``states`` counts the states in use and the rest is room.
+    A bit adds at most two states (itself and a clone), so the table is
+    sized once per construction or ``extend`` and filled by index;
+    ``states`` counts the rows in use and the rest is room.
     """
 
-    __slots__ = ("next0", "next1", "link", "first", "last", "states", "size")
+    __slots__ = ("table", "last", "states", "size")
 
     def __init__(self, bits: bytes = b""):
-        room = 2 * len(bits) + 2  # the root and two states per bit
-        self.next0, self.next1, self.link, self.first = (array("i", [0]) * room for _ in range(4))
-        self.link[0] = self.first[0] = -1  # the root
+        self.table = array("i", [0]) * (4 * (2 * len(bits) + 2))  # the root, two states per bit
+        self.table[2] = self.table[3] = -1  # the root has no link and no occurrence
         self.last, self.states, self.size = 0, 1, 0  # ``size`` counts the bits taken in
         self.extend(bits)
 
@@ -173,24 +174,22 @@ class _SuffixAutomaton:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         if not len(bits):
             return
-        next0, next1, link, first = self.next0, self.next1, self.link, self.first
-        size = len(link)
-        room = self.states + 2 * len(bits) + 1 - size
+        table = self.table
+        rows = len(table) // 4
+        room = self.states + 2 * len(bits) + 1 - rows
         if room > 0:
-            # Grow each column in place, a bounded fill piece at a time, so no
-            # old column is held beside its new one; the slack ``extend`` adds
+            # Grow the table in place, a bounded fill piece at a time, so no
+            # old table is held beside its new one; the slack ``extend`` adds
             # is never written, so it is not resident.  Growing by at least an
             # eighth keeps short extensions amortized.
-            grow = max(room, size >> 3)
+            grow = 4 * max(room, rows >> 3)
             fill = array("i", [0]) * min(grow, _BLOCK)
-            for column in (next0, next1, link, first):
-                for done in range(0, grow, _BLOCK):
-                    column.extend(fill[:grow - done])
+            for done in range(0, grow, _BLOCK):
+                table.extend(fill[:grow - done])
         kernel = _kernel()
         if kernel is not None:  # the loop below, in C
             state = (ctypes.c_int32 * 2)(self.last, self.states)
-            kernel.sam_extend(*map(_address, (next0, next1, link, first, bits)),
-                              len(bits), self.size, state)
+            kernel.sam_extend(_address(table), _address(bits), len(bits), self.size, state)
             self.last, self.states = state
             self.size += len(bits)
             return
@@ -199,31 +198,30 @@ class _SuffixAutomaton:
         for pos, c in enumerate(memoryview(bits), self.size):
             cur = states
             states += 1
-            first[cur] = pos
-            nx = next1 if c else next0
-            nx[last] = cur  # ``last`` has no transitions yet; this one is solid
-            p = link[last]
-            while p != -1 and nx[p] == 0:
-                nx[p] = -cur
-                p = link[p]
+            table[4 * cur + 3] = pos
+            table[4 * last + c] = cur  # ``last`` has no transitions yet; this one is solid
+            p = table[4 * last + 2]
+            while p != -1 and table[4 * p + c] == 0:
+                table[4 * p + c] = -cur
+                p = table[4 * p + 2]
             if p == -1:
-                link[cur] = 0
-            elif nx[p] > 0:
-                link[cur] = nx[p]
+                table[4 * cur + 2] = 0
+            elif table[4 * p + c] > 0:
+                table[4 * cur + 2] = table[4 * p + c]
             else:
-                q = -nx[p]
+                q = -table[4 * p + c]
                 clone = states
                 states += 1
-                next0[clone], next1[clone] = -abs(next0[q]), -abs(next1[q])  # all secondary
-                link[clone] = link[q]
-                first[clone] = first[q]
-                nx[p] = clone
-                p = link[p]
-                while p != -1 and nx[p] == -q:
-                    nx[p] = -clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
+                row = table[4 * q:4 * q + 4]  # a clone is shorter than q: all edges secondary
+                row[0], row[1] = -abs(row[0]), -abs(row[1])
+                table[4 * clone:4 * clone + 4] = row
+                table[4 * p + c] = clone
+                p = table[4 * p + 2]
+                while p != -1 and table[4 * p + c] == -q:
+                    table[4 * p + c] = -clone
+                    p = table[4 * p + 2]
+                table[4 * q + 2] = clone
+                table[4 * cur + 2] = clone
             last = cur
         self.last = last
         self.states = states
@@ -244,21 +242,22 @@ def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton, start: int
     source.  ``_END`` marks ``widths[0]`` and each factor's last position,
     so the marked indices are the factor bounds counted from ``start``: the
     starts, then ``len(bits) - start``.  Where the int32 array ``ends`` of
-    ``len(widths)`` entries is given, the walk writes the end of each
-    factor's first occurrence into it at the factor's mark.
+    ``len(widths)`` entries is given (only :func:`parse` needs the sources
+    themselves), the walk writes the end of each factor's first occurrence
+    into it at the factor's mark.
 
     ``end - (m - i) + 3`` is ``p + 1`` for the 1-based source ``p`` of the
     truncated factor (``p = 0`` for a literal), and C of an integer depends
     only on its bit length.  So a width and a length price a factor, whole
-    or truncated, and one byte per position is all the prefix costs need.
+    or truncated, and one byte per position is all the code lengths need.
     """
     n = len(bits)
-    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    table = automaton.table
     widths = array("B", [0]) * (n + 1 - start)
     widths[0] = _END
     kernel = _kernel()
     if kernel is not None:  # the walk below, in C
-        kernel.sam_factorize(*map(_address, (next0, next1, first, bits, widths)), n, start,
+        kernel.sam_factorize(*map(_address, (table, bits, widths)), n, start,
                              None if ends is None else _address(ends))
         return np.frombuffer(widths, dtype=np.uint8)
     bits = memoryview(bits)
@@ -268,10 +267,10 @@ def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton, start: int
         end = -1
         j = i
         while j < n:
-            st = abs((next1 if bits[j] else next0)[st])
-            if not st or first[st] >= j:
+            st = abs(table[4 * st + bits[j]])
+            if not st or table[4 * st + 3] >= j:
                 break
-            end = first[st]
+            end = table[4 * st + 3]
             j += 1
             widths[j - start] = (end - (j - i) + 3).bit_length()
         if j == i:  # a literal
@@ -286,6 +285,7 @@ def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton, start: int
 
 # ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
 _CODE_LENGTHS = np.array([0] + [encoded_length(1 << k) for k in range(63)], dtype=np.int64)
+_WIDTH_LENGTHS = [0] * _END + _CODE_LENGTHS.tolist()  # the same, indexed by a marked width
 
 
 def _delta_lengths(v: np.ndarray) -> np.ndarray:
@@ -304,21 +304,13 @@ def _factor_costs(widths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _greedy(x: BitString) -> tuple[bytes, list[int], list[int], list[int]]:
-    """The bits of ``x`` and, per factor, its start, its length and its end
-    (see :func:`_factorize`), from one build and one walk."""
+def parse(x: BitString) -> Lz77Parse:
+    """Greedy factorization of ``x``; empty input yields no pairs."""
     bits = x.array.tobytes()
     ends = array("i", [0]) * (len(bits) + 1)
     bounds = (_factorize(bits, _SuffixAutomaton(bits), 0, ends) >= _END).nonzero()[0].tolist()
-    stops = bounds[1:]
-    return bits, bounds[:-1], [b - a for a, b in zip(bounds, stops)], [ends[m] for m in stops]
-
-
-def parse(x: BitString) -> Lz77Parse:
-    """Greedy factorization of ``x``; empty input yields no pairs."""
-    bits, starts, lengths, ends = _greedy(x)
-    pairs = [Lz77Pair(0, bits[i]) if end < 0 else Lz77Pair(end - ell + 2, ell)
-             for i, ell, end in zip(starts, lengths, ends)]
+    pairs = [Lz77Pair(0, bits[i]) if ends[m] < 0 else Lz77Pair(ends[m] - (m - i) + 2, m - i)
+             for i, m in zip(bounds, bounds[1:])]
     return Lz77Parse(pairs=pairs, total_length=len(bits))
 
 
@@ -378,10 +370,16 @@ def decode(c: Codeword | BitString) -> BitString:
 
 
 def code_length(x: BitString) -> int:
-    """``len(encode(x))`` without materializing the codeword."""
-    _, _, lengths, ends = _greedy(x)
-    return sum(encoded_length(end - ell + 3) + encoded_length(ell)
-               for ell, end in zip(lengths, ends))
+    """``len(encode(x))`` without materializing the codeword.
+
+    Each factor is priced from the width at its mark and its length (see
+    :func:`_factorize`), so the walk writes no ends: one byte per position.
+    """
+    bits = x.array.tobytes()
+    widths = _factorize(bits, _SuffixAutomaton(bits), 0)
+    bounds = (widths >= _END).nonzero()[0].tolist()
+    return sum(_WIDTH_LENGTHS[w] + encoded_length(m - i)
+               for i, m, w in zip(bounds, bounds[1:], widths[bounds[1:]].tolist()))
 
 
 class _PrefixCosts:

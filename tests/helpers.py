@@ -105,7 +105,7 @@ def python_loops():
 def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
     """The suffix automaton of ``bits`` by the classic length-based build
     (Blumer et al. 1985), one state per list entry; the reference for the
-    signed columns of ``lz._SuffixAutomaton`` on both backends.
+    signed table of ``lz._SuffixAutomaton`` on both backends.
 
     Returns the five columns ``next0``, ``next1`` (-1 where there is no
     transition), ``link``, ``length`` (of each state's longest substring)
@@ -155,7 +155,7 @@ def reference_factorize(bits, automaton: lz._SuffixAutomaton,
     """
     bits = memoryview(bits)
     n = len(bits)
-    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    next0, next1, first = (automaton.table[k::4] for k in (0, 1, 3))
     ends = [-1] * (n + 1 - start)
     starts = []
     i = start
@@ -190,7 +190,7 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
     n = len(bits)
     with python_loops():
         automaton = lz._SuffixAutomaton(bits)
-    next0, next1, first = automaton.next0, automaton.next1, automaton.first
+    next0, next1, first = (automaton.table[k::4] for k in (0, 1, 3))
     out = [0] * (n + 1)
     cum = 0
     i = 0

@@ -103,14 +103,6 @@ def test_single_literal_codeword_length():
     assert len(lz.encode(BitString.from01("0"))) == encoded_length(1) + 1
 
 
-def test_code_length_agrees_with_encode():
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        n = int(rng.integers(0, 300))
-        x = BitString(rng.integers(0, 2, n).astype(np.uint8))
-        assert lz.code_length(x) == len(lz.encode(x))
-
-
 def test_round_trip_trivial():
     for s in ("", "0110"):
         x = BitString.from01(s)
@@ -298,10 +290,23 @@ def _backend(name: str):
     return contextlib.nullcontext()
 
 
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_code_length_agrees_with_encode(backend):
+    rng = np.random.default_rng(6)
+    samples = [BitString(rng.integers(0, 2, int(rng.integers(0, 300))).astype(np.uint8))
+               for _ in range(1000)]
+    # all-zero and all-one strings: one literal, then one self-overlapping copy
+    samples += [BitString(np.full(n, b, dtype=np.uint8)) for n in range(71) for b in (0, 1)]
+    with _backend(backend):
+        for x in samples:
+            assert lz.code_length(x) == len(lz.encode(x))
+
+
 def _columns(automaton: lz._SuffixAutomaton) -> tuple:
-    """The four columns over the states in use, then ``states``, ``last`` and ``size``."""
+    """The four columns of the table over the states in use, then ``states``,
+    ``last`` and ``size``."""
     k = automaton.states
-    return (*(getattr(automaton, name)[:k] for name in lz._SuffixAutomaton.__slots__[:4]),
+    return (*(automaton.table[c:4 * k:4] for c in range(4)),
             automaton.states, automaton.last, automaton.size)
 
 
@@ -321,10 +326,11 @@ def _assert_matches_reference(automaton: lz._SuffixAutomaton, reference: tuple) 
     (``length[t] == length[s] + 1``), and 0 where there is none."""
     next0, next1, link, length, first, last = reference
     k = len(link)
+    got0, got1, got_link, got_first = _columns(automaton)[:4]
     assert (automaton.states, automaton.last) == (k, last)
-    assert automaton.link[:k].tolist() == link
-    assert automaton.first[:k].tolist() == first
-    for got, want in ((automaton.next0[:k], next0), (automaton.next1[:k], next1)):
+    assert got_link.tolist() == link
+    assert got_first.tolist() == first
+    for got, want in ((got0, next0), (got1, next1)):
         assert [abs(t) for t in got] == [max(t, 0) for t in want]
         assert [t > 0 for t in got] == [t != -1 and length[t] == length[s] + 1
                                         for s, t in enumerate(want)]
@@ -339,6 +345,9 @@ def test_automaton_columns_match_the_python_build(kind, backend):
         want = _columns(lz._SuffixAutomaton(bits))
     with _backend(backend):
         automaton = lz._SuffixAutomaton(bits)
+        # one row of four int32 entries for the root and for each of 2n states
+        assert automaton.table.itemsize == 4
+        assert len(automaton.table) == 4 * (2 * len(bits) + 2)
         assert _columns(automaton) == want
         _assert_matches_reference(automaton, reference)
         for size in (1, 7, 5000, 70001):

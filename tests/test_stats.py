@@ -486,6 +486,13 @@ def test_lz77_report_keeps_no_per_bit_table():
     assert engine <= one_shot + (2 << 20)
 
 
+def test_code_length_holds_no_per_position_ends():
+    # the automaton's 32 B/bit, the sample's bytes and the walk's widths: the
+    # factors are priced from the widths at the marks, with no int32 per position
+    x = random_bits(1 << 18, seed=40)
+    assert _traced_peak(lz.code_length, x) < 35 * len(x)  # 8.75 MiB
+
+
 def test_lz77_report_prices_whole_factors_in_place():
     # The whole-factor pricing runs while the automaton is alive; with a
     # temporary per numpy step it took 0.80 MiB over the one-shot peak here.
