@@ -13,18 +13,6 @@ from .bits import BitString
 from .codes import Codeword, decode_integer, encode_integer, encoded_length, kraft_sum
 from .errors import DecodeError, InfeasibleError
 from .lz import Lz77Pair, Lz77Parse
-from .sources import (
-    BernoulliSource,
-    DriftingBiasSource,
-    DuplicationSource,
-    MarkovSource,
-    RegimeSwitchSource,
-    Source,
-    duplication_construction,
-    generate,
-    parse_source_spec,
-    required_base_length,
-)
 from .stats import (
     OMEGA_STAR,
     TestReport,
@@ -71,3 +59,18 @@ __all__ = [
     "consistency_scan",
     "__version__",
 ]
+
+# The generators need numpy, which a test or scan of a file does without:
+# ``sources`` and its names are imported when first asked for.
+_SOURCE_NAMES = ("Source", "BernoulliSource", "MarkovSource", "DriftingBiasSource",
+                 "RegimeSwitchSource", "DuplicationSource", "duplication_construction",
+                 "required_base_length", "parse_source_spec", "generate")
+
+
+def __getattr__(name: str):
+    if name == "sources" or name in _SOURCE_NAMES:
+        import importlib
+
+        sources = importlib.import_module(".sources", __name__)
+        return sources if name == "sources" else getattr(sources, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

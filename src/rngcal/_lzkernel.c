@@ -8,11 +8,22 @@
    for a secondary one: s -> t is solid when the longest substring of t is
    that of s plus one bit, which is all the build asks of the state
    lengths.  Python sizes every array and checks that every state index
-   fits in int32 before it calls; a bit is a byte of 0 or 1 (a BitString's). */
+   fits in int32 before it calls; a bit is a byte of 0 or 1 (a BitString's).
+   The walk prices each prefix as it goes and folds tau_k's evidence in
+   doubles; it is built with -ffp-contract=off, so that no compiler fuses
+   that arithmetic, and it calls libm's log2, as Python's math.log2 does. */
 
+#include <math.h>
 #include <stdint.h>
 
 typedef struct { int32_t next[2], link, first; } state_t;  /* one row of the table */
+
+/* lz._Walk: where a walk resumes, what it has priced, and tau_k's best evidence */
+typedef struct {
+    int64_t open, closed, total;  /* the open factor's start, the cost before it, of all bits */
+    int64_t seen, fold, scale;    /* prefixes up to seen bits reported; fold: best at scale */
+    double best;
+} walk_t;
 
 /* _SuffixAutomaton.extend: take in bits[0:n] as positions size.. of the
    string.  state[0] is ``last`` and state[1] ``states``, updated in place. */
@@ -53,18 +64,44 @@ void sam_extend(state_t *sam, const uint8_t *bits, int64_t n, int32_t size, int3
     state[1] = states;
 }
 
-/* lz._factorize: the greedy parse of bits[start:n].  Writes the width of
-   the source of each truncated factor to widths, indexed from start, and
-   marks each factor's last position m by setting bit 7 of widths[m - start];
-   where ends is not NULL, writes the end of the factor's first occurrence
-   (-1 for a literal) to ends[m - start]. */
-void sam_factorize(const state_t *sam, const uint8_t *bits, uint8_t *widths, int64_t n,
-                   int64_t start, int32_t *ends)
+static int width(int64_t v)  /* the bit length of v >= 1 */
 {
-    int64_t i = start;
+    return 64 - __builtin_clzll((uint64_t)v);
+}
+
+/* The code length cost of the first m bits, for m above the prefixes seen:
+   into costs[m] unless costs is NULL, and with fold into tau_k's maximum. */
+static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs)
+{
+    if (m <= w->seen)
+        return;
+    if (costs)
+        costs[m] = cost;
+    if (w->fold) {
+        double dm = (double)m;
+        double e = dm - (1.0 + (double)(cost < m ? cost : m));
+        e += log2(1.0 / (dm * (dm + 1.0)));
+        if (e > w->best) {  /* the first maximum wins */
+            w->best = e;
+            w->scale = m;
+        }
+    }
+}
+
+/* lz._factorize: resume the greedy parse of bits[0:n] at w->open.  A factor
+   truncated at m, from i, costs lengths[width(p + 1)] + lengths[width(m - i)]
+   for the 1-based source p = end - (m - i) + 2 of its first occurrence,
+   which ends at end (-1 and p = 0 for a literal).  Where ends is not NULL,
+   writes the end of each factor to ends[m] at the factor's last position m. */
+void sam_factorize(const state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *lengths,
+                   walk_t *w, int32_t *ends, int64_t *costs)
+{
+    int64_t i = w->open, closed = w->closed, cost = closed;
     while (i < n) {
         int32_t st = 0, end = -1;  /* from the root: extending may have cloned states */
         int64_t j = i;
+        w->open = i;  /* the factor from i is open until one starts after it */
+        w->closed = closed;
         while (j < n) {
             st = sam[st].next[bits[j]];
             if (st < 0)
@@ -73,13 +110,19 @@ void sam_factorize(const state_t *sam, const uint8_t *bits, uint8_t *widths, int
                 break;
             end = sam[st].first;
             j++;
-            widths[j - start] = (uint8_t)(64 - __builtin_clzll((uint64_t)(end - (j - i) + 3)));
+            cost = closed + lengths[width(end - (j - i) + 3)] + lengths[width(j - i)];
+            report(w, j, cost, costs);
         }
-        if (j == i)
-            widths[++j - start] = 1;  /* a literal: p + 1 = 1 */
-        widths[j - start] |= 0x80;
+        if (j == i) {  /* a literal: p + 1 = 1, and its raw bit is as long as C(1) */
+            j++;
+            cost = closed + 2 * lengths[1];
+            report(w, j, cost, costs);
+        }
         if (ends)
-            ends[j - start] = end;
+            ends[j] = end;
+        closed = cost;
         i = j;
     }
+    w->total = closed;
+    w->seen = n;
 }

@@ -22,9 +22,8 @@ import io
 import os
 from typing import Callable, Iterable
 
-import numpy as np
-
 _HEADER_BYTES = 8
+_PIECE_BITS = 1 << 14  # bits unpacked at a time, a multiple of 8
 _ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 # Swaps the bytes 0 and 1 with the digits '0' and '1': one table turns one
@@ -45,18 +44,23 @@ def bit_bytes_to_int(buf: bytes) -> int:
 
 
 class BitString:
-    """Immutable sequence of bits backed by a uint8 array of 0/1 values."""
+    """Immutable sequence of bits: the first ``n`` bytes, each 0 or 1, of a
+    buffer that nothing writes to, which a prefix shares with the string it
+    is cut from.  The buffer is a ``bytes``, or a ``bytearray`` that its
+    maker fills a piece at a time and hands over (:func:`read_bit_file`,
+    ``Source.bits``), so that making it holds no more than a byte per bit."""
 
-    __slots__ = ("_a",)
+    __slots__ = ("_buffer", "_n")
 
-    def __init__(self, bits: Iterable[int] | np.ndarray = ()):
+    def __init__(self, bits: Iterable[int] = ()):
+        import numpy as np  # here: files, sources and codecs make their bytes without it
+
         a = np.asarray(bits)
         # checked before the cast, which would wrap 256 and -255 and truncate 1.7
         if a.size and not np.all(a <= 1 if a.dtype == np.uint8 else (a == 0) | (a == 1)):
             raise ValueError("bits must be 0 or 1")
-        a = a.astype(np.uint8).reshape(-1)
-        a.setflags(write=False)
-        self._a = a
+        self._buffer = a.astype(np.uint8, copy=False).tobytes()
+        self._n = len(self._buffer)
 
     # -- constructors ------------------------------------------------------
 
@@ -67,7 +71,7 @@ class BitString:
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":
-        return cls(np.zeros(n, dtype=np.uint8))
+        return cls._wrap(bytes(n))
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
@@ -76,69 +80,95 @@ class BitString:
             raise ValueError("width must be >= 0")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls._wrap(np.frombuffer(int_to_bit_bytes(value, width), dtype=np.uint8))
+        return cls._wrap(int_to_bit_bytes(value, width))
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> "BitString":
-        """Take ``a``, a 1-D uint8 array of 0/1 that nothing writes to,
-        without the check and the copy of ``__init__``: a fresh array, or a
-        view of the array of an immutable ``BitString``."""
-        a.setflags(write=False)
+    def _wrap(cls, buffer: bytes | bytearray, n: int | None = None) -> "BitString":
+        """The first ``n`` bytes of ``buffer``, all of them by default, which
+        must each be 0 or 1 and which nothing may write to: taken without the
+        check and the copy of ``__init__``."""
         self = cls.__new__(cls)
-        self._a = a
+        self._buffer, self._n = buffer, len(buffer) if n is None else n
         return self
 
     # -- views -------------------------------------------------------------
 
     @property
-    def array(self) -> np.ndarray:
-        """Read-only uint8 view of the bits."""
-        return self._a
+    def array(self):
+        """Read-only uint8 numpy view of the bits."""
+        import numpy as np
+
+        a = np.frombuffer(self._buffer, dtype=np.uint8, count=self._n)
+        a.setflags(write=False)
+        return a
+
+    def _bytes(self) -> bytes:
+        """The bits as ``bytes``, one byte each: the buffer itself where it is
+        one of exactly this length, else a copy."""
+        b = self._buffer
+        return b if type(b) is bytes and len(b) == self._n else bytes(memoryview(b)[:self._n])
 
     def to01(self) -> str:
-        return self._a.tobytes().translate(_DIGITS).decode()
+        return self._bytes().translate(_DIGITS).decode()
 
     def to_int(self) -> int:
         """The integer whose big-endian binary expansion is this string."""
-        return bit_bytes_to_int(self._a.tobytes())
+        return bit_bytes_to_int(self._bytes())
 
     def prefix(self, m: int) -> "BitString":
-        """The first ``m`` bits, as a read-only view (no copy)."""
+        """The first ``m`` bits, sharing this string's bytes (no copy)."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range 0..{len(self)}")
-        return BitString._wrap(self._a[:m])
+        return BitString._wrap(self._buffer, m)
 
     def digest(self) -> str:
         """SHA-256 over the packed payload and bit length; for regressions."""
         import hashlib  # here: its OpenSSL costs every process about 3 MB
+        import numpy as np
 
         h = hashlib.sha256()
         h.update(len(self).to_bytes(8, "little"))
-        h.update(np.packbits(self._a).tobytes())
+        h.update(np.packbits(self.array).tobytes())
         return h.hexdigest()
 
     # -- dunder ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return int(self._a.size)
+        return self._n
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return BitString._wrap(self._a[idx])
-        return int(self._a[idx])
+            start, stop, step = idx.indices(self._n)
+            if start == 0 and step == 1:
+                return self.prefix(stop)
+            return BitString._wrap(memoryview(self._buffer)[:self._n][idx].tobytes())
+        return self._buffer[range(self._n)[idx]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self._a, other._a))
+        return self._n == other._n and (self._buffer is other._buffer
+                                        or self._bytes() == other._bytes())
 
     def __hash__(self) -> int:
-        return hash((len(self), self._a.tobytes()))
+        return hash((len(self), self._bytes()))
 
     def __repr__(self) -> str:
         if len(self) <= 32:
             return f"BitString('{self.to01()}')"
         return f"BitString('{self.prefix(24).to01()}...', length={len(self)})"
+
+
+def _unpack(payload: bytes | bytearray, n: int) -> bytearray:
+    """The first ``n`` bits of MSB-first ``payload``, one byte (0 or 1) per
+    bit, unpacked ``_PIECE_BITS`` at a time through an integer into one
+    buffer, so the pieces' temporaries stay small beside it."""
+    out, view = bytearray(n), memoryview(payload)
+    for at in range(0, n, _PIECE_BITS):
+        m = min(_PIECE_BITS, n - at)
+        piece = int.from_bytes(view[at // 8:(at + m + 7) // 8], "big") >> (-m % 8)
+        out[at:at + m] = int_to_bit_bytes(piece, m)
+    return out
 
 
 def _check_raw_size(count: int, size: int) -> None:
@@ -161,10 +191,12 @@ def decode_bits(data: bytes, fmt: str = "raw") -> BitString:
 def encode_bits(bits: BitString, fmt: str = "raw") -> bytes:
     """``bits`` in format ``fmt``; ascii ends with a newline."""
     if fmt == "raw":
+        import numpy as np  # here: it packs 2^20 bits in 0.3 ms, an int in 5.5 ms
+
         return len(bits).to_bytes(_HEADER_BYTES, "little") + np.packbits(bits.array).tobytes()
     if fmt != "ascii":
         raise ValueError(f"unknown bit file format: {fmt!r}")
-    return bits.array.tobytes().translate(_DIGITS) + b"\n"
+    return bits._bytes().translate(_DIGITS) + b"\n"
 
 
 def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
@@ -180,7 +212,8 @@ def read_bit_file(path, fmt: str = "raw",
     ``take(count)``, given the number of bits the input holds, returns how
     many of the first ones to read; all of them by default.  ascii is read
     in 64 KiB pieces, each checked and packed.  A raw input is sized from its
-    header and only the payload of the bits taken is unpacked.  A file, or a
+    header and only the payload of the bits taken is unpacked, a piece at a
+    time through an integer, without numpy.  A file, or a
     stream that can seek, is checked against its size before ``take`` is
     called and only that payload is read; a stream that cannot seek is read
     to its end in bounded pieces, after ``take``, and then checked.
@@ -188,17 +221,20 @@ def read_bit_file(path, fmt: str = "raw",
     if fmt not in ("raw", "ascii"):  # before the input is opened
         raise ValueError(f"unknown bit file format: {fmt!r}")
     with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "rb") as f:
-        if fmt == "ascii":  # '0' and '1' end in bits 0 and 1, packed 8 at a time
+        if fmt == "ascii":  # the digits read as a binary integer, packed 8 at a time
             payload, bad, rest = bytearray(), set(), b""
             for piece in iter(lambda: f.read(1 << 16), b""):
                 rest += piece.translate(None, _ASCII_WHITESPACE)
                 bad.update(rest.translate(None, b"01"))
-                payload += np.packbits(np.frombuffer(rest, np.uint8, len(rest) & ~7) & 1).tobytes()
-                rest = rest[len(rest) & ~7:]
+                whole = len(rest) & ~7
+                if whole and not bad:
+                    payload += int(rest[:whole], 2).to_bytes(whole // 8, "big")
+                rest = rest[whole:]
             if bad:
                 raise ValueError(f"invalid bit characters: {bytes(sorted(bad))!r}")
             count = 8 * len(payload) + len(rest)
-            payload += np.packbits(np.frombuffer(rest, np.uint8) & 1).tobytes()
+            if rest:
+                payload += int(rest.ljust(8, b"0"), 2).to_bytes(1, "big")
             n = count if take is None else take(count)
         else:
             size = None
@@ -221,5 +257,4 @@ def read_bit_file(path, fmt: str = "raw",
                 _check_raw_size(count, size)
     if 8 * len(payload) < n:  # the input shrank after it was sized
         raise ValueError(f"raw bit stream truncated: header says {count} bits")
-    # unpackbits yields only 0 and 1 in a fresh array: no check, no copy
-    return BitString._wrap(np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n))
+    return BitString._wrap(_unpack(payload, n))

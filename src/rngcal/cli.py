@@ -20,7 +20,7 @@ import datetime
 import json
 import sys
 
-from . import __version__, sources, stats
+from . import __version__, stats
 from .bits import encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
@@ -57,6 +57,8 @@ def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
                 else stats.WeightSchedule.from_weights(args.weights))
     if len(args.tests) > 1:
         stats._battery_weights(schedule, len(args.tests))
+    elif args.weights is not None:
+        raise CliError("--weights weighs the tests of a battery; pass at least two --tests ids")
     return engine, schedule
 
 
@@ -101,6 +103,8 @@ def _resolve_sample(args, limit: int | None):
         return n
 
     if args.source is not None:
+        from . import sources  # here: it needs numpy, which a file does not
+
         try:
             label = sources.apply_seed(args.source, args.seed)
             prefix = sources.parse_source_spec(label).bits
@@ -154,6 +158,8 @@ def _print_report_text(report: stats.TestReport, head: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    from . import sources
+
     # a text-only stdout (one without a byte buffer) takes ascii, never raw bytes
     binary_out = getattr(sys.stdout, "buffer", None)
     if args.output == "-" and binary_out is None and args.format == "raw":

@@ -15,10 +15,7 @@ short of 1 by the mass of the tail m > M).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
-
-import numpy as np
 
 from .bits import BitString, bit_bytes_to_int, int_to_bit_bytes
 from .errors import DecodeError
@@ -50,7 +47,7 @@ class BitWriter:
 
     def to_bitstring(self) -> BitString:
         # a copy of exactly one byte per bit: the buffer's growth slack stays here
-        return BitString._wrap(np.frombuffer(self._buf, dtype=np.uint8).copy())
+        return BitString._wrap(bytes(self._buf))
 
 
 class BitReader:
@@ -59,7 +56,7 @@ class BitReader:
     def __init__(self, bits: BitString, offset: int = 0):
         if not 0 <= offset <= len(bits):
             raise ValueError(f"offset {offset} out of range")
-        self._bits = bits.array.tobytes()
+        self._bits = bits._bytes()
         self.pos = offset
 
     def remaining(self) -> int:
@@ -136,6 +133,8 @@ def kraft_sum(lengths: Iterable[int]) -> float:
     rationals, so the result does not depend on summation order and cannot
     underflow term by term.  Returns 0.0 for an empty input.
     """
+    from fractions import Fraction  # here: no test or scan run needs it
+
     counts: dict[int, int] = {}
     for l in lengths:
         if l < 1:

@@ -28,31 +28,41 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
-import shutil
 import sysconfig
-import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from .bits import BitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
 # A full-window analysis holds a suffix automaton of all its bits, 32 bytes
-# per bit, and two more bytes per bit beside it: a `test` at this cap peaks
-# below 40 bytes per bit, interpreter included.  A bare pair stream decodes
-# to at most this many bits.
+# per bit, and the sample's byte per bit beside it: a `test` at this cap
+# peaks below 36 bytes per bit, interpreter included.  A bare pair stream
+# decodes to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
-_BLOCK = 1 << 14  # positions, or factors, priced per numpy step
-_END = 0x80  # bit 7 of a width marks the last position of a factor
+_BLOCK = 1 << 14  # entries a growing table is filled with at a time
+_INNER = -2  # what ``parse``'s ends hold where no factor ends
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
+# ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
+_CODE_LENGTHS = bytes([0] + [encoded_length(1 << k) for k in range(63)])
+
+
+class _Walk(ctypes.Structure):
+    """Where a greedy walk resumes, what it has priced and tau_k's best
+    evidence so far: ``walk_t`` of ``_lzkernel.c`` (see :func:`_factorize`)."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in
+                ("open", "closed", "total", "seen", "fold", "scale")] + [("best", ctypes.c_double)]
+
+    def __init__(self, fold: bool = False):
+        super().__init__(fold=fold, best=-math.inf)
 
 
 @functools.cache
@@ -80,7 +90,7 @@ def _kernel() -> ctypes.CDLL | None:
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     lib.sam_extend.argtypes = [ptr, ptr, i64, i32, ptr]
     lib.sam_extend.restype = None
-    lib.sam_factorize.argtypes = [ptr] * 3 + [i64, i64, ptr]
+    lib.sam_factorize.argtypes = [ptr, ptr, i64, ptr, ctypes.POINTER(_Walk), ptr, ptr]
     lib.sam_factorize.restype = None
     return lib
 
@@ -93,15 +103,18 @@ def _build_kernel(target: Path) -> None:
     Raises OSError if it cannot be built.
     """
     import shlex
-    import subprocess  # imported here: only a build needs it, and it costs 0.6 MB
+    import shutil
+    import subprocess  # imported here: only a build needs these, and they cost every run
+    import tempfile
 
     target.parent.mkdir(exist_ok=True)
     workdir = tempfile.mkdtemp(dir=target.parent)
     built = os.path.join(workdir, target.name)
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     try:
-        subprocess.run([*compiler, "-O2", "-shared", "-fPIC", "-o", built, str(_KERNEL_SOURCE)],
-                       check=True, capture_output=True, timeout=60)
+        # -ffp-contract=off: the fold's arithmetic stays that of the Python loop
+        subprocess.run([*compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", built,
+                        str(_KERNEL_SOURCE), "-lm"], check=True, capture_output=True, timeout=60)
         os.replace(built, target)
     except subprocess.SubprocessError as exc:
         raise OSError(f"{compiler[0]} could not build {_KERNEL_SOURCE.name}") from exc
@@ -109,14 +122,13 @@ def _build_kernel(target: Path) -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _address(buffer: bytes | array | np.ndarray):
-    """``buffer`` (a numpy array must be contiguous) as a pointer argument
-    of the kernel, not copied; the caller keeps ``buffer`` alive and
-    unresized during the call."""
+def _address(buffer: bytes | bytearray | array | None):
+    """``buffer`` as a pointer argument of the kernel, not copied; the
+    caller keeps ``buffer`` alive and unresized during the call."""
     if isinstance(buffer, array):
         return buffer.buffer_info()[0]
-    if isinstance(buffer, np.ndarray):
-        return buffer.ctypes.data
+    if isinstance(buffer, bytearray):
+        return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
     return buffer
 
 
@@ -163,13 +175,13 @@ class _SuffixAutomaton:
 
     __slots__ = ("table", "last", "states", "size")
 
-    def __init__(self, bits: bytes = b""):
+    def __init__(self, bits: bytes | bytearray = b""):
         self.table = array("i", [0]) * (4 * (2 * len(bits) + 2))  # the root, two states per bit
         self.table[2] = self.table[3] = -1  # the root has no link and no occurrence
         self.last, self.states, self.size = 0, 1, 0  # ``size`` counts the bits taken in
         self.extend(bits)
 
-    def extend(self, bits: bytes | np.ndarray) -> None:
+    def extend(self, bits: bytes | bytearray) -> None:
         if self.size + len(bits) > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         if not len(bits):
@@ -228,87 +240,88 @@ class _SuffixAutomaton:
         self.size += len(bits)
 
 
-def _factorize(bits: bytes | np.ndarray, automaton: _SuffixAutomaton, start: int,
-               ends: array | None = None) -> np.ndarray:
-    """Walk the greedy parse of ``bits[start:]``; ``automaton`` has taken in all of ``bits``.
+def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton, walk: _Walk,
+               ends: array | None = None, costs: array | None = None) -> None:
+    """Resume the greedy parse of ``bits[:n]`` at ``walk.open``, pricing as it goes;
+    ``automaton`` has taken in all of ``bits[:n]``.
 
-    Returns a uint8 array ``widths`` indexed from ``start``.  For ``start <
-    m <= len(bits)``, the low seven bits of ``widths[m - start]`` are the bit
-    length of ``end - (m - i) + 3``, where ``i`` starts the factor that
-    holds bit ``m - 1`` and ``end`` is the end index of the first occurrence
-    of ``bits[i:m]``, -1 for a literal: the factor truncated at ``m``.  A
-    match may take bit ``j`` while its first occurrence ends before ``j``,
-    that is, starts before ``i``, and that first occurrence is the smallest
-    source.  ``_END`` marks ``widths[0]`` and each factor's last position,
-    so the marked indices are the factor bounds counted from ``start``: the
-    starts, then ``len(bits) - start``.  Where the int32 array ``ends`` of
-    ``len(widths)`` entries is given (only :func:`parse` needs the sources
-    themselves), the walk writes the end of each factor's first occurrence
-    into it at the factor's mark.
-
-    ``end - (m - i) + 3`` is ``p + 1`` for the 1-based source ``p`` of the
-    truncated factor (``p = 0`` for a literal), and C of an integer depends
-    only on its bit length.  So a width and a length price a factor, whole
-    or truncated, and one byte per position is all the code lengths need.
+    ``walk.open`` starts the open factor, the last one, which reached the
+    end of the input and may grow with it, and ``walk.closed`` is the cost
+    of the factors before it; the walk leaves both so for ``bits[:n]`` and
+    sets ``walk.total`` to the code length of all ``n`` bits.  A factor from
+    ``i`` truncated at ``m`` costs ``|C(p + 1)| + |C(m - i)|``, where ``p``
+    is the 1-based source of the first occurrence of ``bits[i:m]`` (the
+    smallest source; it may start before ``i``), 0 for a literal, whose raw
+    bit is as long as C(1).  C of an integer depends only on its bit length,
+    which ``_CODE_LENGTHS`` prices.  Within a factor the greedy parse of a
+    prefix is the parse of the whole string with its last factor shortened,
+    so the walk has the code length of the first ``m`` bits at each position
+    ``m`` it passes.  For each ``m`` above ``walk.seen`` it writes that cost
+    to ``costs[m]`` where ``costs`` is given and, with ``walk.fold``, folds
+    tau_k's evidence at scale ``m``, ``m - (1 + min(cost, m)) + log2(1 /
+    (m (m + 1)))`` in that order in doubles, into ``walk.best`` at
+    ``walk.scale``, the first maximum winning; then ``walk.seen`` is ``n``.
+    Where ``ends`` is given (only :func:`parse` needs the sources), the walk
+    writes the end index of each factor's first occurrence, -1 for a
+    literal, to ``ends[m]`` at the factor's last position ``m``.
     """
-    n = len(bits)
-    table = automaton.table
-    widths = array("B", [0]) * (n + 1 - start)
-    widths[0] = _END
     kernel = _kernel()
     if kernel is not None:  # the walk below, in C
-        kernel.sam_factorize(*map(_address, (table, bits, widths)), n, start,
-                             None if ends is None else _address(ends))
-        return np.frombuffer(widths, dtype=np.uint8)
-    bits = memoryview(bits)
-    i = start
+        kernel.sam_factorize(*map(_address, (automaton.table, bits)), n, _CODE_LENGTHS, walk,
+                             _address(ends), _address(costs))
+        return
+    table, lengths, bits = automaton.table, _CODE_LENGTHS, memoryview(bits)
+    seen, fold, best, scale = walk.seen, walk.fold, walk.best, walk.scale
+
+    def report(m: int, cost: int) -> None:
+        nonlocal best, scale
+        if m <= seen:
+            return
+        if costs is not None:
+            costs[m] = cost
+        if fold:
+            dm = float(m)
+            e = dm - (1.0 + min(cost, m))
+            e += math.log2(1.0 / (dm * (dm + 1.0)))
+            if e > best:  # the first maximum wins
+                best, scale = e, m
+
+    i = last = walk.open
+    closed = before = cost = walk.closed
     while i < n:
         st = 0  # from the root: extending may have cloned the states of an earlier walk
         end = -1
         j = i
+        last, before = i, closed  # the factor from i is open until one starts after it
         while j < n:
             st = abs(table[4 * st + bits[j]])
             if not st or table[4 * st + 3] >= j:
                 break
             end = table[4 * st + 3]
             j += 1
-            widths[j - start] = (end - (j - i) + 3).bit_length()
-        if j == i:  # a literal
+            cost = (closed + lengths[(end - (j - i) + 3).bit_length()]
+                    + lengths[(j - i).bit_length()])
+            report(j, cost)
+        if j == i:  # a literal: p + 1 = 1, and its raw bit is as long as C(1)
             j += 1
-            widths[j - start] = 1
-        widths[j - start] |= _END
+            cost = closed + 2 * lengths[1]
+            report(j, cost)
         if ends is not None:
-            ends[j - start] = end
+            ends[j] = end
+        closed = cost
         i = j
-    return np.frombuffer(widths, dtype=np.uint8)
-
-
-# ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
-_CODE_LENGTHS = np.array([0] + [encoded_length(1 << k) for k in range(63)], dtype=np.int64)
-_WIDTH_LENGTHS = [0] * _END + _CODE_LENGTHS.tolist()  # the same, indexed by a marked width
-
-
-def _delta_lengths(v: np.ndarray) -> np.ndarray:
-    """:func:`encoded_length` of every entry of ``v`` (each >= 1; exact below 2**53)."""
-    return _CODE_LENGTHS[np.frexp(v)[1]]
-
-
-def _factor_costs(widths: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Serialized cost of factors given by their ``_factorize`` widths and lengths.
-
-    A literal, of width 1 and length 1, costs C(1) + C(1): its marker and
-    its raw bit.
-    """
-    cost = _CODE_LENGTHS[widths]
-    cost += _delta_lengths(lengths)
-    return cost
+    walk.open, walk.closed, walk.total = last, before, closed
+    walk.seen, walk.best, walk.scale = n, best, scale
 
 
 def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
-    bits = x.array.tobytes()
-    ends = array("i", [0]) * (len(bits) + 1)
-    bounds = (_factorize(bits, _SuffixAutomaton(bits), 0, ends) >= _END).nonzero()[0].tolist()
+    import numpy as np  # here: it finds the factor ends, and the CLI never parses
+
+    bits = x._bytes()
+    ends = array("i", [_INNER]) * (len(bits) + 1)
+    _factorize(bits, len(bits), _SuffixAutomaton(bits), _Walk(), ends)
+    bounds = [0, *np.flatnonzero(np.frombuffer(ends, dtype=np.int32) != _INNER).tolist()]
     pairs = [Lz77Pair(0, bits[i]) if ends[m] < 0 else Lz77Pair(ends[m] - (m - i) + 2, m - i)
              for i, m in zip(bounds, bounds[1:])]
     return Lz77Parse(pairs=pairs, total_length=len(bits))
@@ -366,20 +379,15 @@ def decode(c: Codeword | BitString) -> BitString:
             ell -= len(piece)
     if isinstance(c, Codeword) and len(out) != limit:
         raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
-    return BitString(np.frombuffer(out, dtype=np.uint8))
+    return BitString._wrap(bytes(out))
 
 
 def code_length(x: BitString) -> int:
-    """``len(encode(x))`` without materializing the codeword.
-
-    Each factor is priced from the width at its mark and its length (see
-    :func:`_factorize`), so the walk writes no ends: one byte per position.
-    """
-    bits = x.array.tobytes()
-    widths = _factorize(bits, _SuffixAutomaton(bits), 0)
-    bounds = (widths >= _END).nonzero()[0].tolist()
-    return sum(_WIDTH_LENGTHS[w] + encoded_length(m - i)
-               for i, m, w in zip(bounds, bounds[1:], widths[bounds[1:]].tolist()))
+    """``len(encode(x))`` without materializing the codeword: one walk,
+    which prices each factor as it goes and keeps nothing per position."""
+    costs = _PrefixCosts()
+    costs.extend(x)
+    return costs.total
 
 
 class _PrefixCosts:
@@ -388,81 +396,58 @@ class _PrefixCosts:
     ``extend`` takes a prefix that extends the bits taken in so far (the
     caller's rule: :class:`rngcal.stats.PrefixScanTest` checks it),
     extends the suffix automaton and resumes the greedy walk at the start
-    of the open factor: the last one, which reached the end of the input
-    and may still grow.  The factors before it are final, since each
+    of the open factor.  The factors before it are final, since each
     stopped at a bit already taken in and the first occurrence of a
     substring of those bits never changes.  The costs of a prefix's
     prefixes do not change as the string grows, so extending in chunks
     gives the costs of one pass over the whole string while each bit is
-    analysed once.  ``total`` is ``code_length`` of all bits taken in.
-
-    Within a factor the greedy parse of a prefix is the parse of the whole
-    string with its last factor shortened, and the smallest-p source of the
-    shortened factor is the first occurrence of the shortened match, whose
-    width the walk reports, one byte per position.  So the code length of
-    the first ``m`` bits is the cost of the factors before the one holding
-    bit ``m - 1`` plus that factor truncated at ``m``, priced in numpy a
-    block of positions at a time.  No per-bit table is kept, and no bits.
+    analysed once.  The walk prices each prefix as it passes it (see
+    :func:`_factorize`): ``total`` is ``code_length`` of all bits taken in,
+    and with ``fold`` set ``best`` is tau_k's best evidence over every
+    prefix and its scale.  No per-bit table is kept, and no bits.
     """
 
-    def __init__(self):
+    def __init__(self, fold: bool = False):
         self._automaton = None  # built from the first bits, at their size
-        self.total = 0
-        self._open = 0    # start of the open factor
-        self._closed = 0  # cost of the factors before it
+        self._walk = _Walk(fold)
 
-    def extend(self, x: BitString) -> Iterator[tuple[int, np.ndarray]]:
-        """Take in the prefix ``x`` of the string and set ``total`` to its code length.
+    @property
+    def total(self) -> int:
+        return self._walk.total
 
-        Returns the code lengths of the prefixes longer than the bits taken
-        in so far, up to ``len(x)`` bits, as ``(m, costs)`` blocks of up to
-        ``_BLOCK`` int64 entries, where ``costs[i]`` belongs to the first
-        ``m + i`` bits.  A block is priced when it is read, so blocks nobody
-        reads cost nothing.
+    @property
+    def best(self) -> tuple[float, int]:
+        return self._walk.best, self._walk.scale
+
+    def extend(self, x: BitString, costs: array | None = None) -> None:
+        """Take in the prefix ``x`` of the string, and price the prefixes
+        longer than the bits taken in so far.
+
+        Where the int64 array ``costs`` of at least ``len(x) + 1`` entries
+        is given, the code length of the first ``m`` bits goes to
+        ``costs[m]`` for each of those prefixes.
         """
         k = 0 if self._automaton is None else self._automaton.size
-        if len(x) == k:
-            return iter(())
-        bits = np.ascontiguousarray(x.array)  # only a strided view is copied
+        n = len(x)
+        if n == k:
+            return
+        bits = x._buffer
+        new = bits if k == 0 and n == len(bits) else bits[k:n]  # a slice of a bytearray copies
         if k:
-            self._automaton.extend(bits[k:])
+            self._automaton.extend(new)
         else:
-            self._automaton = _SuffixAutomaton(bits)
-        n = len(bits)
-        first = self._open
-        widths = _factorize(bits, self._automaton, first)
-        bounds = (widths >= _END).nonzero()[0].astype(np.int32)  # counted from ``first``
-        widths &= _END - 1
-        begin = bounds[:-1]
-        before = np.empty(len(bounds), dtype=np.int64)  # cost before each factor, then in all
-        before[0] = self._closed
-        for lo in range(0, len(begin), _BLOCK):  # a block of factors at a time
-            stop = bounds[lo + 1:lo + 1 + _BLOCK]
-            before[lo + 1:lo + 1 + len(stop)] = _factor_costs(widths[stop],
-                                                              stop - begin[lo:lo + _BLOCK])
-        np.cumsum(before, out=before)
-        self._open = first + int(begin[-1])
-        self._closed = int(before[-2])
-        self.total = int(before[-1])
-
-        def block(lo: int) -> tuple[int, np.ndarray]:
-            hi = min(lo + _BLOCK, n + 1)
-            m = np.arange(lo - first, hi - first, dtype=np.int32)
-            f = np.searchsorted(begin, m - 1, side="right") - 1  # factor holding bit m - 1
-            return lo, before[f] + _factor_costs(widths[lo - first:hi - first], m - begin[f])
-
-        return map(block, range(k + 1, n + 1, _BLOCK))
+            self._automaton = _SuffixAutomaton(new)
+        _factorize(bits, n, self._automaton, self._walk, costs=costs)
 
 
-def prefix_code_lengths(x: BitString) -> np.ndarray:
+def prefix_code_lengths(x: BitString):
     """``code_length`` of every prefix in one pass.
 
-    Returns an int64 array ``out`` of size ``len(x) + 1`` with
+    Returns an int64 numpy array ``out`` of size ``len(x) + 1`` with
     ``out[m] == code_length(x.prefix(m))``; see :class:`_PrefixCosts`.
     """
-    blocks = _PrefixCosts().extend(x)  # the automaton is freed before the pricing
-    out = np.zeros(len(x) + 1, dtype=np.int64)
-    for lo, costs in blocks:
-        out[lo:lo + len(costs)] = costs
-    return out
+    import numpy as np  # here: only the bench and the tests ask for the table
 
+    out = array("q", [0]) * (len(x) + 1)
+    _PrefixCosts().extend(x, out)
+    return np.frombuffer(out, dtype=np.int64)

@@ -71,12 +71,13 @@ class Source:
         if n < 0:
             raise ValueError(f"bit count must be >= 0, got {n}")
         rng = _rng(self.seed)
-        out = np.empty(n, dtype=np.uint8)
+        out = bytearray(n)  # filled in place and handed over: one byte per bit
+        bits = np.frombuffer(out, dtype=np.uint8)
         prev = None
         for lo in range(0, n, _PIECE):
             hi = min(lo + _PIECE, n)
-            out[lo:hi] = self._bits(rng.random(hi - lo), lo, prev)
-            prev = out[hi - 1]
+            bits[lo:hi] = self._bits(rng.random(hi - lo), lo, prev)
+            prev = bits[hi - 1]
         return BitString._wrap(out)
 
     def _bits(self, u: np.ndarray, lo: int, prev) -> np.ndarray:
@@ -225,9 +226,8 @@ def duplication_construction(base: BitString, n: int) -> BitString:
     if len(base) < need:
         raise ValueError(f"base sequence has {len(base)} bits; {need} are required "
                          f"for {n} output bits")
-    arr = base.array
-    return BitString._wrap(np.concatenate(  # arr[:0]: n = 0 has no copies
-        [arr[:0], *(arr[start:start + m] for start, m in _copies(n))]))
+    data = memoryview(base._buffer)  # not copied: the copies lie within len(base)
+    return BitString._wrap(b"".join(data[start:start + m] for start, m in _copies(n)))
 
 
 class DuplicationSource(Source):

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from . import lz
 from .bits import BitString
@@ -65,7 +63,7 @@ def _bound_from_bits(saved_bits: float) -> float:
 
 def omega_star(i: int) -> float:
     """The default weight schedule value 1/(i*(i+1)); sums to 1 over all i."""
-    return float(OMEGA_STAR.weights(i, i)[0])
+    return OMEGA_STAR._weights(i, i)[0]
 
 
 class WeightSchedule:
@@ -95,17 +93,21 @@ class WeightSchedule:
     def from_weights(cls, weights: Sequence[float]) -> "WeightSchedule":
         return cls("custom", finite_weights=weights)
 
-    def weights(self, k: int, start: int = 1) -> np.ndarray:
-        """Weights ``w_start .. w_k`` as a float array (the first ``k`` by default)."""
+    def weights(self, k: int, start: int = 1):
+        """Weights ``w_start .. w_k`` as a numpy float array (the first ``k`` by default)."""
+        import numpy as np
+
+        return np.array(self._weights(k, start), dtype=np.float64)
+
+    def _weights(self, k: int, start: int = 1) -> list[float]:
+        """Weights ``w_start .. w_k`` as a list: omega_star's one formula,
+        ``1 / (i (i + 1))`` in doubles, or the finite list, 0 beyond it."""
         if start < 1:
             raise ValueError(f"schedule index must be >= 1, got {start}")
         if self._finite is None:
-            i = np.arange(start, k + 1, dtype=np.float64)
-            return 1.0 / (i * (i + 1))
-        out = np.zeros(max(0, k - start + 1))
-        upto = min(k, len(self._finite))
-        out[:max(0, upto - start + 1)] = self._finite[start - 1:upto]
-        return out
+            return [1.0 / (i * (i + 1.0)) for i in range(start, k + 1)]
+        return [self._finite[i - 1] if i <= len(self._finite) else 0.0
+                for i in range(start, k + 1)]
 
     def __repr__(self) -> str:
         return f"WeightSchedule({self.name!r})"
@@ -211,14 +213,16 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
         raise InfeasibleError(
             f"exact enumeration over 2**{n} strings exceeds the {EXACT_MAX_BITS}-bit guard")
     observed = tau(x)
+    import numpy as np
+
     count = 0
     for lo in range(0, 1 << n, _EXACT_ROWS):
         # the n-bit rows of consecutive integers, big-endian: the low n bits
         # of each integer's four bytes
         values = np.arange(lo, min(lo + _EXACT_ROWS, 1 << n), dtype=">u4")
-        rows = np.unpackbits(values.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
-        for row in rows:
-            if tau(BitString._wrap(row)) >= observed:
+        rows = np.unpackbits(values.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:].tobytes()
+        for r in range(len(values)):
+            if tau(BitString._wrap(rows[r * n:(r + 1) * n])) >= observed:
                 count += 1
     return count / float(1 << n)
 
@@ -229,7 +233,7 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
 
 def _battery_weights(schedule: WeightSchedule, k: int) -> list[float]:
     """The weights of a battery's ``k`` components; each must be positive."""
-    weights = schedule.weights(k).tolist()
+    weights = schedule._weights(k)
     for i, w in enumerate(weights, start=1):
         if w <= 0.0:
             raise ValueError(f"schedule {schedule.name!r} has no weight for component {i}")
@@ -286,28 +290,10 @@ def tau_k_test(x: BitString, alpha: float = 0.01) -> TestReport:
     evidence ``m - estimate - log2(1/w_m)`` under ``OMEGA_STAR``; the
     statistic is the best evidence over all scales, and rejection at the
     ``log2(1/alpha)`` threshold keeps the Type-I probability at most
-    ``alpha``.  One step of :class:`PrefixScanTest`.
+    ``alpha``.  One step of :class:`PrefixScanTest`, whose LZ walk folds
+    each scale's evidence as it prices the prefix (``lz._factorize``).
     """
     return PrefixScanTest("tauk").reports(x, alpha)[0]
-
-
-def _tau_k_evidence(joint: np.ndarray, start: int) -> tuple[float, int]:
-    """Best evidence over scales ``start .. start + len(joint) - 1``.
-
-    ``joint`` holds the joint estimate ``min(lz77, m)`` of the two
-    estimators at those scales, weighted by ``OMEGA_STAR``.  Returns the
-    evidence and its scale, the first one on ties.  Every scale's evidence
-    is computed on its own, so a range split into pieces gives the same
-    values as the whole.  The arithmetic runs in place, since a scan calls
-    this while its suffix automaton is alive.
-    """
-    stop = start + len(joint) - 1
-    w = OMEGA_STAR.weights(stop, start)
-    evidence = np.arange(start, stop + 1, dtype=np.float64)
-    evidence -= math.log2(2) + np.asarray(joint, dtype=np.float64)
-    evidence += np.log2(w, out=w)
-    best = int(np.argmax(evidence))
-    return float(evidence[best]), start + best
 
 
 def _tau_k_report(best: tuple[float, int], alpha: float) -> TestReport:
@@ -329,8 +315,8 @@ class PrefixScanTest:
     not copied: a ``BitString`` is immutable), feeds it to the prefix costs
     of the open window and reports each test on the prefix: ``lz77`` as
     ``m - total``, ``tauk`` as a running maximum of the evidence over the
-    new scales only, scored on each block of prefix costs as it is priced
-    (the first maximum wins ties).  :func:`compression_test` and
+    new scales only, which the LZ walk folds as it prices each prefix (the
+    first maximum wins ties).  :func:`compression_test` and
     :func:`tau_k_test` are each one call of this engine.  A battery is a
     single call; calling the object is the one-test callable a scan drives.
 
@@ -353,11 +339,10 @@ class PrefixScanTest:
                 raise ValueError("bounded-window mode is only available for the lz77 test")
         self.test_ids = test_ids
         self._window = math.inf if window_bits is None else window_bits
-        self._taken = np.empty(0, dtype=np.uint8)  # the last prefix
-        self._costs = lz._PrefixCosts()  # of the open window
+        self._taken = BitString.zeros(0)  # the last prefix
+        self._costs = lz._PrefixCosts(fold="tauk" in test_ids)  # of the open window
         self._closed = 0  # code length of the windows before it
         self._start = 0   # the open window's first bit
-        self._best: tuple[float, int] = (float("-inf"), 0)
 
     def reports(self, x: BitString, alpha: float) -> list[TestReport]:
         """One report per test id, in order, on ``x``."""
@@ -366,35 +351,19 @@ class PrefixScanTest:
         if n < 1:
             raise ValueError("input has no bits")
         k = len(self._taken)
-        if n < k or not np.array_equal(x.array[:k], self._taken):
+        if n < k or x.prefix(k) != self._taken:
             raise ValueError(f"a prefix must extend the {k} bits already taken in")
-        self._taken = x.array
+        self._taken = x
         while n - self._start >= self._window:  # close each window that x fills
             end = self._start + self._window
             self._costs.extend(x[self._start:end])
             self._closed += self._costs.total
             self._costs = lz._PrefixCosts()
             self._start = end
-        blocks = self._costs.extend(x[self._start:])
-        if "tauk" in self.test_ids:
-            self._score(blocks)
+        self._costs.extend(x[self._start:])
         return [_compression_report(n, self._closed + self._costs.total, alpha)
-                if test_id == "lz77" else _tau_k_report(self._best, alpha)
+                if test_id == "lz77" else _tau_k_report(self._costs.best, alpha)
                 for test_id in self.test_ids]
-
-    def _score(self, blocks: Iterable[tuple[int, np.ndarray]]) -> None:
-        """Fold the tau_k evidence of the ensemble (lz77 and the literal
-        length) under ``OMEGA_STAR`` into the running maximum, from
-        ``(m, lz77 costs of scales m ..)`` blocks.
-
-        One block at a time, so the temporaries stay near a few MB while the
-        suffix automaton is alive.
-        """
-        for lo, costs in blocks:
-            scales = np.arange(lo, lo + len(costs), dtype=np.int64)
-            piece = _tau_k_evidence(np.minimum(costs, scales), lo)
-            if piece[0] > self._best[0]:
-                self._best = piece
 
     def __call__(self, x: BitString, alpha: float) -> TestReport:
         if len(self.test_ids) != 1:

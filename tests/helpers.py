@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import multiprocessing
 import os
 from typing import Callable, Sequence, TypeVar
@@ -179,7 +180,7 @@ def reference_factorize(bits, automaton: lz._SuffixAutomaton,
 
 def reference_prefix_costs(x: BitString) -> np.ndarray:
     """``lz.prefix_code_lengths(x)`` by a per-bit greedy walk that prices
-    each truncated factor as it goes; the reference for the numpy table.
+    each truncated factor as it goes; the reference for the walk's prices.
 
     Every bit the walk takes is priced at once: the cost of the closed
     factors plus the open one truncated at that bit, from the source of
@@ -224,15 +225,25 @@ def reference_compression_test(x: BitString, alpha: float) -> stats.TestReport:
     return stats._compression_report(len(x), lz.code_length(x), stats._check_alpha(alpha))
 
 
+def reference_tau_k(x: BitString) -> tuple[float, int]:
+    """tau_k's best evidence over the prefixes of ``x`` and its scale, from
+    scratch: at each scale ``m`` the lz77 cost of ``reference_prefix_costs``,
+    capped by the literal length ``m``, gives the evidence
+    ``m - (1 + cost) + log2(1 / (m (m + 1)))`` in doubles with ``math.log2``,
+    and the first maximum wins; ``(-inf, 0)`` for no bits.  The reference
+    for the fold of the LZ walk."""
+    best, scale = -math.inf, 0
+    for m, cost in enumerate(reference_prefix_costs(x).tolist()[1:], start=1):
+        evidence = m - (1.0 + min(cost, m)) + math.log2(1.0 / (m * (m + 1.0)))
+        if evidence > best:
+            best, scale = evidence, m
+    return best, scale
+
+
 def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:
-    """``stats.tau_k_test(x, alpha)`` from whole per-bit tables: the lz77
-    prefix costs, capped by the literal length, scored by one unblocked
-    evidence call; the reference for the engine's blocks and running maximum.
-    """
-    tables = np.minimum.reduce([lz.prefix_code_lengths(x).astype(np.float64),
-                                np.arange(len(x) + 1, dtype=np.float64)])
-    best = stats._tau_k_evidence(tables[1:], 1)
-    return stats._tau_k_report(best, stats._check_alpha(alpha))
+    """``stats.tau_k_test(x, alpha)`` from :func:`reference_tau_k`; the
+    reference for the engine's fold and running maximum."""
+    return stats._tau_k_report(reference_tau_k(x), stats._check_alpha(alpha))
 
 
 def all_bitstrings(n: int):

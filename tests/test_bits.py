@@ -64,12 +64,32 @@ def test_indexing_and_prefix():
 def test_slices_and_prefixes_are_read_only_views(take, index):
     x = BitString(np.random.default_rng(5).integers(0, 2, 1000))
     y = take(x)
-    assert np.shares_memory(y.array, x.array)
+    # a prefix shares the bytes of its string; any other slice copies its own
+    assert np.shares_memory(y.array, x.array) == (index.start is None and index.step is None)
     assert not y.array.flags.writeable
     with pytest.raises(ValueError):
         y.array[0] = 1 - y[0]
     assert y == BitString(x.array[index])  # the checking, copying constructor
     assert y.to01() == x.to01()[index]
+
+
+def test_a_prefix_shares_the_bytes_and_compares_as_a_copy():
+    x = BitString(np.random.default_rng(8).integers(0, 2, 4096))
+    for m in (0, 1, 7, 4095, 4096):
+        y = x.prefix(m)
+        assert y._buffer is x._buffer  # no copy, however long the string
+        copy = BitString(x.array[:m])
+        assert copy._buffer is not x._buffer
+        assert y == copy and copy == y and hash(y) == hash(copy)
+        assert y.to_int() == copy.to_int() == int(x.to01()[:m] or "0", 2)
+        assert y.to01() == copy.to01() and len(y) == m
+        assert y.array.tolist() == copy.array.tolist() and not y.array.flags.writeable
+        assert [y[i] for i in range(m)] == copy.array.tolist()
+        if m < 4096:
+            assert y != x.prefix(m + 1) and y != BitString(x.array[1:m + 1]) or m == 0
+            with pytest.raises(IndexError):
+                y[m]
+    assert x.prefix(100)[:50] == x.prefix(50) and x[:50]._buffer is x._buffer
 
 
 def test_from_int_matches_formatted_string():

@@ -27,7 +27,7 @@ from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
                      reference_automaton, reference_compression_test, reference_factorize,
-                     reference_prefix_costs)
+                     reference_prefix_costs, reference_tau_k)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -178,26 +178,28 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
 
 
 def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
-    """The costs a _PrefixCosts returns when fed the prefixes of ``x`` that end
-    each of consecutive chunks; the blocks of the chunks whose indices are
-    in ``unread`` are left unread, and their entries -1."""
-    costs = lz._PrefixCosts()
-    table = np.full(len(x) + 1, -1, dtype=np.int64)
+    """The costs a _PrefixCosts writes when fed the prefixes of ``x`` that end
+    each of consecutive chunks; the chunks whose indices are in ``unread``
+    are fed without a table, and their entries stay -1.  The tau_k evidence
+    it folds on the way equals that of one pass over ``x``."""
+    costs = lz._PrefixCosts(fold=True)
+    table = array("q", [-1]) * (len(x) + 1)
     table[0] = 0
     taken = 0
     for i, size in enumerate(chunks):
         if taken >= len(x):
             break
         taken = min(len(x), taken + size)
-        blocks = costs.extend(x.prefix(taken))
+        costs.extend(x.prefix(taken), None if i in unread else table)
         if i in unread:
             assert costs.total == lz.code_length(x.prefix(taken))
-            continue
-        for lo, block in blocks:
-            table[lo:lo + len(block)] = block
-        assert costs.total == table[taken]
+        else:
+            assert costs.total == table[taken]
     assert (0 if costs._automaton is None else costs._automaton.size) == len(x)
-    return table
+    one_pass = lz._PrefixCosts(fold=True)
+    one_pass.extend(x)
+    assert costs.best == one_pass.best
+    return np.frombuffer(table, dtype=np.int64)
 
 
 _CHUNKINGS = {
@@ -258,13 +260,17 @@ def test_table_matches_per_bit_reference(kind):
 
 def test_prefix_costs_price_nothing_when_nothing_is_new():
     x = BitString.from01("0110100110")
-    costs = lz._PrefixCosts()
-    assert list(costs.extend(x.prefix(0))) == [] and costs.total == 0
+    costs = lz._PrefixCosts(fold=True)
+    table = array("q", [-1]) * 11
+    costs.extend(x.prefix(0), table)
+    assert table.tolist() == [-1] * 11 and costs.total == 0 and costs.best == (-math.inf, 0)
     costs.extend(x.prefix(6))
-    assert list(costs.extend(x.prefix(6))) == []  # nothing new: nothing to price
+    best = costs.best
+    costs.extend(x.prefix(6), table)  # nothing new: nothing to price
+    assert table.tolist() == [-1] * 11 and costs.best == best
     assert costs.total == lz.code_length(x.prefix(6))
-    assert [b.tolist() for _, b in costs.extend(x)] == [
-        lz.prefix_code_lengths(x)[7:].tolist()]
+    costs.extend(x, table)  # only the new prefixes
+    assert table.tolist() == [-1] * 7 + lz.prefix_code_lengths(x)[7:].tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,28 +362,45 @@ def test_automaton_columns_match_the_python_build(kind, backend):
             _assert_matches_reference(automaton, reference)
 
 
-def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int) -> tuple:
-    """What ``lz._factorize`` writes, from ``reference_factorize``: at each
-    position the bit length of ``ends - len + 3`` for the factor truncated
-    there (1 for a literal, whose end is -1), with ``lz._END`` set at the
-    bounds, and the per-position ends."""
+def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int, closed: int,
+                    seen: int) -> dict:
+    """What ``lz._factorize`` reports when it resumes at ``start`` after
+    factors that cost ``closed``, from ``reference_factorize`` and
+    ``encoded_length``: the code length of the first ``m`` bits at
+    ``costs[m]`` for each ``m`` above ``seen`` (-1 elsewhere), the ends at
+    the factors' last positions (``lz._INNER`` elsewhere), the open factor's
+    start and the cost before it, the total, and tau_k's best evidence over
+    the scales above ``seen``, computed with ``math.log2``."""
+    n = len(bits)
     bounds, ends = reference_factorize(bits, automaton, start)
-    widths = np.zeros(len(ends), dtype=np.uint8)
+    costs, marks = [-1] * (n + 1), [lz._INNER] * (n + 1)
+    best, scale = -math.inf, 0
+    last, before = start, closed
     for i, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        last, before = i, closed
         for m in range(i + 1, stop + 1):
-            widths[m - start] = (int(ends[m - start]) - (m - i) + 3).bit_length()
-    widths[bounds - start] |= lz._END
-    return widths, ends
+            cost = (closed + encoded_length(int(ends[m - start]) - (m - i) + 3)
+                    + encoded_length(m - i))
+            if m > seen:
+                costs[m] = cost
+                evidence = m - (1.0 + min(cost, m)) + math.log2(1.0 / (m * (m + 1.0)))
+                if evidence > best:
+                    best, scale = evidence, m
+        marks[stop] = int(ends[stop - start])
+        closed = cost
+    return {"costs": costs, "ends": marks, "open": last, "closed": before, "total": closed,
+            "best": (best, scale)}
 
 
-def _assert_walk(widths: np.ndarray, ends, want: tuple, label) -> None:
-    """The marked widths equal the reference, and so do ``ends`` (unless
-    None) at the marks that end a factor."""
-    assert widths.dtype == want[0].dtype and np.array_equal(widths, want[0]), (label, "widths")
-    if ends is not None:
-        marks = np.flatnonzero(widths & lz._END)[1:]
-        assert np.array_equal(np.frombuffer(ends, dtype=np.int32)[marks], want[1][marks]), (
-            label, "ends")
+def _run_walk(bits, n: int, automaton, start: int, closed: int, seen: int) -> dict:
+    """``lz._factorize`` on the current backend, resumed as ``_reference_walk`` is."""
+    walk = lz._Walk(fold=True)
+    walk.open, walk.closed, walk.seen = start, closed, seen
+    costs, ends = array("q", [-1]) * (n + 1), array("i", [lz._INNER]) * (n + 1)
+    lz._factorize(bits, n, automaton, walk, ends, costs)
+    assert walk.seen == n
+    return {"costs": costs.tolist(), "ends": ends.tolist(), "open": walk.open,
+            "closed": walk.closed, "total": walk.total, "best": (walk.best, walk.scale)}
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -387,19 +410,23 @@ def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
     n = len(bits)
     with python_loops():
         automaton = lz._SuffixAutomaton(bits)
-    whole = _reference_walk(bits, automaton, 0)
-    bounds = np.flatnonzero(whole[0] & lz._END)
-    resumed = bounds[[1, len(bounds) // 2, -2]].tolist()
-    starts = (0, 1, 7, 5000, 70001, n - 1, n, *resumed)
-    want = {start: _reference_walk(bits, automaton, start) for start in starts}
-    # resumed at a factor start, the walk continues the whole parse
+    whole = _reference_walk(bits, automaton, 0, 0, 0)
+    assert whole["total"] == lz.code_length(BitString._wrap(bits))
+    later = [m for m, end in enumerate(whole["ends"][:n]) if end != lz._INNER]  # factor starts
+    resumed = [later[0], later[len(later) // 2], later[-1]]
+    # resumed at a factor start after the cost before it, the walk continues the whole parse
     for start in resumed:
-        for got, entire in zip(want[start], whole):
-            assert np.array_equal(got[1:], entire[start + 1:]), start
+        got = _reference_walk(bits, automaton, start, whole["costs"][start], start)
+        assert got["costs"][start + 1:] == whole["costs"][start + 1:], start
+        assert got["ends"][start + 1:] == whole["ends"][start + 1:], start
+        assert {k: got[k] for k in ("open", "closed", "total")} == {
+            k: whole[k] for k in ("open", "closed", "total")}, start
+    starts = [(0, 0, 0), (1, 5, 0), (7, 0, 100), (5000, 123, 5000), (70001, 0, 70001),
+              (n - 1, 9, n - 1), (n, 4, n), *((m, whole["costs"][m], m) for m in resumed)]
     with _backend(backend):
-        for start in starts:
-            ends = array("i", [0]) * (n + 1 - start)
-            _assert_walk(lz._factorize(bits, automaton, start, ends), ends, want[start], start)
+        for start, closed, seen in starts:
+            assert _run_walk(bits, n, automaton, start, closed, seen) == _reference_walk(
+                bits, automaton, start, closed, seen), start
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -407,11 +434,17 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
     walk = lz._factorize
     starts = []
 
-    def checked(bits, automaton, start):
-        got = walk(bits, automaton, start)
-        _assert_walk(got, None, _reference_walk(bits, automaton, start), (len(bits), start))
-        starts.append(start)
-        return got
+    def checked(bits, n, automaton, state, ends=None, costs=None):
+        resume = state.open, state.closed, state.seen
+        want = _reference_walk(bytes(memoryview(bits)[:n]), automaton, *resume)
+        best = state.best, state.scale  # a new scale must beat the best so far
+        walk(bits, n, automaton, state, ends, costs)
+        assert (state.open, state.closed, state.total) == (want["open"], want["closed"],
+                                                           want["total"]), (n, resume)
+        assert (state.best, state.scale) == max(best, want["best"], key=lambda b: b[0])
+        if costs is not None:
+            assert costs[resume[2] + 1:n + 1].tolist() == want["costs"][resume[2] + 1:], resume
+        starts.append(resume[0])
 
     monkeypatch.setattr(lz, "_factorize", checked)
     with _backend(backend):
@@ -419,14 +452,36 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
             x = _PARITY_INPUTS[kind](3000)
             table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
             assert np.array_equal(table, reference_prefix_costs(x)), kind
-    assert len(starts) == 6 * len(_PARITY_INPUTS) and max(starts) > 1000
+    # six chunked walks and one pass per input
+    assert len(starts) == 7 * len(_PARITY_INPUTS) and max(starts) > 1000
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_the_walk_prices_and_folds_like_the_references(backend):
+    samples = [*itertools.chain.from_iterable(map(all_bitstrings, range(13))),
+               # all-zero and all-one strings: one literal, then one self-overlapping copy
+               *(BitString(np.full(n, b, dtype=np.uint8)) for n in range(71) for b in (0, 1)),
+               # a run of k zeros puts the best scale at k: every scale's arithmetic shows
+               *(BitString.from01("0" * k + "10110") for k in range(40, 400)),
+               *(random_bits(n, seed=n, p=p) for n in (1000, 1 << 16) for p in (0.5, 0.1)),
+               *(_PARITY_INPUTS[kind](1 << 16) for kind in ("dup", "markov"))]
+    with _backend(backend):
+        for x in samples:
+            costs = lz._PrefixCosts(fold=True)
+            table = array("q", [0]) * (len(x) + 1)
+            costs.extend(x, table)
+            reference = reference_prefix_costs(x).tolist()
+            assert costs.total == lz.code_length(x) == reference[-1], x
+            assert table.tolist() == reference, x
+            assert costs.best == reference_tau_k(x), x
 
 
 def test_strided_views_give_the_results_of_a_contiguous_copy():
+    # a step slice copies its bits, as the checking constructor does
     base = DuplicationSource(seed=13).bits(40000)
     for x in (base[::2], base[::-1]):
         copy = BitString(x.array)
-        assert not x.array.flags.c_contiguous and copy.array.flags.c_contiguous
+        assert x == copy and x._buffer is not base._buffer
         assert lz.code_length(x) == lz.code_length(copy)
         table = lz.prefix_code_lengths(copy)
         assert np.array_equal(lz.prefix_code_lengths(x), table)
@@ -444,7 +499,7 @@ def test_pinned_code_lengths_on_both_backends(backend):
         assert lz.code_length(base) == BASE_2_17_CODE_BITS
         costs = lz._PrefixCosts()
         for m in (70001, 2 ** 17):
-            list(costs.extend(base.prefix(m)))
+            costs.extend(base.prefix(m))
         assert costs.total == BASE_2_17_CODE_BITS
 
 
@@ -564,10 +619,11 @@ def test_failed_build_falls_back_to_python(monkeypatch, tmp_path, failure):
     assert np.array_equal(lz.prefix_code_lengths(y), reference_prefix_costs(y))
 
 
-def test_vectorized_delta_lengths_match_encoded_length():
-    values = sorted({v for k in range(32) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1) if v >= 1})
-    got = lz._delta_lengths(np.array(values, dtype=np.int64))
-    assert got.tolist() == [encoded_length(v) for v in values]
+def test_code_lengths_by_bit_length_match_encoded_length():
+    values = sorted({v for k in range(64) for v in (2 ** k - 1, 2 ** k, 2 ** k + 1) if v >= 1})
+    assert len(lz._CODE_LENGTHS) == 64
+    assert [lz._CODE_LENGTHS[v.bit_length()] for v in values if v < 2 ** 63] == [
+        encoded_length(v) for v in values if v < 2 ** 63]
 
 
 def test_random_data_expands_pinned():

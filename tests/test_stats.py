@@ -448,35 +448,33 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def _scored(costs: np.ndarray, start: int) -> tuple[float, int | None]:
-    """The tau_k evidence of ``costs`` at scales ``start ..``, fed to a fresh
-    runner in the blocks ``lz._PrefixCosts`` returns."""
-    runner = stats.PrefixScanTest("tauk")
-    runner._score((start + lo, costs[lo:lo + lz._BLOCK])
-                  for lo in range(0, len(costs), lz._BLOCK))
-    return runner._best
-
-
 def test_blocked_tau_k_evidence_equals_one_unblocked_call():
-    # four blocks of scales, starting off a block boundary
-    start, count = 12345, 3 * lz._BLOCK + 777
-    scales = np.arange(start, start + count, dtype=np.int64)
-    dip = scales + 5
-    dip[2 * lz._BLOCK + 10] -= 100  # the best scale in a middle block
-    tables = [lz.prefix_code_lengths(x)[start:]
-              for x in (BernoulliSource(0.1, seed=35).bits(start + count - 1),
-                        DuplicationSource(seed=36).bits(start + count - 1),
-                        random_bits(start + count - 1, seed=37))]
-    for costs in [dip, *tables]:
-        want = stats._tau_k_evidence(np.minimum(costs, scales), start)
-        got = _scored(costs, start)
-        assert got[0] == want[0] and got[1] == want[1]
-    assert _scored(dip, start)[1] == start + 2 * lz._BLOCK + 10
+    # chunks of scales fed to one engine, starting off a power of two, give
+    # the evidence of one pass; leading zeros put the best scale in a middle chunk
+    start, chunk = 12345, 1 << 14
+    ends = [start + k * chunk for k in range(4)] + [start + 3 * chunk + 777]
+    inputs = [BitString(np.concatenate([np.zeros(30000, dtype=np.uint8),
+                                        random_bits(ends[-1] - 30000, seed=34).array])),
+              BernoulliSource(0.1, seed=35).bits(ends[-1]),
+              DuplicationSource(seed=36).bits(ends[-1]),
+              random_bits(ends[-1], seed=37)]
+    for x in inputs:
+        runner = stats.PrefixScanTest("tauk")
+        for m in ends:
+            got = runner(x.prefix(m), 0.01)
+        want = stats.tau_k_test(x, 0.01)
+        assert got == want == reference_tau_k_test(x, 0.01)
+        assert got.detail == want.detail
+    dip = stats.tau_k_test(inputs[0], 0.01).detail["best_scale"]
+    assert ends[1] < dip < ends[2]
 
 
 def test_tau_k_evidence_temporaries_stay_bounded():
-    costs = np.arange(1 << 20, dtype=np.int64)  # allocated before tracing starts
-    assert _traced_peak(_scored, costs, 1) < 8 << 20
+    # the walk folds each scale's evidence as it prices it: tau_k keeps nothing per scale
+    x = random_bits(1 << 18, seed=41)
+    lz77 = _traced_peak(stats.PrefixScanTest("lz77").reports, x, 0.01)
+    battery = _traced_peak(stats.PrefixScanTest("lz77", "tauk").reports, x, 0.01)
+    assert battery - lz77 < 16 << 10
 
 
 def test_lz77_report_keeps_no_per_bit_table():
