@@ -123,10 +123,13 @@ class BitString:
 
     def digest(self) -> str:
         """SHA-256 over the packed payload and bit length; for regressions."""
-        import hashlib  # here: its OpenSSL costs every process about 3 MB
+        try:  # CPython's own SHA-256: hashlib's OpenSSL costs a process about 3.5 MB
+            from _sha256 import sha256
+        except ImportError:  # CPython names it _sha2 from 3.12 on
+            from hashlib import sha256
         import numpy as np
 
-        h = hashlib.sha256()
+        h = sha256()
         h.update(len(self).to_bytes(8, "little"))
         h.update(np.packbits(self.array).tobytes())
         return h.hexdigest()

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rngcal.bits
 from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 
 from helpers import Pipe
@@ -90,6 +95,19 @@ def test_a_prefix_shares_the_bytes_and_compares_as_a_copy():
             with pytest.raises(IndexError):
                 y[m]
     assert x.prefix(100)[:50] == x.prefix(50) and x[:50]._buffer is x._buffer
+
+
+def test_digest_maps_no_openssl_where_cpython_has_its_own_sha256():
+    pytest.importorskip("_sha256")
+    code = ("import sys\n"
+            "from rngcal.bits import BitString\n"
+            "print(BitString.from01('0110' * 9).digest(), '_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(rngcal.bits.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    want = hashlib.sha256((36).to_bytes(8, "little") + bytes([0x66] * 4 + [0x60])).hexdigest()
+    assert run.stdout.split() == [want, "False"]
 
 
 def test_from_int_matches_formatted_string():
