@@ -163,9 +163,8 @@ class BitString:
 
 
 def _unpack(payload: bytes | bytearray, n: int) -> bytearray:
-    """The first ``n`` bits of MSB-first ``payload``, one byte (0 or 1) per
-    bit, unpacked ``_PIECE_BITS`` at a time through an integer into one
-    buffer, so the pieces' temporaries stay small beside it."""
+    """The first ``n`` bits of MSB-first ``payload``, one byte (0 or 1) per bit,
+    unpacked ``_PIECE_BITS`` at a time through an integer into one buffer."""
     out, view = bytearray(n), memoryview(payload)
     for at in range(0, n, _PIECE_BITS):
         m = min(_PIECE_BITS, n - at)

@@ -159,7 +159,6 @@ def _print_report_text(report: stats.TestReport, head: str) -> None:
 
 def cmd_gen(args) -> int:
     from . import sources
-
     # a text-only stdout (one without a byte buffer) takes ascii, never raw bytes
     binary_out = getattr(sys.stdout, "buffer", None)
     if args.output == "-" and binary_out is None and args.format == "raw":

@@ -383,8 +383,7 @@ def decode(c: Codeword | BitString) -> BitString:
 
 
 def code_length(x: BitString) -> int:
-    """``len(encode(x))`` without materializing the codeword: one walk,
-    which prices each factor as it goes and keeps nothing per position."""
+    """``len(encode(x))`` without materializing the codeword, nor anything per position."""
     costs = _PrefixCosts()
     costs.extend(x)
     return costs.total
@@ -429,6 +428,8 @@ class _PrefixCosts:
         """
         k = 0 if self._automaton is None else self._automaton.size
         n = len(x)
+        if costs is not None and (costs.typecode != "q" or len(costs) <= n):  # C writes costs[n]
+            raise ValueError(f"the walk writes {n + 1} costs to an array('q')")
         if n == k:
             return
         bits = x._buffer

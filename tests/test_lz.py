@@ -457,6 +457,19 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
+def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
+    x = BitString.from01("01101")
+    with _backend(backend):
+        for table in (array("q", [0]) * 5, array("i", [0]) * 6, array("d", [0]) * 6):
+            costs = lz._PrefixCosts()
+            with pytest.raises(ValueError, match=r"the walk writes 6 costs to an array\('q'\)"):
+                costs.extend(x, table)
+            assert costs.total == 0 and set(table) == {0}
+        costs.extend(x.prefix(2), array("q", [0]) * 3)  # room for the prefix taken
+        assert costs.total == lz.code_length(x.prefix(2))
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
 def test_the_walk_prices_and_folds_like_the_references(backend):
     samples = [*itertools.chain.from_iterable(map(all_bitstrings, range(13))),
                # all-zero and all-one strings: one literal, then one self-overlapping copy
