@@ -9,19 +9,20 @@
    that of s plus one bit, which is all the build asks of the state
    lengths.  Python sizes every array and checks that every state index
    fits in int32 before it calls; a bit is a byte of 0 or 1 (a BitString's).
-   The walk prices each prefix as it goes and folds tau_k's evidence in
-   doubles; it is built with -ffp-contract=off, so that no compiler fuses
-   that arithmetic, and it calls libm's log2, as Python's math.log2 does. */
+   Every walk prices each prefix as it goes and folds tau_k's evidence in
+   doubles, but for a log2 that cannot move the maximum (see report); it is
+   built with -ffp-contract=off, so that no compiler fuses that arithmetic,
+   and it calls libm's log2, as Python's math.log2 does. */
 
 #include <math.h>
 #include <stdint.h>
 
 typedef struct { int32_t next[2], link, first; } state_t;  /* one row of the table */
 
-/* lz._Walk: where a walk resumes, what it has priced, and tau_k's best evidence */
+/* lz._PrefixCosts: where a walk resumes, what it has priced, and tau_k's best evidence */
 typedef struct {
     int64_t open, closed, total;  /* the open factor's start, the cost before it, of all bits */
-    int64_t seen, fold, scale;    /* prefixes up to seen bits reported; fold: best at scale */
+    int64_t seen, scale;          /* prefixes up to seen bits reported; best at scale */
     double best;
 } walk_t;
 
@@ -70,22 +71,28 @@ static int width(int64_t v)  /* the bit length of v >= 1 */
 }
 
 /* The code length cost of the first m bits, for m above the prefixes seen:
-   into costs[m] unless costs is NULL, and with fold into tau_k's maximum. */
-static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs)
+   into costs[m] unless costs is NULL, and into tau_k's maximum. */
+static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs, int64_t *bar)
 {
     if (m <= w->seen)
         return;
     if (costs)
         costs[m] = cost;
-    if (w->fold) {
-        double dm = (double)m;
-        double e = dm - (1.0 + (double)(cost < m ? cost : m));
-        e += log2(1.0 / (dm * (dm + 1.0)));
-        if (e > w->best) {  /* the first maximum wins */
-            w->best = e;
-            w->scale = m;
-        }
+    int64_t low = cost < m ? cost : m;
+    if (m - low <= *bar)
+        return;
+    double dm = (double)m;
+    double e = dm - (1.0 + (double)low);
+    e += log2(1.0 / (dm * (dm + 1.0)));
+    if (e > w->best) {  /* the first maximum wins */
+        w->best = e;
+        w->scale = m;
     }
+    /* The skip is exact: k (k + 1) > k^2 >= 4^(width(k) - 1), so log2(1 / (k
+       (k + 1))) is below -2 (width(k) - 1) by about 1.44/k, over 1e-9 up to
+       lz._MAX_BITS, far above the doubles' rounding.  So at k >= m with k -
+       min(cost, k) <= bar, e <= k - 1 - min(cost, k) - 2 (width(k) - 1) <= best. */
+    *bar = (int64_t)floor(w->best) + 2 * width(m) - 1;
 }
 
 /* lz._factorize: resume the greedy parse of bits[0:n] at w->open.  A factor
@@ -96,7 +103,7 @@ static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs)
 void sam_factorize(const state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *lengths,
                    walk_t *w, int32_t *ends, int64_t *costs)
 {
-    int64_t i = w->open, closed = w->closed, cost = closed;
+    int64_t i = w->open, closed = w->closed, cost = closed, bar = -1;  /* -1: score the first */
     while (i < n) {
         int32_t st = 0, end = -1;  /* from the root: extending may have cloned states */
         int64_t j = i;
@@ -106,17 +113,15 @@ void sam_factorize(const state_t *sam, const uint8_t *bits, int64_t n, const uin
             st = sam[st].next[bits[j]];
             if (st < 0)
                 st = -st;
-            if (st == 0 || sam[st].first >= j)
+            if (st != 0 && sam[st].first < j)
+                end = sam[st].first;
+            else if (j > i)
                 break;
-            end = sam[st].first;
-            j++;
+            j++;  /* with end -1 a literal: p + 1 = 1, and its raw bit is as long as C(1) */
             cost = closed + lengths[width(end - (j - i) + 3)] + lengths[width(j - i)];
-            report(w, j, cost, costs);
-        }
-        if (j == i) {  /* a literal: p + 1 = 1, and its raw bit is as long as C(1) */
-            j++;
-            cost = closed + 2 * lengths[1];
-            report(w, j, cost, costs);
+            report(w, j, cost, costs, &bar);
+            if (end < 0)  /* a literal is one bit */
+                break;
         }
         if (ends)
             ends[j] = end;

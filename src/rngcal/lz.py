@@ -50,19 +50,10 @@ _BLOCK = 1 << 14  # entries a growing table is filled with at a time
 _INNER = -2  # what ``parse``'s ends hold where no factor ends
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
+# -ffp-contract=off: tau_k's arithmetic in the walk stays that of the Python loop
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
 _CODE_LENGTHS = bytes([0] + [encoded_length(1 << k) for k in range(63)])
-
-
-class _Walk(ctypes.Structure):
-    """Where a greedy walk resumes, what it has priced and tau_k's best
-    evidence so far: ``walk_t`` of ``_lzkernel.c`` (see :func:`_factorize`)."""
-
-    _fields_ = [(name, ctypes.c_int64) for name in
-                ("open", "closed", "total", "seen", "fold", "scale")] + [("best", ctypes.c_double)]
-
-    def __init__(self, fold: bool = False):
-        super().__init__(fold=fold, best=-math.inf)
 
 
 @functools.cache
@@ -90,7 +81,7 @@ def _kernel() -> ctypes.CDLL | None:
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     lib.sam_extend.argtypes = [ptr, ptr, i64, i32, ptr]
     lib.sam_extend.restype = None
-    lib.sam_factorize.argtypes = [ptr, ptr, i64, ptr, ctypes.POINTER(_Walk), ptr, ptr]
+    lib.sam_factorize.argtypes = [ptr, ptr, i64, ptr, ctypes.POINTER(_PrefixCosts), ptr, ptr]
     lib.sam_factorize.restype = None
     return lib
 
@@ -112,9 +103,8 @@ def _build_kernel(target: Path) -> None:
     built = os.path.join(workdir, target.name)
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     try:
-        # -ffp-contract=off: the fold's arithmetic stays that of the Python loop
-        subprocess.run([*compiler, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", built,
-                        str(_KERNEL_SOURCE), "-lm"], check=True, capture_output=True, timeout=60)
+        subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", built, str(_KERNEL_SOURCE), "-lm"],
+                       check=True, capture_output=True, timeout=60)
         os.replace(built, target)
     except subprocess.SubprocessError as exc:
         raise OSError(f"{compiler[0]} could not build {_KERNEL_SOURCE.name}") from exc
@@ -240,8 +230,8 @@ class _SuffixAutomaton:
         self.size += len(bits)
 
 
-def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton, walk: _Walk,
-               ends: array | None = None, costs: array | None = None) -> None:
+def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
+               walk: _PrefixCosts, ends: array | None = None, costs: array | None = None) -> None:
     """Resume the greedy parse of ``bits[:n]`` at ``walk.open``, pricing as it goes;
     ``automaton`` has taken in all of ``bits[:n]``.
 
@@ -257,13 +247,14 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton, wal
     prefix is the parse of the whole string with its last factor shortened,
     so the walk has the code length of the first ``m`` bits at each position
     ``m`` it passes.  For each ``m`` above ``walk.seen`` it writes that cost
-    to ``costs[m]`` where ``costs`` is given and, with ``walk.fold``, folds
-    tau_k's evidence at scale ``m``, ``m - (1 + min(cost, m)) + log2(1 /
-    (m (m + 1)))`` in that order in doubles, into ``walk.best`` at
-    ``walk.scale``, the first maximum winning; then ``walk.seen`` is ``n``.
-    Where ``ends`` is given (only :func:`parse` needs the sources), the walk
-    writes the end index of each factor's first occurrence, -1 for a
-    literal, to ``ends[m]`` at the factor's last position ``m``.
+    to ``costs[m]`` where ``costs`` is given, and folds tau_k's evidence at
+    scale ``m``, ``m - (1 + min(cost, m)) + log2(1 / (m (m + 1)))`` in that
+    order in doubles, into ``walk.best`` at ``walk.scale``, the first maximum
+    winning, but for a ``log2`` that cannot move it (``report`` in
+    ``_lzkernel.c`` says why); then ``walk.seen`` is ``n``.  Where ``ends``
+    is given (only :func:`parse` needs the sources), the walk writes the end
+    of each factor's first occurrence, -1 for a literal, to ``ends[m]`` at
+    the factor's last position ``m``.
     """
     kernel = _kernel()
     if kernel is not None:  # the walk below, in C
@@ -271,20 +262,17 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton, wal
                              _address(ends), _address(costs))
         return
     table, lengths, bits = automaton.table, _CODE_LENGTHS, memoryview(bits)
-    seen, fold, best, scale = walk.seen, walk.fold, walk.best, walk.scale
+    seen, best, scale = walk.seen, walk.best, walk.scale
+    bar = -1  # the log2 is skipped where m - min(cost, m) <= bar: see report in _lzkernel.c
 
-    def report(m: int, cost: int) -> None:
-        nonlocal best, scale
-        if m <= seen:
-            return
-        if costs is not None:
-            costs[m] = cost
-        if fold:
-            dm = float(m)
-            e = dm - (1.0 + min(cost, m))
-            e += math.log2(1.0 / (dm * (dm + 1.0)))
-            if e > best:  # the first maximum wins
-                best, scale = e, m
+    def score(m: int, cost: int) -> None:
+        nonlocal best, scale, bar
+        dm = float(m)
+        e = dm - (1.0 + min(cost, m))
+        e += math.log2(1.0 / (dm * (dm + 1.0)))
+        if e > best:  # the first maximum wins
+            best, scale = e, m
+        bar = math.floor(best) + 2 * m.bit_length() - 1
 
     i = last = walk.open
     closed = before = cost = walk.closed
@@ -295,17 +283,20 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton, wal
         last, before = i, closed  # the factor from i is open until one starts after it
         while j < n:
             st = abs(table[4 * st + bits[j]])
-            if not st or table[4 * st + 3] >= j:
+            if st and table[4 * st + 3] < j:
+                end = table[4 * st + 3]
+            elif j > i:
                 break
-            end = table[4 * st + 3]
-            j += 1
+            j += 1  # with end -1 a literal: p + 1 = 1, and its raw bit is as long as C(1)
             cost = (closed + lengths[(end - (j - i) + 3).bit_length()]
                     + lengths[(j - i).bit_length()])
-            report(j, cost)
-        if j == i:  # a literal: p + 1 = 1, and its raw bit is as long as C(1)
-            j += 1
-            cost = closed + 2 * lengths[1]
-            report(j, cost)
+            if j > seen:
+                if costs is not None:
+                    costs[j] = cost
+                if j - (cost if cost < j else j) > bar:
+                    score(j, cost)
+            if end < 0:  # a literal is one bit
+                break
         if ends is not None:
             ends[j] = end
         closed = cost
@@ -318,13 +309,13 @@ def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
     import numpy as np  # here: it finds the factor ends, and the CLI never parses
 
-    bits = x._bytes()
-    ends = array("i", [_INNER]) * (len(bits) + 1)
-    _factorize(bits, len(bits), _SuffixAutomaton(bits), _Walk(), ends)
+    ends = array("i", [_INNER]) * (len(x) + 1)
+    _PrefixCosts().extend(x, ends=ends)
+    bits = x._buffer
     bounds = [0, *np.flatnonzero(np.frombuffer(ends, dtype=np.int32) != _INNER).tolist()]
     pairs = [Lz77Pair(0, bits[i]) if ends[m] < 0 else Lz77Pair(ends[m] - (m - i) + 2, m - i)
              for i, m in zip(bounds, bounds[1:])]
-    return Lz77Parse(pairs=pairs, total_length=len(bits))
+    return Lz77Parse(pairs=pairs, total_length=len(x))
 
 
 def pairs_cost(pairs: list[Lz77Pair]) -> int:
@@ -389,47 +380,46 @@ def code_length(x: BitString) -> int:
     return costs.total
 
 
-class _PrefixCosts:
-    """Code lengths of the prefixes of a bit string that grows at its end.
+class _PrefixCosts(ctypes.Structure):
+    """One LZ pass: the code lengths of the prefixes of a bit string that
+    grows at its end, and tau_k's best evidence over them.
 
     ``extend`` takes a prefix that extends the bits taken in so far (the
     caller's rule: :class:`rngcal.stats.PrefixScanTest` checks it),
-    extends the suffix automaton and resumes the greedy walk at the start
-    of the open factor.  The factors before it are final, since each
+    extends the pass's suffix automaton and resumes the greedy walk at the
+    start of the open factor.  The factors before it are final, since each
     stopped at a bit already taken in and the first occurrence of a
     substring of those bits never changes.  The costs of a prefix's
     prefixes do not change as the string grows, so extending in chunks
     gives the costs of one pass over the whole string while each bit is
-    analysed once.  The walk prices each prefix as it passes it (see
-    :func:`_factorize`): ``total`` is ``code_length`` of all bits taken in,
-    and with ``fold`` set ``best`` is tau_k's best evidence over every
-    prefix and its scale.  No per-bit table is kept, and no bits.
+    analysed once.  The walk prices each prefix and folds its evidence as
+    it passes it (see :func:`_factorize`): ``total`` is ``code_length`` of
+    all bits taken in, and ``best`` is tau_k's best evidence over every
+    prefix, at ``scale``.  No per-bit table is kept, and no bits.  The
+    fields are ``walk_t`` of ``_lzkernel.c``.
     """
 
-    def __init__(self, fold: bool = False):
+    _fields_ = [(name, ctypes.c_int64) for name in
+                ("open", "closed", "total", "seen", "scale")] + [("best", ctypes.c_double)]
+
+    def __init__(self):
+        super().__init__(best=-math.inf)
         self._automaton = None  # built from the first bits, at their size
-        self._walk = _Walk(fold)
 
-    @property
-    def total(self) -> int:
-        return self._walk.total
-
-    @property
-    def best(self) -> tuple[float, int]:
-        return self._walk.best, self._walk.scale
-
-    def extend(self, x: BitString, costs: array | None = None) -> None:
+    def extend(self, x: BitString, costs: array | None = None, ends: array | None = None) -> None:
         """Take in the prefix ``x`` of the string, and price the prefixes
         longer than the bits taken in so far.
 
         Where the int64 array ``costs`` of at least ``len(x) + 1`` entries
         is given, the code length of the first ``m`` bits goes to
-        ``costs[m]`` for each of those prefixes.
+        ``costs[m]`` for each of those prefixes, and where the int32 array
+        ``ends`` of as many is, the factors' source ends (see :func:`_factorize`).
         """
         k = 0 if self._automaton is None else self._automaton.size
         n = len(x)
-        if costs is not None and (costs.typecode != "q" or len(costs) <= n):  # C writes costs[n]
-            raise ValueError(f"the walk writes {n + 1} costs to an array('q')")
+        for table, code, name in ((costs, "q", "costs"), (ends, "i", "ends")):  # C writes [n]
+            if table is not None and (getattr(table, "typecode", None) != code or len(table) <= n):
+                raise ValueError(f"the walk writes {n + 1} {name} to an array({code!r})")
         if n == k:
             return
         bits = x._buffer
@@ -438,7 +428,7 @@ class _PrefixCosts:
             self._automaton.extend(new)
         else:
             self._automaton = _SuffixAutomaton(new)
-        _factorize(bits, n, self._automaton, self._walk, costs=costs)
+        _factorize(bits, n, self._automaton, self, ends, costs)
 
 
 def prefix_code_lengths(x: BitString):

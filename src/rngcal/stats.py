@@ -312,12 +312,13 @@ class PrefixScanTest:
     :func:`consistency_scan`, from one incremental LZ pass.
 
     Each :meth:`reports` call takes a prefix that extends the last one (kept,
-    not copied: a ``BitString`` is immutable), feeds it to the prefix costs
-    of the open window and reports each test on the prefix: ``lz77`` as
-    ``m - total``, ``tauk`` as a running maximum of the evidence over the
-    new scales only, which the LZ walk folds as it prices each prefix (the
-    first maximum wins ties).  :func:`compression_test` and
-    :func:`tau_k_test` are each one call of this engine.  A battery is a
+    not copied: a ``BitString`` is immutable), feeds it to the LZ pass of
+    the open window (``lz._PrefixCosts``) and reports each test on the
+    prefix: ``lz77`` as ``m - total``, ``tauk`` as the running maximum of
+    the evidence, which the pass folds at each new scale as it prices the
+    prefix, whatever the tests (the first maximum wins ties).
+    :func:`compression_test` and :func:`tau_k_test` are each one call of
+    this engine.  A battery is a
     single call; calling the object is the one-test callable a scan drives.
 
     The one window is unbounded unless ``window_bits`` is given
@@ -340,7 +341,7 @@ class PrefixScanTest:
         self.test_ids = test_ids
         self._window = math.inf if window_bits is None else window_bits
         self._taken = BitString.zeros(0)  # the last prefix
-        self._costs = lz._PrefixCosts(fold="tauk" in test_ids)  # of the open window
+        self._costs = lz._PrefixCosts()  # of the open window
         self._closed = 0  # code length of the windows before it
         self._start = 0   # the open window's first bit
 
@@ -360,9 +361,10 @@ class PrefixScanTest:
             self._closed += self._costs.total
             self._costs = lz._PrefixCosts()
             self._start = end
-        self._costs.extend(x[self._start:])
-        return [_compression_report(n, self._closed + self._costs.total, alpha)
-                if test_id == "lz77" else _tau_k_report(self._costs.best, alpha)
+        costs = self._costs
+        costs.extend(x[self._start:])
+        return [_compression_report(n, self._closed + costs.total, alpha)
+                if test_id == "lz77" else _tau_k_report((costs.best, costs.scale), alpha)
                 for test_id in self.test_ids]
 
     def __call__(self, x: BitString, alpha: float) -> TestReport:

@@ -144,8 +144,9 @@ def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int
 
 def reference_factorize(bits, automaton: lz._SuffixAutomaton,
                         start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy walk of ``lz._factorize`` with a per-position int32 end
-    in place of the one-byte widths; the reference for both backends.
+    """The greedy walk of ``lz._factorize``, with the end of a source at
+    every position, not only at each factor's last; the reference for both
+    backends.
 
     Returns the factor bounds (the starts, then ``len(bits)``) and
     ``ends``, indexed from ``start``.  For ``start < m <= len(bits)``,

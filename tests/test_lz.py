@@ -182,7 +182,7 @@ def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
     each of consecutive chunks; the chunks whose indices are in ``unread``
     are fed without a table, and their entries stay -1.  The tau_k evidence
     it folds on the way equals that of one pass over ``x``."""
-    costs = lz._PrefixCosts(fold=True)
+    costs = lz._PrefixCosts()
     table = array("q", [-1]) * (len(x) + 1)
     table[0] = 0
     taken = 0
@@ -196,9 +196,9 @@ def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
         else:
             assert costs.total == table[taken]
     assert (0 if costs._automaton is None else costs._automaton.size) == len(x)
-    one_pass = lz._PrefixCosts(fold=True)
+    one_pass = lz._PrefixCosts()
     one_pass.extend(x)
-    assert costs.best == one_pass.best
+    assert (costs.best, costs.scale) == (one_pass.best, one_pass.scale)
     return np.frombuffer(table, dtype=np.int64)
 
 
@@ -236,7 +236,7 @@ def test_chunk_extended_table_property(blob, sizes):
     assert table[-1] == lz.code_length(x)
 
 
-# longer than one pricing block, with chunk ends inside blocks
+# long enough that the chunked feeds below end at odd positions well inside it
 _MULTI_BLOCK_BITS = (1 << 16) + (1 << 14) + 3
 
 
@@ -247,7 +247,7 @@ def test_table_matches_per_bit_reference(kind):
     assert np.array_equal(lz.prefix_code_lengths(x), reference)
     assert np.array_equal(_chunked_table(x, [5000, 70001, 1 << 20]), reference)
     assert reference[-1] == lz.code_length(x)
-    # chunk 2 spans two blocks; the blocks of chunks 1 and 3 are never read
+    # chunks 1 and 3 are fed without a table, so their entries stay -1
     table = _chunked_table(x, [3000, 5000, 70000, 2000, 1 << 20], unread={1, 3})
     read = table >= 0
     assert read.sum() == len(x) + 1 - 5000 - 2000
@@ -260,14 +260,15 @@ def test_table_matches_per_bit_reference(kind):
 
 def test_prefix_costs_price_nothing_when_nothing_is_new():
     x = BitString.from01("0110100110")
-    costs = lz._PrefixCosts(fold=True)
+    costs = lz._PrefixCosts()
     table = array("q", [-1]) * 11
     costs.extend(x.prefix(0), table)
-    assert table.tolist() == [-1] * 11 and costs.total == 0 and costs.best == (-math.inf, 0)
+    assert table.tolist() == [-1] * 11 and costs.total == 0
+    assert (costs.best, costs.scale) == (-math.inf, 0)
     costs.extend(x.prefix(6))
-    best = costs.best
+    best = costs.best, costs.scale
     costs.extend(x.prefix(6), table)  # nothing new: nothing to price
-    assert table.tolist() == [-1] * 11 and costs.best == best
+    assert table.tolist() == [-1] * 11 and (costs.best, costs.scale) == best
     assert costs.total == lz.code_length(x.prefix(6))
     costs.extend(x, table)  # only the new prefixes
     assert table.tolist() == [-1] * 7 + lz.prefix_code_lengths(x)[7:].tolist()
@@ -394,7 +395,7 @@ def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int, closed: in
 
 def _run_walk(bits, n: int, automaton, start: int, closed: int, seen: int) -> dict:
     """``lz._factorize`` on the current backend, resumed as ``_reference_walk`` is."""
-    walk = lz._Walk(fold=True)
+    walk = lz._PrefixCosts()
     walk.open, walk.closed, walk.seen = start, closed, seen
     costs, ends = array("q", [-1]) * (n + 1), array("i", [lz._INNER]) * (n + 1)
     lz._factorize(bits, n, automaton, walk, ends, costs)
@@ -467,6 +468,16 @@ def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
             assert costs.total == 0 and set(table) == {0}
         costs.extend(x.prefix(2), array("q", [0]) * 3)  # room for the prefix taken
         assert costs.total == lz.code_length(x.prefix(2))
+        for ends in (array("i", [0]) * 5, array("q", [0]) * 6, array("h", [0]) * 6,
+                     bytearray(24), [0] * 6):
+            costs = lz._PrefixCosts()
+            with pytest.raises(ValueError, match=r"the walk writes 6 ends to an array\('i'\)"):
+                costs.extend(x, array("q", [0]) * 6, ends)
+            assert costs.total == costs.seen == 0 and costs._automaton is None
+            assert set(ends) == {0}
+        ends = array("i", [lz._INNER]) * 3  # room for the prefix taken
+        costs.extend(x.prefix(2), ends=ends)
+        assert costs.total == lz.code_length(x.prefix(2)) and ends[2] != lz._INNER
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -477,16 +488,22 @@ def test_the_walk_prices_and_folds_like_the_references(backend):
                # a run of k zeros puts the best scale at k: every scale's arithmetic shows
                *(BitString.from01("0" * k + "10110") for k in range(40, 400)),
                *(random_bits(n, seed=n, p=p) for n in (1000, 1 << 16) for p in (0.5, 0.1)),
-               *(_PARITY_INPUTS[kind](1 << 16) for kind in ("dup", "markov"))]
+               *(_PARITY_INPUTS[kind](1 << 16) for kind in ("dup", "markov")),
+               # 4096 uniform bits, then k zeros: the bound skips long stretches, and
+               # the best scale leaves 1 once the zeros pay back the uniform bits' cost
+               *(BitString.from01(random_bits(4096, seed=k).to01() + "0" * k)
+                 for k in (16, 256, 4096, 16384)),
+               # the best stays at scale 1 over every later scale
+               _PARITY_INPUTS["uniform"](1 << 16)]
     with _backend(backend):
         for x in samples:
-            costs = lz._PrefixCosts(fold=True)
+            costs = lz._PrefixCosts()
             table = array("q", [0]) * (len(x) + 1)
             costs.extend(x, table)
             reference = reference_prefix_costs(x).tolist()
             assert costs.total == lz.code_length(x) == reference[-1], x
             assert table.tolist() == reference, x
-            assert costs.best == reference_tau_k(x), x
+            assert (costs.best, costs.scale) == reference_tau_k(x), x
 
 
 def test_strided_views_give_the_results_of_a_contiguous_copy():
@@ -606,6 +623,16 @@ def test_kernel_builds_on_first_use_into_its_cache(monkeypatch, tmp_path):
     assert lz.code_length(BernoulliSource(0.5, seed=7).bits(10 ** 5)) == RANDOM_1E5_CODE_BITS
     assert lz._kernel() is not None
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [_cached_name()]
+
+
+def test_kernel_compiles_clean_with_warnings_as_errors(tmp_path):
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(compiler[0]) is None:
+        pytest.skip("no C compiler")
+    run = subprocess.run([*compiler, *lz._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "_lzkernel.so"), str(lz._KERNEL_SOURCE), "-lm"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("failure", ["no compiler", "compiler fails", "cache not writable",

@@ -485,15 +485,15 @@ def test_lz77_report_keeps_no_per_bit_table():
 
 
 def test_code_length_holds_no_per_position_ends():
-    # the automaton's 32 B/bit, the sample's bytes and the walk's widths: the
-    # factors are priced from the widths at the marks, with no int32 per position
+    # the automaton's 32 B/bit and the sample's bytes: the walk prices each
+    # prefix as it passes it, with no int32 per position
     x = random_bits(1 << 18, seed=40)
     assert _traced_peak(lz.code_length, x) < 35 * len(x)  # 8.75 MiB
 
 
 def test_lz77_report_prices_whole_factors_in_place():
-    # The whole-factor pricing runs while the automaton is alive; with a
-    # temporary per numpy step it took 0.80 MiB over the one-shot peak here.
+    # The whole-factor pricing runs while the automaton is alive, and the
+    # engine holds no per-bit temporary beside it.
     x = random_bits(1 << 18, seed=40)
     one_shot = _traced_peak(lz.code_length, x)
     engine = _traced_peak(stats.PrefixScanTest("lz77").reports, x, 0.01)
@@ -505,7 +505,7 @@ def test_lz77_report_prices_whole_factors_in_place():
 def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
     x = source.bits(2 ** 17 + 3)
     runner = stats.PrefixScanTest("lz77", "tauk")
-    for m in (70001, len(x)):  # the second call scores scales from a mid-block start
+    for m in (70001, len(x)):  # the second call resumes, and scores the scales above 70001
         y = x.prefix(m)
         got = runner.reports(y, 0.01)
         want = [reference_compression_test(y, 0.01), reference_tau_k_test(y, 0.01)]
