@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bits import BitString, bit_bytes_to_int, int_to_bit_bytes
+from .bits import BitString, _PackedBitString, bit_bytes_to_int, int_to_bit_bytes
 from .errors import DecodeError
 
 
@@ -46,8 +46,8 @@ class BitWriter:
         return len(self._buf)
 
     def to_bitstring(self) -> BitString:
-        # a copy of exactly one byte per bit: the buffer's growth slack stays here
-        return BitString._wrap(bytes(self._buf))
+        # packed: a codeword is kept, and its bits are read once to decode it
+        return _PackedBitString(self._buf)
 
 
 class BitReader:

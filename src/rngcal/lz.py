@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import BitString
+from .bits import BitString, _PackedBitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
@@ -370,7 +370,7 @@ def decode(c: Codeword | BitString) -> BitString:
             ell -= len(piece)
     if isinstance(c, Codeword) and len(out) != limit:
         raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
-    return BitString._wrap(bytes(out))
+    return _PackedBitString(out)
 
 
 def code_length(x: BitString) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -249,6 +250,21 @@ def test_ascii_holds_its_digits_packed():
 def test_pack_unpack_identity(bits):
     x = BitString(np.array(bits, dtype=np.uint8))
     assert decode_bits(encode_bits(x)) == x
+
+
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_a_packed_string_reads_as_its_bits(bits):
+    x = BitString(np.array(bits, dtype=np.uint8))
+    y = rngcal.bits._PackedBitString(x._bytes())
+    n = len(x)
+    assert len(y) == n and len(y._payload) == (n + 7) // 8
+    assert y == x and x == y and hash(y) == hash(x) and y.digest() == x.digest()
+    assert y.to01() == x.to01() and y.to_int() == x.to_int() and y.array.tolist() == bits
+    assert [y[i] for i in range(-n, n)] == bits + bits and encode_bits(y) == encode_bits(x)
+    assert y[1::3] == x[1::3] and y[:n // 2] == x.prefix(n // 2)
+    assert pickle.loads(pickle.dumps(y)) == x
+    with pytest.raises(IndexError):
+        y[n]
 
 
 def test_digest_depends_on_length_not_padding():

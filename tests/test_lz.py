@@ -146,6 +146,15 @@ def test_encode_digest_is_pinned(kind):
     assert lz.decode(cw) == x
 
 
+def test_a_codeword_and_its_decoding_are_held_packed():
+    # a coder's output is kept more than scanned: an eighth of a byte per bit
+    x = _ENCODE_2_16_SOURCES["markov"].bits(2 ** 16)
+    cw = lz.encode(x)
+    y = lz.decode(cw)
+    assert len(cw.bits._payload) == (len(cw) + 7) // 8 and len(y._payload) == len(x) // 8
+    assert y == x and y.digest() == x.digest() and lz.code_length(y) == len(cw)
+
+
 def test_prefix_free_within_each_length_class():
     # Equal-length inputs never produce one codeword extending another;
     # this per-class property is what the rejection counting bound uses.
