@@ -26,15 +26,15 @@ typedef struct {
     double best;
 } walk_t;
 
-/* _SuffixAutomaton.extend: take in bits[0:n] as positions size.. of the
-   string.  state[0] is ``last`` and state[1] ``states``, updated in place. */
+/* _SuffixAutomaton.extend: take in bits[size:n] of the string.  state[0]
+   is ``last`` and state[1] ``states``, updated in place. */
 void sam_extend(state_t *sam, const uint8_t *bits, int64_t n, int32_t size, int32_t *state)
 {
     int32_t last = state[0], states = state[1];
-    for (int64_t k = 0; k < n; k++) {
+    for (int64_t k = size; k < n; k++) {
         int c = bits[k];
         int32_t cur = states++;
-        sam[cur].first = size + (int32_t)k;
+        sam[cur].first = (int32_t)k;
         sam[last].next[c] = cur;  /* last has no transitions yet; this one is solid */
         int32_t p = sam[last].link;
         while (p != -1 && sam[p].next[c] == 0) {

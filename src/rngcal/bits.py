@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 _HEADER_BYTES = 8
 _PIECE_BITS = 1 << 14  # bits unpacked at a time, a multiple of 8

@@ -16,8 +16,6 @@ tests by position, so the order of ``--tests`` matters.
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import sys
 
 from . import __version__, stats
@@ -125,6 +123,9 @@ def _resolve_sample(args, limit: int | None):
 
 
 def _json_document(payload: dict, args, input_label: str) -> str:
+    import datetime  # here: a text report needs neither, and they cost every run
+    import json
+
     document = dict(payload)
     document["input"] = input_label
     document["config"] = _config(args)

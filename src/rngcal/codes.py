@@ -14,19 +14,17 @@ short of 1 by the mass of the tail m > M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .bits import BitString, _PackedBitString, bit_bytes_to_int, int_to_bit_bytes
 from .errors import DecodeError
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(namedtuple("Codeword", "bits source_length")):
     """An encoder's output bits plus the size of the input they encode."""
 
-    bits: BitString
-    source_length: int
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.bits)

@@ -30,12 +30,10 @@ import ctypes
 import functools
 import math
 import os
-import sysconfig
 import zlib
 from array import array
-from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
+from importlib.machinery import EXTENSION_SUFFIXES
 
 from .bits import BitString, _PackedBitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
@@ -49,7 +47,7 @@ DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _BLOCK = 1 << 14  # entries a growing table is filled with at a time
 _INNER = -2  # what ``parse``'s ends hold where no factor ends
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
-_KERNEL_SOURCE = Path(__file__).with_name("_lzkernel.c")
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_lzkernel.c")
 # -ffp-contract=off: tau_k's arithmetic in the walk stays that of the Python loop
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # ``encoded_length`` of the integers of each bit length: C(v) depends on nothing else
@@ -68,14 +66,15 @@ def _kernel() -> ctypes.CDLL | None:
     (no compiler, a directory that cannot be written, a library that does
     not load) the Python loops run instead.
     """
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     try:
-        source = _KERNEL_SOURCE.read_bytes()
+        with open(_KERNEL_SOURCE, "rb") as f:
+            source = f.read()
         key = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}{len(source):x}"
-        target = _KERNEL_SOURCE.parent / "__pycache__" / f"_lzkernel.{key}{suffix}"
-        if not target.exists():
+        target = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__",
+                              f"_lzkernel.{key}{EXTENSION_SUFFIXES[0]}")
+        if not os.path.exists(target):
             _build_kernel(target)
-        lib = ctypes.CDLL(str(target))
+        lib = ctypes.CDLL(target)
     except OSError:
         return None
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
@@ -86,7 +85,7 @@ def _kernel() -> ctypes.CDLL | None:
     return lib
 
 
-def _build_kernel(target: Path) -> None:
+def _build_kernel(target: str) -> None:
     """Compile ``_KERNEL_SOURCE`` with the compiler Python was built with.
 
     The library is written in a temporary directory and renamed into
@@ -96,18 +95,19 @@ def _build_kernel(target: Path) -> None:
     import shlex
     import shutil
     import subprocess  # imported here: only a build needs these, and they cost every run
+    import sysconfig
     import tempfile
 
-    target.parent.mkdir(exist_ok=True)
-    workdir = tempfile.mkdtemp(dir=target.parent)
-    built = os.path.join(workdir, target.name)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    workdir = tempfile.mkdtemp(dir=os.path.dirname(target))
+    built = os.path.join(workdir, os.path.basename(target))
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
     try:
-        subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", built, str(_KERNEL_SOURCE), "-lm"],
+        subprocess.run([*compiler, *_KERNEL_FLAGS, "-o", built, _KERNEL_SOURCE, "-lm"],
                        check=True, capture_output=True, timeout=60)
         os.replace(built, target)
     except subprocess.SubprocessError as exc:
-        raise OSError(f"{compiler[0]} could not build {_KERNEL_SOURCE.name}") from exc
+        raise OSError(f"{compiler[0]} could not build {os.path.basename(_KERNEL_SOURCE)}") from exc
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -122,24 +122,19 @@ def _address(buffer: bytes | bytearray | array | None):
     return buffer
 
 
-class Lz77Pair(NamedTuple):
+class Lz77Pair(namedtuple("Lz77Pair", "position payload")):
     """One factor: ``position == 0`` marks a literal, payload is the bit;
     otherwise payload is the copy length from 1-based ``position``."""
 
-    position: int
-    payload: int
+    __slots__ = ()
 
     @property
     def is_literal(self) -> bool:
         return self.position == 0
 
 
-@dataclass(frozen=True)
-class Lz77Parse:
-    """Greedy factorization of a bit string."""
-
-    pairs: list[Lz77Pair]
-    total_length: int
+Lz77Parse = namedtuple("Lz77Parse", "pairs total_length")
+Lz77Parse.__doc__ = "Greedy factorization of a bit string: its ``Lz77Pair`` list and bit count."
 
 
 class _SuffixAutomaton:
@@ -153,10 +148,10 @@ class _SuffixAutomaton:
     occurrence of the substrings of ``s``.  An edge ``s -> t`` is solid
     when the longest substring of ``t`` is that of ``s`` plus one bit, and
     the build needs no more of the state lengths than that.  ``extend``
-    appends bits; a substring of the bits already taken in keeps its first
-    occurrence, so walks over the automaton of a prefix and of the extended
-    string agree on that prefix.  Extending can clone a state, though, so a
-    walk must restart from the root after an extension.
+    takes in more of the string; a substring of the bits already taken in
+    keeps its first occurrence, so walks over the automaton of a prefix and
+    of the extended string agree on that prefix.  Extending can clone a
+    state, though, so a walk must restart from the root after an extension.
 
     A bit adds at most two states (itself and a clone), so the table is
     sized once per construction or ``extend`` and filled by index;
@@ -165,20 +160,25 @@ class _SuffixAutomaton:
 
     __slots__ = ("table", "last", "states", "size")
 
-    def __init__(self, bits: bytes | bytearray = b""):
-        self.table = array("i", [0]) * (4 * (2 * len(bits) + 2))  # the root, two states per bit
+    def __init__(self, bits: bytes | bytearray = b"", n: int | None = None):
+        n = len(bits) if n is None else n
+        self.table = array("i", [0]) * (4 * (2 * n + 2))  # the root, two states per bit
         self.table[2] = self.table[3] = -1  # the root has no link and no occurrence
         self.last, self.states, self.size = 0, 1, 0  # ``size`` counts the bits taken in
-        self.extend(bits)
+        self.extend(bits, n)
 
-    def extend(self, bits: bytes | bytearray) -> None:
-        if self.size + len(bits) > _MAX_BITS:
+    def extend(self, bits: bytes | bytearray, n: int | None = None) -> None:
+        """Take in ``bits[size:n]``, read in place: ``bits`` holds the string
+        from its first bit, and ``n``, all of it by default, is cut as a
+        slice would be."""
+        n = len(bits) if n is None else min(n, len(bits))
+        if n > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
-        if not len(bits):
+        if n <= self.size:
             return
         table = self.table
         rows = len(table) // 4
-        room = self.states + 2 * len(bits) + 1 - rows
+        room = self.states + 2 * (n - self.size) + 1 - rows
         if room > 0:
             # Grow the table in place, a bounded fill piece at a time, so no
             # old table is held beside its new one; the slack ``extend`` adds
@@ -191,13 +191,13 @@ class _SuffixAutomaton:
         kernel = _kernel()
         if kernel is not None:  # the loop below, in C
             state = (ctypes.c_int32 * 2)(self.last, self.states)
-            kernel.sam_extend(_address(table), _address(bits), len(bits), self.size, state)
+            kernel.sam_extend(_address(table), _address(bits), n, self.size, state)
             self.last, self.states = state
-            self.size += len(bits)
+            self.size = n
             return
         last = self.last
         states = self.states
-        for pos, c in enumerate(memoryview(bits), self.size):
+        for pos, c in enumerate(memoryview(bits)[self.size:n], self.size):
             cur = states
             states += 1
             table[4 * cur + 3] = pos
@@ -227,7 +227,7 @@ class _SuffixAutomaton:
             last = cur
         self.last = last
         self.states = states
-        self.size += len(bits)
+        self.size = n
 
 
 def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
@@ -423,11 +423,10 @@ class _PrefixCosts(ctypes.Structure):
         if n == k:
             return
         bits = x._buffer
-        new = bits if k == 0 and n == len(bits) else bits[k:n]  # a slice of a bytearray copies
         if k:
-            self._automaton.extend(new)
+            self._automaton.extend(bits, n)
         else:
-            self._automaton = _SuffixAutomaton(new)
+            self._automaton = _SuffixAutomaton(bits, n)
         _factorize(bits, n, self._automaton, self, ends, costs)
 
 

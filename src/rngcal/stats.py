@@ -16,8 +16,8 @@ bits-saved threshold form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from . import lz
 from .bits import BitString
@@ -120,49 +120,50 @@ OMEGA_STAR = WeightSchedule("omega_star")
 # reports
 
 
-@dataclass(frozen=True)
-class ComponentResult:
-    test_id: str
-    statistic_bits: float
-    p_value: float
+class ComponentResult(namedtuple("ComponentResult", "test_id statistic_bits p_value")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"test_id": self.test_id, "statistic_bits": self.statistic_bits,
-                "p_value": self.p_value}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(namedtuple("TestReport", "statistic_bits p_value p_value_kind alpha "
+                                          "decision components detail")):
     """Outcome of one test (or one combined battery) on one sample.
 
     ``p_value_kind`` is ``upper_bound`` for every report made here: a Kraft
     bound, or a battery's ``min(p_i / w_i)``, a bound even over exact
-    ``p_i``; so decisions are conservative.  ``detail`` carries diagnostic
-    extras and is not part of the serialized report.
+    ``p_i``; so decisions are conservative.  ``components`` defaults to
+    None and ``detail`` to a new ``{}``.  ``detail`` carries diagnostic
+    extras: it is not part of the serialized report, and reports that differ
+    only in it are equal.
     """
 
-    statistic_bits: float
-    p_value: float
-    p_value_kind: str
-    alpha: float
-    decision: str
-    components: list[ComponentResult] | None = None
-    detail: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, statistic_bits, p_value, p_value_kind, alpha, decision,
+                components=None, detail=None):
+        return super().__new__(cls, statistic_bits, p_value, p_value_kind, alpha, decision,
+                               components, {} if detail is None else detail)
+
+    def __eq__(self, other):  # a tuple's would compare ``detail``, and equal a bare tuple
+        return type(other) is type(self) and self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the negation of ``__eq__``, not of the tuple's
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     @property
     def rejected(self) -> bool:
         return self.decision == "reject"
 
     def to_dict(self) -> dict:
-        return {
-            "statistic_bits": self.statistic_bits,
-            "p_value": self.p_value,
-            "p_value_kind": self.p_value_kind,
-            "alpha": self.alpha,
-            "decision": self.decision,
-            "components": ([c.to_dict() for c in self.components]
-                           if self.components is not None else None),
-        }
+        document = self._asdict()
+        del document["detail"]
+        if self.components is not None:
+            document["components"] = [c.to_dict() for c in self.components]
+        return document
 
 
 def _make_report(statistic_bits: float, p_value: float, alpha: float,
@@ -175,7 +176,7 @@ def _make_report(statistic_bits: float, p_value: float, alpha: float,
         alpha=alpha,
         decision="reject" if p <= alpha else "accept",
         components=components,
-        detail=detail or {},
+        detail=detail,
     )
 
 
@@ -377,18 +378,13 @@ class PrefixScanTest:
 # consistency scan
 
 
-@dataclass(frozen=True)
-class ScanStep:
-    bits: int
-    report: TestReport
+ScanStep = namedtuple("ScanStep", "bits report")
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "first_rejection_bits steps")):
     """First rejection length on a doubling grid of prefix lengths."""
 
-    first_rejection_bits: int | None
-    steps: list[ScanStep]
+    __slots__ = ()
 
     @property
     def rejected(self) -> bool:

@@ -226,19 +226,23 @@ def reference_compression_test(x: BitString, alpha: float) -> stats.TestReport:
     return stats._compression_report(len(x), lz.code_length(x), stats._check_alpha(alpha))
 
 
-def reference_tau_k(x: BitString) -> tuple[float, int]:
-    """tau_k's best evidence over the prefixes of ``x`` and its scale, from
-    scratch: at each scale ``m`` the lz77 cost of ``reference_prefix_costs``,
-    capped by the literal length ``m``, gives the evidence
-    ``m - (1 + cost) + log2(1 / (m (m + 1)))`` in doubles with ``math.log2``,
-    and the first maximum wins; ``(-inf, 0)`` for no bits.  The reference
-    for the fold of the LZ walk."""
-    best, scale = -math.inf, 0
+def reference_running_tau_k(x: BitString) -> list[tuple[float, int]]:
+    """tau_k's best evidence over the first ``m`` bits of ``x`` and its
+    scale, at index ``m`` for each prefix, from scratch: at each scale ``m``
+    the lz77 cost of ``reference_prefix_costs``, capped by the literal length
+    ``m``, gives the evidence ``m - (1 + cost) + log2(1 / (m (m + 1)))`` in
+    doubles with ``math.log2``, and the first maximum wins; ``(-inf, 0)`` for
+    no bits.  The reference for the fold of the LZ walk."""
+    running = [(-math.inf, 0)]
     for m, cost in enumerate(reference_prefix_costs(x).tolist()[1:], start=1):
         evidence = m - (1.0 + min(cost, m)) + math.log2(1.0 / (m * (m + 1.0)))
-        if evidence > best:
-            best, scale = evidence, m
-    return best, scale
+        running.append(max(running[-1], (evidence, m), key=lambda best: best[0]))
+    return running
+
+
+def reference_tau_k(x: BitString) -> tuple[float, int]:
+    """tau_k's best evidence over the prefixes of ``x`` and its scale."""
+    return reference_running_tau_k(x)[-1]
 
 
 def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rngcal
-from rngcal import sources, stats
+from rngcal import lz, sources, stats
 from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
@@ -565,6 +565,32 @@ def test_a_test_or_scan_of_a_file_imports_no_numpy(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
+
+
+def test_a_test_or_scan_of_a_file_loads_only_the_modules_it_uses(tmp_path):
+    # dataclasses (with inspect, ast, dis and tokenize) and sysconfig cost a CLI child about
+    # a quarter of its start-up, no run needs typing, and only a JSON report writes json or a date
+    path = tmp_path / "sample.bin"
+    write_bit_file(path, sources.BernoulliSource(0.5, seed=31).bits(4096))
+    unused = {"dataclasses", "inspect", "ast", "sysconfig", "typing"}
+    if lz._kernel() is None:  # each run tries to build the kernel, and a build needs sysconfig
+        unused.remove("sysconfig")
+    src = str(Path(rngcal.__file__).parent.parent)
+    code = ("import contextlib, io, sys\n"
+            "start = set(sys.modules)\n"  # what this interpreter loads before rngcal
+            f"sys.path.insert(0, {src!r})\n"
+            "from rngcal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    runs = [main(['test', '--input', {str(path)!r}])]\n"
+            "    text = set(sys.modules) - start\n"
+            f"    runs.append(main(['test', '--input', {str(path)!r}, '--tests', 'lz77,tauk',\n"
+            "                      '--report', 'json']))\n"
+            f"    runs.append(main(['scan', '--input', {str(path)!r}]))\n"
+            f"print(runs, sorted((set(sys.modules) - start).intersection({sorted(unused)!r})),\n"
+            "      sorted(text & {'json', 'datetime'}))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[0] == "[0, 0, 0] [] []"
 
 
 def test_console_script_stdin_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ from rngcal.bits import BitString
 from rngcal.codes import (
     BitReader,
     BitWriter,
+    Codeword,
     decode_integer,
     encode_integer,
     encoded_length,
@@ -190,6 +191,15 @@ def test_length_law_constant_is_pinned():
             for e in range(1, 21)]
     assert max(devs) <= LENGTH_LAW_DEV_MAX + 1e-9
     assert min(devs) >= -2.0  # bounded below as well: the law is tight to O(1)
+
+
+def test_a_codeword_is_a_record_as_long_as_its_bits():
+    c = encode_integer(10)
+    assert len(c) == encoded_length(10) == 8 and c.source_length == 4
+    assert c == Codeword(bits=c.bits, source_length=4) != Codeword(c.bits, 5)
+    assert len(Codeword(bits=BitString(), source_length=0)) == 0
+    with pytest.raises(AttributeError):
+        c.source_length = 5
 
 
 def test_bitwriter_reader_round_trip():

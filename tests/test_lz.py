@@ -27,7 +27,7 @@ from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
                      reference_automaton, reference_compression_test, reference_factorize,
-                     reference_prefix_costs, reference_tau_k)
+                     reference_prefix_costs, reference_running_tau_k)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -45,6 +45,16 @@ def test_single_literal():
 def test_overlapping_run():
     assert lz.parse(BitString.from01("0000")).pairs == [
         lz.Lz77Pair(0, 0), lz.Lz77Pair(1, 3)]
+
+
+def test_pairs_and_parses_are_records():
+    assert lz.Lz77Pair(0, 1) == (0, 1) and lz.Lz77Pair(0, 1).is_literal
+    assert lz.Lz77Pair(position=1, payload=3) == (1, 3) and not lz.Lz77Pair(1, 3).is_literal
+    parsed = lz.parse(BitString.from01("0000"))
+    assert parsed == lz.Lz77Parse(pairs=[(0, 0), (1, 3)], total_length=4)
+    for record, name in ((parsed.pairs[0], "position"), (parsed, "total_length")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
 
 
 def test_empty_input():
@@ -186,11 +196,13 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
         assert table[m] == lz.code_length(y.prefix(m)), m
 
 
-def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
+def _chunked_table(x: BitString, chunks, unread=(), running=None) -> np.ndarray:
     """The costs a _PrefixCosts writes when fed the prefixes of ``x`` that end
     each of consecutive chunks; the chunks whose indices are in ``unread``
     are fed without a table, and their entries stay -1.  The tau_k evidence
-    it folds on the way equals that of one pass over ``x``."""
+    it folds on the way equals that of one pass over ``x``, and where
+    ``running`` is given, its best after each chunk is ``running`` at the
+    prefix taken."""
     costs = lz._PrefixCosts()
     table = array("q", [-1]) * (len(x) + 1)
     table[0] = 0
@@ -204,6 +216,8 @@ def _chunked_table(x: BitString, chunks, unread=()) -> np.ndarray:
             assert costs.total == lz.code_length(x.prefix(taken))
         else:
             assert costs.total == table[taken]
+        if running is not None:
+            assert (costs.best, costs.scale) == running[taken], taken
     assert (0 if costs._automaton is None else costs._automaton.size) == len(x)
     one_pass = lz._PrefixCosts()
     one_pass.extend(x)
@@ -330,8 +344,8 @@ def _chunked_automaton(bits: bytes, sizes) -> lz._SuffixAutomaton:
     """An automaton extended by chunks of ``bits`` of the given sizes, then by the rest."""
     automaton = lz._SuffixAutomaton()
     for size in sizes:
-        automaton.extend(bits[automaton.size:automaton.size + size])
-    automaton.extend(bits[automaton.size:])
+        automaton.extend(bits, automaton.size + size)
+    automaton.extend(bits)
     return automaton
 
 
@@ -489,6 +503,9 @@ def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
         assert costs.total == lz.code_length(x.prefix(2)) and ends[2] != lz._INNER
 
 
+_CHUNK = 997  # bits a walk takes at a time where its running maximum is checked
+
+
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_the_walk_prices_and_folds_like_the_references(backend):
     samples = [*itertools.chain.from_iterable(map(all_bitstrings, range(13))),
@@ -512,7 +529,11 @@ def test_the_walk_prices_and_folds_like_the_references(backend):
             reference = reference_prefix_costs(x).tolist()
             assert costs.total == lz.code_length(x) == reference[-1], x
             assert table.tolist() == reference, x
-            assert (costs.best, costs.scale) == reference_tau_k(x), x
+            running = reference_running_tau_k(x)
+            assert (costs.best, costs.scale) == running[-1], x
+            if len(x) > _CHUNK:  # the best after each chunk: a wrongly skipped scale shows
+                chunked = _chunked_table(x, itertools.repeat(_CHUNK), running=running)
+                assert chunked.tolist() == reference, x
 
 
 def test_strided_views_give_the_results_of_a_contiguous_copy():
@@ -577,9 +598,9 @@ def test_automaton_refuses_more_bits_than_int32_indexes(backend):
     with _backend(backend):
         automaton = lz._SuffixAutomaton(bytes([0, 1, 1, 0]))
         held = _columns(automaton)
-        for n in (1 << 30, lz._MAX_BITS - 3):
+        for n in (1 << 30, lz._MAX_BITS - 3):  # bits beyond the 4 taken in
             with pytest.raises(OverflowError):
-                automaton.extend(_Reported(n))
+                automaton.extend(_Reported(4 + n))
         assert _columns(automaton) == held
         assert lz._MAX_BITS == (2 ** 31 - 3) // 2
 
@@ -599,14 +620,14 @@ def _kernel_from(monkeypatch, source_dir) -> None:
     """Point ``lz`` at a copy of the kernel source in ``source_dir`` and forget
     the loaded library, so the next LZ call builds and loads it anew."""
     source = source_dir / "_lzkernel.c"
-    source.write_bytes(lz._KERNEL_SOURCE.read_bytes())
+    source.write_bytes(Path(lz._KERNEL_SOURCE).read_bytes())
     monkeypatch.setattr(lz, "_KERNEL_SOURCE", source)
     monkeypatch.setattr(lz, "_kernel", functools.cache(lz._kernel.__wrapped__))
 
 
 def _cached_name() -> str:
     """The kernel's file name in the cache: the source's content key and the extension suffix."""
-    source = lz._KERNEL_SOURCE.read_bytes()
+    source = Path(lz._KERNEL_SOURCE).read_bytes()
     key = f"{zlib.crc32(source):08x}{zlib.adler32(source):08x}{len(source):x}"
     return f"_lzkernel.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
 

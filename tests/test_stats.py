@@ -420,9 +420,9 @@ def test_a_windowed_scan_puts_each_bit_through_the_automaton_once(window, monkey
     taken = []
     extend = lz._SuffixAutomaton.extend
 
-    def counted(self, bits):
-        taken.append(len(bits))
-        extend(self, bits)
+    def counted(self, bits, n):
+        taken.append(n - self.size)
+        extend(self, bits, n)
 
     monkeypatch.setattr(lz._SuffixAutomaton, "extend", counted)
     x = _SCAN_STREAMS["uniform"]
@@ -577,6 +577,30 @@ def test_scan_validates_arguments():
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+def test_reports_are_records_equal_whatever_their_detail():
+    fields = dict(statistic_bits=3.0, p_value=0.125, p_value_kind="upper_bound", alpha=0.01,
+                  decision="accept")
+    report = stats.TestReport(**fields)
+    assert report.components is None and report.detail == {}
+    assert stats.TestReport(**fields).detail is not report.detail  # a new dict each
+    other = stats.TestReport(**fields, detail={"test_id": "lz77"})
+    assert report == other and not report != other and hash(report) == hash(other)
+    assert report != tuple(report) and tuple(report) != report
+    assert report != stats.TestReport(**{**fields, "decision": "reject"})
+    component = stats.ComponentResult(test_id="lz77", statistic_bits=3.0, p_value=0.125)
+    assert component.to_dict() == {"test_id": "lz77", "statistic_bits": 3.0, "p_value": 0.125}
+    battery = stats.TestReport(**fields, components=[component])
+    assert battery.to_dict()["components"] == [component.to_dict()] and battery != report
+    step = stats.ScanStep(bits=1024, report=report)
+    assert not stats.ScanResult(first_rejection_bits=None, steps=[step]).rejected
+    result = stats.ScanResult(first_rejection_bits=1024, steps=[step])
+    assert result.rejected and result.steps[0].report == other
+    for record, name in ((report, "detail"), (report, "p_value"), (component, "p_value"),
+                         (step, "bits"), (result, "steps")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_report_serialization_field_set():
