@@ -8,7 +8,8 @@
    for a secondary one: s -> t is solid when the longest substring of t is
    that of s plus one bit, which is all the build asks of the state
    lengths.  Python sizes every array and checks that every state index
-   fits in int32 before it calls; a bit is a byte of 0 or 1 (a BitString's).
+   fits in int32 before it calls; the bits are a BitString's payload, packed
+   MSB-first, and bit k is read in place as BIT(bits, k).
    Every walk prices each prefix as it goes and folds tau_k's evidence in
    doubles, but for a log2 that cannot move the maximum (see report); it is
    built with -ffp-contract=off, so that no compiler fuses that arithmetic,
@@ -18,6 +19,8 @@
 #include <stdint.h>
 
 typedef struct { int32_t next[2], link, first; } state_t;  /* one row of the table */
+
+#define BIT(bits, k) ((bits)[(k) >> 3] >> (7 - ((k) & 7)) & 1)
 
 /* lz._PrefixCosts: where a walk resumes, what it has priced, and tau_k's best evidence */
 typedef struct {
@@ -32,7 +35,7 @@ void sam_extend(state_t *sam, const uint8_t *bits, int64_t n, int32_t size, int3
 {
     int32_t last = state[0], states = state[1];
     for (int64_t k = size; k < n; k++) {
-        int c = bits[k];
+        int c = BIT(bits, k);
         int32_t cur = states++;
         sam[cur].first = (int32_t)k;
         sam[last].next[c] = cur;  /* last has no transitions yet; this one is solid */
@@ -110,7 +113,7 @@ void sam_factorize(const state_t *sam, const uint8_t *bits, int64_t n, const uin
         w->open = i;  /* the factor from i is open until one starts after it */
         w->closed = closed;
         while (j < n) {
-            st = sam[st].next[bits[j]];
+            st = sam[st].next[BIT(bits, j)];
             if (st < 0)
                 st = -st;
             if (st != 0 && sam[st].first < j)

@@ -11,6 +11,11 @@ Two persistence formats are supported:
   MSB-first into bytes (the final byte is zero-padded);
 * ascii: the ASCII digits '0' and '1', any ASCII whitespace ignored.
 
+A ``BitString`` holds the raw format's payload, so a raw read wraps the
+bytes it reads and a raw write writes them.  A reader of one byte per bit
+(the integer decoder, the Python loops of :mod:`rngcal.lz`) unpacks only
+the bits it reads, a piece at a time, without numpy.
+
 :func:`read_bit_file` reads both from a file or a stream, and
 :func:`decode_bits` and :func:`encode_bits` convert both from and to bytes.
 """
@@ -23,7 +28,7 @@ import os
 from collections.abc import Callable, Iterable
 
 _HEADER_BYTES = 8
-_PIECE_BITS = 1 << 14  # bits unpacked at a time, a multiple of 8
+_PIECE_BITS = 1 << 14  # bits packed or unpacked at a time, a multiple of 8
 _ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 # Swaps the bytes 0 and 1 with the digits '0' and '1': one table turns one
@@ -44,13 +49,15 @@ def bit_bytes_to_int(buf: bytes) -> int:
 
 
 class BitString:
-    """Immutable sequence of bits: the first ``n`` bytes, each 0 or 1, of a
-    buffer that nothing writes to, which a prefix shares with the string it
-    is cut from.  The buffer is a ``bytes``, or a ``bytearray`` that its
-    maker fills a piece at a time and hands over (:func:`read_bit_file`,
-    ``Source.bits``), so that making it holds no more than a byte per bit."""
+    """Immutable sequence of bits: the first ``n`` bits of a payload packed
+    MSB-first, as the raw format stores them, an eighth of a byte per bit.
+    Nothing writes to the payload, and a prefix shares it with the string it
+    is cut from, so the bits of its last byte past ``n`` may be set;
+    :meth:`_packed` zeroes them.  The payload is a ``bytes``, or a
+    ``bytearray`` that its maker fills and hands over (:func:`read_bit_file`,
+    ``Source.bits``)."""
 
-    __slots__ = ("_buffer", "_n")
+    __slots__ = ("_payload", "_n")
 
     def __init__(self, bits: Iterable[int] = ()):
         import numpy as np  # here: files, sources and codecs make their bytes without it
@@ -59,8 +66,8 @@ class BitString:
         # checked before the cast, which would wrap 256 and -255 and truncate 1.7
         if a.size and not np.all(a <= 1 if a.dtype == np.uint8 else (a == 0) | (a == 1)):
             raise ValueError("bits must be 0 or 1")
-        self._buffer = a.astype(np.uint8, copy=False).tobytes()
-        self._n = len(self._buffer)
+        self._payload = np.packbits(a.astype(np.uint8, copy=False)).tobytes()
+        self._n = a.size
 
     # -- constructors ------------------------------------------------------
 
@@ -71,7 +78,7 @@ class BitString:
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":
-        return cls._wrap(bytes(n))
+        return cls._wrap(bytes((n + 7) // 8), n)
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
@@ -80,52 +87,49 @@ class BitString:
             raise ValueError("width must be >= 0")
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        return cls._wrap(int_to_bit_bytes(value, width))
+        return cls._wrap((value << (-width % 8)).to_bytes((width + 7) // 8, "big"), width)
 
     @classmethod
-    def _wrap(cls, buffer: bytes | bytearray, n: int | None = None) -> "BitString":
-        """The first ``n`` bytes of ``buffer``, all of them by default, which
-        must each be 0 or 1 and which nothing may write to: taken without the
-        check and the copy of ``__init__``."""
+    def _wrap(cls, payload: bytes | bytearray, n: int) -> "BitString":
+        """The first ``n`` bits of MSB-first ``payload``, which nothing may
+        write to: taken without the check and the copy of ``__init__``."""
         self = cls.__new__(cls)
-        self._buffer, self._n = buffer, len(buffer) if n is None else n
+        self._payload, self._n = payload, n
         return self
 
     # -- views -------------------------------------------------------------
 
     @property
     def array(self):
-        """Read-only uint8 numpy view of the bits."""
+        """Read-only uint8 numpy array of the bits, unpacked: one byte per bit."""
         import numpy as np
 
-        a = np.frombuffer(self._buffer, dtype=np.uint8, count=self._n)
+        a = np.unpackbits(np.frombuffer(self._payload, dtype=np.uint8), count=self._n)
         a.setflags(write=False)
         return a
 
-    def _bytes(self) -> bytes:
-        """The bits as ``bytes``, one byte each: the buffer itself where it is
-        one of exactly this length, else a copy."""
-        b = self._buffer
-        return b if type(b) is bytes and len(b) == self._n else bytes(memoryview(b)[:self._n])
-
     def to01(self) -> str:
-        return self._bytes().translate(_DIGITS).decode()
+        return _unpack(self._payload, self._n).translate(_DIGITS).decode()
 
     def to_int(self) -> int:
         """The integer whose big-endian binary expansion is this string."""
-        return bit_bytes_to_int(self._bytes())
+        n = self._n
+        return int.from_bytes(memoryview(self._payload)[:(n + 7) // 8], "big") >> (-n % 8)
 
     def prefix(self, m: int) -> "BitString":
-        """The first ``m`` bits, sharing this string's bytes (no copy)."""
+        """The first ``m`` bits, sharing this string's payload (no copy)."""
         if not 0 <= m <= len(self):
             raise ValueError(f"prefix length {m} out of range 0..{len(self)}")
-        return BitString._wrap(self._buffer, m)
+        return BitString._wrap(self._payload, m)
 
     def _packed(self) -> bytes:
-        """The bits packed MSB-first into bytes, the last one zero-padded."""
-        import numpy as np  # here: it packs 2^20 bits in 0.3 ms, an int in 5.5 ms
-
-        return np.packbits(self.array).tobytes()
+        """The payload of exactly these bits, the last byte zero-padded: the
+        payload itself where it is a ``bytes`` of that form, else a copy."""
+        n, p = self._n, self._payload
+        k, pad = (n + 7) // 8, -n % 8
+        if pad and p[k - 1] & ((1 << pad) - 1):
+            return b"".join((memoryview(p)[:k - 1], bytes([p[k - 1] & 0xFF << pad])))
+        return p if type(p) is bytes and len(p) == k else bytes(memoryview(p)[:k])
 
     def digest(self) -> str:
         """SHA-256 over the packed payload and bit length; for regressions."""
@@ -147,19 +151,26 @@ class BitString:
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             start, stop, step = idx.indices(self._n)
-            if start == 0 and step == 1:
+            if step != 1:  # unpacked, cut and packed again
+                bits = _unpack(self._payload, self._n)[idx]
+                return BitString._wrap(_pack(bits), len(bits))
+            if start == 0:
                 return self.prefix(stop)
-            return BitString._wrap(memoryview(self._buffer)[:self._n][idx].tobytes())
-        return self._buffer[range(self._n)[idx]]
+            # cut from its own bytes: shifted left past the bits before ``start``
+            m, view = max(stop - start, 0), memoryview(self._payload)[start >> 3:(stop + 7) >> 3]
+            v = int.from_bytes(view, "big") << (start & 7)
+            return BitString._wrap(v.to_bytes(len(view) + 1, "big")[1:(m + 7) // 8 + 1], m)
+        i = range(self._n)[idx]  # one bit, without unpacking them all
+        return self._payload[i >> 3] >> (7 - (i & 7)) & 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self._n == other._n and (self._buffer is other._buffer
-                                        or self._bytes() == other._bytes())
+        return self._n == other._n and (self._payload is other._payload
+                                        or self._packed() == other._packed())
 
     def __hash__(self) -> int:
-        return hash((len(self), self._bytes()))
+        return hash((len(self), self._packed()))
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -167,44 +178,26 @@ class BitString:
         return f"BitString('{self.prefix(24).to01()}...', length={len(self)})"
 
 
-class _PackedBitString(BitString):
-    """The bits of ``buffer``, one byte (0 or 1) each, held as
-    :meth:`BitString._packed` packs them: an eighth of a byte per bit.  A
-    coder's output is kept more than it is scanned, so ``BitWriter`` and
-    ``lz.decode`` return this form.  Its ``_buffer`` is unpacked afresh
-    wherever it is read, and not kept."""
-
-    __slots__ = ("_payload",)
-
-    def __init__(self, buffer: bytes | bytearray):
-        self._payload, self._n = BitString._wrap(buffer)._packed(), len(buffer)
-
-    @property
-    def _buffer(self) -> bytes:
-        return bytes(_unpack(self._payload, self._n))
-
-    def _packed(self) -> bytes:
-        return self._payload
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return super().__getitem__(idx)
-        i = range(self._n)[idx]  # one bit, without unpacking them all
-        return self._payload[i >> 3] >> (7 - (i & 7)) & 1
-
-    def __reduce__(self):  # the ``_buffer`` slot is shadowed, so it cannot be pickled by name
-        return _PackedBitString, (self._bytes(),)
-
-
-def _unpack(payload: bytes | bytearray, n: int) -> bytearray:
-    """The first ``n`` bits of MSB-first ``payload``, one byte (0 or 1) per bit,
+def _unpack(payload: bytes | bytearray, n: int, start: int = 0) -> bytearray:
+    """Bits ``start .. n`` of MSB-first ``payload``, one byte (0 or 1) per bit,
     unpacked ``_PIECE_BITS`` at a time through an integer into one buffer."""
-    out, view = bytearray(n), memoryview(payload)
-    for at in range(0, n, _PIECE_BITS):
-        m = min(_PIECE_BITS, n - at)
-        piece = int.from_bytes(view[at // 8:(at + m + 7) // 8], "big") >> (-m % 8)
-        out[at:at + m] = int_to_bit_bytes(piece, m)
+    out, view = bytearray(n - start), memoryview(payload)
+    for at in range(start, n, _PIECE_BITS):
+        end = min(at + _PIECE_BITS, n)
+        piece = int.from_bytes(view[at >> 3:(end + 7) >> 3], "big") >> (-end % 8)
+        out[at - start:end - start] = int_to_bit_bytes(piece, end - at)
     return out
+
+
+def _pack(buffer: bytes | bytearray) -> bytes:
+    """The bits of ``buffer``, one byte (0 or 1) each, packed MSB-first with
+    the last byte zero-padded, ``_PIECE_BITS`` at a time through an integer."""
+    pieces = []
+    for at in range(0, len(buffer), _PIECE_BITS):
+        piece = buffer[at:at + _PIECE_BITS]
+        m = len(piece)
+        pieces.append((bit_bytes_to_int(piece) << (-m % 8)).to_bytes((m + 7) // 8, "big"))
+    return b"".join(pieces)
 
 
 def _check_raw_size(count: int, size: int) -> None:
@@ -230,7 +223,7 @@ def encode_bits(bits: BitString, fmt: str = "raw") -> bytes:
         return len(bits).to_bytes(_HEADER_BYTES, "little") + bits._packed()
     if fmt != "ascii":
         raise ValueError(f"unknown bit file format: {fmt!r}")
-    return bits._bytes().translate(_DIGITS) + b"\n"
+    return bytes(_unpack(bits._payload, len(bits)).translate(_DIGITS)) + b"\n"
 
 
 def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:
@@ -246,9 +239,8 @@ def read_bit_file(path, fmt: str = "raw",
     ``take(count)``, given the number of bits the input holds, returns how
     many of the first ones to read; all of them by default.  ascii is read
     in 64 KiB pieces, each checked and packed.  A raw input is sized from its
-    header and only the payload of the bits taken is unpacked, a piece at a
-    time through an integer, without numpy.  A file, or a
-    stream that can seek, is checked against its size before ``take`` is
+    header, and the payload of the bits taken is held as it is read.  A file,
+    or a stream that can seek, is checked against its size before ``take`` is
     called and only that payload is read; a stream that cannot seek is read
     to its end in bounded pieces, after ``take``, and then checked.
     """
@@ -270,6 +262,7 @@ def read_bit_file(path, fmt: str = "raw",
             if rest:
                 payload += int(rest.ljust(8, b"0"), 2).to_bytes(1, "big")
             n = count if take is None else take(count)
+            del payload[(n + 7) // 8:]
         else:
             size = None
             if f.seekable():
@@ -291,4 +284,4 @@ def read_bit_file(path, fmt: str = "raw",
                 _check_raw_size(count, size)
     if 8 * len(payload) < n:  # the input shrank after it was sized
         raise ValueError(f"raw bit stream truncated: header says {count} bits")
-    return BitString._wrap(_unpack(payload, n))
+    return BitString._wrap(payload, n)

@@ -105,10 +105,11 @@ def _resolve_sample(args, limit: int | None):
 
         try:
             label = sources.apply_seed(args.source, args.seed)
-            prefix = sources.parse_source_spec(label).bits
+            source = sources.parse_source_spec(label)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        return prefix, size(1 << 16 if limit is None else limit), label
+        n = size(1 << 16 if limit is None else limit)
+        return source.bits(n).prefix, n, label  # drawn once: a scan's steps are its prefixes
     label = "stdin" if args.input == "-" else args.input
     try:
         bits = read_bit_file(sys.stdin.buffer if args.input == "-" else args.input,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .bits import BitString, _PackedBitString, bit_bytes_to_int, int_to_bit_bytes
+from .bits import BitString, _pack, _unpack, bit_bytes_to_int, int_to_bit_bytes
 from .errors import DecodeError
 
 
@@ -44,17 +44,16 @@ class BitWriter:
         return len(self._buf)
 
     def to_bitstring(self) -> BitString:
-        # packed: a codeword is kept, and its bits are read once to decode it
-        return _PackedBitString(self._buf)
+        return BitString._wrap(_pack(self._buf), len(self._buf))
 
 
 class BitReader:
-    """Reads MSB-first bits from a :class:`BitString`, one byte per bit."""
+    """Reads MSB-first bits from a :class:`BitString`, unpacked to one byte per bit."""
 
     def __init__(self, bits: BitString, offset: int = 0):
         if not 0 <= offset <= len(bits):
             raise ValueError(f"offset {offset} out of range")
-        self._bits = bits._bytes()
+        self._bits = _unpack(bits._payload, len(bits))
         self.pos = offset
 
     def remaining(self) -> int:

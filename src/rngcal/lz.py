@@ -35,14 +35,14 @@ from array import array
 from collections import namedtuple
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from .bits import BitString, _PackedBitString
+from .bits import BitString, _pack, _unpack
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
 # A full-window analysis holds a suffix automaton of all its bits, 32 bytes
-# per bit, and the sample's byte per bit beside it: a `test` at this cap
-# peaks below 36 bytes per bit, interpreter included.  A bare pair stream
-# decodes to at most this many bits.
+# per bit, and the sample's packed payload, an eighth of a byte per bit,
+# beside it: a `test` at this cap peaks below 36 bytes per bit, interpreter
+# included.  A bare pair stream decodes to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _BLOCK = 1 << 14  # entries a growing table is filled with at a time
 _INNER = -2  # what ``parse``'s ends hold where no factor ends
@@ -160,18 +160,17 @@ class _SuffixAutomaton:
 
     __slots__ = ("table", "last", "states", "size")
 
-    def __init__(self, bits: bytes | bytearray = b"", n: int | None = None):
-        n = len(bits) if n is None else n
+    def __init__(self, bits: bytes | bytearray, n: int):
         self.table = array("i", [0]) * (4 * (2 * n + 2))  # the root, two states per bit
         self.table[2] = self.table[3] = -1  # the root has no link and no occurrence
         self.last, self.states, self.size = 0, 1, 0  # ``size`` counts the bits taken in
         self.extend(bits, n)
 
-    def extend(self, bits: bytes | bytearray, n: int | None = None) -> None:
-        """Take in ``bits[size:n]``, read in place: ``bits`` holds the string
-        from its first bit, and ``n``, all of it by default, is cut as a
-        slice would be."""
-        n = len(bits) if n is None else min(n, len(bits))
+    def extend(self, bits: bytes | bytearray, n: int) -> None:
+        """Take in bits ``size .. n`` of the string whose payload, packed
+        MSB-first, is ``bits``, read in place; ``n`` is cut at the bits the
+        payload holds."""
+        n = min(n, 8 * len(bits))
         if n > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
         if n <= self.size:
@@ -197,7 +196,7 @@ class _SuffixAutomaton:
             return
         last = self.last
         states = self.states
-        for pos, c in enumerate(memoryview(bits)[self.size:n], self.size):
+        for pos, c in enumerate(_unpack(bits, n, self.size), self.size):
             cur = states
             states += 1
             table[4 * cur + 3] = pos
@@ -232,15 +231,15 @@ class _SuffixAutomaton:
 
 def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
                walk: _PrefixCosts, ends: array | None = None, costs: array | None = None) -> None:
-    """Resume the greedy parse of ``bits[:n]`` at ``walk.open``, pricing as it goes;
-    ``automaton`` has taken in all of ``bits[:n]``.
+    """Resume the greedy parse of the first ``n`` bits of the payload ``bits``
+    at ``walk.open``, pricing as it goes; ``automaton`` has taken them all in.
 
     ``walk.open`` starts the open factor, the last one, which reached the
     end of the input and may grow with it, and ``walk.closed`` is the cost
-    of the factors before it; the walk leaves both so for ``bits[:n]`` and
+    of the factors before it; the walk leaves both so for the ``n`` bits and
     sets ``walk.total`` to the code length of all ``n`` bits.  A factor from
     ``i`` truncated at ``m`` costs ``|C(p + 1)| + |C(m - i)|``, where ``p``
-    is the 1-based source of the first occurrence of ``bits[i:m]`` (the
+    is the 1-based source of the first occurrence of bits ``i .. m`` (the
     smallest source; it may start before ``i``), 0 for a literal, whose raw
     bit is as long as C(1).  C of an integer depends only on its bit length,
     which ``_CODE_LENGTHS`` prices.  Within a factor the greedy parse of a
@@ -261,7 +260,8 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
         kernel.sam_factorize(*map(_address, (automaton.table, bits)), n, _CODE_LENGTHS, walk,
                              _address(ends), _address(costs))
         return
-    table, lengths, bits = automaton.table, _CODE_LENGTHS, memoryview(bits)
+    first = walk.open
+    table, lengths, bits = automaton.table, _CODE_LENGTHS, _unpack(bits, n, first)
     seen, best, scale = walk.seen, walk.best, walk.scale
     bar = -1  # the log2 is skipped where m - min(cost, m) <= bar: see report in _lzkernel.c
 
@@ -274,7 +274,7 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
             best, scale = e, m
         bar = math.floor(best) + 2 * m.bit_length() - 1
 
-    i = last = walk.open
+    i = last = first
     closed = before = cost = walk.closed
     while i < n:
         st = 0  # from the root: extending may have cloned the states of an earlier walk
@@ -282,7 +282,7 @@ def _factorize(bits: bytes | bytearray, n: int, automaton: _SuffixAutomaton,
         j = i
         last, before = i, closed  # the factor from i is open until one starts after it
         while j < n:
-            st = abs(table[4 * st + bits[j]])
+            st = abs(table[4 * st + bits[j - first]])
             if st and table[4 * st + 3] < j:
                 end = table[4 * st + 3]
             elif j > i:
@@ -311,9 +311,8 @@ def parse(x: BitString) -> Lz77Parse:
 
     ends = array("i", [_INNER]) * (len(x) + 1)
     _PrefixCosts().extend(x, ends=ends)
-    bits = x._buffer
     bounds = [0, *np.flatnonzero(np.frombuffer(ends, dtype=np.int32) != _INNER).tolist()]
-    pairs = [Lz77Pair(0, bits[i]) if ends[m] < 0 else Lz77Pair(ends[m] - (m - i) + 2, m - i)
+    pairs = [Lz77Pair(0, x[i]) if ends[m] < 0 else Lz77Pair(ends[m] - (m - i) + 2, m - i)
              for i, m in zip(bounds, bounds[1:])]
     return Lz77Parse(pairs=pairs, total_length=len(x))
 
@@ -370,7 +369,7 @@ def decode(c: Codeword | BitString) -> BitString:
             ell -= len(piece)
     if isinstance(c, Codeword) and len(out) != limit:
         raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
-    return _PackedBitString(out)
+    return BitString._wrap(_pack(out), len(out))
 
 
 def code_length(x: BitString) -> int:
@@ -422,7 +421,7 @@ class _PrefixCosts(ctypes.Structure):
                 raise ValueError(f"the walk writes {n + 1} {name} to an array({code!r})")
         if n == k:
             return
-        bits = x._buffer
+        bits = x._payload
         if k:
             self._automaton.extend(bits, n)
         else:

@@ -66,19 +66,20 @@ class Source:
 
         The seed's Philox uniforms are drawn ``_PIECE`` at a time, one per
         bit; consecutive ``random`` calls continue one stream, so the bits do
-        not depend on the piece size.
+        not depend on the piece size.  Each piece is packed into the payload
+        as it is drawn.
         """
         if n < 0:
             raise ValueError(f"bit count must be >= 0, got {n}")
         rng = _rng(self.seed)
-        out = bytearray(n)  # filled in place and handed over: one byte per bit
-        bits = np.frombuffer(out, dtype=np.uint8)
+        out = bytearray((n + 7) // 8)  # filled in place and handed over
         prev = None
         for lo in range(0, n, _PIECE):
             hi = min(lo + _PIECE, n)
-            bits[lo:hi] = self._bits(rng.random(hi - lo), lo, prev)
-            prev = bits[hi - 1]
-        return BitString._wrap(out)
+            bits = self._bits(rng.random(hi - lo), lo, prev)
+            out[lo // 8:(hi + 7) // 8] = np.packbits(bits).tobytes()
+            prev = int(bits[-1])
+        return BitString._wrap(out, n)
 
     def _bits(self, u: np.ndarray, lo: int, prev) -> np.ndarray:
         """Bits ``lo .. lo + len(u)`` from their uniforms ``u``; ``prev`` is
@@ -226,8 +227,10 @@ def duplication_construction(base: BitString, n: int) -> BitString:
     if len(base) < need:
         raise ValueError(f"base sequence has {len(base)} bits; {need} are required "
                          f"for {n} output bits")
-    data = memoryview(base._buffer)  # not copied: the copies lie within len(base)
-    return BitString._wrap(b"".join(data[start:start + m] for start, m in _copies(n)))
+    out = 0  # the copies, each read from the base as an integer
+    for start, m in _copies(n):
+        out = out << m | base[start:start + m].to_int()
+    return BitString.from_int(out, n)
 
 
 class DuplicationSource(Source):

@@ -30,7 +30,6 @@ UPPER_BOUND = "upper_bound"
 TEST_IDS = ("lz77", "tauk")
 
 EXACT_MAX_BITS = 24  # exact_p_value enumerates 2**n strings
-_EXACT_ROWS = 1 << 12  # strings exact_p_value unpacks at a time, 32 B each
 
 
 def _check_alpha(alpha: float) -> float:
@@ -92,12 +91,6 @@ class WeightSchedule:
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "WeightSchedule":
         return cls("custom", finite_weights=weights)
-
-    def weights(self, k: int, start: int = 1):
-        """Weights ``w_start .. w_k`` as a numpy float array (the first ``k`` by default)."""
-        import numpy as np
-
-        return np.array(self._weights(k, start), dtype=np.float64)
 
     def _weights(self, k: int, start: int = 1) -> list[float]:
         """Weights ``w_start .. w_k`` as a list: omega_star's one formula,
@@ -214,17 +207,9 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
         raise InfeasibleError(
             f"exact enumeration over 2**{n} strings exceeds the {EXACT_MAX_BITS}-bit guard")
     observed = tau(x)
-    import numpy as np
-
-    count = 0
-    for lo in range(0, 1 << n, _EXACT_ROWS):
-        # the n-bit rows of consecutive integers, big-endian: the low n bits
-        # of each integer's four bytes
-        values = np.arange(lo, min(lo + _EXACT_ROWS, 1 << n), dtype=">u4")
-        rows = np.unpackbits(values.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:].tobytes()
-        for r in range(len(values)):
-            if tau(BitString._wrap(rows[r * n:(r + 1) * n])) >= observed:
-                count += 1
+    pad, size = -n % 8, (n + 7) // 8  # each string's payload: its value, shifted to the top
+    count = sum(1 for v in range(1 << n)
+                if tau(BitString._wrap((v << pad).to_bytes(size, "big"), n)) >= observed)
     return count / float(1 << n)
 
 

@@ -191,7 +191,7 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
     bits = x.array.tobytes()
     n = len(bits)
     with python_loops():
-        automaton = lz._SuffixAutomaton(bits)
+        automaton = lz._SuffixAutomaton(x._payload, n)
     next0, next1, first = (automaton.table[k::4] for k in (0, 1, 3))
     out = [0] * (n + 1)
     cum = 0

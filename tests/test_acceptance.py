@@ -161,7 +161,7 @@ def test_criterion_6_battery_arithmetic():
     worked_ok = abs(worked - 0.008) < 1e-12
     rng = np.random.default_rng(2718)
     trials = 10 ** 5
-    w = stats.OMEGA_STAR.weights(5)
+    w = np.array(stats.OMEGA_STAR._weights(5))
     combined = np.minimum(1.0, (rng.random((trials, 5)) / w).min(axis=1))
     mc_ok = True
     rates = {}

@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rngcal.bits
+from rngcal import lz, stats
 from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
+from rngcal.codes import BitWriter
 
 from helpers import Pipe
 
@@ -70,8 +72,8 @@ def test_indexing_and_prefix():
 def test_slices_and_prefixes_are_read_only_views(take, index):
     x = BitString(np.random.default_rng(5).integers(0, 2, 1000))
     y = take(x)
-    # a prefix shares the bytes of its string; any other slice copies its own
-    assert np.shares_memory(y.array, x.array) == (index.start is None and index.step is None)
+    # a prefix shares the payload of its string; any other slice copies its own
+    assert (y._payload is x._payload) == (index.start is None and index.step is None)
     assert not y.array.flags.writeable
     with pytest.raises(ValueError):
         y.array[0] = 1 - y[0]
@@ -83,9 +85,9 @@ def test_a_prefix_shares_the_bytes_and_compares_as_a_copy():
     x = BitString(np.random.default_rng(8).integers(0, 2, 4096))
     for m in (0, 1, 7, 4095, 4096):
         y = x.prefix(m)
-        assert y._buffer is x._buffer  # no copy, however long the string
+        assert y._payload is x._payload  # no copy, however long the string
         copy = BitString(x.array[:m])
-        assert copy._buffer is not x._buffer
+        assert copy._payload is not x._payload
         assert y == copy and copy == y and hash(y) == hash(copy)
         assert y.to_int() == copy.to_int() == int(x.to01()[:m] or "0", 2)
         assert y.to01() == copy.to01() and len(y) == m
@@ -95,7 +97,19 @@ def test_a_prefix_shares_the_bytes_and_compares_as_a_copy():
             assert y != x.prefix(m + 1) and y != BitString(x.array[1:m + 1]) or m == 0
             with pytest.raises(IndexError):
                 y[m]
-    assert x.prefix(100)[:50] == x.prefix(50) and x[:50]._buffer is x._buffer
+    assert x.prefix(100)[:50] == x.prefix(50) and x[:50]._payload is x._payload
+
+
+def test_a_prefix_masks_the_bits_its_payload_holds_past_it():
+    # a prefix of all ones shares a payload whose last byte is set past the prefix
+    x = BitString.from01("1" * 17)
+    for m in range(18):
+        y, copy = x.prefix(m), BitString([1] * m)
+        assert y._payload is x._payload and copy._payload == bytes([0xFF] * (m // 8)) + (
+            bytes([0xFF << (8 - m % 8) & 0xFF]) if m % 8 else b"")
+        assert y == copy and copy == y and hash(y) == hash(copy) and y.digest() == copy.digest()
+        assert encode_bits(y) == encode_bits(copy) == m.to_bytes(8, "little") + copy._payload
+        assert y.to_int() == (1 << m) - 1 and y.to01() == "1" * m
 
 
 def test_digest_maps_no_openssl_where_cpython_has_its_own_sha256():
@@ -206,6 +220,43 @@ def test_decode_bits_holds_one_byte_per_bit():
     assert peak <= 1.25 * n, f"{peak / n:.2f} bytes per bit"  # 2.03 with a check and a copy
 
 
+def test_a_raw_read_holds_the_payload_it_reads(tmp_path):
+    # the payload is wrapped as it is read: 2^20 bits hold 128 KiB
+    n = 1 << 20
+    path = tmp_path / "bits.bin"
+    write_bit_file(path, BitString(np.random.default_rng(9).integers(0, 2, n, dtype=np.uint8)))
+    tracemalloc.start()
+    try:
+        bits = read_bit_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18, f"{peak / n:.3f} bytes per bit"  # 1.0 with the bits unpacked
+    assert len(bits) == n and bits._payload == path.read_bytes()[8:]
+
+
+def test_a_string_is_decoded_written_and_digested_without_numpy():
+    # the decoder, the digest, the raw and ascii writers and the exact p-value
+    # work on the payload; numpy costs a process about 0.13 s and 13 MiB
+    x = BitString.from01("0110" * 9 + "1")
+    tau = "lambda z: len(z) - lz.code_length(z)"
+    code = ("import sys\n"
+            "from rngcal import lz, stats\n"
+            "from rngcal.bits import BitString, encode_bits\n"
+            "from rngcal.codes import Codeword\n"
+            f"y = lz.decode(Codeword(BitString.from01({lz.encode(x).bits.to01()!r}), {len(x)}))\n"
+            f"p = stats.exact_p_value(y.prefix(10), {tau})\n"
+            "print(y.to01(), y.digest(), encode_bits(y).hex(), encode_bits(y, 'ascii').hex(), p,\n"
+            "      'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(rngcal.bits.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    p = stats.exact_p_value(x.prefix(10), eval(tau))
+    assert run.stdout.split() == [x.to01(), x.digest(), encode_bits(x).hex(),
+                                  encode_bits(x, "ascii").hex(), repr(p), "False"]
+
+
 def test_ascii_file_ignores_whitespace(tmp_path):
     path = tmp_path / "bits.txt"
     path.write_text("01 10\n11\t0\n")
@@ -254,10 +305,15 @@ def test_pack_unpack_identity(bits):
 
 @given(st.lists(st.integers(0, 1), max_size=200))
 def test_a_packed_string_reads_as_its_bits(bits):
+    # a coder's output, packed by the writer, reads as the checked copy of its bits
     x = BitString(np.array(bits, dtype=np.uint8))
-    y = rngcal.bits._PackedBitString(x._bytes())
+    w = BitWriter()
+    for b in bits:
+        w.write(b, 1)
+    y = w.to_bitstring()
     n = len(x)
-    assert len(y) == n and len(y._payload) == (n + 7) // 8
+    assert len(y) == n and y._payload == x._payload and len(y._payload) == (n + 7) // 8
+    assert encode_bits(y)[8:] == y._payload and y.prefix(n // 2)._payload is y._payload
     assert y == x and x == y and hash(y) == hash(x) and y.digest() == x.digest()
     assert y.to01() == x.to01() and y.to_int() == x.to_int() and y.array.tolist() == bits
     assert [y[i] for i in range(-n, n)] == bits + bits and encode_bits(y) == encode_bits(x)

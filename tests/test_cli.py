@@ -181,6 +181,20 @@ def test_scan_random_stream_reports_none(capsys):
     assert "none within budget" in capsys.readouterr().out
 
 
+def test_a_scan_of_a_source_draws_its_bits_once(monkeypatch, capsys):
+    # each step is a prefix of the one sample: no step draws its bits again
+    drawn, bits = [], sources.Source.bits
+
+    def counted(self, n):
+        drawn.append(n)
+        return bits(self, n)
+
+    monkeypatch.setattr(sources.Source, "bits", counted)
+    assert run_cli("scan", "--source", "bernoulli:0.5:seed=2", "--budget", "8192") == 0
+    assert "prefixes 1024 x 2^k up to 8192" in capsys.readouterr().out
+    assert drawn == [8192]
+
+
 @pytest.mark.parametrize("spec,test_id,budget", [
     ("bernoulli:0.5:seed=21", "lz77", 2 ** 14),
     ("bernoulli:0.5:seed=22", "tauk", 2 ** 14),
@@ -328,15 +342,21 @@ _WINDOW_OVER_CAP = f"window of {2 ** 24} bits"
 def test_memory_cap_is_checked_before_drawing(argv, message, tmp_path, monkeypatch, capsys):
     raw = tmp_path / "big.bin"  # 2^24 bits, sized from its header
     raw.write_bytes((2 ** 24).to_bytes(8, "little") + bytes(2 ** 21))
+    read = []
 
-    def unpack(*args, **kwargs):
-        raise AssertionError("unpacked a raw payload before checking the memory cap")
+    class Counted(io.BufferedReader):  # a raw input, as a path or as standard input
+        def read(self, size=-1):
+            data = super().read(size)
+            read.append(len(data))
+            return data
 
     _refuse_to_draw(monkeypatch)
-    monkeypatch.setattr(rngcal.bits, "_unpack", unpack)
-    with open(raw, "rb") as stdin:
+    monkeypatch.setattr(rngcal.bits, "open", lambda path, mode: Counted(io.FileIO(path, mode)),
+                        raising=False)
+    with Counted(io.FileIO(raw)) as stdin:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
         assert run_cli(*(str(raw) if a == "RAW" else a for a in argv)) == 2
+    assert sum(read) <= 8, "read the payload before checking the memory cap"  # the header
     err = capsys.readouterr().err
     assert err.startswith(f"rngcal: error: {message} exceeds the full-window "
                           f"memory cap ({2 ** 23} bits)")

@@ -340,12 +340,13 @@ def _columns(automaton: lz._SuffixAutomaton) -> tuple:
             automaton.states, automaton.last, automaton.size)
 
 
-def _chunked_automaton(bits: bytes, sizes) -> lz._SuffixAutomaton:
-    """An automaton extended by chunks of ``bits`` of the given sizes, then by the rest."""
-    automaton = lz._SuffixAutomaton()
+def _chunked_automaton(x: BitString, sizes) -> lz._SuffixAutomaton:
+    """An automaton extended by chunks of the payload of ``x`` of the given
+    sizes, then by the rest."""
+    automaton = lz._SuffixAutomaton(b"", 0)
     for size in sizes:
-        automaton.extend(bits, automaton.size + size)
-    automaton.extend(bits)
+        automaton.extend(x._payload, min(automaton.size + size, len(x)))
+    automaton.extend(x._payload, len(x))
     return automaton
 
 
@@ -369,19 +370,19 @@ def _assert_matches_reference(automaton: lz._SuffixAutomaton, reference: tuple) 
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_automaton_columns_match_the_python_build(kind, backend):
-    bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
-    reference = reference_automaton(bits)
+    x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
+    reference = reference_automaton(x.array.tobytes())
     with python_loops():
-        want = _columns(lz._SuffixAutomaton(bits))
+        want = _columns(lz._SuffixAutomaton(x._payload, len(x)))
     with _backend(backend):
-        automaton = lz._SuffixAutomaton(bits)
+        automaton = lz._SuffixAutomaton(x._payload, len(x))
         # one row of four int32 entries for the root and for each of 2n states
         assert automaton.table.itemsize == 4
-        assert len(automaton.table) == 4 * (2 * len(bits) + 2)
+        assert len(automaton.table) == 4 * (2 * len(x) + 2)
         assert _columns(automaton) == want
         _assert_matches_reference(automaton, reference)
         for size in (1, 7, 5000, 70001):
-            automaton = _chunked_automaton(bits, itertools.repeat(size, len(bits) // size))
+            automaton = _chunked_automaton(x, itertools.repeat(size, len(x) // size))
             assert _columns(automaton) == want, size
             _assert_matches_reference(automaton, reference)
 
@@ -417,7 +418,8 @@ def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int, closed: in
 
 
 def _run_walk(bits, n: int, automaton, start: int, closed: int, seen: int) -> dict:
-    """``lz._factorize`` on the current backend, resumed as ``_reference_walk`` is."""
+    """``lz._factorize`` of the payload ``bits`` on the current backend,
+    resumed as ``_reference_walk`` is."""
     walk = lz._PrefixCosts()
     walk.open, walk.closed, walk.seen = start, closed, seen
     costs, ends = array("q", [-1]) * (n + 1), array("i", [lz._INNER]) * (n + 1)
@@ -430,12 +432,12 @@ def _run_walk(bits, n: int, automaton, start: int, closed: int, seen: int) -> di
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
-    bits = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS).array.tobytes()
-    n = len(bits)
+    x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
+    bits, n = x.array.tobytes(), len(x)
     with python_loops():
-        automaton = lz._SuffixAutomaton(bits)
+        automaton = lz._SuffixAutomaton(x._payload, n)
     whole = _reference_walk(bits, automaton, 0, 0, 0)
-    assert whole["total"] == lz.code_length(BitString._wrap(bits))
+    assert whole["total"] == lz.code_length(x)
     later = [m for m, end in enumerate(whole["ends"][:n]) if end != lz._INNER]  # factor starts
     resumed = [later[0], later[len(later) // 2], later[-1]]
     # resumed at a factor start after the cost before it, the walk continues the whole parse
@@ -449,7 +451,7 @@ def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
               (n - 1, 9, n - 1), (n, 4, n), *((m, whole["costs"][m], m) for m in resumed)]
     with _backend(backend):
         for start, closed, seen in starts:
-            assert _run_walk(bits, n, automaton, start, closed, seen) == _reference_walk(
+            assert _run_walk(x._payload, n, automaton, start, closed, seen) == _reference_walk(
                 bits, automaton, start, closed, seen), start
 
 
@@ -460,7 +462,7 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
 
     def checked(bits, n, automaton, state, ends=None, costs=None):
         resume = state.open, state.closed, state.seen
-        want = _reference_walk(bytes(memoryview(bits)[:n]), automaton, *resume)
+        want = _reference_walk(BitString._wrap(bits, n).array.tobytes(), automaton, *resume)
         best = state.best, state.scale  # a new scale must beat the best so far
         walk(bits, n, automaton, state, ends, costs)
         assert (state.open, state.closed, state.total) == (want["open"], want["closed"],
@@ -541,7 +543,7 @@ def test_strided_views_give_the_results_of_a_contiguous_copy():
     base = DuplicationSource(seed=13).bits(40000)
     for x in (base[::2], base[::-1]):
         copy = BitString(x.array)
-        assert x == copy and x._buffer is not base._buffer
+        assert x == copy and x._payload is not base._payload
         assert lz.code_length(x) == lz.code_length(copy)
         table = lz.prefix_code_lengths(copy)
         assert np.array_equal(lz.prefix_code_lengths(x), table)
@@ -568,23 +570,22 @@ def test_pinned_code_lengths_on_both_backends(backend):
 @given(st.binary(max_size=300), st.lists(st.integers(1, 60), max_size=10))
 def test_backends_agree_property(backend, blob, sizes):
     x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
-    bits = x.array.tobytes()
     with python_loops():
-        want = _columns(lz._SuffixAutomaton(bits))
+        want = _columns(lz._SuffixAutomaton(x._payload, len(x)))
         pairs = lz.parse(x).pairs
     reference = reference_prefix_costs(x)
-    automaton = reference_automaton(bits)
+    automaton = reference_automaton(x.array.tobytes())
     with _backend(backend):
-        assert _columns(lz._SuffixAutomaton(bits)) == want
-        assert _columns(_chunked_automaton(bits, sizes)) == want
-        _assert_matches_reference(lz._SuffixAutomaton(bits), automaton)
-        _assert_matches_reference(_chunked_automaton(bits, sizes), automaton)
+        assert _columns(lz._SuffixAutomaton(x._payload, len(x))) == want
+        assert _columns(_chunked_automaton(x, sizes)) == want
+        _assert_matches_reference(lz._SuffixAutomaton(x._payload, len(x)), automaton)
+        _assert_matches_reference(_chunked_automaton(x, sizes), automaton)
         assert lz.parse(x).pairs == pairs
         assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
 
 
 class _Reported:
-    """A bit sequence that reports a length and holds no bits."""
+    """A payload that reports a length in bytes and holds no bits."""
 
     def __init__(self, n: int):
         self.n = n
@@ -596,11 +597,11 @@ class _Reported:
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_automaton_refuses_more_bits_than_int32_indexes(backend):
     with _backend(backend):
-        automaton = lz._SuffixAutomaton(bytes([0, 1, 1, 0]))
+        automaton = lz._SuffixAutomaton(BitString.from01("0110")._payload, 4)
         held = _columns(automaton)
         for n in (1 << 30, lz._MAX_BITS - 3):  # bits beyond the 4 taken in
             with pytest.raises(OverflowError):
-                automaton.extend(_Reported(4 + n))
+                automaton.extend(_Reported((4 + n + 7) // 8), 4 + n)
         assert _columns(automaton) == held
         assert lz._MAX_BITS == (2 ** 31 - 3) // 2
 
@@ -608,11 +609,11 @@ def test_automaton_refuses_more_bits_than_int32_indexes(backend):
 def test_an_empty_automaton_calls_no_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(lz, "_kernel", lambda: calls.append("kernel"))  # then Python loops
-    automaton = lz._SuffixAutomaton()
+    automaton = lz._SuffixAutomaton(b"", 0)
     lz._PrefixCosts()
-    automaton.extend(b"")
+    automaton.extend(b"", 0)
     assert calls == []
-    automaton.extend(bytes([0, 1]))
+    automaton.extend(BitString.from01("01")._payload, 2)
     assert calls == ["kernel"]
 
 
