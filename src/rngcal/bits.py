@@ -13,7 +13,7 @@ Two persistence formats are supported:
 
 A ``BitString`` holds the raw format's payload, so a raw read wraps the
 bytes it reads and a raw write writes them.  A reader of one byte per bit
-(the integer decoder, the Python loops of :mod:`rngcal.lz`) unpacks only
+(the integer decoder, the Python loops of :mod:`rngcal.lz`) unpacks just
 the bits it reads, a piece at a time, without numpy.
 
 :func:`read_bit_file` reads both from a file or a stream, and
@@ -262,7 +262,6 @@ def read_bit_file(path, fmt: str = "raw",
             if rest:
                 payload += int(rest.ljust(8, b"0"), 2).to_bytes(1, "big")
             n = count if take is None else take(count)
-            del payload[(n + 7) // 8:]
         else:
             size = None
             if f.seekable():
