@@ -1,16 +1,16 @@
-/* The two per-bit loops of rngcal.lz, compiled on first use (see lz._kernel).
+/* The per-bit loop of rngcal.lz, compiled on first use (see lz._kernel).
 
-   Each function transliterates a Python loop in lz.py, which stays the
-   fallback; tests/test_lz.py checks both against the references in
-   tests/helpers.py, and lz.py says what the table holds.  A state is one
-   16-byte row of lz._SuffixAutomaton.table.  A transition is 0 when absent
-   (no transition enters the root), +t for a solid edge to state t and -t
-   for a secondary one: s -> t is solid when the longest substring of t is
-   that of s plus one bit, which is all the build asks of the state
-   lengths.  Python sizes every array and checks that every state index
-   fits in int32 before it calls; the bits are a BitString's payload, packed
+   lz_extend transliterates the Python loop of lz._PrefixCosts.extend, which
+   stays the fallback; tests/test_lz.py checks both against the two-pass
+   references in tests/helpers.py, and lz.py says what the table holds.  A
+   state is one 16-byte row of lz._PrefixCosts's table.  A transition is 0
+   when absent (no transition enters the root), +t for a solid edge to state
+   t and -t for a secondary one: s -> t is solid when the longest substring
+   of t is that of s plus one bit, which is all the build asks of the state
+   lengths.  Python sizes every array and checks that every state index fits
+   in int32 before it calls; the bits are a BitString's payload, packed
    MSB-first, and bit k is read in place as BIT(bits, k).
-   Every walk prices each prefix as it goes and folds tau_k's evidence in
+   The loop prices each prefix as it goes and folds tau_k's evidence in
    doubles, but for a log2 that cannot move the maximum (see report); it is
    built with -ffp-contract=off, so that no compiler fuses that arithmetic,
    and it calls libm's log2, as Python's math.log2 does. */
@@ -22,20 +22,87 @@ typedef struct { int32_t next[2], link, first; } state_t;  /* one row of the tab
 
 #define BIT(bits, k) ((bits)[(k) >> 3] >> (7 - ((k) & 7)) & 1)
 
-/* lz._PrefixCosts: where a walk resumes, what it has priced, and tau_k's best evidence */
+/* lz._PrefixCosts: where the pass resumes, what it has priced, and tau_k's best evidence */
 typedef struct {
     int64_t open, closed, total;  /* the open factor's start, the cost before it, of all bits */
-    int64_t seen, scale;          /* prefixes up to seen bits reported; best at scale */
+    int64_t seen, scale;          /* bits taken in, each prefix priced; best at scale */
     double best;
+    int64_t factors;              /* factors before the open one */
+    int32_t last, states;         /* the automaton's state of all bits, and its rows in use */
+    int32_t state, end;           /* the open factor's state and its source's end, -1 for a literal */
 } walk_t;
 
-/* _SuffixAutomaton.extend: take in bits[size:n] of the string.  state[0]
-   is ``last`` and state[1] ``states``, updated in place. */
-void sam_extend(state_t *sam, const uint8_t *bits, int64_t n, int32_t size, int32_t *state)
+static int width(int64_t v)  /* the bit length of v >= 1 */
 {
-    int32_t last = state[0], states = state[1];
-    for (int64_t k = size; k < n; k++) {
+    return 64 - __builtin_clzll((uint64_t)v);
+}
+
+/* The code length cost of the first m bits: into costs[m] unless costs is
+   NULL, and into tau_k's maximum. */
+static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs, int64_t *bar)
+{
+    if (costs)
+        costs[m] = cost;
+    int64_t low = cost < m ? cost : m;
+    if (m - low <= *bar)
+        return;
+    double dm = (double)m;
+    double e = dm - (1.0 + (double)low);
+    e += log2(1.0 / (dm * (dm + 1.0)));
+    if (e > w->best) {  /* the first maximum wins */
+        w->best = e;
+        w->scale = m;
+    }
+    /* The skip is exact: k (k + 1) > k^2 >= 4^(width(k) - 1), so log2(1 / (k
+       (k + 1))) is below -2 (width(k) - 1) by about 1.44/k, over 1e-9 up to
+       lz._MAX_BITS, far above the doubles' rounding.  So at k >= m with k -
+       min(cost, k) <= bar, e <= k - 1 - min(cost, k) - 2 (width(k) - 1) <= best. */
+    *bar = (int64_t)floor(w->best) + 2 * width(m) - 1;
+}
+
+/* The factor bits[i:m] as an lz.Lz77Pair: (p, m - i) for a copy whose first
+   occurrence ends at end, from 1-based p, or (0, its bit) for a literal. */
+static void record(int32_t *pair, const uint8_t *bits, int64_t i, int64_t m, int32_t end)
+{
+    pair[0] = end < 0 ? 0 : (int32_t)(end - (m - i) + 2);
+    pair[1] = end < 0 ? BIT(bits, i) : (int32_t)(m - i);
+}
+
+/* lz._PrefixCosts.extend: take bits[seen:n] of the string into the suffix
+   automaton sam and the greedy parse, pricing each prefix.  A factor from
+   i truncated at m costs lengths[width(p + 1)] + lengths[width(m - i)] for
+   the 1-based source p = end - (m - i) + 2, 0 for a literal (end -1).
+   Where pairs is not NULL, the f-th factor goes to pairs[2f], pairs[2f + 1]
+   as it closes, and the open one after the factors before it. */
+void lz_extend(state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *lengths,
+               walk_t *w, int32_t *pairs, int64_t *costs)
+{
+    int64_t i = w->open, closed = w->closed, cost = w->total, bar = -1;  /* -1: score the first */
+    int64_t factors = w->factors;
+    int32_t last = w->last, states = w->states, st = w->state, end = w->end;
+    for (int64_t k = w->seen; k < n; k++) {
         int c = BIT(bits, k);
+        /* The automaton holds bits[0:k], so a transition on bit k means that
+           bits[i:k + 1] occurs in bits[0:k]: a source for a longer factor. */
+        int32_t t = sam[st].next[c];
+        if (k > i && (end < 0 || t == 0)) {  /* a literal, or no source: bit k starts a factor */
+            if (pairs)
+                record(pairs + 2 * factors, bits, i, k, end);
+            factors++;
+            closed = cost;
+            i = k;
+            t = sam[0].next[c];
+        }
+        if (t < 0)
+            t = -t;
+        st = t;
+        end = sam[t].first;  /* -1 at the root: a literal, p + 1 = 1, as long as its bit */
+        cost = closed + lengths[width(end - (k + 1 - i) + 3)] + lengths[width(k + 1 - i)];
+        report(w, k + 1, cost, costs, &bar);
+
+        /* Take bit k in (Blumer et al. 1985).  A clone of st copies its
+           transitions, and nothing after this changes either's, so st reads
+           the next bit as its clone, which may now hold bits[i:k + 1], would. */
         int32_t cur = states++;
         sam[cur].first = (int32_t)k;
         sam[last].next[c] = cur;  /* last has no transitions yet; this one is solid */
@@ -64,73 +131,15 @@ void sam_extend(state_t *sam, const uint8_t *bits, int64_t n, int32_t size, int3
         }
         last = cur;
     }
-    state[0] = last;
-    state[1] = states;
-}
-
-static int width(int64_t v)  /* the bit length of v >= 1 */
-{
-    return 64 - __builtin_clzll((uint64_t)v);
-}
-
-/* The code length cost of the first m bits, for m above the prefixes seen:
-   into costs[m] unless costs is NULL, and into tau_k's maximum. */
-static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs, int64_t *bar)
-{
-    if (m <= w->seen)
-        return;
-    if (costs)
-        costs[m] = cost;
-    int64_t low = cost < m ? cost : m;
-    if (m - low <= *bar)
-        return;
-    double dm = (double)m;
-    double e = dm - (1.0 + (double)low);
-    e += log2(1.0 / (dm * (dm + 1.0)));
-    if (e > w->best) {  /* the first maximum wins */
-        w->best = e;
-        w->scale = m;
-    }
-    /* The skip is exact: k (k + 1) > k^2 >= 4^(width(k) - 1), so log2(1 / (k
-       (k + 1))) is below -2 (width(k) - 1) by about 1.44/k, over 1e-9 up to
-       lz._MAX_BITS, far above the doubles' rounding.  So at k >= m with k -
-       min(cost, k) <= bar, e <= k - 1 - min(cost, k) - 2 (width(k) - 1) <= best. */
-    *bar = (int64_t)floor(w->best) + 2 * width(m) - 1;
-}
-
-/* lz._factorize: resume the greedy parse of bits[0:n] at w->open.  A factor
-   truncated at m, from i, costs lengths[width(p + 1)] + lengths[width(m - i)]
-   for the 1-based source p = end - (m - i) + 2 of its first occurrence,
-   which ends at end (-1 and p = 0 for a literal).  Where ends is not NULL,
-   writes the end of each factor to ends[m] at the factor's last position m. */
-void sam_factorize(const state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *lengths,
-                   walk_t *w, int32_t *ends, int64_t *costs)
-{
-    int64_t i = w->open, closed = w->closed, cost = closed, bar = -1;  /* -1: score the first */
-    while (i < n) {
-        int32_t st = 0, end = -1;  /* from the root: extending may have cloned states */
-        int64_t j = i;
-        w->open = i;  /* the factor from i is open until one starts after it */
-        w->closed = closed;
-        while (j < n) {
-            st = sam[st].next[BIT(bits, j)];
-            if (st < 0)
-                st = -st;
-            if (st != 0 && sam[st].first < j)
-                end = sam[st].first;
-            else if (j > i)
-                break;
-            j++;  /* with end -1 a literal: p + 1 = 1, and its raw bit is as long as C(1) */
-            cost = closed + lengths[width(end - (j - i) + 3)] + lengths[width(j - i)];
-            report(w, j, cost, costs, &bar);
-            if (end < 0)  /* a literal is one bit */
-                break;
-        }
-        if (ends)
-            ends[j] = end;
-        closed = cost;
-        i = j;
-    }
-    w->total = closed;
+    if (pairs)
+        record(pairs + 2 * factors, bits, i, n, end);
+    w->open = i;
+    w->closed = closed;
+    w->total = cost;
     w->seen = n;
+    w->factors = factors;
+    w->last = last;
+    w->states = states;
+    w->state = st;
+    w->end = end;
 }

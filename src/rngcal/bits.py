@@ -13,8 +13,8 @@ Two persistence formats are supported:
 
 A ``BitString`` holds the raw format's payload, so a raw read wraps the
 bytes it reads and a raw write writes them.  A reader of one byte per bit
-(the integer decoder, the Python loops of :mod:`rngcal.lz`) unpacks just
-the bits it reads, a piece at a time, without numpy.
+(the Python loop of :mod:`rngcal.lz`) unpacks just the bits it reads, a
+piece at a time, without numpy.
 
 :func:`read_bit_file` reads both from a file or a stream, and
 :func:`decode_bits` and :func:`encode_bits` convert both from and to bytes.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .bits import BitString, _pack, _unpack, bit_bytes_to_int, int_to_bit_bytes
+from .bits import BitString, _pack, int_to_bit_bytes
 from .errors import DecodeError
 
 
@@ -48,31 +48,38 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads MSB-first bits from a :class:`BitString`, unpacked to one byte per bit."""
+    """Reads MSB-first bits from a :class:`BitString`, an integer at a time
+    straight from its packed payload."""
 
     def __init__(self, bits: BitString, offset: int = 0):
         if not 0 <= offset <= len(bits):
             raise ValueError(f"offset {offset} out of range")
-        self._bits = _unpack(bits._payload, len(bits))
+        self._payload, self._n = bits._payload, len(bits)
         self.pos = offset
 
     def remaining(self) -> int:
-        return len(self._bits) - self.pos
+        return self._n - self.pos
 
     def read_bit(self) -> int:
-        if self.pos >= len(self._bits):
-            raise DecodeError("unexpected end of stream", self.pos)
-        b = self._bits[self.pos]
-        self.pos += 1
-        return b
+        pos = self.pos
+        if pos >= self._n:
+            raise DecodeError("unexpected end of stream", pos)
+        self.pos = pos + 1
+        return self._payload[pos >> 3] >> (7 - (pos & 7)) & 1
 
     def read(self, nbits: int) -> int:
         end = self.pos + nbits
-        if end > len(self._bits):
-            raise DecodeError("unexpected end of stream", len(self._bits))
-        value = bit_bytes_to_int(self._bits[self.pos:end])
+        if end > self._n:
+            raise DecodeError("unexpected end of stream", self._n)
+        value = self._peek(end)
         self.pos = end
         return value
+
+    def _peek(self, end: int) -> int:
+        """Bits ``pos .. end`` as an integer, from the bytes that cover them."""
+        pos = self.pos
+        covering = int.from_bytes(self._payload[pos >> 3:(end + 7) >> 3], "big")
+        return covering >> (-end % 8) & ((1 << (end - pos)) - 1)
 
 
 def encoded_length(m: int) -> int:
@@ -103,15 +110,20 @@ def encode_integer(m: int) -> Codeword:
 def read_integer(reader: BitReader) -> int:
     """Read one integer codeword from ``reader``."""
     start = reader.pos
-    one = reader._bits.find(1, start, start + 65)  # at most 64 zeros, then L's leading 1
-    if one < 0:
-        if reader.remaining() < 65:
+    width = min(65, reader.remaining())  # at most 64 zeros, then L's leading 1
+    window = reader._peek(start + width)
+    if not window:
+        if width < 65:
             raise DecodeError("truncated integer codeword", start)
         raise DecodeError("malformed integer codeword (length prefix too long)", start)
-    reader.pos = one + 1
-    zeros = one - start
-    length = (1 << zeros) | reader.read(zeros)
-    n = length - 1
+    zeros = width - window.bit_length()
+    rest = width - 2 * zeros - 1  # the window's bits after L
+    n = (window >> rest) - 1 if rest >= 0 else -1
+    if 0 <= n <= rest:  # the whole codeword is in the window
+        reader.pos = start + width - rest + n
+        return window >> (rest - n) & ((1 << n) - 1) | (1 << n)
+    reader.pos = start + zeros + 1
+    n = ((1 << zeros) | reader.read(zeros)) - 1
     # the low bits come first, so a hostile length runs out of bits before 2^n is formed
     return reader.read(n) | (1 << n)
 

@@ -276,8 +276,8 @@ def tau_k_test(x: BitString, alpha: float = 0.01) -> TestReport:
     evidence ``m - estimate - log2(1/w_m)`` under ``OMEGA_STAR``; the
     statistic is the best evidence over all scales, and rejection at the
     ``log2(1/alpha)`` threshold keeps the Type-I probability at most
-    ``alpha``.  One step of :class:`PrefixScanTest`, whose LZ walk folds
-    each scale's evidence as it prices the prefix (``lz._factorize``).
+    ``alpha``.  One step of :class:`PrefixScanTest`, whose LZ pass folds
+    each scale's evidence as it prices the prefix (``lz._PrefixCosts``).
     """
     return PrefixScanTest("tauk").reports(x, alpha)[0]
 

@@ -106,7 +106,7 @@ def python_loops():
 def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
     """The suffix automaton of ``bits`` by the classic length-based build
     (Blumer et al. 1985), one state per list entry; the reference for the
-    signed table of ``lz._SuffixAutomaton`` on both backends.
+    signed table of ``lz._PrefixCosts`` on both backends.
 
     Returns the five columns ``next0``, ``next1`` (-1 where there is no
     transition), ``link``, ``length`` (of each state's longest substring)
@@ -142,41 +142,64 @@ def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int
     return (*columns, last)
 
 
-def reference_factorize(bits, automaton: lz._SuffixAutomaton,
-                        start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy walk of ``lz._factorize``, with the end of a source at
-    every position, not only at each factor's last; the reference for both
-    backends.
+def reference_factorize(bits, automaton: tuple) -> tuple[list[int], list[int]]:
+    """The greedy walk over ``automaton``, the ``reference_automaton`` of all
+    of ``bits``, with the end of a source at every position, not only at each
+    factor's last; the second pass of :func:`reference_pass`.
 
-    Returns the factor bounds (the starts, then ``len(bits)``) and
-    ``ends``, indexed from ``start``.  For ``start < m <= len(bits)``,
-    ``ends[m - start]`` is the end index of the first occurrence of
-    ``bits[i:m]``, where ``i`` starts the factor that holds bit ``m - 1``:
-    the factor truncated at ``m``.  It is -1 where that factor is a literal.
-    A transition is read by its magnitude, and 0 stops the walk.
+    Returns the factor bounds (the starts, then ``len(bits)``) and ``ends``:
+    for ``0 < m <= len(bits)``, ``ends[m]`` is the end index of the first
+    occurrence of ``bits[i:m]``, where ``i`` starts the factor that holds bit
+    ``m - 1``: the factor truncated at ``m``.  It is -1 where that factor is
+    a literal.  A factor grows while its bits occur ending before its last.
     """
     bits = memoryview(bits)
     n = len(bits)
-    next0, next1, first = (automaton.table[k::4] for k in (0, 1, 3))
-    ends = [-1] * (n + 1 - start)
+    next0, next1, _, _, first, _ = automaton
+    ends = [-1] * (n + 1)
     starts = []
-    i = start
+    i = 0
     while i < n:
         starts.append(i)
         st = 0
         j = i
         while j < n:
-            st = abs((next1 if bits[j] else next0)[st])
-            if not st:
-                break
-            end = first[st]
-            if end >= j:
+            st = (next1 if bits[j] else next0)[st]
+            if st == -1 or first[st] >= j:
                 break
             j += 1
-            ends[j - start] = end
+            ends[j] = first[st]
         i = j if j > i else i + 1
     starts.append(n)
-    return np.array(starts, dtype=np.int32), np.array(ends, dtype=np.int32)
+    return starts, ends
+
+
+def reference_pass(x: BitString) -> dict:
+    """What one ``lz._PrefixCosts.extend`` of all of ``x`` leaves, by two
+    passes in Python: ``reference_automaton`` builds the automaton of all the
+    bits, then ``reference_factorize`` walks it, and ``encoded_length``
+    prices each truncated factor.  The reference for the online loop on both
+    backends: the code length of the first ``m`` bits at ``costs[m]``, the
+    factors as ``(p, l)`` pairs (``(0, bit)`` for a literal), the open
+    factor's start, the cost before it, the total, and tau_k's best evidence
+    and its scale, computed with ``math.log2``."""
+    bits = x.array.tobytes()
+    n = len(bits)
+    bounds, ends = reference_factorize(bits, reference_automaton(bits))
+    costs, pairs = [0] * (n + 1), []
+    best, scale = -math.inf, 0
+    closed = cost = start = before = 0
+    for i, stop in zip(bounds, bounds[1:]):
+        start, before = i, closed
+        for m in range(i + 1, stop + 1):
+            cost = costs[m] = closed + encoded_length(ends[m] - (m - i) + 3) + encoded_length(m - i)
+            evidence = m - (1.0 + min(cost, m)) + math.log2(1.0 / (m * (m + 1.0)))
+            if evidence > best:
+                best, scale = evidence, m
+        pairs.append((0, bits[i]) if ends[stop] < 0 else (ends[stop] - (stop - i) + 2, stop - i))
+        closed = cost
+    return {"costs": costs, "pairs": pairs, "open": start, "closed": before, "total": closed,
+            "best": best, "scale": scale}
 
 
 def reference_prefix_costs(x: BitString) -> np.ndarray:
@@ -185,14 +208,12 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
 
     Every bit the walk takes is priced at once: the cost of the closed
     factors plus the open one truncated at that bit, from the source of
-    its first occurrence.  The automaton is built by the Python loop, so the
-    reference does not rest on the C kernel.
+    its first occurrence.  The automaton is ``reference_automaton``'s, so
+    the reference does not rest on ``lz``.
     """
     bits = x.array.tobytes()
     n = len(bits)
-    with python_loops():
-        automaton = lz._SuffixAutomaton(x._payload, n)
-    next0, next1, first = (automaton.table[k::4] for k in (0, 1, 3))
+    next0, next1, _, _, first, _ = reference_automaton(bits)
     out = [0] * (n + 1)
     cum = 0
     i = 0
@@ -200,8 +221,8 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
         st = 0
         ell = 0
         while i + ell < n:
-            st2 = abs((next1 if bits[i + ell] else next0)[st])
-            if not st2:
+            st2 = (next1 if bits[i + ell] else next0)[st]
+            if st2 == -1:
                 break
             s = first[st2] - ell
             if s >= i:

@@ -236,7 +236,7 @@ def test_a_raw_read_holds_the_payload_it_reads(tmp_path):
 
 
 def test_a_string_is_decoded_written_and_digested_without_numpy():
-    # the decoder, the digest, the raw and ascii writers and the exact p-value
+    # the coder, the digest, the raw and ascii writers and the exact p-value
     # work on the payload; numpy costs a process about 0.13 s and 13 MiB
     x = BitString.from01("0110" * 9 + "1")
     tau = "lambda z: len(z) - lz.code_length(z)"
@@ -246,15 +246,18 @@ def test_a_string_is_decoded_written_and_digested_without_numpy():
             "from rngcal.codes import Codeword\n"
             f"y = lz.decode(Codeword(BitString.from01({lz.encode(x).bits.to01()!r}), {len(x)}))\n"
             f"p = stats.exact_p_value(y.prefix(10), {tau})\n"
+            "c = lz.encode(y)\n"
             "print(y.to01(), y.digest(), encode_bits(y).hex(), encode_bits(y, 'ascii').hex(), p,\n"
-            "      'numpy' in sys.modules)\n")
+            "      len(c), c.bits.digest(), 'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(rngcal.bits.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     p = stats.exact_p_value(x.prefix(10), eval(tau))
+    c = lz.encode(x)
     assert run.stdout.split() == [x.to01(), x.digest(), encode_bits(x).hex(),
-                                  encode_bits(x, "ascii").hex(), repr(p), "False"]
+                                  encode_bits(x, "ascii").hex(), repr(p), str(len(c)),
+                                  c.bits.digest(), "False"]
 
 
 def test_ascii_file_ignores_whitespace(tmp_path):

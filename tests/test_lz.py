@@ -26,7 +26,7 @@ from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
-                     reference_automaton, reference_compression_test, reference_factorize,
+                     reference_automaton, reference_compression_test, reference_pass,
                      reference_prefix_costs, reference_running_tau_k)
 
 # Frozen regression constants for seed 7 of the packaged generators.
@@ -218,7 +218,7 @@ def _chunked_table(x: BitString, chunks, unread=(), running=None) -> np.ndarray:
             assert costs.total == table[taken]
         if running is not None:
             assert (costs.best, costs.scale) == running[taken], taken
-    assert (0 if costs._automaton is None else costs._automaton.size) == len(x)
+    assert costs.seen == len(x)
     one_pass = lz._PrefixCosts()
     one_pass.extend(x)
     assert (costs.best, costs.scale) == (one_pass.best, one_pass.scale)
@@ -332,25 +332,34 @@ def test_code_length_agrees_with_encode(backend):
             assert lz.code_length(x) == len(lz.encode(x))
 
 
-def _columns(automaton: lz._SuffixAutomaton) -> tuple:
-    """The four columns of the table over the states in use, then ``states``,
-    ``last`` and ``size``."""
-    k = automaton.states
-    return (*(automaton.table[c:4 * k:4] for c in range(4)),
-            automaton.states, automaton.last, automaton.size)
+def _columns(automaton: lz._PrefixCosts) -> tuple:
+    """The four columns of a pass's table over the states in use, then
+    ``states``, ``last`` and ``seen``; before its first bits, the root's row."""
+    k, table = automaton.states, automaton._table
+    if table is None:
+        table = array("i", [0, 0, -1, -1])
+    return (*(table[c:4 * k:4] for c in range(4)),
+            automaton.states, automaton.last, automaton.seen)
 
 
-def _chunked_automaton(x: BitString, sizes) -> lz._SuffixAutomaton:
-    """An automaton extended by chunks of the payload of ``x`` of the given
-    sizes, then by the rest."""
-    automaton = lz._SuffixAutomaton(b"", 0)
-    for size in sizes:
-        automaton.extend(x._payload, min(automaton.size + size, len(x)))
-    automaton.extend(x._payload, len(x))
+def _one_pass(x: BitString) -> lz._PrefixCosts:
+    """A pass that has taken in all of ``x`` in one extend."""
+    automaton = lz._PrefixCosts()
+    automaton.extend(x)
     return automaton
 
 
-def _assert_matches_reference(automaton: lz._SuffixAutomaton, reference: tuple) -> None:
+def _chunked_automaton(x: BitString, sizes) -> lz._PrefixCosts:
+    """A pass extended by prefixes of ``x`` that grow by the given sizes,
+    then by the rest."""
+    automaton = lz._PrefixCosts()
+    for size in sizes:
+        automaton.extend(x.prefix(min(automaton.seen + size, len(x))))
+    automaton.extend(x)
+    return automaton
+
+
+def _assert_matches_reference(automaton: lz._PrefixCosts, reference: tuple) -> None:
     """``automaton`` is the ``reference_automaton`` build without its
     ``length`` column: the same states, links and first occurrences, each
     transition to the same state, positive exactly where the edge is solid
@@ -373,12 +382,12 @@ def test_automaton_columns_match_the_python_build(kind, backend):
     x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
     reference = reference_automaton(x.array.tobytes())
     with python_loops():
-        want = _columns(lz._SuffixAutomaton(x._payload, len(x)))
+        want = _columns(_one_pass(x))
     with _backend(backend):
-        automaton = lz._SuffixAutomaton(x._payload, len(x))
+        automaton = _one_pass(x)
         # one row of four int32 entries for the root and for each of 2n states
-        assert automaton.table.itemsize == 4
-        assert len(automaton.table) == 4 * (2 * len(x) + 2)
+        assert automaton._table.itemsize == 4
+        assert len(automaton._table) == 4 * (2 * len(x) + 2)
         assert _columns(automaton) == want
         _assert_matches_reference(automaton, reference)
         for size in (1, 7, 5000, 70001):
@@ -387,99 +396,91 @@ def test_automaton_columns_match_the_python_build(kind, backend):
             _assert_matches_reference(automaton, reference)
 
 
-def _reference_walk(bits, automaton: lz._SuffixAutomaton, start: int, closed: int,
-                    seen: int) -> dict:
-    """What ``lz._factorize`` reports when it resumes at ``start`` after
-    factors that cost ``closed``, from ``reference_factorize`` and
-    ``encoded_length``: the code length of the first ``m`` bits at
-    ``costs[m]`` for each ``m`` above ``seen`` (-1 elsewhere), the ends at
-    the factors' last positions (``lz._INNER`` elsewhere), the open factor's
-    start and the cost before it, the total, and tau_k's best evidence over
-    the scales above ``seen``, computed with ``math.log2``."""
-    n = len(bits)
-    bounds, ends = reference_factorize(bits, automaton, start)
-    costs, marks = [-1] * (n + 1), [lz._INNER] * (n + 1)
-    best, scale = -math.inf, 0
-    last, before = start, closed
-    for i, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        last, before = i, closed
-        for m in range(i + 1, stop + 1):
-            cost = (closed + encoded_length(int(ends[m - start]) - (m - i) + 3)
-                    + encoded_length(m - i))
-            if m > seen:
-                costs[m] = cost
-                evidence = m - (1.0 + min(cost, m)) + math.log2(1.0 / (m * (m + 1.0)))
-                if evidence > best:
-                    best, scale = evidence, m
-        marks[stop] = int(ends[stop - start])
-        closed = cost
-    return {"costs": costs, "ends": marks, "open": last, "closed": before, "total": closed,
-            "best": (best, scale)}
+def _pass_states(x: BitString, *splits: int) -> list[dict]:
+    """What an ``lz._PrefixCosts`` holds after each of its extends, on the
+    current backend, in the form of ``reference_pass``: it takes in the
+    prefixes of ``x`` that end at ``splits``, then all of ``x``.  Each extend
+    writes its costs to a table of its own, and writes nothing at or below
+    the bits taken in before it; the pairs go to one shared array."""
+    n = len(x)
+    walk, costs, pairs, states = lz._PrefixCosts(), [0], array("i", [-1]) * (2 * n), []
+    for m in (*splits, n):
+        seen = walk.seen
+        table = array("q", [-1]) * (m + 1)
+        walk.extend(x.prefix(m), table, pairs)
+        assert table[:seen + 1].tolist() == [-1] * (seen + 1) and walk.seen == m
+        costs += table[seen + 1:].tolist()
+        entries = pairs[:2 * walk.factors + 2].tolist() if m else []
+        states.append({"costs": costs[:], "pairs": list(zip(entries[::2], entries[1::2])),
+                       "open": walk.open, "closed": walk.closed, "total": walk.total,
+                       "best": walk.best, "scale": walk.scale})
+    return states
 
 
-def _run_walk(bits, n: int, automaton, start: int, closed: int, seen: int) -> dict:
-    """``lz._factorize`` of the payload ``bits`` on the current backend,
-    resumed as ``_reference_walk`` is."""
-    walk = lz._PrefixCosts()
-    walk.open, walk.closed, walk.seen = start, closed, seen
-    costs, ends = array("q", [-1]) * (n + 1), array("i", [lz._INNER]) * (n + 1)
-    lz._factorize(bits, n, automaton, walk, ends, costs)
-    assert walk.seen == n
-    return {"costs": costs.tolist(), "ends": ends.tolist(), "open": walk.open,
-            "closed": walk.closed, "total": walk.total, "best": (walk.best, walk.scale)}
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_the_online_loop_matches_the_two_pass_reference(backend):
+    strings = [*itertools.chain.from_iterable(map(all_bitstrings, range(13)))]
+    want = {x.to01(): reference_pass(x) for x in strings}
+    with _backend(backend):
+        for x in strings:
+            whole = want[x.to01()]
+            assert _pass_states(x) == [whole], x
+            for k in range(1, len(x)):  # every two-chunk split
+                assert _pass_states(x, k) == [want[x.prefix(k).to01()], whole], (x, k)
+
+
+@functools.cache
+def _reference_of(kind: str) -> dict:
+    """``reference_pass`` of the ``_MULTI_BLOCK_BITS`` bits of a parity input."""
+    return reference_pass(_PARITY_INPUTS[kind](_MULTI_BLOCK_BITS))
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
-    x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
-    bits, n = x.array.tobytes(), len(x)
-    with python_loops():
-        automaton = lz._SuffixAutomaton(x._payload, n)
-    whole = _reference_walk(bits, automaton, 0, 0, 0)
+    # a pass resumed at any bit goes on as the two-pass reference of the whole string
+    x, whole = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS), _reference_of(kind)
+    n = len(x)
     assert whole["total"] == lz.code_length(x)
-    later = [m for m, end in enumerate(whole["ends"][:n]) if end != lz._INNER]  # factor starts
-    resumed = [later[0], later[len(later) // 2], later[-1]]
-    # resumed at a factor start after the cost before it, the walk continues the whole parse
-    for start in resumed:
-        got = _reference_walk(bits, automaton, start, whole["costs"][start], start)
-        assert got["costs"][start + 1:] == whole["costs"][start + 1:], start
-        assert got["ends"][start + 1:] == whole["ends"][start + 1:], start
-        assert {k: got[k] for k in ("open", "closed", "total")} == {
-            k: whole[k] for k in ("open", "closed", "total")}, start
-    starts = [(0, 0, 0), (1, 5, 0), (7, 0, 100), (5000, 123, 5000), (70001, 0, 70001),
-              (n - 1, 9, n - 1), (n, 4, n), *((m, whole["costs"][m], m) for m in resumed)]
+    bounds = [0, *itertools.accumulate(1 if p == 0 else l for p, l in whole["pairs"])]
+    longest = max(range(len(bounds) - 1), key=lambda f: bounds[f + 1] - bounds[f])
+    # resumed after a literal, at factor starts and inside the longest factor, it is one pass
+    splits = {1, 7, 5000, 70001, n - 1, bounds[len(bounds) // 2], bounds[-2],
+              bounds[longest] + 1, bounds[longest + 1] - 1}
     with _backend(backend):
-        for start, closed, seen in starts:
-            assert _run_walk(x._payload, n, automaton, start, closed, seen) == _reference_walk(
-                bits, automaton, start, closed, seen), start
+        assert _pass_states(x) == [whole]
+        for k in sorted(splits):
+            first, last = _pass_states(x, k)
+            assert first["costs"] == whole["costs"][:k + 1] and first["total"] == whole["costs"][k]
+            assert last == whole, k
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
-    walk = lz._factorize
-    starts = []
+    extend = lz._PrefixCosts.extend
+    starts, taken = [], []
 
-    def checked(bits, n, automaton, state, ends=None, costs=None):
-        resume = state.open, state.closed, state.seen
-        want = _reference_walk(BitString._wrap(bits, n).array.tobytes(), automaton, *resume)
-        best = state.best, state.scale  # a new scale must beat the best so far
-        walk(bits, n, automaton, state, ends, costs)
-        assert (state.open, state.closed, state.total) == (want["open"], want["closed"],
-                                                           want["total"]), (n, resume)
-        assert (state.best, state.scale) == max(best, want["best"], key=lambda b: b[0])
+    def checked(self, x, costs=None, pairs=None):
+        resume = self.open, self.seen
+        want = reference_pass(x)
+        extend(self, x, costs, pairs)
+        assert (self.open, self.closed, self.total) == (want["open"], want["closed"],
+                                                        want["total"]), (len(x), resume)
+        assert (self.best, self.scale) == (want["best"], want["scale"])
         if costs is not None:
-            assert costs[resume[2] + 1:n + 1].tolist() == want["costs"][resume[2] + 1:], resume
+            assert costs[resume[1] + 1:len(x) + 1].tolist() == want["costs"][resume[1] + 1:]
         starts.append(resume[0])
+        taken.append(len(x) - resume[1])
 
-    monkeypatch.setattr(lz, "_factorize", checked)
+    monkeypatch.setattr(lz._PrefixCosts, "extend", checked)
     with _backend(backend):
         for kind in sorted(_PARITY_INPUTS):
             x = _PARITY_INPUTS[kind](3000)
             table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
             assert np.array_equal(table, reference_prefix_costs(x)), kind
-    # six chunked walks and one pass per input
+    # six chunked extends and one pass per input, each bit taken in once per pass
     assert len(starts) == 7 * len(_PARITY_INPUTS) and max(starts) > 1000
+    assert sum(taken) == 2 * 3000 * len(_PARITY_INPUTS)
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -493,16 +494,17 @@ def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
             assert costs.total == 0 and set(table) == {0}
         costs.extend(x.prefix(2), array("q", [0]) * 3)  # room for the prefix taken
         assert costs.total == lz.code_length(x.prefix(2))
-        for ends in (array("i", [0]) * 5, array("q", [0]) * 6, array("h", [0]) * 6,
-                     bytearray(24), [0] * 6):
+        for pairs in (array("i", [0]) * 9, array("q", [0]) * 10, array("h", [0]) * 10,
+                      bytearray(40), [0] * 10):
             costs = lz._PrefixCosts()
-            with pytest.raises(ValueError, match=r"the walk writes 6 ends to an array\('i'\)"):
-                costs.extend(x, array("q", [0]) * 6, ends)
-            assert costs.total == costs.seen == 0 and costs._automaton is None
-            assert set(ends) == {0}
-        ends = array("i", [lz._INNER]) * 3  # room for the prefix taken
-        costs.extend(x.prefix(2), ends=ends)
-        assert costs.total == lz.code_length(x.prefix(2)) and ends[2] != lz._INNER
+            with pytest.raises(ValueError,
+                               match=r"the walk writes 10 pair entries to an array\('i'\)"):
+                costs.extend(x, array("q", [0]) * 6, pairs)
+            assert costs.total == costs.seen == 0 and costs._table is None
+            assert set(pairs) == {0}
+        pairs = array("i", [-1]) * 4  # room for the prefix taken: two literals
+        costs.extend(x.prefix(2), pairs=pairs)
+        assert costs.total == lz.code_length(x.prefix(2)) and pairs.tolist() == [0, 0, 0, 1]
 
 
 _CHUNK = 997  # bits a walk takes at a time where its running maximum is checked
@@ -571,14 +573,14 @@ def test_pinned_code_lengths_on_both_backends(backend):
 def test_backends_agree_property(backend, blob, sizes):
     x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
     with python_loops():
-        want = _columns(lz._SuffixAutomaton(x._payload, len(x)))
+        want = _columns(_one_pass(x))
         pairs = lz.parse(x).pairs
     reference = reference_prefix_costs(x)
     automaton = reference_automaton(x.array.tobytes())
     with _backend(backend):
-        assert _columns(lz._SuffixAutomaton(x._payload, len(x))) == want
+        assert _columns(_one_pass(x)) == want
         assert _columns(_chunked_automaton(x, sizes)) == want
-        _assert_matches_reference(lz._SuffixAutomaton(x._payload, len(x)), automaton)
+        _assert_matches_reference(_one_pass(x), automaton)
         _assert_matches_reference(_chunked_automaton(x, sizes), automaton)
         assert lz.parse(x).pairs == pairs
         assert np.array_equal(_chunked_table(x, sizes + [len(x)]), reference)
@@ -597,23 +599,42 @@ class _Reported:
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_automaton_refuses_more_bits_than_int32_indexes(backend):
     with _backend(backend):
-        automaton = lz._SuffixAutomaton(BitString.from01("0110")._payload, 4)
-        held = _columns(automaton)
+        automaton = _one_pass(BitString.from01("0110"))
+        held = _columns(automaton), automaton.total
         for n in (1 << 30, lz._MAX_BITS - 3):  # bits beyond the 4 taken in
             with pytest.raises(OverflowError):
-                automaton.extend(_Reported((4 + n + 7) // 8), 4 + n)
-        assert _columns(automaton) == held
+                automaton.extend(BitString._wrap(_Reported((4 + n + 7) // 8), 4 + n))
+        assert (_columns(automaton), automaton.total) == held
         assert lz._MAX_BITS == (2 ** 31 - 3) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=1, max_size=40), st.data())
+def test_a_prefix_is_taken_in_to_its_length_and_no_further(blob, data):
+    # every bit of the shared payload past the prefix is set
+    n = data.draw(st.integers(0, 8 * len(blob) - 1))
+    rest = 8 * len(blob) - n
+    parent = BitString._wrap((int.from_bytes(blob, "big") | (1 << rest) - 1).to_bytes(
+        len(blob), "big"), 8 * len(blob))
+    x = parent.prefix(n)
+    alone = BitString.from01(x.to01())  # a payload of its own, zero-padded
+    sizes = data.draw(st.lists(st.integers(1, 40), max_size=10))
+    for backend in _BACKENDS:
+        with _backend(backend):
+            want = _pass_states(alone)
+            assert _pass_states(x) == want
+            splits = sorted({m for m in itertools.accumulate(sizes) if m < n})
+            assert _pass_states(x, *splits)[-1] == want[-1]
+            assert _columns(_chunked_automaton(x, sizes)) == _columns(_one_pass(alone))
 
 
 def test_an_empty_automaton_calls_no_kernel(monkeypatch):
     calls = []
     monkeypatch.setattr(lz, "_kernel", lambda: calls.append("kernel"))  # then Python loops
-    automaton = lz._SuffixAutomaton(b"", 0)
-    lz._PrefixCosts()
-    automaton.extend(b"", 0)
-    assert calls == []
-    automaton.extend(BitString.from01("01")._payload, 2)
+    automaton = lz._PrefixCosts()
+    automaton.extend(BitString())
+    assert calls == [] and automaton._table is None
+    automaton.extend(BitString.from01("01"))
     assert calls == ["kernel"]
 
 

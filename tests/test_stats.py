@@ -418,13 +418,13 @@ def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, wi
 @pytest.mark.parametrize("window", [384, 700, 1 << 20])
 def test_a_windowed_scan_puts_each_bit_through_the_automaton_once(window, monkeypatch):
     taken = []
-    extend = lz._SuffixAutomaton.extend
+    extend = lz._PrefixCosts.extend
 
-    def counted(self, bits, n):
-        taken.append(n - self.size)
-        extend(self, bits, n)
+    def counted(self, x, costs=None, pairs=None):
+        taken.append(len(x) - self.seen)
+        extend(self, x, costs, pairs)
 
-    monkeypatch.setattr(lz._SuffixAutomaton, "extend", counted)
+    monkeypatch.setattr(lz._PrefixCosts, "extend", counted)
     x = _SCAN_STREAMS["uniform"]
     result = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
                                     0.01, start_bits=3, max_bits=len(x))
