@@ -12,9 +12,9 @@ Two persistence formats are supported:
 * ascii: the ASCII digits '0' and '1', any ASCII whitespace ignored.
 
 A ``BitString`` holds the raw format's payload, so a raw read wraps the
-bytes it reads and a raw write writes them.  A reader of one byte per bit
-(the Python loop of :mod:`rngcal.lz`) unpacks just the bits it reads, a
-piece at a time, without numpy.
+bytes it reads and a raw write writes them.  Its binary digits, for
+``to01``, the ascii format and a slice whose step is not 1, are those of
+the payload read as one integer, without numpy.
 
 :func:`read_bit_file` reads both from a file or a stream, and
 :func:`decode_bits` and :func:`encode_bits` convert both from and to bytes.
@@ -28,24 +28,7 @@ import os
 from collections.abc import Callable, Iterable
 
 _HEADER_BYTES = 8
-_PIECE_BITS = 1 << 14  # bits packed or unpacked at a time, a multiple of 8
 _ASCII_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-# Swaps the bytes 0 and 1 with the digits '0' and '1': one table turns one
-# byte per bit into binary digits and back.
-_DIGITS = bytes.maketrans(b"\x00\x01" b"01", b"01" b"\x00\x01")
-
-
-def int_to_bit_bytes(value: int, width: int) -> bytes:
-    """The ``width`` low bits of ``value``, MSB first, one byte (0 or 1) per bit."""
-    if width <= 0:
-        return b""
-    return f"{value & ((1 << width) - 1):0{width}b}".encode().translate(_DIGITS)
-
-
-def bit_bytes_to_int(buf: bytes) -> int:
-    """The integer whose MSB-first bits are ``buf``, one byte (0 or 1) per bit."""
-    return int(buf.translate(_DIGITS), 2) if buf else 0
 
 
 class BitString:
@@ -109,7 +92,7 @@ class BitString:
         return a
 
     def to01(self) -> str:
-        return _unpack(self._payload, self._n).translate(_DIGITS).decode()
+        return format(self.to_int(), f"0{self._n}b") if self._n else ""
 
     def to_int(self) -> int:
         """The integer whose big-endian binary expansion is this string."""
@@ -151,9 +134,9 @@ class BitString:
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             start, stop, step = idx.indices(self._n)
-            if step != 1:  # unpacked, cut and packed again
-                bits = _unpack(self._payload, self._n)[idx]
-                return BitString._wrap(_pack(bits), len(bits))
+            if step != 1:  # cut from the digits and read back
+                digits = self.to01()[idx]
+                return BitString.from_int(int(digits or "0", 2), len(digits))
             if start == 0:
                 return self.prefix(stop)
             # cut from its own bytes: shifted left past the bits before ``start``
@@ -176,28 +159,6 @@ class BitString:
         if len(self) <= 32:
             return f"BitString('{self.to01()}')"
         return f"BitString('{self.prefix(24).to01()}...', length={len(self)})"
-
-
-def _unpack(payload: bytes | bytearray, n: int, start: int = 0) -> bytearray:
-    """Bits ``start .. n`` of MSB-first ``payload``, one byte (0 or 1) per bit,
-    unpacked ``_PIECE_BITS`` at a time through an integer into one buffer."""
-    out, view = bytearray(n - start), memoryview(payload)
-    for at in range(start, n, _PIECE_BITS):
-        end = min(at + _PIECE_BITS, n)
-        piece = int.from_bytes(view[at >> 3:(end + 7) >> 3], "big") >> (-end % 8)
-        out[at - start:end - start] = int_to_bit_bytes(piece, end - at)
-    return out
-
-
-def _pack(buffer: bytes | bytearray) -> bytes:
-    """The bits of ``buffer``, one byte (0 or 1) each, packed MSB-first with
-    the last byte zero-padded, ``_PIECE_BITS`` at a time through an integer."""
-    pieces = []
-    for at in range(0, len(buffer), _PIECE_BITS):
-        piece = buffer[at:at + _PIECE_BITS]
-        m = len(piece)
-        pieces.append((bit_bytes_to_int(piece) << (-m % 8)).to_bytes((m + 7) // 8, "big"))
-    return b"".join(pieces)
 
 
 def _check_raw_size(count: int, size: int) -> None:
@@ -223,7 +184,7 @@ def encode_bits(bits: BitString, fmt: str = "raw") -> bytes:
         return len(bits).to_bytes(_HEADER_BYTES, "little") + bits._packed()
     if fmt != "ascii":
         raise ValueError(f"unknown bit file format: {fmt!r}")
-    return bytes(_unpack(bits._payload, len(bits)).translate(_DIGITS)) + b"\n"
+    return bits.to01().encode() + b"\n"
 
 
 def write_bit_file(path, bits: BitString, fmt: str = "raw") -> None:

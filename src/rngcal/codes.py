@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .bits import BitString, _pack, int_to_bit_bytes
+from .bits import BitString
 from .errors import DecodeError
 
 
@@ -31,20 +31,29 @@ class Codeword(namedtuple("Codeword", "bits source_length")):
 
 
 class BitWriter:
-    """Accumulates MSB-first bits, one byte per bit."""
+    """Accumulates MSB-first bits packed as they come: the whole bytes, then
+    a tail of the last ``len(self) % 8`` bits."""
 
     def __init__(self):
-        self._buf = bytearray()
+        self._bytes, self._tail, self._n = bytearray(), 0, 0
 
     def write(self, value: int, nbits: int) -> None:
         """Append the ``nbits`` low bits of ``value``, MSB first."""
-        self._buf += int_to_bit_bytes(value, nbits)
+        n = self._n + nbits
+        tail = self._tail << nbits | value & ((1 << nbits) - 1)
+        whole, keep = (n >> 3) - (self._n >> 3), n & 7  # the bytes this write completes
+        if whole:
+            self._bytes += (tail >> keep).to_bytes(whole, "big")
+            tail &= (1 << keep) - 1
+        self._tail, self._n = tail, n
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._n
 
     def to_bitstring(self) -> BitString:
-        return BitString._wrap(_pack(self._buf), len(self._buf))
+        pad = -self._n % 8
+        last = (self._tail << pad).to_bytes(1 if pad else 0, "big")  # the tail, zero-padded
+        return BitString._wrap(b"".join((self._bytes, last)), self._n)
 
 
 class BitReader:
@@ -59,13 +68,6 @@ class BitReader:
 
     def remaining(self) -> int:
         return self._n - self.pos
-
-    def read_bit(self) -> int:
-        pos = self.pos
-        if pos >= self._n:
-            raise DecodeError("unexpected end of stream", pos)
-        self.pos = pos + 1
-        return self._payload[pos >> 3] >> (7 - (pos & 7)) & 1
 
     def read(self, nbits: int) -> int:
         end = self.pos + nbits
@@ -91,13 +93,12 @@ def encoded_length(m: int) -> int:
 
 
 def write_integer(writer: BitWriter, m: int) -> None:
-    """Append the codeword for ``m`` to ``writer``."""
-    if m < 1:
-        raise ValueError(f"integer code is defined for m >= 1, got {m}")
+    """Append the codeword for ``m`` to ``writer``, with one write."""
+    width = encoded_length(m)  # refuses m < 1
     n = m.bit_length() - 1
-    length = n + 1
-    writer.write(length, 2 * length.bit_length() - 1)  # gamma(L): L after its leading zeros
-    writer.write(m, n)  # low bits; the leading 1 is implied by length
+    # gamma(L) for L = n + 1, that is L after its leading zeros, then the n
+    # low bits of m: its leading 1 goes, as L implies it
+    writer.write((n + 1) << n | m ^ (1 << n), width)
 
 
 def encode_integer(m: int) -> Codeword:

@@ -36,7 +36,7 @@ from array import array
 from collections import namedtuple
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from .bits import BitString, _pack, _unpack
+from .bits import BitString
 from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer, write_integer
 from .errors import DecodeError
 
@@ -176,7 +176,7 @@ def decode(c: Codeword | BitString) -> BitString:
     else:
         stream, limit = c, DEFAULT_MEMORY_CAP_BITS
     reader = BitReader(stream)
-    out = bytearray()
+    out = bytearray()  # the digits b"0" and b"1", packed once at the end
     while reader.remaining():
         at = reader.pos
         p = read_integer(reader) - 1
@@ -187,7 +187,7 @@ def decode(c: Codeword | BitString) -> BitString:
         if len(out) + ell > limit:
             raise DecodeError(f"pair decodes past the bound of {limit} bits", at)
         if p == 0:
-            out.append(reader.read_bit())
+            out.append(48 + reader.read(1))
             continue
         s = p - 1
         while ell:  # an overlapping copy repeats what it has copied so far
@@ -197,7 +197,9 @@ def decode(c: Codeword | BitString) -> BitString:
             ell -= len(piece)
     if isinstance(c, Codeword) and len(out) != limit:
         raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
-    return BitString._wrap(_pack(out), len(out))
+    n = len(out)
+    out += b"0" * (-n % 8)  # to whole bytes; a base-2 int() takes linear time
+    return BitString._wrap(int(out or b"0", 2).to_bytes(len(out) // 8, "big"), n)
 
 
 def code_length(x: BitString) -> int:
@@ -306,7 +308,9 @@ class _PrefixCosts(ctypes.Structure):
         last, states, st, end = self.last, self.states, self.state, self.end
         best, scale = self.best, self.scale
         bar = -1  # the log2 is skipped where m - min(cost, m) <= bar: see report in _lzkernel.c
-        for pos, c in enumerate(_unpack(x._payload, n, k), k):
+        payload = x._payload
+        for pos in range(k, n):
+            c = payload[pos >> 3] >> (7 - (pos & 7)) & 1  # BIT in _lzkernel.c
             # the automaton holds bits[0:pos]: a transition on c is a source for a longer factor
             t = table[4 * st + c]
             if pos > i and (end < 0 or not t):  # a literal, or no source: pos starts a factor

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rngcal.bits
 from rngcal import lz, stats
 from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
-from rngcal.codes import BitWriter
+from rngcal.codes import BitWriter, encode_integer
 
 from helpers import Pipe
 
@@ -236,19 +236,21 @@ def test_a_raw_read_holds_the_payload_it_reads(tmp_path):
 
 
 def test_a_string_is_decoded_written_and_digested_without_numpy():
-    # the coder, the digest, the raw and ascii writers and the exact p-value
-    # work on the payload; numpy costs a process about 0.13 s and 13 MiB
+    # the coder, the integer code, a step slice, the digest, the raw and ascii
+    # writers and the exact p-value work on the payload; numpy costs a
+    # process about 0.13 s and 13 MiB
     x = BitString.from01("0110" * 9 + "1")
     tau = "lambda z: len(z) - lz.code_length(z)"
     code = ("import sys\n"
             "from rngcal import lz, stats\n"
             "from rngcal.bits import BitString, encode_bits\n"
-            "from rngcal.codes import Codeword\n"
+            "from rngcal.codes import Codeword, encode_integer\n"
             f"y = lz.decode(Codeword(BitString.from01({lz.encode(x).bits.to01()!r}), {len(x)}))\n"
             f"p = stats.exact_p_value(y.prefix(10), {tau})\n"
             "c = lz.encode(y)\n"
             "print(y.to01(), y.digest(), encode_bits(y).hex(), encode_bits(y, 'ascii').hex(), p,\n"
-            "      len(c), c.bits.digest(), 'numpy' in sys.modules)\n")
+            "      len(c), c.bits.digest(), y[::-3].to01(), encode_integer(1000).bits.to01(),\n"
+            "      'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(rngcal.bits.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
@@ -257,7 +259,8 @@ def test_a_string_is_decoded_written_and_digested_without_numpy():
     c = lz.encode(x)
     assert run.stdout.split() == [x.to01(), x.digest(), encode_bits(x).hex(),
                                   encode_bits(x, "ascii").hex(), repr(p), str(len(c)),
-                                  c.bits.digest(), "False"]
+                                  c.bits.digest(), x.to01()[::-3],
+                                  encode_integer(1000).bits.to01(), "False"]
 
 
 def test_ascii_file_ignores_whitespace(tmp_path):
@@ -321,6 +324,8 @@ def test_a_packed_string_reads_as_its_bits(bits):
     assert y.to01() == x.to01() and y.to_int() == x.to_int() and y.array.tolist() == bits
     assert [y[i] for i in range(-n, n)] == bits + bits and encode_bits(y) == encode_bits(x)
     assert y[1::3] == x[1::3] and y[:n // 2] == x.prefix(n // 2)
+    for cut in (slice(None, None, -1), slice(n, 0, -2), slice(None, None, -3)):
+        assert y[cut].array.tolist() == bits[cut], cut
     assert pickle.loads(pickle.dumps(y)) == x
     with pytest.raises(IndexError):
         y[n]

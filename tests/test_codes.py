@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rngcal.bits import BitString
 from rngcal.codes import (
@@ -214,7 +216,7 @@ def test_bitwriter_reader_round_trip():
     assert bits.to01() == "10110111111111110"
     r = BitReader(bits)
     assert r.read(4) == 0b1011
-    assert r.read_bit() == 0
+    assert r.read(1) == 0
     assert r.read(0) == 0
     assert r.read(9) == 0b111111111
     assert r.read(3) == 0b110
@@ -224,9 +226,26 @@ def test_bitwriter_reader_round_trip():
     assert err.value.bit_offset == 17
 
 
-def test_writer_holds_about_two_bytes_per_bit():
-    # a codeword keeps one byte per bit; while it is built, the writer's
-    # buffer (with its growth slack) and the codeword may both be alive
+@given(st.lists(st.tuples(st.integers(0, 1 << 80), st.integers(0, 70)), max_size=40))
+def test_writer_packs_each_field_and_the_reader_reads_it_back(fields):
+    # the low ``width`` bits of each value, whatever else it holds
+    w = BitWriter()
+    for value, width in fields:
+        w.write(value, width)
+    bits = w.to_bitstring()
+    masked = [(value & ((1 << width) - 1), width) for value, width in fields]
+    want = "".join(format(v, f"0{width}b") for v, width in masked if width)
+    assert len(w) == len(bits) == len(want) and bits.to01() == want
+    assert len(bits._payload) == (len(want) + 7) // 8
+    r = BitReader(bits)
+    assert [(r.read(width), width) for _, width in masked] == masked
+    assert r.remaining() == 0
+
+
+def test_writer_holds_its_bits_packed():
+    # the writer and a codeword keep an eighth of a byte per bit; while it is
+    # built, the writer's buffer (with its growth slack) and the codeword may
+    # both be alive
     tracemalloc.start()
     try:
         w = BitWriter()
@@ -239,5 +258,5 @@ def test_writer_holds_about_two_bytes_per_bit():
         tracemalloc.stop()
     n = len(bits)
     assert n == sum(encoded_length(m) for m in range(1, 2 * 10 ** 5))
-    assert kept < n + (1 << 16)
-    assert peak < 2.25 * n + (1 << 16)
+    assert kept < n / 8 + (1 << 16)
+    assert peak < n / 2 + (1 << 16)

@@ -814,6 +814,20 @@ def test_failing_decode_of_a_long_bare_stream_holds_one_byte_per_bit():
     assert _decode_peak_bytes(random_bits(1 << 22, seed=8)) < 6 << 20
 
 
+def test_a_decode_holds_about_one_byte_per_bit():
+    # one digit per bit while it copies, then the packed result
+    x = random_bits(1 << 20, seed=9)
+    c = lz.encode(x)
+    tracemalloc.start()
+    try:
+        y = lz.decode(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y == x
+    assert peak < 1.45 * len(x), f"{peak / len(x):.3f} bytes per bit"
+
+
 def test_decode_checks_codeword_length():
     c = lz.encode(BitString.from01("0110"))
     for wrong in (3, 5):
