@@ -30,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 import os
 import zlib
 from array import array
@@ -41,11 +42,16 @@ from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer,
 from .errors import DecodeError
 
 # A full-window analysis holds a suffix automaton of all its bits, 32 bytes
-# per bit, and the sample's packed payload, an eighth of a byte per bit,
-# beside it: a `test` at this cap peaks below 36 bytes per bit, interpreter
-# included.  A bare pair stream decodes to at most this many bits.
+# per bit (a huge-page mapping from 2^19 bits on: see _allocate), and the
+# sample's packed payload, an eighth of a byte per bit, beside it: a `test`
+# at this cap peaks below 36 bytes per bit, interpreter included.  A bare
+# pair stream decodes to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
-_BLOCK = 1 << 14  # entries a growing table is filled with at a time
+_BLOCK = 1 << 14  # entries a growing array is filled with at a time
+# The smallest table, in bytes, held in a mapping (see _allocate): 2^19 bits'
+# automaton.  Below it repeated passes run faster in a heap array, whose
+# freed pages come back already resident.
+_MAP_BYTES = 16 << 20
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_lzkernel.c")
 # -ffp-contract=off: tau_k's arithmetic in the C loop stays that of the Python loop
@@ -110,14 +116,57 @@ def _build_kernel(target: str) -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _address(buffer: bytes | bytearray | array | None):
+def _address(buffer: bytes | bytearray | array | memoryview | None):
     """``buffer`` as a pointer argument of the kernel, not copied; the
     caller keeps ``buffer`` alive and unresized during the call."""
     if isinstance(buffer, array):
         return buffer.buffer_info()[0]
-    if isinstance(buffer, bytearray):
-        return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
-    return buffer
+    if buffer is None or isinstance(buffer, bytes):
+        return buffer
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))  # a bytearray, or a mapping's view
+
+
+def _allocate(entries: int, table: array | memoryview | None = None) -> array | memoryview:
+    """An int32 table of ``entries`` zeros, or ``table`` grown to ``entries``
+    with zeros at its end; the caller holds no other view of ``table``.
+
+    A table of at least ``_MAP_BYTES`` is a private anonymous mapping
+    advised ``MADV_HUGEPAGE``, seen as an ``'i'`` memoryview: where
+    transparent huge pages are granted on advice (Linux's ``madvise``
+    mode), its pages fault in 2 MiB at a time, not 4 KiB, and pages it
+    never writes are never resident.  It grows with ``mmap.resize``, which
+    keeps its pages, and an array that grows past the cut-off moves into a
+    mapping once.  A smaller table, and every table where the platform has
+    no ``MADV_HUGEPAGE``, is an ``array``, grown in place a bounded fill
+    piece at a time, so no old table is held beside its new one.  Raises
+    MemoryError where the table cannot be had.
+    """
+    size = 4 * entries
+    if size < _MAP_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        if table is None:
+            return array("i", [0]) * entries
+        grow = entries - len(table)
+        fill = array("i", [0]) * min(grow, _BLOCK)
+        for done in range(0, grow, _BLOCK):
+            table.extend(fill[:grow - done])
+        return table
+    try:
+        if isinstance(table, memoryview):
+            mapping = table.obj
+            table.release()  # a mapping with a view alive cannot be resized
+            mapping.resize(size)  # new pages read 0
+        else:  # Python's default anonymous mapping is shared, and gets no huge pages
+            mapping = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        raise MemoryError(f"cannot map a table of {size} bytes: {exc}") from exc
+    try:
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    except OSError:
+        pass  # only advice: the table works in small pages
+    view = memoryview(mapping).cast("i")
+    if isinstance(table, array):
+        view[:len(table)] = table
+    return view
 
 
 class Lz77Pair(namedtuple("Lz77Pair", "position payload")):
@@ -138,7 +187,7 @@ Lz77Parse.__doc__ = "Greedy factorization of a bit string: its ``Lz77Pair`` list
 def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
     n = len(x)
-    pairs = array("i", [0]) * (2 * n)  # a factor has at least one bit
+    pairs = _allocate(2 * n)  # a factor has at least one bit; few entries are written
     walk = _PrefixCosts()
     walk.extend(x, pairs=pairs)
     entries = iter(pairs[:2 * walk.factors + 2] if n else ())
@@ -254,7 +303,10 @@ class _PrefixCosts(ctypes.Structure):
     one bit, and the build needs no more of the state lengths than that.
     A bit adds at most two states (itself and a clone), so the table is
     sized once per ``extend``; ``last`` is the state of all the bits taken
-    in, ``states`` counts the rows in use and the rest is room.
+    in, ``states`` counts the rows in use and the rest is room.  The table
+    is an ``array``, or from ``_MAP_BYTES`` (2^19 bits) on a huge-page
+    mapping seen as an ``'i'`` memoryview, which a growing array moves into
+    once; ``_allocate`` says why, and makes and grows both.
     """
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("open", "closed", "total", "seen", "scale")]
@@ -265,21 +317,23 @@ class _PrefixCosts(ctypes.Structure):
         super().__init__(best=-math.inf, states=1, end=-1)
         self._table = None  # sized at the first bits
 
-    def extend(self, x: BitString, costs: array | None = None, pairs: array | None = None) -> None:
+    def extend(self, x: BitString, costs: array | None = None,
+               pairs: array | memoryview | None = None) -> None:
         """Take in the ``len(x)`` bits of ``x``, a prefix of the string, and
         price the prefixes longer than the bits taken in so far.
 
         Where the int64 array ``costs`` of at least ``len(x) + 1`` entries
         is given, the code length of the first ``m`` bits goes to
-        ``costs[m]`` for each of those prefixes.  Where the int32 array
-        ``pairs`` of at least ``2 * len(x)`` is, the ``f``-th factor goes to
+        ``costs[m]`` for each of those prefixes.  Where the int32 array (or
+        ``'i'`` memoryview, as ``_allocate`` makes) ``pairs`` of at least
+        ``2 * len(x)`` is, the ``f``-th factor goes to
         ``pairs[2f]`` and ``pairs[2f + 1]`` as an :class:`Lz77Pair` when it
         closes, and the open one after the ``factors`` before it.
         """
         k, n = self.seen, len(x)
         for table, code, need, name in ((costs, "q", n + 1, "costs"),
                                         (pairs, "i", 2 * n, "pair entries")):
-            if table is not None and (getattr(table, "typecode", None) != code or len(table) < need):
+            if table is not None and (_typecode(table) != code or len(table) < need):
                 raise ValueError(f"the walk writes {need} {name} to an array({code!r})")
         if n > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
@@ -287,17 +341,14 @@ class _PrefixCosts(ctypes.Structure):
             return
         table = self._table
         if table is None:
-            table = self._table = array("i", [0]) * (4 * (2 * n + 2))  # the root, two states a bit
+            entries = 4 * (2 * n + 2)  # the root, two states a bit
+            # a short pass's array is made here: a call to _allocate would cost it 4%
+            table = self._table = (array("i", [0]) * entries if 4 * entries < _MAP_BYTES
+                                   else _allocate(entries))
             table[2] = table[3] = -1  # the root has no link and no occurrence
         elif (room := self.states + 2 * (n - k) + 1 - len(table) // 4) > 0:
-            # Grow the table in place, a bounded fill piece at a time, so no
-            # old table is held beside its new one; the slack is never
-            # written, so it is not resident.  Growing by at least an eighth
-            # keeps short extensions amortized.
-            grow = 4 * max(room, len(table) >> 5)
-            fill = array("i", [0]) * min(grow, _BLOCK)
-            for done in range(0, grow, _BLOCK):
-                table.extend(fill[:grow - done])
+            # growing by at least an eighth keeps short extensions amortized
+            table = self._table = _allocate(len(table) + 4 * max(room, len(table) >> 5), table)
         kernel = _kernel()
         if kernel is not None:  # the loop below, in C
             kernel.lz_extend(_address(table), _address(x._payload), n, _CODE_LENGTHS, self,
@@ -348,7 +399,8 @@ class _PrefixCosts(ctypes.Structure):
                 q = -table[4 * p + c]
                 clone = states
                 states += 1
-                row = table[4 * q:4 * q + 4]  # a clone is shorter than q: all edges secondary
+                # a copy, not a mapping's view: a clone is shorter than q, all its edges secondary
+                row = array("i", table[4 * q:4 * q + 4])
                 row[0], row[1] = -abs(row[0]), -abs(row[1])
                 table[4 * clone:4 * clone + 4] = row
                 table[4 * p + c] = clone
@@ -366,7 +418,16 @@ class _PrefixCosts(ctypes.Structure):
         self.last, self.states, self.state, self.end = last, states, st, end
 
 
-def _record(pairs: array, f: int, x: BitString, i: int, m: int, end: int) -> None:
+def _typecode(buffer) -> str | None:
+    """The item type of an array, or of a contiguous memoryview; None for anything else."""
+    if isinstance(buffer, array):
+        return buffer.typecode
+    if isinstance(buffer, memoryview) and buffer.c_contiguous and not buffer.readonly:
+        return buffer.format
+    return None
+
+
+def _record(pairs: array | memoryview, f: int, x: BitString, i: int, m: int, end: int) -> None:
     """The ``f``-th factor, ``x[i:m]``, into ``pairs`` as ``record`` in ``_lzkernel.c`` writes it."""
     pairs[2 * f], pairs[2 * f + 1] = (end - (m - i) + 2, m - i) if end >= 0 else (0, x[i])
 

@@ -103,6 +103,13 @@ def python_loops():
     return mock.patch.object(lz, "_kernel", lambda: None)
 
 
+def mapped_tables(cut_off: int):
+    """Context manager under which ``lz`` holds every table of at least
+    ``cut_off`` bytes in a huge-page mapping, not only those of
+    ``lz._MAP_BYTES``: short inputs then take the mapping's paths."""
+    return mock.patch.object(lz, "_MAP_BYTES", cut_off)
+
+
 def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
     """The suffix automaton of ``bits`` by the classic length-based build
     (Blumer et al. 1985), one state per list entry; the reference for the

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import mmap
 import os
 import re
 import subprocess
@@ -22,7 +24,7 @@ from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, writ
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import Pipe, reference_compression_test, reference_tau_k_test
+from helpers import Pipe, mapped_tables, reference_compression_test, reference_tau_k_test
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -316,6 +318,18 @@ def test_unexpected_exception_fails_closed(monkeypatch, capsys):
         assert run_cli(*argv) == 2  # never 1, which would read as a rejection
         err = capsys.readouterr().err
         assert err == "rngcal: error: MemoryError: cannot allocate the sample\n"
+
+
+def test_a_table_that_cannot_be_mapped_fails_closed(monkeypatch, capsys):
+    def enomem(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", enomem)
+    with mapped_tables(1):  # every table in a mapping, which cannot be had
+        assert run_cli("test", "--source", "bernoulli:0.5:seed=1", "--max-bits", "4096") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rngcal: error: MemoryError: cannot map a table of ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _refuse_to_draw(monkeypatch):

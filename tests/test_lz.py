@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import itertools
 import math
+import mmap
+import re
 import shlex
 import shutil
 import subprocess
@@ -25,7 +28,7 @@ from rngcal.codes import BitWriter, Codeword, encoded_length, write_integer
 from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, brute_lz77_pairs, python_loops, random_bits,
+from helpers import (all_bitstrings, brute_lz77_pairs, mapped_tables, python_loops, random_bits,
                      reference_automaton, reference_compression_test, reference_pass,
                      reference_prefix_costs, reference_running_tau_k)
 
@@ -320,6 +323,40 @@ def _backend(name: str):
     return contextlib.nullcontext()
 
 
+# The tables a pass can hold: arrays, as below lz._MAP_BYTES, or mappings from
+# a cut-off lowered so that a test's inputs reach them.
+_TABLES = ["arrays", "mapped"]
+
+
+def _tables(name: str, cut_off: int):
+    """Context manager under which ``lz`` holds its tables as arrays, or in
+    mappings from ``cut_off`` bytes on."""
+    return mapped_tables(cut_off) if name == "mapped" else contextlib.nullcontext()
+
+
+def _spy_on_tables(monkeypatch) -> list[tuple[str, str]]:
+    """The tables ``lz._allocate`` makes or grows from now on, each as what
+    it was and what it became: ``none``, ``array``, ``mapping`` (a new one)
+    or ``same mapping`` (one grown in place)."""
+    allocate, seen = lz._allocate, []
+
+    def spy(entries, table=None):
+        mapping = table.obj if isinstance(table, memoryview) else None
+        was = "none" if table is None else "mapping" if mapping is not None else "array"
+        table = allocate(entries, table)
+        seen.append((was, "array" if isinstance(table, array) else
+                     "same mapping" if table.obj is mapping else "mapping"))
+        return table
+
+    monkeypatch.setattr(lz, "_allocate", spy)
+    return seen
+
+
+# the three ways into a mapping: a pass that starts in one, an array that
+# moves into one as it grows, and a mapping that grows in place
+_MAPPED_PATHS = {("none", "mapping"), ("array", "mapping"), ("mapping", "same mapping")}
+
+
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_code_length_agrees_with_encode(backend):
     rng = np.random.default_rng(6)
@@ -378,22 +415,26 @@ def _assert_matches_reference(automaton: lz._PrefixCosts, reference: tuple) -> N
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
-def test_automaton_columns_match_the_python_build(kind, backend):
+def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
     x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
     reference = reference_automaton(x.array.tobytes())
     with python_loops():
         want = _columns(_one_pass(x))
-    with _backend(backend):
-        automaton = _one_pass(x)
-        # one row of four int32 entries for the root and for each of 2n states
-        assert automaton._table.itemsize == 4
-        assert len(automaton._table) == 4 * (2 * len(x) + 2)
-        assert _columns(automaton) == want
-        _assert_matches_reference(automaton, reference)
-        for size in (1, 7, 5000, 70001):
-            automaton = _chunked_automaton(x, itertools.repeat(size, len(x) // size))
-            assert _columns(automaton) == want, size
+    seen = _spy_on_tables(monkeypatch)
+    for tables in _TABLES:  # a 2.6 MiB table: mapped from 1 MiB on
+        with _backend(backend), _tables(tables, 1 << 20):
+            automaton = _one_pass(x)
+            # one row of four int32 entries for the root and for each of 2n states
+            assert automaton._table.itemsize == 4
+            assert len(automaton._table) == 4 * (2 * len(x) + 2)
+            assert isinstance(automaton._table, memoryview) == (tables == "mapped")
+            assert _columns(automaton) == want, tables
             _assert_matches_reference(automaton, reference)
+            for size in (1, 7, 5000, 70001):
+                automaton = _chunked_automaton(x, itertools.repeat(size, len(x) // size))
+                assert _columns(automaton) == want, (tables, size)
+                _assert_matches_reference(automaton, reference)
+    assert set(seen) == {("array", "array")} | _MAPPED_PATHS
 
 
 def _pass_states(x: BitString, *splits: int) -> list[dict]:
@@ -459,6 +500,7 @@ def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
 def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
     extend = lz._PrefixCosts.extend
     starts, taken = [], []
+    seen = _spy_on_tables(monkeypatch)
 
     def checked(self, x, costs=None, pairs=None):
         resume = self.open, self.seen
@@ -473,38 +515,48 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
         taken.append(len(x) - resume[1])
 
     monkeypatch.setattr(lz._PrefixCosts, "extend", checked)
-    with _backend(backend):
-        for kind in sorted(_PARITY_INPUTS):
-            x = _PARITY_INPUTS[kind](3000)
-            table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
-            assert np.array_equal(table, reference_prefix_costs(x)), kind
+    for tables in _TABLES:  # 96 KiB tables at 3000 bits: mapped from 8 KiB on
+        with _backend(backend), _tables(tables, 8 << 10):
+            for kind in sorted(_PARITY_INPUTS):
+                x = _PARITY_INPUTS[kind](3000)
+                table = _chunked_table(x, [1, 7, 100, 400, 1000, 1 << 20])
+                assert np.array_equal(table, reference_prefix_costs(x)), (tables, kind)
     # six chunked extends and one pass per input, each bit taken in once per pass
-    assert len(starts) == 7 * len(_PARITY_INPUTS) and max(starts) > 1000
-    assert sum(taken) == 2 * 3000 * len(_PARITY_INPUTS)
+    assert len(starts) == 2 * 7 * len(_PARITY_INPUTS) and max(starts) > 1000
+    assert sum(taken) == 2 * 2 * 3000 * len(_PARITY_INPUTS)
+    assert set(seen) == {("array", "array")} | _MAPPED_PATHS
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
     x = BitString.from01("01101")
-    with _backend(backend):
-        for table in (array("q", [0]) * 5, array("i", [0]) * 6, array("d", [0]) * 6):
-            costs = lz._PrefixCosts()
-            with pytest.raises(ValueError, match=r"the walk writes 6 costs to an array\('q'\)"):
-                costs.extend(x, table)
-            assert costs.total == 0 and set(table) == {0}
-        costs.extend(x.prefix(2), array("q", [0]) * 3)  # room for the prefix taken
-        assert costs.total == lz.code_length(x.prefix(2))
-        for pairs in (array("i", [0]) * 9, array("q", [0]) * 10, array("h", [0]) * 10,
-                      bytearray(40), [0] * 10):
-            costs = lz._PrefixCosts()
-            with pytest.raises(ValueError,
-                               match=r"the walk writes 10 pair entries to an array\('i'\)"):
-                costs.extend(x, array("q", [0]) * 6, pairs)
-            assert costs.total == costs.seen == 0 and costs._table is None
-            assert set(pairs) == {0}
-        pairs = array("i", [-1]) * 4  # room for the prefix taken: two literals
-        costs.extend(x.prefix(2), pairs=pairs)
-        assert costs.total == lz.code_length(x.prefix(2)) and pairs.tolist() == [0, 0, 0, 1]
+    for tables in _TABLES:  # mapped: every table, pairs too, however short
+        with _backend(backend), _tables(tables, 1):
+            for table in (array("q", [0]) * 5, array("i", [0]) * 6, array("d", [0]) * 6):
+                costs = lz._PrefixCosts()
+                with pytest.raises(ValueError,
+                                   match=r"the walk writes 6 costs to an array\('q'\)"):
+                    costs.extend(x, table)
+                assert costs.total == 0 and set(table) == {0}
+            costs.extend(x.prefix(2), array("q", [0]) * 3)  # room for the prefix taken
+            assert costs.total == lz.code_length(x.prefix(2))
+            assert isinstance(costs._table, memoryview) == (tables == "mapped")
+            for pairs in (array("i", [0]) * 9, array("q", [0]) * 10, array("h", [0]) * 10,
+                          bytearray(40), [0] * 10, memoryview(bytearray(40)),
+                          memoryview(bytearray(40)).cast("q"),
+                          memoryview(bytes(40)).cast("i"),  # read-only
+                          memoryview(bytearray(80)).cast("i")[::2]):  # strided
+                costs = lz._PrefixCosts()
+                with pytest.raises(ValueError,
+                                   match=r"the walk writes 10 pair entries to an array\('i'\)"):
+                    costs.extend(x, array("q", [0]) * 6, pairs)
+                assert costs.total == costs.seen == 0 and costs._table is None
+                assert set(pairs) == {0}
+            pairs = lz._allocate(4)  # room for the prefix taken: two literals
+            pairs[:] = array("i", [-1]) * 4
+            assert isinstance(pairs, memoryview) == (tables == "mapped")
+            costs.extend(x.prefix(2), pairs=pairs)
+            assert costs.total == lz.code_length(x.prefix(2)) and pairs.tolist() == [0, 0, 0, 1]
 
 
 _CHUNK = 997  # bits a walk takes at a time where its running maximum is checked
@@ -626,6 +678,85 @@ def test_a_prefix_is_taken_in_to_its_length_and_no_further(blob, data):
             splits = sorted({m for m in itertools.accumulate(sizes) if m < n})
             assert _pass_states(x, *splits)[-1] == want[-1]
             assert _columns(_chunked_automaton(x, sizes)) == _columns(_one_pass(alone))
+
+
+def _enomem(*args, **kwargs):
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+
+class _Unadvised(mmap.mmap):
+    """A mapping that takes no advice."""
+
+    def madvise(self, *args):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+
+class _Fixed(mmap.mmap):
+    """A mapping that cannot grow."""
+
+    resize = _enomem
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_a_table_that_cannot_be_mapped_raises_memory_error(backend, monkeypatch):
+    x = _PARITY_INPUTS["markov"](3000)
+    with _backend(backend), mapped_tables(8 << 10):
+        monkeypatch.setattr(mmap, "mmap", _enomem)
+        for run in (lz.code_length, lz.parse, lz.encode, _one_pass,
+                    lambda x: _chunked_automaton(x, [100])):  # an array that cannot move
+            with pytest.raises(MemoryError, match="cannot map a table of"):
+                run(x)
+        monkeypatch.setattr(mmap, "mmap", _Fixed)
+        with pytest.raises(MemoryError, match="cannot map a table of"):
+            _chunked_automaton(x, [1000])  # a mapping that cannot grow
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_a_mapping_needs_no_advice_and_no_platform_needs_a_mapping(backend, monkeypatch):
+    x = _PARITY_INPUTS["dup"](3000)
+    with python_loops():
+        want = _columns(_one_pass(x)), lz.parse(x), lz.encode(x)
+    with _backend(backend), mapped_tables(1):
+        monkeypatch.setattr(mmap, "mmap", _Unadvised)  # madvise fails: only advice
+        automaton = _chunked_automaton(x, [1000])
+        assert isinstance(automaton._table, memoryview)
+        assert (_columns(automaton), lz.parse(x), lz.encode(x)) == want
+        # where there is no MADV_HUGEPAGE, as off Linux, every table is an array
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE")
+        monkeypatch.setattr(mmap, "mmap", _enomem)
+        automaton = _chunked_automaton(x, [1000])
+        assert isinstance(automaton._table, array)
+        assert (_columns(automaton), lz.parse(x), lz.encode(x)) == want
+
+
+def _mapping_of(address: int) -> tuple[str, list[str]]:
+    """The permissions and ``VmFlags`` of this process's mapping that holds ``address``."""
+    held = False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            if header := re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+)", line):
+                held, perms = int(header[1], 16) <= address < int(header[2], 16), header[3]
+            elif held and line.startswith("VmFlags:"):
+                return perms, line.split()[1:]
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+@pytest.mark.skipif(not (Path("/proc/self/smaps").exists()
+                         and Path("/sys/kernel/mm/transparent_hugepage/enabled").exists()),
+                    reason="no /proc/self/smaps, or no transparent huge pages")
+def test_a_mapped_table_is_private_and_advised_huge_pages():
+    # Python's default anonymous mapping is shared, and gets no huge pages
+    with mapped_tables(1):
+        automaton = _one_pass(random_bits(3000, seed=29))
+    perms, flags = _mapping_of(lz._address(automaton._table))
+    assert perms[3] == "p" and "hg" in flags
+
+
+def test_short_passes_make_no_mapping(monkeypatch):
+    # the api-small bench's largest tables: 2^16-bit encodes, 2 MiB of automaton
+    monkeypatch.setattr(mmap, "mmap", _enomem)
+    x = random_bits(1 << 16, seed=29)
+    assert lz.code_length(x) == len(lz.encode(x))
 
 
 def test_an_empty_automaton_calls_no_kernel(monkeypatch):
