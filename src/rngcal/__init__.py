@@ -14,9 +14,7 @@ from .codes import Codeword, decode_integer, encode_integer, encoded_length, kra
 from .errors import DecodeError, InfeasibleError
 from .lz import Lz77Pair, Lz77Parse
 from .stats import (
-    OMEGA_STAR,
     TestReport,
-    WeightSchedule,
     battery_p_value,
     battery_report,
     compression_test,
@@ -48,8 +46,6 @@ __all__ = [
     "parse_source_spec",
     "generate",
     "TestReport",
-    "WeightSchedule",
-    "OMEGA_STAR",
     "compression_test",
     "exact_p_value",
     "battery_p_value",

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit status: 0 the sample is accepted, 1 it is rejected, 2 usage or I/O
 error.  With several tests selected, their p-values are combined through
-the weight schedule into a single battery decision; weights are assigned to
-tests by position, so the order of ``--tests`` matters.
+``omega_star``, or the ``--weights`` given, into a single battery decision;
+weights are assigned to tests by position, so the order of ``--tests`` matters.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from . import __version__, stats
-from .bits import encode_bits, read_bit_file, write_bit_file
+from .bits import BitString, encode_bits, read_bit_file, write_bit_file
 from .lz import DEFAULT_MEMORY_CAP_BITS
 
 DEFAULT_ALPHA = 0.01
@@ -34,10 +34,10 @@ class CliError(Exception):
     """Configuration or I/O problem; maps to exit status 2."""
 
 
-def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
+def _check_args(args) -> stats.PrefixScanTest:
     """Check the options of ``test`` and ``scan`` before any input is read.
 
-    Returns the run's engine and the weight schedule of a battery.
+    Returns the run's engine.
     ``stats`` checks the rules of the test run itself (alpha, test ids,
     window, weights, the scan's grid), and the parser the syntax and choices
     of each flag; the checks here name the CLI's own flags.
@@ -51,13 +51,10 @@ def _check_args(args) -> tuple[stats.PrefixScanTest, stats.WeightSchedule]:
     max_bits = getattr(args, "max_bits", None)
     if max_bits is not None and max_bits < 1:
         raise CliError(f"max bits must be >= 1, got {max_bits}")
-    schedule = (stats.OMEGA_STAR if args.weights is None
-                else stats.WeightSchedule.from_weights(args.weights))
-    if len(args.tests) > 1:
-        stats._battery_weights(schedule, len(args.tests))
-    elif args.weights is not None:
+    stats._battery_weights(args.weights, len(args.tests))  # bad --weights: that error first
+    if len(args.tests) == 1 and args.weights is not None:
         raise CliError("--weights weighs the tests of a battery; pass at least two --tests ids")
-    return engine, schedule
+    return engine
 
 
 def _config(args) -> dict:
@@ -65,7 +62,7 @@ def _config(args) -> dict:
     return {
         "tests": args.tests,
         "alpha": args.alpha,
-        "schedule": args.schedule if args.weights is None else "custom",
+        "schedule": "omega_star" if args.weights is None else "custom",
         "weights": args.weights,
         "input_format": args.input_format,
         "source": args.source,
@@ -80,13 +77,13 @@ def _config(args) -> dict:
 # input plumbing
 
 
-def _resolve_sample(args, limit: int | None):
-    """The sample named by ``--input`` or ``--source``: ``(prefix, n, label)``.
+def _resolve_sample(args, limit: int | None) -> tuple[BitString, str]:
+    """The sample named by ``--input`` or ``--source``: ``(bits, label)``.
 
-    ``prefix(m)`` returns its first ``m <= n`` bits.  ``n`` is ``limit``
-    capped at the bits the input holds (a source draws 2^16 bits when
-    ``limit`` is None); it, or a window of it, is checked against the memory
-    cap before any bit is drawn, and before a raw input's payload is read.
+    ``bits`` holds ``limit`` bits capped at the bits the input holds (a
+    source draws 2^16 bits when ``limit`` is None); that length, or a window
+    of it, is checked against the memory cap before any bit is drawn, and
+    before a raw input's payload is read.
     """
     def size(count: int) -> int:
         n = count if limit is None else min(limit, count)
@@ -108,15 +105,14 @@ def _resolve_sample(args, limit: int | None):
             source = sources.parse_source_spec(label)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        n = size(1 << 16 if limit is None else limit)
-        return source.bits(n).prefix, n, label  # drawn once: a scan's steps are its prefixes
+        return source.bits(size(1 << 16 if limit is None else limit)), label
     label = "stdin" if args.input == "-" else args.input
     try:
         bits = read_bit_file(sys.stdin.buffer if args.input == "-" else args.input,
                              fmt=args.input_format, take=size)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {label}: {exc}") from None
-    return bits.prefix, len(bits), label
+    return bits, label
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +180,23 @@ def cmd_gen(args) -> int:
 
 
 def cmd_test(args) -> int:
-    engine, schedule = _check_args(args)
-    prefix, n, label = _resolve_sample(args, args.max_bits)
-    reports = engine.reports(prefix(n), args.alpha)
+    engine = _check_args(args)
+    bits, label = _resolve_sample(args, args.max_bits)
+    reports = engine.reports(bits, args.alpha)
     report = (reports[0] if len(reports) == 1
-              else stats.battery_report(reports, args.tests, args.alpha, schedule))
+              else stats.battery_report(reports, args.tests, args.alpha, args.weights))
     if args.report == "json":
         print(_json_document(report.to_dict(), args, label))
     else:
-        _print_report_text(report, f"{label} ({n} bits){_mode_note(args)}")
+        _print_report_text(report, f"{label} ({len(bits)} bits){_mode_note(args)}")
     return _EXIT_REJECT if report.rejected else _EXIT_ACCEPT
 
 
 def cmd_scan(args) -> int:
-    engine, _ = _check_args(args)
-    prefix, n, label = _resolve_sample(args, args.budget)
-    result = stats.consistency_scan(prefix, engine, args.alpha,
+    engine = _check_args(args)
+    bits, label = _resolve_sample(args, args.budget)
+    n = len(bits)  # drawn or read once: a scan's steps are its prefixes
+    result = stats.consistency_scan(bits.prefix, engine, args.alpha,
                                     start_bits=args.start_bits, max_bits=n)
     if args.report == "json":
         payload = {
@@ -252,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        type=lambda raw: [t.strip() for t in raw.split(",") if t.strip()],
                        help=f"comma-separated test ids from: {', '.join(stats.TEST_IDS)}")
         p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-        p.add_argument("--schedule", choices=("omega_star",), default="omega_star")
         p.add_argument("--weights", type=weights, default=None,
                        help="custom battery weights, comma separated")
         p.add_argument("--window-bits", type=int, default=None,

@@ -45,7 +45,7 @@ def known_mu_log2_p_value(x: BitString, p: float) -> float:
     n = len(x)
     if n == 0:
         return 0.0
-    ones = int(np.sum(x.array))
+    ones = x.to_int().bit_count()
     if p == 0.5:
         return 0.0  # every string is equally probable
     # mu(w) is monotone in the ones count: decreasing for p < 1/2.

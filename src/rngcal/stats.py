@@ -57,56 +57,14 @@ def _bound_from_bits(saved_bits: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weight schedules
+# weights
 
 
 def omega_star(i: int) -> float:
-    """The default weight schedule value 1/(i*(i+1)); sums to 1 over all i."""
-    return OMEGA_STAR._weights(i, i)[0]
-
-
-class WeightSchedule:
-    """Weights ``w_1, w_2, ...`` with total mass at most 1.
-
-    Used to split a significance budget across the components of a battery
-    and across prefix scales in :func:`tau_k_test`.  Without
-    ``finite_weights`` the schedule is the infinite ``omega_star`` (mass
-    exactly 1); with them it is that explicit list, and indices beyond it
-    carry weight 0, i.e. no budget.
-    """
-
-    def __init__(self, name: str, finite_weights: Sequence[float] | None = None):
-        self.name = name
-        self._finite = None
-        if finite_weights is not None:
-            w = [float(v) for v in finite_weights]
-            if not w:
-                raise ValueError("finite schedule must have at least one weight")
-            if not all(v > 0.0 for v in w):  # NaN fails this too
-                raise ValueError("schedule weights must be positive")
-            if math.fsum(w) > 1.0 + 1e-12:
-                raise ValueError(f"schedule weights sum to {math.fsum(w)}, must be <= 1")
-            self._finite = w
-
-    @classmethod
-    def from_weights(cls, weights: Sequence[float]) -> "WeightSchedule":
-        return cls("custom", finite_weights=weights)
-
-    def _weights(self, k: int, start: int = 1) -> list[float]:
-        """Weights ``w_start .. w_k`` as a list: omega_star's one formula,
-        ``1 / (i (i + 1))`` in doubles, or the finite list, 0 beyond it."""
-        if start < 1:
-            raise ValueError(f"schedule index must be >= 1, got {start}")
-        if self._finite is None:
-            return [1.0 / (i * (i + 1.0)) for i in range(start, k + 1)]
-        return [self._finite[i - 1] if i <= len(self._finite) else 0.0
-                for i in range(start, k + 1)]
-
-    def __repr__(self) -> str:
-        return f"WeightSchedule({self.name!r})"
-
-
-OMEGA_STAR = WeightSchedule("omega_star")
+    """The default weight of component or scale ``i``: 1/(i*(i+1)), which sums to 1."""
+    if i < 1:
+        raise ValueError(f"schedule index must be >= 1, got {i}")
+    return 1.0 / (i * (i + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +175,32 @@ def exact_p_value(x: BitString, tau: Callable[[BitString], float]) -> float:
 # batteries
 
 
-def _battery_weights(schedule: WeightSchedule, k: int) -> list[float]:
-    """The weights of a battery's ``k`` components; each must be positive."""
-    weights = schedule._weights(k)
-    for i, w in enumerate(weights, start=1):
-        if w <= 0.0:
-            raise ValueError(f"schedule {schedule.name!r} has no weight for component {i}")
-    return weights
+def _battery_weights(weights: Sequence[float] | None, k: int) -> list[float]:
+    """The weights of a battery's ``k`` components: ``omega_star`` when
+    ``weights`` is None, else the first ``k`` of that list, which must be
+    positive, sum to at most 1 and have one weight per component."""
+    if weights is None:
+        return [omega_star(i) for i in range(1, k + 1)]
+    w = [float(v) for v in weights]
+    if not w:
+        raise ValueError("custom weights must have at least one weight")
+    if not all(v > 0.0 for v in w):  # NaN fails this too
+        raise ValueError("schedule weights must be positive")
+    if math.fsum(w) > 1.0 + 1e-12:
+        raise ValueError(f"schedule weights sum to {math.fsum(w)}, must be <= 1")
+    if len(w) < k:
+        raise ValueError(f"schedule 'custom' has no weight for component {len(w) + 1}")
+    return w[:k]
 
 
 def battery_p_value(component_p_values: Sequence[float],
-                    schedule: WeightSchedule = OMEGA_STAR) -> float:
+                    weights: Sequence[float] | None = None) -> float:
     """Combine component p-values into one: ``min(1, min_i p_i / w_i)``.
 
-    Rejecting when the combined value is at most alpha keeps the overall
-    Type-I probability at most alpha, because component i effectively runs
-    at level ``alpha * w_i`` and the weights sum to at most 1.
+    ``weights`` defaults to ``omega_star``.  Rejecting when the combined
+    value is at most alpha keeps the overall Type-I probability at most
+    alpha, because component i effectively runs at level ``alpha * w_i``
+    and the weights sum to at most 1.
     """
     pvals = [float(p) for p in component_p_values]
     if not pvals:
@@ -240,12 +208,12 @@ def battery_p_value(component_p_values: Sequence[float],
     for p in pvals:
         if not 0.0 < p <= 1.0:
             raise ValueError(f"component p-values must be in (0, 1], got {p}")
-    weights = _battery_weights(schedule, len(pvals))
+    weights = _battery_weights(weights, len(pvals))
     return _clamp_p(min(p / w for p, w in zip(pvals, weights)))
 
 
 def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
-                   alpha: float, schedule: WeightSchedule = OMEGA_STAR) -> TestReport:
+                   alpha: float, weights: Sequence[float] | None = None) -> TestReport:
     """Fold per-test reports into a single combined report.
 
     Components keep their order; weights are assigned by position.  The
@@ -255,7 +223,7 @@ def battery_report(reports: Sequence[TestReport], ids: Sequence[str],
     alpha = _check_alpha(alpha)
     if len(reports) != len(ids):
         raise ValueError("one id per report required")
-    combined = battery_p_value([r.p_value for r in reports], schedule)
+    combined = battery_p_value([r.p_value for r in reports], weights)
     components = [ComponentResult(i, r.statistic_bits, r.p_value)
                   for i, r in zip(ids, reports)]
     return _make_report(0.0 - math.log2(combined), combined, alpha,  # 0.0, not -0.0, at p = 1
@@ -273,7 +241,7 @@ def tau_k_test(x: BitString, alpha: float = 0.01) -> TestReport:
     describing itself in ``len`` bits), k = 2.  For every prefix length m
     the joint estimate is ``log2(k) + min(lz77, m)`` (the log2 k surcharge
     keeps the ensemble prefix-free per length class).  Scale m contributes
-    evidence ``m - estimate - log2(1/w_m)`` under ``OMEGA_STAR``; the
+    evidence ``m - estimate - log2(1/w_m)`` under ``omega_star``; the
     statistic is the best evidence over all scales, and rejection at the
     ``log2(1/alpha)`` threshold keeps the Type-I probability at most
     ``alpha``.  One step of :class:`PrefixScanTest`, whose LZ pass folds
@@ -286,7 +254,7 @@ def _tau_k_report(best: tuple[float, int], alpha: float) -> TestReport:
     statistic, scale = best
     return _make_report(statistic, _bound_from_bits(statistic), alpha,
                         detail={"test_id": "tauk", "best_scale": scale,
-                                "schedule": OMEGA_STAR.name})
+                                "schedule": "omega_star"})
 
 
 # ---------------------------------------------------------------------------

@@ -157,11 +157,11 @@ def test_criterion_5_duplication_construction_detection():
 
 
 def test_criterion_6_battery_arithmetic():
-    worked = stats.battery_p_value([0.004, 0.5], stats.OMEGA_STAR)
+    worked = stats.battery_p_value([0.004, 0.5])
     worked_ok = abs(worked - 0.008) < 1e-12
     rng = np.random.default_rng(2718)
     trials = 10 ** 5
-    w = np.array(stats.OMEGA_STAR._weights(5))
+    w = np.array([stats.omega_star(i) for i in range(1, 6)])
     combined = np.minimum(1.0, (rng.random((trials, 5)) / w).min(axis=1))
     mc_ok = True
     rates = {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import io
@@ -140,8 +141,7 @@ def test_source_input_and_json_report(capsys):
 
 def test_battery_combination_matches_hand_arithmetic(capsys):
     args = ("test", "--source", "bernoulli:0.5:seed=11", "--max-bits", "4096",
-            "--tests", "lz77,tauk", "--schedule", "omega_star",
-            "--alpha", "0.05", "--report", "json")
+            "--tests", "lz77,tauk", "--alpha", "0.05", "--report", "json")
     assert run_cli(*args) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [c["test_id"] for c in doc["components"]] == ["lz77", "tauk"]
@@ -387,18 +387,17 @@ _ONE_TEST_WEIGHTS = "--weights weighs the tests of a battery; pass at least two 
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("test", "--max-bits", "4096", "--schedule", "bogus"),
-     "argument --schedule: invalid choice: 'bogus'"),
+    # the weights are omega_star's unless --weights lists others: no flag names them
+    (("test", "--max-bits", "4096", "--schedule", "omega_star"),
+     "unrecognized arguments: --schedule omega_star"),
     (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
     (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
-    (("scan", "--budget", "4096", "--schedule", "bogus"),
-     "argument --schedule: invalid choice: 'bogus'"),
-    (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
-    (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
-     "schedule 'custom' has no weight for component 2"),
     # weights weigh the tests of a battery: one test would silently ignore them
     pytest.param(("test", "--max-bits", "4096", "--weights", "0.001"), _ONE_TEST_WEIGHTS,
                  id="weights-one-test"),
+    (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
+    (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
+     "schedule 'custom' has no weight for component 2"),
     pytest.param(("test", "--max-bits", "4096", "--tests", "tauk", "--weights", "1"),
                  _ONE_TEST_WEIGHTS, id="weights-tauk"),
     pytest.param(("scan", "--budget", "4096", "--weights", "0.5"), _ONE_TEST_WEIGHTS,
@@ -435,6 +434,9 @@ def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, ca
     elif message.startswith("argument "):  # argparse: usage, then the error
         assert captured.err.startswith(f"usage: rngcal {argv[0]} ")
         assert f"\nrngcal {argv[0]}: error: {message}" in captured.err
+    elif message.startswith("unrecognized "):  # the top parser collects extra arguments
+        assert captured.err.startswith("usage: rngcal ")
+        assert captured.err.endswith(f"\nrngcal: error: {message}\n")
     else:
         assert captured.err.startswith(f"rngcal: error: {message}")
 
@@ -460,6 +462,17 @@ def test_the_parser_takes_one_of_input_or_source(argv, message, tmp_path, monkey
     assert captured.out == ""
     assert captured.err.startswith(f"usage: rngcal {argv[0]} ")
     assert captured.err.endswith(f"\nrngcal {argv[0]}: error: {message}\n")
+
+
+def test_every_flag_with_choices_offers_a_choice():
+    # a flag that can take one value is a constant: it belongs in the code
+    parser = rngcal.cli.build_parser()
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"gen", "test", "scan"}
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.choices is not None:
+                assert len(action.choices) >= 2, (name, action.option_strings)
 
 
 # Peak RSS of a full-window test at the memory cap, interpreter included, in

@@ -152,39 +152,32 @@ def test_omega_star_values():
 def test_omega_star_telescopes():
     total = sum(stats.omega_star(i) for i in range(1, 1001))
     assert total == pytest.approx(1000.0 / 1001.0, rel=1e-12)
-    assert np.allclose(stats.OMEGA_STAR._weights(5),
+    assert np.allclose([stats.omega_star(i) for i in range(1, 6)],
                        [1 / 2, 1 / 6, 1 / 12, 1 / 20, 1 / 30])
-
-
-@pytest.mark.parametrize("schedule", [
-    stats.OMEGA_STAR,
-    stats.WeightSchedule.from_weights([0.5, 0.25, 0.125]),
-])
-def test_schedule_weight_ranges_are_slices(schedule):
-    full = schedule._weights(9)
-    for start in range(1, 11):
-        assert schedule._weights(9, start) == full[start - 1:], start
+    assert stats._battery_weights(None, 5) == [stats.omega_star(i) for i in range(1, 6)]
 
 
 def test_custom_schedule_validation():
-    good = stats.WeightSchedule.from_weights([0.5, 0.25, 0.125])
-    assert good._weights(9)[1::7] == [0.25, 0.0]  # beyond the list: no budget
-    with pytest.raises(ValueError):
-        stats.WeightSchedule.from_weights([0.7, 0.7])
+    good = [0.5, 0.25, 0.125]
+    assert stats._battery_weights(good, 2) == [0.5, 0.25]  # the first k weights
+    assert stats._battery_weights(good, 3) == good
+    with pytest.raises(ValueError, match="schedule 'custom' has no weight for component 4"):
+        stats._battery_weights(good, 4)
+    with pytest.raises(ValueError, match="schedule weights sum to 1.4, must be <= 1"):
+        stats._battery_weights([0.7, 0.7], 1)
     for bad in (-0.1, math.nan):
-        with pytest.raises(ValueError):
-            stats.WeightSchedule.from_weights([0.5, bad])
+        with pytest.raises(ValueError, match="schedule weights must be positive"):
+            stats._battery_weights([0.5, bad], 1)
     with pytest.raises(ValueError):
-        stats.WeightSchedule.from_weights([])
+        stats._battery_weights([], 1)
 
 
 def test_battery_degenerate_single_test():
-    one = stats.WeightSchedule.from_weights([1.0])
-    assert stats.battery_p_value([0.03], one) == pytest.approx(0.03)
+    assert stats.battery_p_value([0.03], [1.0]) == pytest.approx(0.03)
 
 
 def test_battery_worked_example():
-    combined = stats.battery_p_value([0.004, 0.5], stats.OMEGA_STAR)
+    combined = stats.battery_p_value([0.004, 0.5])
     assert combined == pytest.approx(0.008)
 
 
@@ -199,9 +192,8 @@ def test_battery_validates_inputs():
         stats.battery_p_value([0.0, 0.5])
     with pytest.raises(ValueError):
         stats.battery_p_value([0.5, 1.2])
-    short = stats.WeightSchedule.from_weights([1.0])
     with pytest.raises(ValueError):
-        stats.battery_p_value([0.5, 0.5], short)
+        stats.battery_p_value([0.5, 0.5], [1.0])
 
 
 def test_battery_monotone_in_p_values():
@@ -216,16 +208,16 @@ def test_battery_monotone_in_p_values():
 def test_battery_scaling_in_weights():
     pvals = [0.01, 0.2]
     w = [0.4, 0.4]
-    ref = stats.battery_p_value(pvals, stats.WeightSchedule.from_weights(w))
+    ref = stats.battery_p_value(pvals, w)
     for c in (0.5, 0.25):
-        scaled = stats.WeightSchedule.from_weights([v * c for v in w])
+        scaled = [v * c for v in w]
         assert stats.battery_p_value(pvals, scaled) == pytest.approx(ref / c)
 
 
 def test_battery_conservative_under_uniform_nulls():
     rng = np.random.default_rng(4)
     trials = 20000
-    w = np.array(stats.OMEGA_STAR._weights(5))
+    w = np.array([stats.omega_star(i) for i in range(1, 6)])
     u = rng.random((trials, 5))
     combined = np.minimum(1.0, (u / w).min(axis=1))
     for alpha in (0.1, 0.01):
@@ -280,7 +272,7 @@ def test_tau_k_smallest_rejecting_scale():
     scales = np.arange(1, 2 ** 14 + 1)
     joint = np.minimum(lz.prefix_code_lengths(z)[1:], scales)  # lz77, capped by len
     evidence = (scales - (math.log2(2) + joint)
-                + np.log2(stats.OMEGA_STAR._weights(2 ** 14)))
+                + np.log2([stats.omega_star(m) for m in range(1, 2 ** 14 + 1)]))
     first = int(np.argmax(evidence >= math.log2(1 / 0.01))) + 1
     assert first == TAU_K_ZEROS_SMALLEST_REJECTING_M
 
