@@ -387,17 +387,25 @@ _ONE_TEST_WEIGHTS = "--weights weighs the tests of a battery; pass at least two 
 
 
 @pytest.mark.parametrize("argv,message", [
-    # the weights are omega_star's unless --weights lists others: no flag names them
-    (("test", "--max-bits", "4096", "--schedule", "omega_star"),
-     "unrecognized arguments: --schedule omega_star"),
+    # the weights are omega_star's unless --weights lists others: no flag names them, and
+    # any --schedule is refused; the two "bogus" ids keep the names these cases had while
+    # --schedule was a flag that argparse refused as an invalid choice
+    pytest.param(("test", "--max-bits", "4096", "--schedule", "bogus"),
+                 "unrecognized arguments: --schedule bogus",
+                 id="argv0-argument --schedule: invalid choice: 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "5,-1"), "schedule weights must be positive"),
     (("scan", "--budget", "4096", "--weights", "9"), "schedule weights sum to 9.0"),
-    # weights weigh the tests of a battery: one test would silently ignore them
-    pytest.param(("test", "--max-bits", "4096", "--weights", "0.001"), _ONE_TEST_WEIGHTS,
-                 id="weights-one-test"),
+    pytest.param(("scan", "--budget", "4096", "--schedule", "bogus"),
+                 "unrecognized arguments: --schedule bogus",
+                 id="argv3-argument --schedule: invalid choice: 'bogus'"),
     (("test", "--max-bits", "4096", "--weights", "nan,0.5"), "schedule weights must be positive"),
     (("test", "--max-bits", "4096", "--tests", "lz77,tauk", "--weights", "0.5"),
      "schedule 'custom' has no weight for component 2"),
+    pytest.param(("test", "--max-bits", "4096", "--schedule", "omega_star"),
+                 "unrecognized arguments: --schedule omega_star", id="schedule-omega-star"),
+    # weights weigh the tests of a battery: one test would silently ignore them
+    pytest.param(("test", "--max-bits", "4096", "--weights", "0.001"), _ONE_TEST_WEIGHTS,
+                 id="weights-one-test"),
     pytest.param(("test", "--max-bits", "4096", "--tests", "tauk", "--weights", "1"),
                  _ONE_TEST_WEIGHTS, id="weights-tauk"),
     pytest.param(("scan", "--budget", "4096", "--weights", "0.5"), _ONE_TEST_WEIGHTS,
