@@ -8,8 +8,8 @@
    t and -t for a secondary one: s -> t is solid when the longest substring
    of t is that of s plus one bit, which is all the build asks of the state
    lengths.  Python sizes every array and checks that every state index fits
-   in int32 before it calls; the bits are a BitString's payload, packed
-   MSB-first, and bit k is read in place as BIT(bits, k).
+   in int32 before it calls; bits is the packed payload of the bits that
+   follow those taken in, so stream bit k is read in place as BIT(bits, k - seen).
    The loop prices each prefix as it goes and folds tau_k's evidence in
    doubles, but for a log2 that cannot move the maximum (see report); it is
    built with -ffp-contract=off, so that no compiler fuses that arithmetic,
@@ -61,27 +61,29 @@ static void report(walk_t *w, int64_t m, int64_t cost, int64_t *costs, int64_t *
 }
 
 /* The factor bits[i:m] as an lz.Lz77Pair: (p, m - i) for a copy whose first
-   occurrence ends at end, from 1-based p, or (0, its bit) for a literal. */
+   occurrence ends at end, from 1-based p, or (0, its bit) for a literal;
+   only a walk's first extend writes pairs, so i indexes bits. */
 static void record(int32_t *pair, const uint8_t *bits, int64_t i, int64_t m, int32_t end)
 {
     pair[0] = end < 0 ? 0 : (int32_t)(end - (m - i) + 2);
     pair[1] = end < 0 ? BIT(bits, i) : (int32_t)(m - i);
 }
 
-/* lz._PrefixCosts.extend: take bits[seen:n] of the string into the suffix
-   automaton sam and the greedy parse, pricing each prefix.  A factor from
-   i truncated at m costs lengths[width(p + 1)] + lengths[width(m - i)] for
-   the 1-based source p = end - (m - i) + 2, 0 for a literal (end -1).
-   Where pairs is not NULL, the f-th factor goes to pairs[2f], pairs[2f + 1]
-   as it closes, and the open one after the factors before it. */
+/* lz._PrefixCosts.extend: take the n bits that follow the seen taken in into
+   the suffix automaton sam and the greedy parse, pricing each prefix that
+   ends in them.  A factor from i truncated at m costs lengths[width(p + 1)] +
+   lengths[width(m - i)] for the 1-based source p = end - (m - i) + 2, 0 for a
+   literal (end -1).  Where pairs is not NULL, the f-th factor goes to
+   pairs[2f], pairs[2f + 1] as it closes, and the open one after the factors
+   before it. */
 void lz_extend(state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *lengths,
                walk_t *w, int32_t *pairs, int64_t *costs)
 {
     int64_t i = w->open, closed = w->closed, cost = w->total, bar = -1;  /* -1: score the first */
-    int64_t factors = w->factors;
+    int64_t factors = w->factors, seen = w->seen, stop = seen + n;
     int32_t last = w->last, states = w->states, st = w->state, end = w->end;
-    for (int64_t k = w->seen; k < n; k++) {
-        int c = BIT(bits, k);
+    for (int64_t k = seen; k < stop; k++) {
+        int c = BIT(bits, k - seen);
         /* The automaton holds bits[0:k], so a transition on bit k means that
            bits[i:k + 1] occurs in bits[0:k]: a source for a longer factor. */
         int32_t t = sam[st].next[c];
@@ -132,11 +134,11 @@ void lz_extend(state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *leng
         last = cur;
     }
     if (pairs)
-        record(pairs + 2 * factors, bits, i, n, end);
+        record(pairs + 2 * factors, bits, i, stop, end);
     w->open = i;
     w->closed = closed;
     w->total = cost;
-    w->seen = n;
+    w->seen = stop;
     w->factors = factors;
     w->last = last;
     w->states = states;

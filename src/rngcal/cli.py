@@ -196,8 +196,7 @@ def cmd_scan(args) -> int:
     engine = _check_args(args)
     bits, label = _resolve_sample(args, args.budget)
     n = len(bits)  # drawn or read once: a scan's steps are its prefixes
-    result = stats.consistency_scan(bits.prefix, engine, args.alpha,
-                                    start_bits=args.start_bits, max_bits=n)
+    result = stats.consistency_scan(bits, engine, args.alpha, start_bits=args.start_bits)
     if args.report == "json":
         payload = {
             "first_rejection_bits": result.first_rejection_bits,

@@ -20,9 +20,9 @@ container (codeword object or bit file) to delimit the stream.
 
 Match search uses a suffix automaton with first-occurrence positions,
 giving maximal matches and smallest-p tie-breaking in O(n) overall.  One
-online loop takes each bit into the greedy parse and then into the automaton
-(see :class:`_PrefixCosts`); it runs in C (``_lzkernel.c``) where a C
-compiler is at hand, else in Python.
+online loop takes each appended bit into the greedy parse and then into the
+automaton (see :class:`_PrefixCosts`); it runs in C (``_lzkernel.c``) where
+a C compiler is at hand, else in Python.
 """
 
 from __future__ import annotations
@@ -262,11 +262,10 @@ class _PrefixCosts(ctypes.Structure):
     """One LZ pass: the code lengths of the prefixes of a bit string that
     grows at its end, and tau_k's best evidence over them.
 
-    ``extend`` takes a prefix that extends the bits taken in so far (the
-    caller's rule: :class:`rngcal.stats.PrefixScanTest` checks it) and runs
-    one loop over the new bits.  For each bit ``k`` it first moves the open
-    factor, the last one, on bit ``k`` in the suffix automaton of the bits
-    before ``k``.  A greedy factor ``bits[i:k + 1]`` has an earlier
+    ``extend`` takes the bits that follow those taken in so far and runs one
+    loop over them.  For each bit ``k`` of the string it first moves the
+    open factor, the last one, on bit ``k`` in the suffix automaton of the
+    bits before ``k``.  A greedy factor ``bits[i:k + 1]`` has an earlier
     occurrence exactly when it is a substring of ``bits[0:k]``, so where
     that transition is missing, or the open factor is a literal, bit ``k``
     starts a new factor from the root.  Then it prices the first ``k + 1``
@@ -319,25 +318,28 @@ class _PrefixCosts(ctypes.Structure):
 
     def extend(self, x: BitString, costs: array | None = None,
                pairs: array | memoryview | None = None) -> None:
-        """Take in the ``len(x)`` bits of ``x``, a prefix of the string, and
-        price the prefixes longer than the bits taken in so far.
+        """Take in ``x``, the ``len(x)`` bits that follow the ``seen`` taken
+        in so far, and price the prefixes that end in them.
 
-        Where the int64 array ``costs`` of at least ``len(x) + 1`` entries
-        is given, the code length of the first ``m`` bits goes to
+        Where the int64 array ``costs`` of at least ``seen + len(x) + 1``
+        entries is given, the code length of the first ``m`` bits goes to
         ``costs[m]`` for each of those prefixes.  Where the int32 array (or
         ``'i'`` memoryview, as ``_allocate`` makes) ``pairs`` of at least
-        ``2 * len(x)`` is, the ``f``-th factor goes to
-        ``pairs[2f]`` and ``pairs[2f + 1]`` as an :class:`Lz77Pair` when it
-        closes, and the open one after the ``factors`` before it.
+        ``2 * len(x)`` is, which only a walk's first extend takes, the
+        ``f``-th factor goes to ``pairs[2f]`` and ``pairs[2f + 1]`` as an
+        :class:`Lz77Pair` when it closes, and the open one after the
+        ``factors`` before it.
         """
         k, n = self.seen, len(x)
-        for table, code, need, name in ((costs, "q", n + 1, "costs"),
+        if pairs is not None and k:
+            raise ValueError(f"only a walk's first extend writes pairs; {k} bits are taken in")
+        for table, code, need, name in ((costs, "q", k + n + 1, "costs"),
                                         (pairs, "i", 2 * n, "pair entries")):
             if table is not None and (_typecode(table) != code or len(table) < need):
                 raise ValueError(f"the walk writes {need} {name} to an array({code!r})")
-        if n > _MAX_BITS:
+        if k + n > _MAX_BITS:
             raise OverflowError(f"a suffix automaton holds at most {_MAX_BITS} bits")
-        if n <= k:
+        if not n:
             return
         table = self._table
         if table is None:
@@ -346,7 +348,7 @@ class _PrefixCosts(ctypes.Structure):
             table = self._table = (array("i", [0]) * entries if 4 * entries < _MAP_BYTES
                                    else _allocate(entries))
             table[2] = table[3] = -1  # the root has no link and no occurrence
-        elif (room := self.states + 2 * (n - k) + 1 - len(table) // 4) > 0:
+        elif (room := self.states + 2 * n + 1 - len(table) // 4) > 0:
             # growing by at least an eighth keeps short extensions amortized
             table = self._table = _allocate(len(table) + 4 * max(room, len(table) >> 5), table)
         kernel = _kernel()
@@ -360,8 +362,9 @@ class _PrefixCosts(ctypes.Structure):
         best, scale = self.best, self.scale
         bar = -1  # the log2 is skipped where m - min(cost, m) <= bar: see report in _lzkernel.c
         payload = x._payload
-        for pos in range(k, n):
-            c = payload[pos >> 3] >> (7 - (pos & 7)) & 1  # BIT in _lzkernel.c
+        for j in range(n):
+            c = payload[j >> 3] >> (7 - (j & 7)) & 1  # BIT in _lzkernel.c
+            pos = k + j
             # the automaton holds bits[0:pos]: a transition on c is a source for a longer factor
             t = table[4 * st + c]
             if pos > i and (end < 0 or not t):  # a literal, or no source: pos starts a factor
@@ -412,9 +415,9 @@ class _PrefixCosts(ctypes.Structure):
                 table[4 * cur + 2] = clone
             last = cur
         if pairs is not None:
-            _record(pairs, factors, x, i, n, end)
-        self.open, self.closed, self.total, self.seen, self.factors = i, closed, cost, n, factors
-        self.best, self.scale = best, scale
+            _record(pairs, factors, x, i, k + n, end)
+        self.open, self.closed, self.total, self.factors = i, closed, cost, factors
+        self.seen, self.best, self.scale = k + n, best, scale
         self.last, self.states, self.state, self.end = last, states, st, end
 
 

@@ -9,10 +9,12 @@ are deliberately written without reusing the logic under test.
 
 from __future__ import annotations
 
+import bisect
+import collections
+import itertools
 import math
+from array import array
 from typing import Callable
-
-import numpy as np
 
 from .bits import BitString
 from .errors import InfeasibleError
@@ -76,22 +78,22 @@ def exhaustive_reject_count(test: Callable[[BitString, float], object], n: int,
     return count
 
 
-def exhaustive_p_values(tau: Callable[[BitString], float], n: int) -> np.ndarray:
+def exhaustive_p_values(tau: Callable[[BitString], float], n: int) -> array:
     """Exact p-values of ``tau`` for every n-bit string, by one enumeration.
 
-    Entry ``v`` is the p-value of the string whose big-endian value is
-    ``v``.  Computed by sorting the statistic values, so it shares no logic
-    with the per-string counting loop it is checked against.
+    Entry ``v`` of the returned ``array('d')`` is the p-value of the string
+    whose big-endian value is ``v``.  Computed by sorting the distinct
+    statistic values (not a list of 2^n floats, which would bloat the heap),
+    so it shares no logic with the per-string counting loop it checks.
     """
     if n > _ENUMERATION_GUARD:
         raise InfeasibleError(
             f"exhaustive p-value table over 2**{n} inputs exceeds the "
             f"{_ENUMERATION_GUARD}-bit guard")
     total = 1 << n
-    values = np.empty(total)
-    for v in range(total):
-        values[v] = tau(BitString.from_int(v, n))
-    order = np.sort(values)
+    values = array("d", (tau(BitString.from_int(v, n)) for v in range(total)))
+    counts = collections.Counter(values)
+    order = sorted(counts)
+    below = list(itertools.accumulate((counts[t] for t in order), initial=0))
     # count of y with tau(y) >= tau(x), ties included
-    idx = np.searchsorted(order, values, side="left")
-    return (total - idx) / float(total)
+    return array("d", ((total - below[bisect.bisect_left(order, v)]) / total for v in values))

@@ -265,15 +265,14 @@ class PrefixScanTest:
     """Tests of a sample, or of the growing prefixes of a
     :func:`consistency_scan`, from one incremental LZ pass.
 
-    Each :meth:`reports` call takes a prefix that extends the last one (kept,
-    not copied: a ``BitString`` is immutable), feeds it to the LZ pass of
-    the open window (``lz._PrefixCosts``) and reports each test on the
-    prefix: ``lz77`` as ``m - total``, ``tauk`` as the running maximum of
-    the evidence, which the pass folds at each new scale as it prices the
-    prefix, whatever the tests (the first maximum wins ties).
-    :func:`compression_test` and :func:`tau_k_test` are each one call of
-    this engine.  A battery is a
-    single call; calling the object is the one-test callable a scan drives.
+    Each :meth:`reports` call takes the bits that follow those already taken
+    in, feeds them to the LZ pass of the open window (``lz._PrefixCosts``)
+    and reports each test on all the bits taken in: ``lz77`` as ``m -
+    total``, ``tauk`` as the running maximum of the evidence, which the pass
+    folds at each new scale as it prices the prefix, whatever the tests (the
+    first maximum wins ties).  :func:`compression_test` and
+    :func:`tau_k_test` are each one call of this engine, and a battery is
+    one call of an engine that holds several tests.
 
     The one window is unbounded unless ``window_bits`` is given
     (bounded-window mode, lz77 only): memory then follows the window, but
@@ -294,37 +293,29 @@ class PrefixScanTest:
                 raise ValueError("bounded-window mode is only available for the lz77 test")
         self.test_ids = test_ids
         self._window = math.inf if window_bits is None else window_bits
-        self._taken = BitString.zeros(0)  # the last prefix
         self._costs = lz._PrefixCosts()  # of the open window
         self._closed = 0  # code length of the windows before it
-        self._start = 0   # the open window's first bit
+        self._bits = 0    # taken in
 
-    def reports(self, x: BitString, alpha: float) -> list[TestReport]:
-        """One report per test id, in order, on ``x``."""
+    def reports(self, bits: BitString, alpha: float) -> list[TestReport]:
+        """Take in ``bits``, which follow the bits taken in so far, and
+        report each test id, in order, on all of them."""
         alpha = _check_alpha(alpha)
-        n = len(x)
+        n = self._bits + len(bits)
         if n < 1:
             raise ValueError("input has no bits")
-        k = len(self._taken)
-        if n < k or x.prefix(k) != self._taken:
-            raise ValueError(f"a prefix must extend the {k} bits already taken in")
-        self._taken = x
-        while n - self._start >= self._window:  # close each window that x fills
-            end = self._start + self._window
-            self._costs.extend(x[self._start:end])
+        self._bits, at = n, 0
+        while True:  # cut at each window end, closing the window there
+            end = min(len(bits), at + self._window - self._costs.seen)
+            self._costs.extend(bits[at:end])
+            if self._costs.seen < self._window:
+                break
             self._closed += self._costs.total
-            self._costs = lz._PrefixCosts()
-            self._start = end
+            self._costs, at = lz._PrefixCosts(), end
         costs = self._costs
-        costs.extend(x[self._start:])
         return [_compression_report(n, self._closed + costs.total, alpha)
                 if test_id == "lz77" else _tau_k_report((costs.best, costs.scale), alpha)
                 for test_id in self.test_ids]
-
-    def __call__(self, x: BitString, alpha: float) -> TestReport:
-        if len(self.test_ids) != 1:
-            raise ValueError("a scan drives one test; call reports() for a battery")
-        return self.reports(x, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +335,29 @@ class ScanResult(namedtuple("ScanResult", "first_rejection_bits steps")):
         return self.first_rejection_bits is not None
 
 
-def consistency_scan(prefix: Callable[[int], BitString], test: Callable[..., TestReport],
-                     alpha: float, start_bits: int = 1024, max_bits: int = 2 ** 20) -> ScanResult:
-    """Apply ``test`` to prefixes of a fixed stream at doubling lengths.
+def consistency_scan(x: BitString, engine: PrefixScanTest, alpha: float,
+                     start_bits: int = 1024) -> ScanResult:
+    """Apply the one test of ``engine`` to the prefixes of ``x`` at doubling lengths.
 
-    ``prefix(m)`` returns the first ``m`` bits of the stream, for instance
-    ``Source.bits`` or ``BitString.prefix``.  The grid is ``start_bits``,
-    ``2*start_bits``, ... up to ``max_bits``.  Returns the first grid length
-    at which ``test`` rejects, or None if the budget is exhausted without
-    rejection; the budget running out is an outcome, not an error.  Each
-    step is judged at the full ``alpha``, so the chance that a scan of
+    The grid is ``start_bits``, ``2*start_bits``, ... up to ``len(x)``; each
+    step feeds the engine the bits since the last.  Returns the first grid
+    length at which the test rejects, or None if the sample is exhausted
+    without rejection; the budget running out is an outcome, not an error.
+    Each step is judged at the full ``alpha``, so the chance that a scan of
     uniform bits rejects is bounded by ``alpha`` times the number of steps,
     not by ``alpha``, unless the statistic is already a maximum over every
     prefix, as ``tauk``'s is (ROADMAP item 1).
     """
     alpha = _check_alpha(alpha)
-    _check_grid(start_bits, max_bits)
+    _check_grid(start_bits, len(x))
+    if len(engine.test_ids) != 1:
+        raise ValueError("a scan drives one test; call reports() for a battery")
     steps: list[ScanStep] = []
-    n = start_bits
-    while n <= max_bits:
-        report = test(prefix(n), alpha)
+    taken, n = 0, start_bits
+    while n <= len(x):
+        report = engine.reports(x[taken:n], alpha)[0]
         steps.append(ScanStep(bits=n, report=report))
         if report.rejected:
             return ScanResult(first_rejection_bits=n, steps=steps)
-        n *= 2
+        taken, n = n, 2 * n
     return ScanResult(first_rejection_bits=None, steps=steps)

@@ -279,6 +279,21 @@ def reference_tau_k_test(x: BitString, alpha: float) -> stats.TestReport:
     return stats._tau_k_report(reference_tau_k(x), stats._check_alpha(alpha))
 
 
+def reference_scan(x: BitString, test: Callable[[BitString, float], stats.TestReport],
+                   alpha: float, start_bits: int) -> stats.ScanResult:
+    """``stats.consistency_scan`` by its grid loop with ``test`` applied to
+    each prefix afresh, as ``reference_compression_test`` or
+    ``reference_tau_k_test``; the reference for the engine fed forward."""
+    steps, m = [], start_bits
+    while m <= len(x):
+        report = test(x.prefix(m), alpha)
+        steps.append(stats.ScanStep(bits=m, report=report))
+        if report.rejected:
+            return stats.ScanResult(first_rejection_bits=m, steps=steps)
+        m *= 2
+    return stats.ScanResult(first_rejection_bits=None, steps=steps)
+
+
 def all_bitstrings(n: int):
     for value in range(1 << n):
         yield BitString.from_int(value, n)

@@ -25,7 +25,8 @@ from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, writ
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import Pipe, mapped_tables, reference_compression_test, reference_tau_k_test
+from helpers import (Pipe, mapped_tables, reference_compression_test, reference_scan,
+                     reference_tau_k_test)
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -210,8 +211,7 @@ def test_scan_steps_equal_from_scratch_scan(spec, test_id, budget, capsys):
                      "--start-bits", "512", "--budget", str(budget), "--report", "json")
     doc = json.loads(capsys.readouterr().out)
     test = reference_compression_test if test_id == "lz77" else reference_tau_k_test
-    ref = stats.consistency_scan(sources.parse_source_spec(spec).bits, test, 1e-6,
-                                 start_bits=512, max_bits=budget)
+    ref = reference_scan(sources.parse_source_spec(spec).bits(budget), test, 1e-6, 512)
     assert status == int(ref.rejected)
     assert doc["first_rejection_bits"] == ref.first_rejection_bits
     assert [s["bits"] for s in doc["steps"]] == [s.bits for s in ref.steps]
@@ -424,12 +424,12 @@ _ONE_TEST_WEIGHTS = "--weights weighs the tests of a battery; pass at least two 
     pytest.param(("test", "--max-bits", "4096", "--weights", "a,b"),
                  "argument --weights: invalid weights value: 'a,b'", id="weights-malformed"),
     pytest.param(("scan", "--start-bits", "4096", "--budget", "2048"),
-                 lambda: stats.consistency_scan(BitString.zeros(8).prefix, stats.compression_test,
-                                                0.01, start_bits=4096, max_bits=2048),
+                 lambda: stats.consistency_scan(BitString.zeros(2048), stats.PrefixScanTest("lz77"),
+                                                0.01, start_bits=4096),
                  id="start-past-budget"),
     pytest.param(("scan", "--start-bits", "0"),
-                 lambda: stats.consistency_scan(BitString.zeros(8).prefix, stats.compression_test,
-                                                0.01, start_bits=0, max_bits=2 ** 20),
+                 lambda: stats.consistency_scan(BitString.zeros(2 ** 20),
+                                                stats.PrefixScanTest("lz77"), 0.01, start_bits=0),
                  id="start-0"),
 ])
 def test_schedule_is_checked_before_reading_input(argv, message, monkeypatch, capsys):

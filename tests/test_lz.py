@@ -200,12 +200,12 @@ def test_prefix_code_lengths_match_per_prefix_encoding():
 
 
 def _chunked_table(x: BitString, chunks, unread=(), running=None) -> np.ndarray:
-    """The costs a _PrefixCosts writes when fed the prefixes of ``x`` that end
-    each of consecutive chunks; the chunks whose indices are in ``unread``
-    are fed without a table, and their entries stay -1.  The tau_k evidence
-    it folds on the way equals that of one pass over ``x``, and where
-    ``running`` is given, its best after each chunk is ``running`` at the
-    prefix taken."""
+    """The costs a _PrefixCosts writes when fed ``x`` in consecutive chunks
+    of the given sizes, cut at ``len(x)``; the chunks whose indices are in
+    ``unread`` are fed without a table, and their entries stay -1.  The
+    tau_k evidence it folds on the way equals that of one pass over ``x``,
+    and where ``running`` is given, its best after each chunk is ``running``
+    at the prefix taken."""
     costs = lz._PrefixCosts()
     table = array("q", [-1]) * (len(x) + 1)
     table[0] = 0
@@ -213,8 +213,8 @@ def _chunked_table(x: BitString, chunks, unread=(), running=None) -> np.ndarray:
     for i, size in enumerate(chunks):
         if taken >= len(x):
             break
+        costs.extend(x[taken:taken + size], None if i in unread else table)
         taken = min(len(x), taken + size)
-        costs.extend(x.prefix(taken), None if i in unread else table)
         if i in unread:
             assert costs.total == lz.code_length(x.prefix(taken))
         else:
@@ -288,15 +288,15 @@ def test_prefix_costs_price_nothing_when_nothing_is_new():
     x = BitString.from01("0110100110")
     costs = lz._PrefixCosts()
     table = array("q", [-1]) * 11
-    costs.extend(x.prefix(0), table)
+    costs.extend(x[:0], table)
     assert table.tolist() == [-1] * 11 and costs.total == 0
     assert (costs.best, costs.scale) == (-math.inf, 0)
-    costs.extend(x.prefix(6))
+    costs.extend(x[:6])
     best = costs.best, costs.scale
-    costs.extend(x.prefix(6), table)  # nothing new: nothing to price
+    costs.extend(x[6:6], table)  # nothing new: nothing to price
     assert table.tolist() == [-1] * 11 and (costs.best, costs.scale) == best
     assert costs.total == lz.code_length(x.prefix(6))
-    costs.extend(x, table)  # only the new prefixes
+    costs.extend(x[6:], table)  # only the new prefixes
     assert table.tolist() == [-1] * 7 + lz.prefix_code_lengths(x)[7:].tolist()
 
 
@@ -387,12 +387,11 @@ def _one_pass(x: BitString) -> lz._PrefixCosts:
 
 
 def _chunked_automaton(x: BitString, sizes) -> lz._PrefixCosts:
-    """A pass extended by prefixes of ``x`` that grow by the given sizes,
-    then by the rest."""
+    """A pass fed ``x`` in chunks of the given sizes, cut at ``len(x)``, then the rest."""
     automaton = lz._PrefixCosts()
     for size in sizes:
-        automaton.extend(x.prefix(min(automaton.seen + size, len(x))))
-    automaton.extend(x)
+        automaton.extend(x[automaton.seen:automaton.seen + size])
+    automaton.extend(x[automaton.seen:])
     return automaton
 
 
@@ -439,23 +438,33 @@ def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
 
 def _pass_states(x: BitString, *splits: int) -> list[dict]:
     """What an ``lz._PrefixCosts`` holds after each of its extends, on the
-    current backend, in the form of ``reference_pass``: it takes in the
-    prefixes of ``x`` that end at ``splits``, then all of ``x``.  Each extend
-    writes its costs to a table of its own, and writes nothing at or below
-    the bits taken in before it; the pairs go to one shared array."""
-    n = len(x)
-    walk, costs, pairs, states = lz._PrefixCosts(), [0], array("i", [-1]) * (2 * n), []
-    for m in (*splits, n):
+    current backend, in the form of ``_walk``: it is fed ``x[seen:m]`` for
+    each ``m`` of ``splits``, then the rest of ``x``.  Each extend writes its
+    costs to a table of its own, and writes nothing at or below the bits
+    taken in before it."""
+    walk, costs, states = lz._PrefixCosts(), [0], []
+    for m in (*splits, len(x)):
         seen = walk.seen
         table = array("q", [-1]) * (m + 1)
-        walk.extend(x.prefix(m), table, pairs)
+        walk.extend(x[seen:m], table)
         assert table[:seen + 1].tolist() == [-1] * (seen + 1) and walk.seen == m
         costs += table[seen + 1:].tolist()
-        entries = pairs[:2 * walk.factors + 2].tolist() if m else []
-        states.append({"costs": costs[:], "pairs": list(zip(entries[::2], entries[1::2])),
-                       "open": walk.open, "closed": walk.closed, "total": walk.total,
-                       "best": walk.best, "scale": walk.scale})
+        states.append({"costs": costs[:], "open": walk.open, "closed": walk.closed,
+                       "total": walk.total, "best": walk.best, "scale": walk.scale,
+                       "factors": walk.factors})
     return states
+
+
+def _walk(reference: dict) -> dict:
+    """A ``reference_pass`` in the form of ``_pass_states``: its pairs give
+    the count of factors before the open one."""
+    walk = {k: v for k, v in reference.items() if k != "pairs"}
+    return {**walk, "factors": max(len(reference["pairs"]) - 1, 0)}
+
+
+def _pairs(x: BitString) -> list[tuple[int, int]]:
+    """``lz.parse(x)``'s pairs as tuples, the form of ``reference_pass``'s."""
+    return [tuple(pair) for pair in lz.parse(x).pairs]
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -464,10 +473,11 @@ def test_the_online_loop_matches_the_two_pass_reference(backend):
     want = {x.to01(): reference_pass(x) for x in strings}
     with _backend(backend):
         for x in strings:
-            whole = want[x.to01()]
+            whole = _walk(want[x.to01()])
             assert _pass_states(x) == [whole], x
-            for k in range(1, len(x)):  # every two-chunk split
-                assert _pass_states(x, k) == [want[x.prefix(k).to01()], whole], (x, k)
+            assert _pairs(x) == want[x.to01()]["pairs"], x
+            for k in range(1, len(x)):  # every two-piece split
+                assert _pass_states(x, k) == [_walk(want[x.prefix(k).to01()]), whole], (x, k)
 
 
 @functools.cache
@@ -480,16 +490,16 @@ def _reference_of(kind: str) -> dict:
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
     # a pass resumed at any bit goes on as the two-pass reference of the whole string
-    x, whole = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS), _reference_of(kind)
-    n = len(x)
+    x, reference = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS), _reference_of(kind)
+    n, whole = len(x), _walk(reference)
     assert whole["total"] == lz.code_length(x)
-    bounds = [0, *itertools.accumulate(1 if p == 0 else l for p, l in whole["pairs"])]
+    bounds = [0, *itertools.accumulate(1 if p == 0 else l for p, l in reference["pairs"])]
     longest = max(range(len(bounds) - 1), key=lambda f: bounds[f + 1] - bounds[f])
     # resumed after a literal, at factor starts and inside the longest factor, it is one pass
     splits = {1, 7, 5000, 70001, n - 1, bounds[len(bounds) // 2], bounds[-2],
               bounds[longest] + 1, bounds[longest + 1] - 1}
     with _backend(backend):
-        assert _pass_states(x) == [whole]
+        assert _pass_states(x) == [whole] and _pairs(x) == reference["pairs"]
         for k in sorted(splits):
             first, last = _pass_states(x, k)
             assert first["costs"] == whole["costs"][:k + 1] and first["total"] == whole["costs"][k]
@@ -499,20 +509,22 @@ def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
     extend = lz._PrefixCosts.extend
-    starts, taken = [], []
+    starts, taken, fed = [], [], {}  # fed: the bits taken in by each walk, by its id
     seen = _spy_on_tables(monkeypatch)
 
-    def checked(self, x, costs=None, pairs=None):
+    def checked(self, piece, costs=None, pairs=None):
         resume = self.open, self.seen
+        x = fed[id(self)] = BitString.from01((fed[id(self)].to01() if self.seen else "")
+                                             + piece.to01())
         want = reference_pass(x)
-        extend(self, x, costs, pairs)
+        extend(self, piece, costs, pairs)
         assert (self.open, self.closed, self.total) == (want["open"], want["closed"],
                                                         want["total"]), (len(x), resume)
         assert (self.best, self.scale) == (want["best"], want["scale"])
         if costs is not None:
             assert costs[resume[1] + 1:len(x) + 1].tolist() == want["costs"][resume[1] + 1:]
         starts.append(resume[0])
-        taken.append(len(x) - resume[1])
+        taken.append(len(piece))
 
     monkeypatch.setattr(lz._PrefixCosts, "extend", checked)
     for tables in _TABLES:  # 96 KiB tables at 3000 bits: mapped from 8 KiB on
@@ -557,6 +569,31 @@ def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
             assert isinstance(pairs, memoryview) == (tables == "mapped")
             costs.extend(x.prefix(2), pairs=pairs)
             assert costs.total == lz.code_length(x.prefix(2)) and pairs.tolist() == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_a_resumed_walk_refuses_pairs_and_a_short_table(backend):
+    x = BitString.from01("0110100110")
+    with _backend(backend):
+        walk = lz._PrefixCosts()
+        walk.extend(x[:4])
+
+        def held():
+            return _columns(walk), [getattr(walk, name) for name, _ in walk._fields_]
+
+        before = held()
+        for costs, pairs, match in (
+                (None, array("i", [0]) * 12, "^only a walk's first extend writes pairs; "
+                                             "4 bits are taken in$"),
+                (array("q", [0]) * 10, None, r"^the walk writes 11 costs to an array\('q'\)$")):
+            with pytest.raises(ValueError, match=match):
+                walk.extend(x[4:], costs, pairs)
+            assert held() == before
+            assert set(costs if pairs is None else pairs) == {0}
+        table = array("q", [-1]) * 11
+        walk.extend(x[4:], table)
+        assert walk.total == lz.code_length(x)
+        assert table.tolist() == [-1] * 5 + lz.prefix_code_lengths(x)[5:].tolist()
 
 
 _CHUNK = 997  # bits a walk takes at a time where its running maximum is checked
@@ -614,8 +651,8 @@ def test_pinned_code_lengths_on_both_backends(backend):
         assert lz.code_length(x) == RANDOM_1E5_CODE_BITS
         assert lz.code_length(base) == BASE_2_17_CODE_BITS
         costs = lz._PrefixCosts()
-        for m in (70001, 2 ** 17):
-            costs.extend(base.prefix(m))
+        for piece in (base[:70001], base[70001:]):
+            costs.extend(piece)
         assert costs.total == BASE_2_17_CODE_BITS
 
 
@@ -655,7 +692,7 @@ def test_automaton_refuses_more_bits_than_int32_indexes(backend):
         held = _columns(automaton), automaton.total
         for n in (1 << 30, lz._MAX_BITS - 3):  # bits beyond the 4 taken in
             with pytest.raises(OverflowError):
-                automaton.extend(BitString._wrap(_Reported((4 + n + 7) // 8), 4 + n))
+                automaton.extend(BitString._wrap(_Reported((n + 7) // 8), n))
         assert (_columns(automaton), automaton.total) == held
         assert lz._MAX_BITS == (2 ** 31 - 3) // 2
 
@@ -993,10 +1030,7 @@ def test_bounded_window_mode_prices_each_window_apart():
     full = lz.code_length(x)
     assert priced[len(x)] == priced[len(x) + 1] == full
     assert priced[512] >= full * 0.9  # restarting context cannot help much
-    engine = stats.PrefixScanTest("lz77", window_bits=512)
-    engine.reports(x, 0.01)
-    with pytest.raises(ValueError, match="must extend"):  # it fills no window taken in
-        engine.reports(x.prefix(1000), 0.01)
-    for window, tests in ((0, ("lz77",)), (512, ("tauk",)), (512, ("lz77", "tauk"))):
+    for window, tests in ((0, ("lz77",)), (512, ("tauk",)), (512, ("lz77", "tauk")),
+                          (None, ("nope",)), (None, ())):
         with pytest.raises(ValueError):
             stats.PrefixScanTest(*tests, window_bits=window)

@@ -14,7 +14,7 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, random_bits, reference_compression_test,
+from helpers import (all_bitstrings, random_bits, reference_compression_test, reference_scan,
                      reference_tau_k_test)
 
 # Frozen regression constants.
@@ -318,21 +318,27 @@ def test_estimator_class_kraft_inequality():
 # consistency scan
 
 
+def _assert_scans_equal(got: stats.ScanResult, want: stats.ScanResult) -> None:
+    """Two scans with the same steps, and the same details at each."""
+    assert got == want
+    assert [s.report.detail for s in got.steps] == [s.report.detail for s in want.steps]
+
+
 def test_scan_detects_duplication_stream():
-    result = stats.consistency_scan(DuplicationSource(seed=7).bits,
-                                    stats.compression_test, 1e-6,
-                                    start_bits=1024, max_bits=2 ** 20)
+    x = DuplicationSource(seed=7).bits(2 ** 20)
+    result = stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 1e-6, start_bits=1024)
     assert result.first_rejection_bits == DUP_SCAN_FIRST_REJECTION
     assert result.steps[-1].report.rejected
+    _assert_scans_equal(result, reference_scan(x, reference_compression_test, 1e-6, 1024))
 
 
 def test_scan_random_stream_stays_quiet():
     for seed in range(5):
-        src = BernoulliSource(0.5, seed=seed)
-        result = stats.consistency_scan(src.bits, stats.compression_test, 1e-6,
-                                        start_bits=1024, max_bits=2 ** 16)
+        x = BernoulliSource(0.5, seed=seed).bits(2 ** 16)
+        result = stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 1e-6, start_bits=1024)
         assert result.first_rejection_bits is None
         assert len(result.steps) == 7  # 1024 .. 65536
+        _assert_scans_equal(result, reference_scan(x, reference_compression_test, 1e-6, 1024))
 
 
 def test_scan_stronger_bias_rejects_no_later():
@@ -340,9 +346,9 @@ def test_scan_stronger_bias_rejects_no_later():
     for p in (0.03, 0.08):
         firsts[p] = []
         for seed in range(20):
-            src = BernoulliSource(p, seed=seed)
-            r = stats.consistency_scan(src.bits, stats.compression_test, 0.01,
-                                       start_bits=1024, max_bits=2 ** 14)
+            x = BernoulliSource(p, seed=seed).bits(2 ** 14)
+            r = stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 0.01, start_bits=1024)
+            _assert_scans_equal(r, reference_scan(x, reference_compression_test, 0.01, 1024))
             firsts[p].append(r.first_rejection_bits)
     assert all(f is not None for f in firsts[0.03] + firsts[0.08])
     assert all(a <= b for a, b in zip(firsts[0.03], firsts[0.08]))
@@ -351,13 +357,13 @@ def test_scan_stronger_bias_rejects_no_later():
 
 def test_scan_accepts_fixed_bitstring_capped_at_length():
     x = BitString.zeros(3000)
-    result = stats.consistency_scan(x.prefix, stats.compression_test, 0.01,
-                                    start_bits=1024, max_bits=len(x))
+    result = stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 0.01, start_bits=1024)
     assert result.first_rejection_bits == 1024
     y = random_bits(3000, seed=8)
-    result2 = stats.consistency_scan(y.prefix, stats.compression_test, 0.01,
-                                     start_bits=1024, max_bits=len(y))
+    result2 = stats.consistency_scan(y, stats.PrefixScanTest("lz77"), 0.01, start_bits=1024)
     assert [s.bits for s in result2.steps] == [1024, 2048]
+    for z, result in ((x, result), (y, result2)):
+        _assert_scans_equal(result, reference_scan(z, reference_compression_test, 0.01, 1024))
 
 
 _SCAN_STREAMS = {
@@ -375,10 +381,12 @@ def _grid(start_bits: int, max_bits: int) -> list[int]:
 
 
 def _assert_steps_equal(engine, reference, x: BitString, start_bits: int, label) -> None:
-    """``engine`` reports on every prefix of ``x`` on the grid as ``reference``
-    does, past any rejection."""
+    """``engine``, fed the bits of ``x`` up to each length on the grid, reports
+    on that prefix as ``reference`` does, past any rejection."""
+    taken = 0
     for m in _grid(start_bits, len(x)):
-        got, want = engine(x.prefix(m), 0.01), reference(x.prefix(m), 0.01)
+        (got,), want = engine.reports(x[taken:m], 0.01), reference(x.prefix(m), 0.01)
+        taken = m
         assert got == want and got.detail == want.detail, (label, m)
 
 
@@ -407,19 +415,19 @@ def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, wi
                         _SCAN_STREAMS[kind], start_bits, window)
 
 
-@pytest.mark.parametrize("window", [384, 700, 1 << 20])
+@pytest.mark.parametrize("window", [None, 384, 700, 1 << 20])
 def test_a_windowed_scan_puts_each_bit_through_the_automaton_once(window, monkeypatch):
     taken = []
     extend = lz._PrefixCosts.extend
 
-    def counted(self, x, costs=None, pairs=None):
-        taken.append(len(x) - self.seen)
-        extend(self, x, costs, pairs)
+    def counted(self, piece, costs=None, pairs=None):
+        taken.append(len(piece))
+        extend(self, piece, costs, pairs)
 
     monkeypatch.setattr(lz._PrefixCosts, "extend", counted)
     x = _SCAN_STREAMS["uniform"]
-    result = stats.consistency_scan(x.prefix, stats.PrefixScanTest("lz77", window_bits=window),
-                                    0.01, start_bits=3, max_bits=len(x))
+    result = stats.consistency_scan(x, stats.PrefixScanTest("lz77", window_bits=window), 0.01,
+                                    start_bits=3)
     assert sum(taken) == result.steps[-1].bits == 3072
 
 
@@ -451,9 +459,10 @@ def test_blocked_tau_k_evidence_equals_one_unblocked_call():
               DuplicationSource(seed=36).bits(ends[-1]),
               random_bits(ends[-1], seed=37)]
     for x in inputs:
-        runner = stats.PrefixScanTest("tauk")
+        runner, taken = stats.PrefixScanTest("tauk"), 0
         for m in ends:
-            got = runner(x.prefix(m), 0.01)
+            (got,) = runner.reports(x[taken:m], 0.01)
+            taken = m
         want = stats.tau_k_test(x, 0.01)
         assert got == want == reference_tau_k_test(x, 0.01)
         assert got.detail == want.detail
@@ -496,75 +505,61 @@ def test_lz77_report_prices_whole_factors_in_place():
                          ids=["bern01", "dup"])
 def test_prefix_scan_battery_equals_standalone_tests_across_blocks(source):
     x = source.bits(2 ** 17 + 3)
-    runner = stats.PrefixScanTest("lz77", "tauk")
+    runner, taken = stats.PrefixScanTest("lz77", "tauk"), 0
     for m in (70001, len(x)):  # the second call resumes, and scores the scales above 70001
         y = x.prefix(m)
-        got = runner.reports(y, 0.01)
+        got = runner.reports(x[taken:m], 0.01)
+        taken = m
         want = [reference_compression_test(y, 0.01), reference_tau_k_test(y, 0.01)]
         assert got == want
         assert [r.detail for r in got] == [r.detail for r in want]
 
 
-def test_prefix_scan_test_refuses_a_prefix_it_has_not_seen():
-    x = random_bits(64, seed=9)
-    runner = stats.PrefixScanTest("lz77")
-    runner(x.prefix(32), 0.01)
-    with pytest.raises(ValueError, match="extend"):
-        runner(random_bits(64, seed=10), 0.01)
-    with pytest.raises(ValueError, match="extend"):
-        runner(x.prefix(16), 0.01)
-    windowed = stats.PrefixScanTest("lz77", window_bits=4)  # its closed windows differ
-    windowed(BitString.from01("00000000"), 0.01)
-    with pytest.raises(ValueError, match="a prefix must extend the 8 bits already taken in"):
-        windowed(BitString.from01("101101001"), 0.01)
-    for ids in (("nope",), ()):
-        with pytest.raises(ValueError):
-            stats.PrefixScanTest(*ids)
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.binary(min_size=2, max_size=200), st.lists(st.integers(1, 60), max_size=6),
-       st.sampled_from([None, 1, 7, 64]), st.data())
-def test_the_engine_checks_every_prefix_windowed_or_not(blob, steps, window, data):
+@given(st.binary(min_size=1, max_size=200), st.sampled_from([None, 1, 7, 64]),
+       st.lists(st.one_of(st.integers(0, 60), st.none()), max_size=8))
+def test_pieces_fed_to_the_engine_report_as_one_call_on_the_sample(blob, window, pieces):
+    # a piece of None runs to the next window end; the last piece is the rest of x
     x = BitString(np.frombuffer(blob, dtype=np.uint8) % 2)
     ids = ("lz77",) if window else ("lz77", "tauk")
     runner = stats.PrefixScanTest(*ids, window_bits=window)
     m = 0
-    for step in steps + [len(x)]:
-        m = min(len(x), m + step)
+    for piece in pieces + [len(x)]:
+        if piece is None:
+            piece = window - m % window if window else 0
+        if m + piece == 0:  # no bits yet: refused, and nothing is taken in
+            with pytest.raises(ValueError, match="^input has no bits$"):
+                runner.reports(x[:0], 0.01)
+            continue
+        got = runner.reports(x[m:m + piece], 0.01)
+        m = min(len(x), m + piece)
         y = x.prefix(m)
+        whole = stats.PrefixScanTest(*ids, window_bits=window).reports(y, 0.01)
         want = ([stats._compression_report(m, _windowed_code(window)(y), 0.01)] if window
                 else [reference_compression_test(y, 0.01), reference_tau_k_test(y, 0.01)])
-        got = runner.reports(y, 0.01)
-        assert got == want and [r.detail for r in got] == [r.detail for r in want]
-    # the last prefix is x; its windows close at each multiple of the window,
-    # and all of x is one open window without one
-    start = len(x) // window * window if window else 0
-    flips = []
-    if start:
-        flips.append(data.draw(st.integers(0, start - 1), label="closed flip"))
-    if start < len(x):
-        flips.append(data.draw(st.integers(start, len(x) - 1), label="open flip"))
-    refused = [x.prefix(data.draw(st.integers(1, len(x) - 1), label="shorter"))]
-    for i in flips:
-        bits = x.array.copy()
-        bits[i] ^= 1
-        refused.append(BitString(bits))
-    for y in refused:
-        with pytest.raises(ValueError,
-                           match=f"^a prefix must extend the {len(x)} bits already taken in$"):
-            runner.reports(y, 0.01)
-    assert runner.reports(x, 0.01) == want  # a refused prefix changes nothing
+        assert got == whole == want, (m, window)
+        assert [r.detail for r in got] == [r.detail for r in whole] == [r.detail for r in want]
 
 
 def test_scan_validates_arguments():
     for start_bits, max_bits in ((0, 2 ** 20), (16, 10)):  # the grid's text names both
         with pytest.raises(ValueError, match=f"^need 1 <= start_bits <= max_bits, got "
                                              f"start_bits {start_bits} and max_bits {max_bits}$"):
-            stats.consistency_scan(BitString.zeros(10).prefix, stats.compression_test, 0.01,
-                                   start_bits=start_bits, max_bits=max_bits)
+            stats.consistency_scan(BitString.zeros(max_bits), stats.PrefixScanTest("lz77"), 0.01,
+                                   start_bits=start_bits)
     with pytest.raises(TypeError):
-        stats.consistency_scan(42, stats.compression_test, 0.01)
+        stats.consistency_scan(42, stats.PrefixScanTest("lz77"), 0.01)
+
+
+def test_a_scan_refuses_a_two_test_engine_before_it_feeds_a_bit(monkeypatch):
+    fed = []
+    monkeypatch.setattr(lz._PrefixCosts, "extend",
+                        lambda self, piece, costs=None, pairs=None: fed.append(len(piece)))
+    with pytest.raises(ValueError,
+                       match=r"^a scan drives one test; call reports\(\) for a battery$"):
+        stats.consistency_scan(random_bits(4096, seed=9), stats.PrefixScanTest("lz77", "tauk"),
+                               0.01, start_bits=16)
+    assert fed == []
 
 
 # ---------------------------------------------------------------------------
