@@ -1,4 +1,5 @@
-/* The per-bit loop of rngcal.lz, compiled on first use (see lz._kernel).
+/* The per-bit loops of rngcal.lz and rngcal.sources, compiled on first use
+   (see lz._kernel).
 
    lz_extend transliterates the Python loop of lz._PrefixCosts.extend, which
    stays the fallback; tests/test_lz.py checks both against the two-pass
@@ -13,7 +14,11 @@
    The loop prices each prefix as it goes and folds tau_k's evidence in
    doubles, but for a log2 that cannot move the maximum (see report); it is
    built with -ffp-contract=off, so that no compiler fuses that arithmetic,
-   and it calls libm's log2, as Python's math.log2 does. */
+   and it calls libm's log2, as Python's math.log2 does.
+
+   draw transliterates sources._draw, the Python loop of Source.bits, which
+   stays the fallback; tests/test_sources.py checks both against numpy's
+   Philox draws, and -ffp-contract=off keeps a drift's p0 + rate i unfused. */
 
 #include <math.h>
 #include <stdint.h>
@@ -144,4 +149,53 @@ void lz_extend(state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *leng
     w->states = states;
     w->state = st;
     w->end = end;
+}
+
+
+/* Into c, the block that Philox4x64-10 (Salmon et al., SC 2011) keyed (seed, 0)
+   makes of counter, as sources._uniforms does: numpy's Philox(key=seed). */
+static void philox(uint64_t counter, uint64_t seed, uint64_t c[4])
+{
+    uint64_t k0 = seed, k1 = 0;
+    c[0] = counter, c[1] = c[2] = c[3] = 0;
+    for (int round = 0; round < 10; round++) {
+        unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93u * c[0];
+        unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157u * c[2];
+        c[0] = (uint64_t)(p1 >> 64) ^ c[1] ^ k0;
+        c[2] = (uint64_t)(p0 >> 64) ^ c[3] ^ k1;
+        c[1] = (uint64_t)p1;
+        c[3] = (uint64_t)p0;
+        k0 += 0x9E3779B97F4A7C15u;
+        k1 += 0xBB67AE8584CAA73Bu;
+    }
+}
+
+/* sources._draw: the first n >= 1 bits of a source into the zeroed out, packed
+   MSB-first.  Bit i is u_i < p_i for the i-th uniform, (v >> 11) 2^-53 of the
+   i-th Philox word v, where p_i is par[bit i - 1] for a Markov chain (kind 1;
+   1/2 for bit 0), clip(par[0] + par[1] i, 0, 1) for a drift (kind 2), and
+   otherwise par[s] for the segment s of i modulo the period, which ends at ends[s]. */
+void draw(uint64_t seed, int64_t n, int kind, const double *par, const int64_t *ends,
+          int64_t count, uint8_t *out)
+{
+    uint64_t block[4];
+    int64_t seg = 0, at = 0;  /* i's segment and its position in the period */
+    int bit = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (i % 4 == 0)
+            philox((uint64_t)(i / 4) + 1, seed, block);
+        double u = (double)(block[i % 4] >> 11) * 0x1p-53, p;
+        if (kind == 1) {
+            p = i ? par[bit] : 0.5;
+        } else if (kind == 2) {
+            p = fmin(fmax(par[0] + par[1] * (double)i, 0.0), 1.0);
+        } else {
+            if (at == ends[seg] && ++seg == count)
+                seg = at = 0;
+            p = par[seg];
+            at++;
+        }
+        bit = u < p;
+        out[i >> 3] |= (uint8_t)(bit << (7 - (i & 7)));
+    }
 }

@@ -14,7 +14,7 @@ Two persistence formats are supported:
 A ``BitString`` holds the raw format's payload, so a raw read wraps the
 bytes it reads and a raw write writes them.  Its binary digits, for
 ``to01``, the ascii format and a slice whose step is not 1, are those of
-the payload read as one integer, without numpy.
+the payload read as one integer.
 
 :func:`read_bit_file` reads both from a file or a stream, and
 :func:`decode_bits` and :func:`encode_bits` convert both from and to bytes.
@@ -43,14 +43,13 @@ class BitString:
     __slots__ = ("_payload", "_n")
 
     def __init__(self, bits: Iterable[int] = ()):
-        import numpy as np  # here: files, sources and codecs make their bytes without it
-
-        a = np.asarray(bits)
-        # checked before the cast, which would wrap 256 and -255 and truncate 1.7
-        if a.size and not np.all(a <= 1 if a.dtype == np.uint8 else (a == 0) | (a == 1)):
-            raise ValueError("bits must be 0 or 1")
-        self._payload = np.packbits(a.astype(np.uint8, copy=False)).tobytes()
-        self._n = a.size
+        digits = bytearray()
+        for b in bits:
+            if b != 0 and b != 1:  # 256, -255, 1.7, '1', NaN and a list too
+                raise ValueError("bits must be 0 or 1")
+            digits.append(49 if b == 1 else 48)
+        packed = decode_bits(digits, "ascii")  # the digits, packed as an ascii read packs them
+        self._payload, self._n = packed._payload, packed._n
 
     # -- constructors ------------------------------------------------------
 
@@ -84,7 +83,7 @@ class BitString:
 
     @property
     def array(self):
-        """Read-only uint8 numpy array of the bits, unpacked: one byte per bit."""
+        """Read-only uint8 numpy array of the bits, one per byte (numpy: the ``test`` extra)."""
         import numpy as np
 
         a = np.unpackbits(np.frombuffer(self._payload, dtype=np.uint8), count=self._n)

@@ -98,7 +98,7 @@ def _resolve_sample(args, limit: int | None) -> tuple[BitString, str]:
         return n
 
     if args.source is not None:
-        from . import sources  # here: it needs numpy, which a file does not
+        from . import sources  # here: a file does without it
 
         try:
             label = sources.apply_seed(args.source, args.seed)

@@ -62,7 +62,7 @@ _CODE_LENGTHS = bytes([0] + [encoded_length(1 << k) for k in range(63)])
 
 @functools.cache
 def _kernel() -> ctypes.CDLL | None:
-    """The C loop of ``_lzkernel.c``, or None where it cannot be had.
+    """The C loops of ``_lzkernel.c``, or None where they cannot be had.
 
     The library is built on first use into this package's ``__pycache__``,
     named after a content key of the source (two checksums and its length)
@@ -70,7 +70,7 @@ def _kernel() -> ctypes.CDLL | None:
     processes load it.  The key takes no ``hashlib``, whose OpenSSL would
     add about 3 MB to every process.  If anything fails
     (no compiler, a directory that cannot be written, a library that does
-    not load) the Python loop runs instead.
+    not load) the Python loops run instead.
     """
     try:
         with open(_KERNEL_SOURCE, "rb") as f:
@@ -86,6 +86,8 @@ def _kernel() -> ctypes.CDLL | None:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.lz_extend.argtypes = [ptr, ptr, i64, ptr, ctypes.POINTER(_PrefixCosts), ptr, ptr]
     lib.lz_extend.restype = None
+    lib.draw.argtypes = [ctypes.c_uint64, i64, ctypes.c_int, ptr, ptr, i64, ptr]
+    lib.draw.restype = None
     return lib
 
 
@@ -435,14 +437,12 @@ def _record(pairs: array | memoryview, f: int, x: BitString, i: int, m: int, end
     pairs[2 * f], pairs[2 * f + 1] = (end - (m - i) + 2, m - i) if end >= 0 else (0, x[i])
 
 
-def prefix_code_lengths(x: BitString):
+def prefix_code_lengths(x: BitString) -> array:
     """``code_length`` of every prefix in one pass.
 
-    Returns an int64 numpy array ``out`` of size ``len(x) + 1`` with
+    Returns an ``array('q')`` ``out`` of size ``len(x) + 1`` with
     ``out[m] == code_length(x.prefix(m))``; see :class:`_PrefixCosts`.
     """
-    import numpy as np  # here: only the bench and the tests ask for the table
-
     out = array("q", [0]) * (len(x) + 1)
     _PrefixCosts().extend(x, out)
-    return np.frombuffer(out, dtype=np.int64)
+    return out

@@ -3,9 +3,11 @@ alternatives, and the block-duplication construction.
 
 Every source is deterministic in (kind, parameters, seed) and prefix
 consistent: ``bits(n)`` is a prefix of ``bits(m)`` for n <= m.  Randomness
-comes from numpy's Philox counter-based generator keyed by the seed, whose
-streams are stable across platforms; distinct seeds give independent
-streams.
+comes from the Philox4x64-10 counter-based generator keyed by the seed
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+whose uniforms are those of numpy's ``Generator(Philox(key=seed))``; its
+streams are exactly specified, so they are stable across platforms, and
+distinct seeds give independent streams.
 
 The duplication construction splits a base sequence x into blocks
 
@@ -21,18 +23,49 @@ long-window compressor detects.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import math
+from array import array
+from collections.abc import Sequence
 
-import numpy as np
-
+from . import lz
 from .bits import BitString
 
 _SPEC_KINDS = ("bernoulli", "markov", "drift", "regime", "dup")
-_PIECE = 2 ** 16  # uniforms drawn at a time: 512 KiB of float64
+_SEGMENTS, _MARKOV, _DRIFT = 0, 1, 2  # the kinds of a source's rule: ``kind`` of draw in _lzkernel.c
+_MASK = (1 << 64) - 1
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+def _uniforms(seed: int):
+    """The seed's uniforms, without end, as ``philox`` and ``draw`` in ``_lzkernel.c`` make them."""
+    counter = 0
+    while True:
+        counter += 1  # the counter's higher words stay 0 for 2**66 uniforms
+        c0, c1, c2, c3, k0, k1 = counter, 0, 0, 0, seed, 0
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK, (k1 + 0xBB67AE8584CAA73B) & _MASK
+        for v in (c0, c1, c2, c3):
+            yield (v >> 11) * 2.0 ** -53
+
+
+def _draw(seed: int, n: int, kind: int, par: array, ends: array, out: bytearray) -> None:
+    """``draw`` of ``_lzkernel.c`` in Python: ``n`` bits by the rule of :class:`Source`."""
+    seg = at = bit = 0  # i's segment and its position in the period, and bit i - 1
+    for i, u in zip(range(n), _uniforms(seed)):
+        if kind == _MARKOV:
+            p = par[bit] if i else 0.5
+        elif kind == _DRIFT:
+            p = min(max(par[0] + par[1] * i, 0.0), 1.0)
+        else:
+            if at == ends[seg]:
+                seg += 1
+                if seg == len(ends):
+                    seg = at = 0
+            p = par[seg]
+            at += 1
+        bit = u < p
+        out[i >> 3] |= bit << (7 - (i & 7))
 
 
 def _check_probability(name: str, p: float) -> float:
@@ -54,7 +87,11 @@ def _check_integer(name: str, v) -> int:
 
 
 class Source:
-    """Deterministic bit-stream generator; subclasses define ``_bits``."""
+    """Deterministic bit-stream generator.  Bit ``i`` is ``u_i < p_i`` for the
+    seed's ``i``-th uniform, where a subclass sets ``_rule = (kind, par,
+    ends)``: ``p_i`` is ``par[bit i - 1]`` for ``_MARKOV`` (1/2 for bit 0),
+    ``clip(par[0] + par[1] * i, 0, 1)`` for ``_DRIFT``, and for ``_SEGMENTS``
+    ``par[s]`` for the segment ``s`` of ``i`` modulo the period, which ends at ``ends[s]``."""
 
     def __init__(self, seed: int = 0):
         self.seed = _check_integer("seed", seed)
@@ -62,29 +99,21 @@ class Source:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def bits(self, n: int) -> BitString:
-        """First ``n`` bits of the stream.
-
-        The seed's Philox uniforms are drawn ``_PIECE`` at a time, one per
-        bit; consecutive ``random`` calls continue one stream, so the bits do
-        not depend on the piece size.  Each piece is packed into the payload
-        as it is drawn.
-        """
+        """First ``n`` bits of the stream, drawn into one payload by ``draw``
+        in ``_lzkernel.c`` where lz's kernel loads, else by :func:`_draw`."""
         if n < 0:
             raise ValueError(f"bit count must be >= 0, got {n}")
-        rng = _rng(self.seed)
-        out = bytearray((n + 7) // 8)  # filled in place and handed over
-        prev = None
-        for lo in range(0, n, _PIECE):
-            hi = min(lo + _PIECE, n)
-            bits = self._bits(rng.random(hi - lo), lo, prev)
-            out[lo // 8:(hi + 7) // 8] = np.packbits(bits).tobytes()
-            prev = int(bits[-1])
+        out = bytearray((n + 7) // 8)
+        kind, par, ends = self._rule
+        # an end past n, past int64 too, draws as n: bit n - 1 lies in the same segment
+        par, ends = array("d", par), array("q", [min(end, n) for end in ends])
+        kernel = lz._kernel()
+        if kernel is None or not n:  # ctypes takes no address of an empty bytearray
+            _draw(self.seed, n, kind, par, ends, out)
+        else:
+            kernel.draw(self.seed, n, kind, lz._address(par), lz._address(ends), len(ends),
+                        lz._address(out))
         return BitString._wrap(out, n)
-
-    def _bits(self, u: np.ndarray, lo: int, prev) -> np.ndarray:
-        """Bits ``lo .. lo + len(u)`` from their uniforms ``u``; ``prev`` is
-        bit ``lo - 1``, None for the first piece."""
-        raise NotImplementedError
 
 
 class BernoulliSource(Source):
@@ -93,9 +122,7 @@ class BernoulliSource(Source):
     def __init__(self, p: float, seed: int = 0):
         super().__init__(seed)
         self.p = _check_probability("p", p)
-
-    def _bits(self, u, lo, prev):
-        return u < self.p
+        self._rule = (_SEGMENTS, (self.p,), (1,))
 
 
 class MarkovSource(Source):
@@ -107,34 +134,17 @@ class MarkovSource(Source):
 
     def __init__(self, rows: Sequence[Sequence[float]], seed: int = 0):
         super().__init__(seed)
-        m = np.asarray(rows, dtype=np.float64)
-        if m.shape != (2, 2):
-            raise ValueError(f"transition matrix must be 2x2, got shape {m.shape}")
-        if not np.all((m >= 0.0) & (m <= 1.0)):  # NaN fails this too
+        m = tuple(tuple(float(v) for v in row) for row in rows)
+        shape = (len(m), *sorted({len(row) for row in m}))
+        if shape != (2, 2):
+            raise ValueError(f"transition matrix must be 2x2, got shape {shape}")
+        if not all(0.0 <= v <= 1.0 for row in m for v in row):  # NaN fails this too
             raise ValueError("transition probabilities must be in [0, 1]")
-        sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
+        sums = [a + b for a, b in m]
+        if any(abs(s - 1.0) > 1e-12 for s in sums):
             raise ValueError(f"transition matrix rows must sum to 1, got {sums}")
         self.rows = m
-
-    def _bits(self, u, lo, prev):
-        # Bit i is 1 when u[i] < P(next=1 | bit i-1), the piece's first bit when
-        # it is below the threshold of ``prev`` (1/2 for the stream's first): 1
-        # below both thresholds, 0 above both, and between them a copy of the
-        # previous bit if P11 > P01, its flip otherwise.
-        m = len(u)
-        p01, p11 = self.rows[0, 1], self.rows[1, 1]
-        low, high = sorted((p01, p11))
-        fixed = (u < low) | (u >= high)
-        value = (u < low).view(np.uint8)
-        fixed[0], value[0] = True, u[0] < (0.5 if prev is None else self.rows[prev, 1])
-        last = np.where(fixed, np.arange(m), 0)
-        np.maximum.accumulate(last, out=last)
-        out = value[last]
-        if p11 < p01:
-            last -= np.arange(m)
-            out ^= (last & 1).astype(np.uint8)
-        return out
+        self._rule = (_MARKOV, (m[0][1], m[1][1]), (1,))  # P(next=1 | bit)
 
 
 class DriftingBiasSource(Source):
@@ -144,13 +154,9 @@ class DriftingBiasSource(Source):
         super().__init__(seed)
         self.p0 = _check_probability("p0", p0)
         self.rate = float(rate)
-        if not np.isfinite(self.rate):
+        if not math.isfinite(self.rate):
             raise ValueError(f"rate must be finite, got {self.rate}")
-
-    def _bits(self, u, lo, prev):
-        i = np.arange(lo, lo + len(u), dtype=np.float64)
-        with np.errstate(over="ignore"):  # clip maps the infinities to 0 or 1
-            return u < np.clip(self.p0 + self.rate * i, 0.0, 1.0)
+        self._rule = (_DRIFT, (self.p0, self.rate), (1,))
 
 
 class RegimeSwitchSource(Source):
@@ -168,23 +174,7 @@ class RegimeSwitchSource(Source):
             cleaned.append((length, _check_probability("segment p", p)))
         self.segments = tuple(cleaned)
         lengths, ps = zip(*self.segments)
-        self._ends = list(itertools.accumulate(lengths))  # Python ints: may pass int64
-        self._ps = np.array(ps)
-
-    def _bits(self, u, lo, prev):
-        # one run of the period from bit lo's position on, wrapping to 0, at
-        # most a piece long; resize cycles it over the piece
-        period = self._ends[-1]
-        start = lo % period
-        stop = start + min(period, len(u))
-        wrap = max(0, stop - period)
-        return u < np.resize(np.concatenate((self._bias(start, stop - wrap),
-                                             self._bias(0, wrap))), len(u))
-
-    def _bias(self, a: int, b: int) -> np.ndarray:
-        """Bias of positions ``a .. b`` of the period, ``0 <= a <= b <= period``."""
-        cut = np.diff([min(max(end, a), b) for end in self._ends], prepend=a)  # clipped: int64
-        return np.repeat(self._ps, cut)
+        self._rule = (_SEGMENTS, ps, tuple(itertools.accumulate(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +243,6 @@ class DuplicationSource(Source):
 # spec strings
 
 
-def _parse_seed(field: str, spec: str) -> int:
-    if not field.startswith("seed="):
-        raise ValueError(f"malformed source spec {spec!r}: last field must be seed=<int>")
-    try:
-        return int(field[5:], 0)
-    except ValueError:
-        raise ValueError(f"malformed seed in source spec {spec!r}") from None
-
-
 def apply_seed(spec: str, seed: int | None) -> str:
     """``spec`` with ``seed`` in place of its own; ``spec`` must parse as given."""
     parse_source_spec(spec)
@@ -286,8 +267,10 @@ def parse_source_spec(spec: str) -> Source:
                          + ", ".join(_SPEC_KINDS))
     seed = 0
     if len(fields) > 1 and fields[-1].startswith("seed="):
-        seed = _parse_seed(fields[-1], spec)
-        fields = fields[:-1]
+        try:
+            seed = int(fields.pop()[5:], 0)
+        except ValueError:
+            raise ValueError(f"malformed seed in source spec {spec!r}") from None
     params = fields[1] if len(fields) > 1 else ""
     if len(fields) > 2:
         raise ValueError(f"malformed source spec {spec!r}")

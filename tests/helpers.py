@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from rngcal import lz, sources, stats
+from rngcal import lz, stats
 from rngcal.bits import BitString
 from rngcal.codes import encoded_length
 
@@ -65,8 +65,13 @@ class Pipe(io.BytesIO):
 
 def random_bits(n: int, seed: int, p: float = 0.5) -> BitString:
     """Seeded random bits for tests that do not go through rngcal.sources."""
-    rng = np.random.default_rng(seed)
-    return BitString((rng.random(n) < p).astype(np.uint8))
+    return packed_bits(np.random.default_rng(seed).random(n) < p)
+
+
+def packed_bits(a: np.ndarray) -> BitString:
+    """The bits of the 0/1 array ``a``, packed by numpy: ``BitString(a)``
+    checks each element in Python, which takes seconds at 2^20 bits."""
+    return BitString._wrap(np.packbits(a).tobytes(), len(a))
 
 
 def brute_lz77_pairs(x: BitString) -> list[tuple[int, int]]:
@@ -299,12 +304,18 @@ def all_bitstrings(n: int):
         yield BitString.from_int(value, n)
 
 
+def numpy_uniforms(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` uniforms of numpy's ``Generator(Philox(key=seed))``:
+    the reference of the sources' draw."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(n)
+
+
 def reference_markov_bits(source, n: int) -> np.ndarray:
-    """``MarkovSource.bits(n)`` by the per-bit chain walk it replaces: bit i
-    is 1 when the i-th uniform is below P(next=1 | bit i-1), the first bit
-    when it is below 1/2."""
-    u = sources._rng(source.seed).random(n).tolist()
-    t = (source.rows[0, 1], source.rows[1, 1])
+    """``MarkovSource.bits(n)`` by a per-bit chain walk over numpy's
+    uniforms: bit i is 1 when the i-th uniform is below P(next=1 | bit
+    i-1), the first bit when it is below 1/2."""
+    u = numpy_uniforms(source.seed, n).tolist()
+    t = (source.rows[0][1], source.rows[1][1])
     out = np.empty(n, dtype=np.uint8)
     state = 1 if u[0] < 0.5 else 0
     out[0] = state

@@ -15,7 +15,7 @@ from rngcal import lz, reference, stats
 from rngcal.bits import BitString
 from rngcal.codes import encode_integer, encoded_length, kraft_sum
 from rngcal.sources import BernoulliSource, DuplicationSource
-from helpers import all_bitstrings, parallel_map
+from helpers import all_bitstrings, packed_bits, parallel_map
 
 
 def conclude(num: int, ok: bool, detail: str) -> None:
@@ -30,7 +30,7 @@ def conclude(num: int, ok: bool, detail: str) -> None:
 def _roundtrip_trial(seed: int) -> bool:
     rng = np.random.default_rng(seed)
     n = int(math.exp(rng.uniform(0.0, math.log(10 ** 4))))
-    x = BitString(rng.integers(0, 2, n).astype(np.uint8))
+    x = packed_bits(rng.integers(0, 2, n).astype(np.uint8))
     return lz.decode(lz.encode(x)) == x
 
 

@@ -19,7 +19,7 @@ from rngcal import lz, stats
 from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, write_bit_file
 from rngcal.codes import BitWriter, encode_integer
 
-from helpers import Pipe
+from helpers import Pipe, packed_bits
 
 
 def test_length_matches_stored_bits():
@@ -37,7 +37,9 @@ def test_rejects_non_binary():
     with pytest.raises(ValueError):
         BitString([0, 2, 1])
     # values that a uint8 cast would wrap (256, 257, -255) or truncate into bits
-    for bits in (np.array([256, 257]), np.array([-255]), [0.5, 1.7], [0, float("nan")]):
+    # and what is no bit at all: a digit, or a nested list that numpy flattened
+    for bits in (np.array([256, 257]), np.array([-255]), [0.5, 1.7], [0, float("nan")],
+                 [256], [-255], ["1"], [[0, 1], [1, 0]]):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             BitString(bits)
     with pytest.raises(ValueError):
@@ -176,7 +178,7 @@ def test_bad_raw_streams_are_refused_from_bytes_files_and_pipes(tmp_path):
 
 @pytest.mark.parametrize("stream", [io.BytesIO, Pipe], ids=["seekable", "pipe"])
 def test_a_raw_stream_is_read_from_where_it_stands(stream):
-    x = BitString(np.random.default_rng(7).integers(0, 2, 150_000, dtype=np.uint8))
+    x = packed_bits(np.random.default_rng(7).integers(0, 2, 150_000, dtype=np.uint8))
     f = stream(b"head" + encode_bits(x))
     f.read(4)
     counts = []
@@ -209,7 +211,7 @@ def test_file_round_trip(tmp_path, fmt):
 
 def test_decode_bits_holds_one_byte_per_bit():
     n = 1 << 20
-    data = encode_bits(BitString(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8)))
+    data = encode_bits(packed_bits(np.random.default_rng(6).integers(0, 2, n, dtype=np.uint8)))
     tracemalloc.start()
     try:
         bits = decode_bits(data)
@@ -224,7 +226,7 @@ def test_a_raw_read_holds_the_payload_it_reads(tmp_path):
     # the payload is wrapped as it is read: 2^20 bits hold 128 KiB
     n = 1 << 20
     path = tmp_path / "bits.bin"
-    write_bit_file(path, BitString(np.random.default_rng(9).integers(0, 2, n, dtype=np.uint8)))
+    write_bit_file(path, packed_bits(np.random.default_rng(9).integers(0, 2, n, dtype=np.uint8)))
     tracemalloc.start()
     try:
         bits = read_bit_file(path)
@@ -291,7 +293,7 @@ def test_ascii_names_the_bad_characters_of_every_piece():
 
 def test_ascii_holds_its_digits_packed():
     n = 1 << 22
-    text = encode_bits(BitString(np.random.default_rng(27).integers(0, 2, n, dtype=np.uint8)),
+    text = encode_bits(packed_bits(np.random.default_rng(27).integers(0, 2, n, dtype=np.uint8)),
                        "ascii")
     tracemalloc.start()
     try:

@@ -25,8 +25,8 @@ from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, writ
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import (Pipe, mapped_tables, reference_compression_test, reference_scan,
-                     reference_tau_k_test)
+from helpers import (Pipe, mapped_tables, packed_bits, reference_compression_test,
+                     reference_scan, reference_tau_k_test)
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
     "2db8ca59e8ff6d81ac7a0b30e2d35769ffee63cc33a1d55ecad6979f920ed8c8")
@@ -333,10 +333,10 @@ def test_a_table_that_cannot_be_mapped_fails_closed(monkeypatch, capsys):
 
 
 def _refuse_to_draw(monkeypatch):
-    def draw(seed):  # every kind, dup's base included, draws from its seed's stream
+    def draw(source, n):  # every kind, dup's base included, draws here
         raise AssertionError("drew bits before checking the memory cap")
 
-    monkeypatch.setattr(sources, "_rng", draw)
+    monkeypatch.setattr(sources.Source, "bits", draw)
 
 
 _INPUT_OVER_CAP = f"input of {2 ** 24} bits"
@@ -519,7 +519,7 @@ def _run_child(tmp_path, *argv: str, stdin=None) -> tuple[int, bytes, int]:
 def test_full_window_test_at_the_cap_stays_within_its_bytes_per_bit(tmp_path):
     n = DEFAULT_MEMORY_CAP_BITS
     path = tmp_path / "cap.bin"
-    write_bit_file(path, BitString(np.random.default_rng(23).integers(0, 2, n, dtype=np.uint8)))
+    write_bit_file(path, packed_bits(np.random.default_rng(23).integers(0, 2, n, dtype=np.uint8)))
     status, out, peak = _run_child(tmp_path, "test", "--input", str(path),
                                    "--tests", "lz77,tauk", "--report", "json")
     assert status == 0 and json.loads(out)["decision"] == "accept"
@@ -620,6 +620,25 @@ def test_a_test_or_scan_of_a_file_imports_no_numpy(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["gen", "markov:0.9,0.1,0.2,0.8:seed=1", "--bits", "65536", "--output", "OUT"], 0),
+    (["test", "--source", "bernoulli:0.5:seed=1", "--tests", "lz77,tauk"], 0),
+    (["scan", "--source", "dup:seed=7", "--alpha", "1e-6"], 1),
+], ids=["gen", "test", "scan"])
+def test_a_source_draws_without_numpy(argv, status, tmp_path):
+    # numpy costs a CLI child about 76 ms and 12.5 MiB, and no command needs it
+    argv = [str(tmp_path / "out.bin") if a == "OUT" else a for a in argv]
+    src = str(Path(rngcal.__file__).parent.parent)
+    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
+            "from rngcal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({argv!r})\n"
+            "print(status, 'numpy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"{status} False\n"
 
 
 def test_a_test_or_scan_of_a_file_loads_only_the_modules_it_uses(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import itertools
 import tracemalloc
 import warnings
 
@@ -20,7 +22,7 @@ from rngcal.sources import (
     required_base_length,
 )
 
-from helpers import reference_markov_bits
+from helpers import numpy_uniforms, packed_bits, python_loops, reference_markov_bits
 
 # Frozen stream digests (Philox keyed by seed; stable across platforms).
 DIGEST_BERNOULLI_05_SEED7_1024 = (
@@ -97,21 +99,61 @@ def test_spec_string_round_trip(spec, source):
 
 
 def _one_draw(source, n: int) -> np.ndarray:
-    """``source.bits(n)`` from one whole-length draw of its uniforms."""
+    """``source.bits(n)`` from one whole-length draw of numpy's uniforms."""
     if isinstance(source, MarkovSource):
-        return reference_markov_bits(source, n)
+        return reference_markov_bits(source, n) if n else np.zeros(0, dtype=np.uint8)
     if isinstance(source, DuplicationSource):
         base = BernoulliSource(0.5, seed=source.seed)
         return duplication_construction(
-            BitString(_one_draw(base, required_base_length(n))), n).array
+            packed_bits(_one_draw(base, required_base_length(n))), n).array
+    i = np.arange(n)
     if isinstance(source, DriftingBiasSource):
-        p = np.clip(source.p0 + source.rate * np.arange(n, dtype=np.float64), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # clip maps the infinities to 0 or 1
+            p = np.clip(source.p0 + source.rate * i.astype(np.float64), 0.0, 1.0)
     elif isinstance(source, RegimeSwitchSource):
-        period = np.concatenate([np.full(length, p) for length, p in source.segments])
-        p = np.tile(period, -(-n // len(period)))[:n]
+        # i's segment is the first whose end passes i modulo the period; below
+        # n, an end or a period past n acts as n
+        lengths, ps = zip(*source.segments)
+        ends = [min(end, n) for end in itertools.accumulate(lengths)]
+        p = np.array(ps)[np.searchsorted(ends, i % max(ends[-1], 1), side="right")]
     else:
         p = source.p
-    return (np.random.Generator(np.random.Philox(key=source.seed)).random(n) < p).astype(np.uint8)
+    return (numpy_uniforms(source.seed, n) < p).astype(np.uint8)
+
+
+SEEDS = (0, 1, 7, 2 ** 63 + 5, 2 ** 64 - 1)
+DRAW_SPECS = [
+    "bernoulli:0.3", "bernoulli:0.0", "bernoulli:1.0",
+    "markov:0.9,0.1,0.2,0.8", "markov:0.2,0.8,0.7,0.3",
+    "drift:0.1,4e-06", "drift:0.0,1e300", "drift:1.0,-0.001",
+    "regime:3,0.1,1,0.9,7,0.5", "regime:40000,0.2,30000,0.9,7,0.5", "regime:1e30,0.3",
+    "dup",
+]
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS)
+@pytest.mark.parametrize("backend", ["native", "python"])
+def test_draws_equal_numpys(backend, spec):
+    # the C loop and its Python fallback both draw numpy's Philox bits,
+    # u_i < p_i with u_i from Generator(Philox(key=seed)).random()
+    lengths = [0, 1, 3, 4, 5, 63, 64, 65, 1000, 4099]
+    if backend == "native":
+        lengths += [2 ** 16 + 3, 2 ** 17]
+    for seed in SEEDS:
+        source = parse_source_spec(f"{spec}:seed={seed}")
+        for n in lengths:
+            with python_loops() if backend == "python" else contextlib.nullcontext():
+                got = source.bits(n)
+            assert got.digest() == packed_bits(_one_draw(source, n)).digest(), (seed, n)
+
+
+@pytest.mark.parametrize("source", ALL_SOURCES.values(), ids=ALL_SOURCES)
+def test_python_draws_are_prefix_consistent(source):
+    with python_loops():
+        long = source.bits(1000)
+        for n in (0, 1, 17, 512, 999):
+            assert source.bits(n) == long.prefix(n)
+    assert long == source.bits(1000)  # and the C loop's
 
 
 @pytest.mark.parametrize("spec", [
@@ -123,6 +165,7 @@ def _one_draw(source, n: int) -> np.ndarray:
     "dup:seed=16",
 ])
 def test_bits_across_pieces_equal_one_draw(spec):
+    # lengths about 2^16: where a draw in pieces of 2^16 uniforms would cut
     source = parse_source_spec(spec)
     for n in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
         assert np.array_equal(source.bits(n).array, _one_draw(source, n)), n
@@ -153,6 +196,19 @@ def test_markov_validates_rows():
         MarkovSource([[1.0, 0.0]], seed=0)
     with pytest.raises(ValueError):
         MarkovSource([[np.nan, np.nan], [0.5, 0.5]], seed=0)  # NaN rows pass a sum test
+
+
+@pytest.mark.parametrize("rows,text", [
+    ([[0.5, 0.4], [0.4, 0.6]], "transition matrix rows must sum to 1, got [0.9, 1.0]"),
+    ([[1.1, -0.1], [0.5, 0.5]], "transition probabilities must be in [0, 1]"),
+    ([[1.0, 0.0]], "transition matrix must be 2x2, got shape (1, 2)"),
+    ([[0.5, 0.5, 0.0]] * 3, "transition matrix must be 2x2, got shape (3, 3)"),
+    ([[np.nan, np.nan], [0.5, 0.5]], "transition probabilities must be in [0, 1]"),
+])
+def test_markov_refusals_keep_their_texts(rows, text):
+    with pytest.raises(ValueError) as err:
+        MarkovSource(rows, seed=0)
+    assert str(err.value) == text
 
 
 def test_markov_draw_matches_the_chain_walk():

@@ -14,8 +14,8 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, random_bits, reference_compression_test, reference_scan,
-                     reference_tau_k_test)
+from helpers import (all_bitstrings, packed_bits, random_bits, reference_compression_test,
+                     reference_scan, reference_tau_k_test)
 
 # Frozen regression constants.
 TAU_K_ZEROS_2_14_STAT = 16328.999912
@@ -453,8 +453,8 @@ def test_blocked_tau_k_evidence_equals_one_unblocked_call():
     # the evidence of one pass; leading zeros put the best scale in a middle chunk
     start, chunk = 12345, 1 << 14
     ends = [start + k * chunk for k in range(4)] + [start + 3 * chunk + 777]
-    inputs = [BitString(np.concatenate([np.zeros(30000, dtype=np.uint8),
-                                        random_bits(ends[-1] - 30000, seed=34).array])),
+    inputs = [packed_bits(np.concatenate([np.zeros(30000, dtype=np.uint8),
+                                          random_bits(ends[-1] - 30000, seed=34).array])),
               BernoulliSource(0.1, seed=35).bits(ends[-1]),
               DuplicationSource(seed=36).bits(ends[-1]),
               random_bits(ends[-1], seed=37)]
