@@ -200,6 +200,7 @@ def cmd_scan(args) -> int:
     if args.report == "json":
         payload = {
             "first_rejection_bits": result.first_rejection_bits,
+            "p_value": result.p_value,
             "steps": [{"bits": s.bits, **s.report.to_dict()} for s in result.steps],
         }
         print(_json_document(payload, args, label))
@@ -210,6 +211,7 @@ def cmd_scan(args) -> int:
             r = step.report
             print(f"  {step.bits:>9} bits: statistic {r.statistic_bits:>12g} bits, "
                   f"p-value {r.p_value:.6g}, {r.decision}")
+        print(f"scan p-value: {result.p_value:.6g} ({stats.UPPER_BOUND})")
         if result.first_rejection_bits is None:
             print("first rejection: none within budget")
         else:

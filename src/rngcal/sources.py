@@ -37,9 +37,7 @@ _MASK = (1 << 64) - 1
 
 def _uniforms(seed: int):
     """The seed's uniforms, without end, as ``philox`` and ``draw`` in ``_lzkernel.c`` make them."""
-    counter = 0
-    while True:
-        counter += 1  # the counter's higher words stay 0 for 2**66 uniforms
+    for counter in itertools.count(1):  # its higher words stay 0 for 2**66 uniforms
         c0, c1, c2, c3, k0, k1 = counter, 0, 0, 0, seed, 0
         for _ in range(10):
             p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2

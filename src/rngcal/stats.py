@@ -325,8 +325,8 @@ class PrefixScanTest:
 ScanStep = namedtuple("ScanStep", "bits report")
 
 
-class ScanResult(namedtuple("ScanResult", "first_rejection_bits steps")):
-    """First rejection length on a doubling grid of prefix lengths."""
+class ScanResult(namedtuple("ScanResult", "first_rejection_bits p_value steps")):
+    """First rejection length on a doubling grid of prefix lengths, and the scan's p-value."""
 
     __slots__ = ()
 
@@ -340,24 +340,27 @@ def consistency_scan(x: BitString, engine: PrefixScanTest, alpha: float,
     """Apply the one test of ``engine`` to the prefixes of ``x`` at doubling lengths.
 
     The grid is ``start_bits``, ``2*start_bits``, ... up to ``len(x)``; each
-    step feeds the engine the bits since the last.  Returns the first grid
-    length at which the test rejects, or None if the sample is exhausted
-    without rejection; the budget running out is an outcome, not an error.
-    Each step is judged at the full ``alpha``, so the chance that a scan of
-    uniform bits rejects is bounded by ``alpha`` times the number of steps,
-    not by ``alpha``, unless the statistic is already a maximum over every
-    prefix, as ``tauk``'s is (ROADMAP item 1).
+    step feeds the engine the bits since the last.  Step ``j`` (from 1) is
+    judged at ``alpha * omega_star(j)``, and the scan's p-value is the
+    battery's ``min_j p_j / w_j``, so a scan of uniform bits rejects with
+    probability at most ``alpha``; ``tauk``, a maximum over every prefix
+    already, spends nothing.  Returns the first grid length at which the
+    p-value is at most ``alpha``, or None if the sample is exhausted without
+    rejection; the budget running out is an outcome, not an error.
     """
     alpha = _check_alpha(alpha)
     _check_grid(start_bits, len(x))
     if len(engine.test_ids) != 1:
         raise ValueError("a scan drives one test; call reports() for a battery")
+    spend = engine.test_ids[0] != "tauk"
     steps: list[ScanStep] = []
     taken, n = 0, start_bits
     while n <= len(x):
-        report = engine.reports(x[taken:n], alpha)[0]
+        level = alpha * omega_star(len(steps) + 1) if spend else alpha
+        report = engine.reports(x[taken:n], level)[0]
         steps.append(ScanStep(bits=n, report=report))
-        if report.rejected:
-            return ScanResult(first_rejection_bits=n, steps=steps)
+        p = battery_p_value([s.report.p_value for s in steps]) if spend else report.p_value
+        if p <= alpha:
+            return ScanResult(first_rejection_bits=n, p_value=p, steps=steps)
         taken, n = n, 2 * n
-    return ScanResult(first_rejection_bits=None, steps=steps)
+    return ScanResult(first_rejection_bits=None, p_value=p, steps=steps)

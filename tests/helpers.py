@@ -288,15 +288,22 @@ def reference_scan(x: BitString, test: Callable[[BitString, float], stats.TestRe
                    alpha: float, start_bits: int) -> stats.ScanResult:
     """``stats.consistency_scan`` by its grid loop with ``test`` applied to
     each prefix afresh, as ``reference_compression_test`` or
-    ``reference_tau_k_test``; the reference for the engine fed forward."""
+    ``reference_tau_k_test``; the reference for the engine fed forward.
+    The j-th step runs at ``alpha * omega_star(j)``, and the scan's p-value
+    is ``battery_p_value`` of the steps', but for tau_k, whose statistic is
+    a maximum over every prefix: its steps run at ``alpha``, and the scan's
+    p-value is the last step's."""
+    spend = test is not reference_tau_k_test
     steps, m = [], start_bits
     while m <= len(x):
-        report = test(x.prefix(m), alpha)
+        level = alpha * stats.omega_star(len(steps) + 1) if spend else alpha
+        report = test(x.prefix(m), level)
         steps.append(stats.ScanStep(bits=m, report=report))
-        if report.rejected:
-            return stats.ScanResult(first_rejection_bits=m, steps=steps)
+        p = stats.battery_p_value([s.report.p_value for s in steps]) if spend else report.p_value
+        if p <= alpha:
+            return stats.ScanResult(first_rejection_bits=m, p_value=p, steps=steps)
         m *= 2
-    return stats.ScanResult(first_rejection_bits=None, steps=steps)
+    return stats.ScanResult(first_rejection_bits=None, p_value=p, steps=steps)
 
 
 def all_bitstrings(n: int):

@@ -214,10 +214,12 @@ def test_scan_steps_equal_from_scratch_scan(spec, test_id, budget, capsys):
     ref = reference_scan(sources.parse_source_spec(spec).bits(budget), test, 1e-6, 512)
     assert status == int(ref.rejected)
     assert doc["first_rejection_bits"] == ref.first_rejection_bits
+    assert doc["p_value"] == ref.p_value
     assert [s["bits"] for s in doc["steps"]] == [s.bits for s in ref.steps]
     for got, want in zip(doc["steps"], ref.steps):
         assert got["statistic_bits"] == want.report.statistic_bits
         assert got["p_value"] == want.report.p_value
+        assert got["alpha"] == want.report.alpha
         assert got["decision"] == want.report.decision
 
 

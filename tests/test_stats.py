@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -329,6 +331,10 @@ def test_scan_detects_duplication_stream():
     result = stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 1e-6, start_bits=1024)
     assert result.first_rejection_bits == DUP_SCAN_FIRST_REJECTION
     assert result.steps[-1].report.rejected
+    # step 8 saves +6,878 bits, where it needs log2(72 / 1e-6) = 26.1: the floor, times 72
+    assert result.steps[-1].report.statistic_bits == 6878
+    assert result.steps[-1].report.alpha == 1e-6 * stats.omega_star(8)
+    assert result.p_value == stats.P_VALUE_FLOOR * 72
     _assert_scans_equal(result, reference_scan(x, reference_compression_test, 1e-6, 1024))
 
 
@@ -339,6 +345,54 @@ def test_scan_random_stream_stays_quiet():
         assert result.first_rejection_bits is None
         assert len(result.steps) == 7  # 1024 .. 65536
         _assert_scans_equal(result, reference_scan(x, reference_compression_test, 1e-6, 1024))
+
+
+class _Crc32Test:
+    """A per-length test for :func:`stats.consistency_scan`, of level at
+    most alpha on uniform bits: the p-value of the bits taken in so far is
+    ``(crc + 1) / 2^32`` for their CRC-32, which is near uniform on them."""
+
+    test_ids = ("crc32",)
+
+    def __init__(self):
+        self._crc = 0
+
+    def reports(self, bits: BitString, alpha: float) -> list[stats.TestReport]:
+        self._crc = zlib.crc32(bits.to_int().to_bytes(len(bits) // 8, "big"), self._crc)
+        p = (self._crc + 1) / 2 ** 32
+        return [stats._make_report(-math.log2(p), p, alpha)]
+
+
+def test_a_scan_of_per_length_tests_rejects_at_level_alpha():
+    # 11 doubling steps of a level-alpha test, each judged at alpha, rejected
+    # about 11 alpha of uniform streams: 231 of 2,000 at alpha 0.01
+    streams, alpha = 2000, 0.01
+    rejected = 0
+    for seed in range(streams):
+        x = BitString._wrap(random.Random(seed).randbytes(8192), 8 * 8192)
+        result = stats.consistency_scan(x, _Crc32Test(), alpha, start_bits=64)
+        assert len(result.steps) == 11 or result.rejected
+        assert result.p_value == stats.battery_p_value([s.report.p_value for s in result.steps])
+        assert [s.report.alpha for s in result.steps] == [
+            alpha * stats.omega_star(j) for j in range(1, len(result.steps) + 1)]
+        assert result.rejected == (result.p_value <= alpha) == result.steps[-1].report.rejected
+        rejected += result.rejected
+    # no further out than a one-in-a-million tail of Binomial(2000, alpha)
+    pmf, below = (1 - alpha) ** streams, 0.0
+    for k in range(rejected):
+        below += pmf
+        pmf *= (streams - k) / (k + 1) * alpha / (1 - alpha)
+    assert 1 - below > 1e-6, f"{rejected} of {streams} uniform streams rejected at alpha {alpha}"
+
+
+def test_a_tauk_scan_spends_no_alpha():
+    # tau_k's statistic is a maximum over every prefix: each step runs at the full
+    # alpha, and the scan's p-value is the last step's
+    x = BernoulliSource(0.08, seed=46).bits(4096)
+    result = stats.consistency_scan(x, stats.PrefixScanTest("tauk"), 0.01, start_bits=256)
+    assert [s.report.alpha for s in result.steps] == [0.01] * 4
+    assert result.first_rejection_bits == 2048
+    assert result.p_value == result.steps[-1].report.p_value < 0.01
 
 
 def test_scan_stronger_bias_rejects_no_later():
@@ -581,8 +635,8 @@ def test_reports_are_records_equal_whatever_their_detail():
     battery = stats.TestReport(**fields, components=[component])
     assert battery.to_dict()["components"] == [component.to_dict()] and battery != report
     step = stats.ScanStep(bits=1024, report=report)
-    assert not stats.ScanResult(first_rejection_bits=None, steps=[step]).rejected
-    result = stats.ScanResult(first_rejection_bits=1024, steps=[step])
+    assert not stats.ScanResult(first_rejection_bits=None, p_value=1.0, steps=[step]).rejected
+    result = stats.ScanResult(first_rejection_bits=1024, p_value=2.0 ** -10, steps=[step])
     assert result.rejected and result.steps[0].report == other
     for record, name in ((report, "detail"), (report, "p_value"), (component, "p_value"),
                          (step, "bits"), (result, "steps")):
