@@ -56,8 +56,8 @@ __all__ = [
     "__version__",
 ]
 
-# ``sources`` and its names are imported when first asked for: a file's test
-# does without them, which an eager import slowed by 3-4.5 ms per CLI child.
+# ``sources`` and its names are imported when first asked for: a test of a
+# file does without them, and importing them took 3-4.5 ms of each CLI child.
 _SOURCE_NAMES = ("Source", "BernoulliSource", "MarkovSource", "DriftingBiasSource",
                  "RegimeSwitchSource", "DuplicationSource", "duplication_construction",
                  "required_base_length", "parse_source_spec", "generate")

@@ -83,7 +83,7 @@ class BitString:
 
     @property
     def array(self):
-        """Read-only uint8 numpy array of the bits, one per byte (numpy: the ``test`` extra)."""
+        """Read-only uint8 numpy array of the bits, one per byte (numpy: the test extra)."""
         import numpy as np
 
         a = np.unpackbits(np.frombuffer(self._payload, dtype=np.uint8), count=self._n)

@@ -31,12 +31,12 @@ from . import lz
 from .bits import BitString
 
 _SPEC_KINDS = ("bernoulli", "markov", "drift", "regime", "dup")
-_SEGMENTS, _MARKOV, _DRIFT = 0, 1, 2  # the kinds of a source's rule: ``kind`` of draw in _lzkernel.c
+_SEGMENTS, _MARKOV, _DRIFT = 0, 1, 2  # a source rule's kind, as draw in _lzkernel.c reads it
 _MASK = (1 << 64) - 1
 
 
 def _uniforms(seed: int):
-    """The seed's uniforms, without end, as ``philox`` and ``draw`` in ``_lzkernel.c`` make them."""
+    """The seed's uniforms, without end, as ``draw`` in ``_lzkernel.c`` makes them."""
     for counter in itertools.count(1):  # its higher words stay 0 for 2**66 uniforms
         c0, c1, c2, c3, k0, k1 = counter, 0, 0, 0, seed, 0
         for _ in range(10):
@@ -48,7 +48,7 @@ def _uniforms(seed: int):
 
 
 def _draw(seed: int, n: int, kind: int, par: array, ends: array, out: bytearray) -> None:
-    """``draw`` of ``_lzkernel.c`` in Python: ``n`` bits by the rule of :class:`Source`."""
+    """``draw`` of ``_lzkernel.c`` in Python: ``n`` bits into the zeroed ``out``."""
     seg = at = bit = 0  # i's segment and its position in the period, and bit i - 1
     for i, u in zip(range(n), _uniforms(seed)):
         if kind == _MARKOV:

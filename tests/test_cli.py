@@ -603,7 +603,7 @@ def test_an_input_with_no_bits_is_an_error(fmt, data, argv, tmp_path, capsys):
 
 
 def test_a_test_or_scan_of_a_file_imports_no_numpy(tmp_path):
-    # numpy costs a CLI child about 0.13 s and 13 MiB; only generators need it
+    # numpy costs a CLI child about 0.13 s and 13 MiB, and no run needs it
     path = tmp_path / "sample.bin"
     sample = sources.BernoulliSource(0.5, seed=31).bits(4096)
     write_bit_file(path, sample)

@@ -115,7 +115,7 @@ def test_log2_variant_matches_plain_value_in_range():
 
 
 def test_package_runs_without_scipy():
-    # numpy is the only runtime dependency, the reference oracles included
+    # rngcal has no runtime dependency, the reference oracles included
     src = str(Path(reference.__file__).parent.parent)
     code = ("import sys; sys.modules['scipy'] = None\n"
             f"sys.path.insert(0, {src!r})\n"
