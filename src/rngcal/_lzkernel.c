@@ -173,7 +173,7 @@ static void philox(uint64_t counter, uint64_t seed, uint64_t c[4])
 /* sources._draw: the first n >= 1 bits of a source into the zeroed out, packed
    MSB-first.  Bit i is u_i < p_i for the i-th uniform, (v >> 11) 2^-53 of the
    i-th Philox word v, where p_i is par[bit i - 1] for a Markov chain (kind 1;
-   1/2 for bit 0), clip(par[0] + par[1] i, 0, 1) for a drift (kind 2), and
+   1/2 for bit 0), par[0] + par[1] i for a drift (kind 2), and
    otherwise par[s] for the segment s of i modulo the period, which ends at ends[s]. */
 void draw(uint64_t seed, int64_t n, int kind, const double *par, const int64_t *ends,
           int64_t count, uint8_t *out)
@@ -188,7 +188,7 @@ void draw(uint64_t seed, int64_t n, int kind, const double *par, const int64_t *
         if (kind == 1) {
             p = i ? par[bit] : 0.5;
         } else if (kind == 2) {
-            p = fmin(fmax(par[0] + par[1] * (double)i, 0.0), 1.0);
+            p = par[0] + par[1] * (double)i;  /* u < p reads p clipped to [0, 1] */
         } else {
             if (at == ends[seg] && ++seg == count)
                 seg = at = 0;

@@ -54,7 +54,7 @@ def _draw(seed: int, n: int, kind: int, par: array, ends: array, out: bytearray)
         if kind == _MARKOV:
             p = par[bit] if i else 0.5
         elif kind == _DRIFT:
-            p = min(max(par[0] + par[1] * i, 0.0), 1.0)
+            p = par[0] + par[1] * i  # u < p reads p clipped to [0, 1]
         else:
             if at == ends[seg]:
                 seg += 1
@@ -88,7 +88,7 @@ class Source:
     """Deterministic bit-stream generator.  Bit ``i`` is ``u_i < p_i`` for the
     seed's ``i``-th uniform, where a subclass sets ``_rule = (kind, par,
     ends)``: ``p_i`` is ``par[bit i - 1]`` for ``_MARKOV`` (1/2 for bit 0),
-    ``clip(par[0] + par[1] * i, 0, 1)`` for ``_DRIFT``, and for ``_SEGMENTS``
+    ``par[0] + par[1] * i`` for ``_DRIFT``, and for ``_SEGMENTS``
     ``par[s]`` for the segment ``s`` of ``i`` modulo the period, which ends at ``ends[s]``."""
 
     def __init__(self, seed: int = 0):
