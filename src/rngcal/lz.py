@@ -42,15 +42,16 @@ from .codes import BitReader, BitWriter, Codeword, encoded_length, read_integer,
 from .errors import DecodeError
 
 # A full-window analysis holds a suffix automaton of all its bits, 32 bytes
-# per bit (a huge-page mapping from 2^19 bits on: see _allocate), and the
-# sample's packed payload, an eighth of a byte per bit, beside it: a `test`
-# at this cap peaks below 36 bytes per bit, interpreter included.  A bare
-# pair stream decodes to at most this many bits.
+# per bit (a huge-page mapping from 2^19 bits on, or once it grows: see
+# _allocate), and the sample's packed payload, an eighth of a byte per bit,
+# beside it: a `test` at this cap peaks below 36 bytes per bit, interpreter
+# included.  A bare pair stream decodes to at most this many bits.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
-_BLOCK = 1 << 14  # entries a growing array is filled with at a time
-# The smallest table, in bytes, held in a mapping (see _allocate): 2^19 bits'
-# automaton.  Below it repeated passes run faster in a heap array, whose
-# freed pages come back already resident.
+_BLOCK = 1 << 14  # entries an array grows by at a time, where there is no MADV_HUGEPAGE
+# The smallest new table, in bytes, made in a mapping, and the least room of
+# a table that grows (see _allocate): 2^19 bits' automaton.  Below it repeated
+# one-shot passes run faster in a heap array, whose freed pages come back
+# already resident.
 _MAP_BYTES = 16 << 20
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_lzkernel.c")
@@ -132,19 +133,22 @@ def _allocate(entries: int, table: array | memoryview | None = None) -> array | 
     """An int32 table of ``entries`` zeros, or ``table`` grown to ``entries``
     with zeros at its end; the caller holds no other view of ``table``.
 
-    A table of at least ``_MAP_BYTES`` is a private anonymous mapping
-    advised ``MADV_HUGEPAGE``, seen as an ``'i'`` memoryview: where
-    transparent huge pages are granted on advice (Linux's ``madvise``
-    mode), its pages fault in 2 MiB at a time, not 4 KiB, and pages it
-    never writes are never resident.  It grows with ``mmap.resize``, which
-    keeps its pages, and an array that grows past the cut-off moves into a
-    mapping once.  A smaller table, and every table where the platform has
-    no ``MADV_HUGEPAGE``, is an ``array``, grown in place a bounded fill
-    piece at a time, so no old table is held beside its new one.  Raises
-    MemoryError where the table cannot be had.
+    A new table of at least ``_MAP_BYTES``, and every table that grows, is
+    a private anonymous mapping advised ``MADV_HUGEPAGE``, seen as an
+    ``'i'`` memoryview: where transparent huge pages are granted on advice
+    (Linux's ``madvise`` mode), its pages fault in 2 MiB at a time, not 4
+    KiB, and pages it never writes are never resident.  An array moves
+    into a mapping at its first growth, with room for at least
+    ``_MAP_BYTES`` (address space, resident only where written), and a
+    mapping grows with ``mmap.resize``, which keeps its pages; so a table
+    that grows, as a scan's does, is copied once, while it is small.  A
+    smaller new table is an ``array``, as is every table where the
+    platform has no ``MADV_HUGEPAGE``; there a table grows in place a
+    bounded fill piece at a time, so no old table is held beside its new
+    one.  Raises MemoryError where the table cannot be had.
     """
     size = 4 * entries
-    if size < _MAP_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+    if (size < _MAP_BYTES and table is None) or not hasattr(mmap, "MADV_HUGEPAGE"):
         if table is None:
             return array("i", [0]) * entries
         grow = entries - len(table)
@@ -158,7 +162,8 @@ def _allocate(entries: int, table: array | memoryview | None = None) -> array | 
             table.release()  # a mapping with a view alive cannot be resized
             mapping.resize(size)  # new pages read 0
         else:  # Python's default anonymous mapping is shared, and gets no huge pages
-            mapping = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            mapping = mmap.mmap(-1, size if table is None else max(size, _MAP_BYTES),
+                                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError as exc:
         raise MemoryError(f"cannot map a table of {size} bytes: {exc}") from exc
     try:
@@ -304,10 +309,11 @@ class _PrefixCosts(ctypes.Structure):
     one bit, and the build needs no more of the state lengths than that.
     A bit adds at most two states (itself and a clone), so the table is
     sized once per ``extend``; ``last`` is the state of all the bits taken
-    in, ``states`` counts the rows in use and the rest is room.  The table
-    is an ``array``, or from ``_MAP_BYTES`` (2^19 bits) on a huge-page
-    mapping seen as an ``'i'`` memoryview, which a growing array moves into
-    once; ``_allocate`` says why, and makes and grows both.
+    in, ``states`` counts the rows in use and the rest is room.  A pass's
+    first table is an ``array``, or from ``_MAP_BYTES`` (2^19 bits) on a
+    huge-page mapping seen as an ``'i'`` memoryview; an array moves into
+    such a mapping at its first growth, and the mapping grows in place;
+    ``_allocate`` says why, and makes and grows both.
     """
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("open", "closed", "total", "seen", "scale")]

@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+from array import array
 from typing import Callable, Sequence, TypeVar
 from unittest import mock
 
@@ -113,6 +114,24 @@ def mapped_tables(cut_off: int):
     ``cut_off`` bytes in a huge-page mapping, not only those of
     ``lz._MAP_BYTES``: short inputs then take the mapping's paths."""
     return mock.patch.object(lz, "_MAP_BYTES", cut_off)
+
+
+def spy_on_tables(monkeypatch) -> list[tuple[str, str]]:
+    """The tables ``lz._allocate`` makes or grows from now on, each as what
+    it was and what it became: ``none``, ``array``, ``mapping`` (a new one)
+    or ``same mapping`` (one grown in place)."""
+    allocate, seen = lz._allocate, []
+
+    def spy(entries, table=None):
+        mapping = table.obj if isinstance(table, memoryview) else None
+        was = "none" if table is None else "mapping" if mapping is not None else "array"
+        table = allocate(entries, table)
+        seen.append((was, "array" if isinstance(table, array) else
+                     "same mapping" if table.obj is mapping else "mapping"))
+        return table
+
+    monkeypatch.setattr(lz, "_allocate", spy)
+    return seen
 
 
 def reference_automaton(bits) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:

@@ -31,7 +31,7 @@ from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
 from helpers import (all_bitstrings, brute_lz77_pairs, mapped_tables, python_loops, random_bits,
                      reference_automaton, reference_compression_test, reference_pass,
-                     reference_prefix_costs, reference_running_tau_k)
+                     reference_prefix_costs, reference_running_tau_k, spy_on_tables)
 
 # Frozen regression constants for seed 7 of the packaged generators.
 RANDOM_1E5_CODE_BITS = 187503
@@ -335,26 +335,9 @@ def _tables(name: str, cut_off: int):
     return mapped_tables(cut_off) if name == "mapped" else contextlib.nullcontext()
 
 
-def _spy_on_tables(monkeypatch) -> list[tuple[str, str]]:
-    """The tables ``lz._allocate`` makes or grows from now on, each as what
-    it was and what it became: ``none``, ``array``, ``mapping`` (a new one)
-    or ``same mapping`` (one grown in place)."""
-    allocate, seen = lz._allocate, []
-
-    def spy(entries, table=None):
-        mapping = table.obj if isinstance(table, memoryview) else None
-        was = "none" if table is None else "mapping" if mapping is not None else "array"
-        table = allocate(entries, table)
-        seen.append((was, "array" if isinstance(table, array) else
-                     "same mapping" if table.obj is mapping else "mapping"))
-        return table
-
-    monkeypatch.setattr(lz, "_allocate", spy)
-    return seen
-
-
 # the three ways into a mapping: a pass that starts in one, an array that
-# moves into one as it grows, and a mapping that grows in place
+# moves into one at its first growth, and a mapping that grows in place; where
+# there is MADV_HUGEPAGE no table grows in place as an array
 _MAPPED_PATHS = {("none", "mapping"), ("array", "mapping"), ("mapping", "same mapping")}
 
 
@@ -420,7 +403,7 @@ def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
     reference = reference_automaton(x.array.tobytes())
     with python_loops():
         want = _columns(_one_pass(x))
-    seen = _spy_on_tables(monkeypatch)
+    seen = spy_on_tables(monkeypatch)
     for tables in _TABLES:  # a 2.6 MiB table: mapped from 1 MiB on
         with _backend(backend), _tables(tables, 1 << 20):
             automaton = _one_pass(x)
@@ -434,7 +417,7 @@ def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
                 automaton = _chunked_automaton(x, itertools.repeat(size, len(x) // size))
                 assert _columns(automaton) == want, (tables, size)
                 _assert_matches_reference(automaton, reference)
-    assert set(seen) == {("array", "array")} | _MAPPED_PATHS
+    assert set(seen) == _MAPPED_PATHS
 
 
 def _pass_states(x: BitString, *splits: int) -> list[dict]:
@@ -511,7 +494,7 @@ def test_factorize_from_a_start_matches_the_python_walk(kind, backend):
 def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
     extend = lz._PrefixCosts.extend
     starts, taken, fed = [], [], {}  # fed: the bits taken in by each walk, by its id
-    seen = _spy_on_tables(monkeypatch)
+    seen = spy_on_tables(monkeypatch)
 
     def checked(self, piece, costs=None, pairs=None):
         resume = self.open, self.seen
@@ -537,7 +520,7 @@ def test_walks_of_chunked_extends_match_the_reference(backend, monkeypatch):
     # six chunked extends and one pass per input, each bit taken in once per pass
     assert len(starts) == 2 * 7 * len(_PARITY_INPUTS) and max(starts) > 1000
     assert sum(taken) == 2 * 2 * 3000 * len(_PARITY_INPUTS)
-    assert set(seen) == {("array", "array")} | _MAPPED_PATHS
+    assert set(seen) == _MAPPED_PATHS
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -759,11 +742,14 @@ def test_a_mapping_needs_no_advice_and_no_platform_needs_a_mapping(backend, monk
         automaton = _chunked_automaton(x, [1000])
         assert isinstance(automaton._table, memoryview)
         assert (_columns(automaton), lz.parse(x), lz.encode(x)) == want
-        # where there is no MADV_HUGEPAGE, as off Linux, every table is an array
+        # where there is no MADV_HUGEPAGE, as off Linux, every table is an array,
+        # and a growing one grows in place
         monkeypatch.delattr(mmap, "MADV_HUGEPAGE")
         monkeypatch.setattr(mmap, "mmap", _enomem)
+        seen = spy_on_tables(monkeypatch)
         automaton = _chunked_automaton(x, [1000])
         assert isinstance(automaton._table, array)
+        assert set(seen) == {("none", "array"), ("array", "array")}
         assert (_columns(automaton), lz.parse(x), lz.encode(x)) == want
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -16,8 +17,9 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, packed_bits, random_bits, reference_compression_test,
-                     reference_scan, reference_tau_k_test)
+from helpers import (all_bitstrings, mapped_tables, packed_bits, python_loops, random_bits,
+                     reference_compression_test, reference_scan, reference_tau_k_test,
+                     spy_on_tables)
 
 # Frozen regression constants.
 TAU_K_ZEROS_2_14_STAT = 16328.999912
@@ -467,6 +469,35 @@ def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, wi
     _assert_steps_equal(stats.PrefixScanTest("lz77", window_bits=window),
                         lambda y, alpha: stats._compression_report(len(y), code(y), alpha),
                         _SCAN_STREAMS[kind], start_bits, window)
+
+
+@pytest.mark.parametrize("backend", ["native", "python"])
+@pytest.mark.parametrize("window", [None, 384])
+def test_a_scan_moves_its_table_once(window, backend, monkeypatch):
+    # a pass's first table is an array, which moves into a mapping with room
+    # for lz._MAP_BYTES at its first growth; under a cut-off of 256 bytes (16
+    # states) that mapping grows in place.  A window of 384 ends on a scan
+    # step, so only the first window's pass grows: each later one is sized once.
+    def reference(y: BitString, alpha: float) -> stats.TestReport:
+        if window is None:
+            return reference_compression_test(y, alpha)
+        return stats._compression_report(len(y), _windowed_code(window)(y), alpha)
+
+    loops = python_loops if backend == "python" else contextlib.nullcontext
+    seen = spy_on_tables(monkeypatch)
+    grew_in_place = False
+    for cut_off in (lz._MAP_BYTES, 256):
+        for kind, x in sorted(_SCAN_STREAMS.items()):
+            seen.clear()
+            with loops(), mapped_tables(cut_off):
+                result = stats.consistency_scan(
+                    x, stats.PrefixScanTest("lz77", window_bits=window), 0.01, start_bits=3)
+            grown = [path for path in seen if path[0] != "none"]  # not a window's first table
+            assert grown[:1] == [("array", "mapping")], (cut_off, kind)
+            assert set(grown[1:]) <= {("mapping", "same mapping")}, (cut_off, kind)
+            grew_in_place |= len(grown) > 1
+            _assert_scans_equal(result, reference_scan(x, reference, 0.01, 3))
+    assert grew_in_place
 
 
 @pytest.mark.parametrize("window", [None, 384, 700, 1 << 20])
