@@ -16,6 +16,13 @@
    built with -ffp-contract=off, so that no compiler fuses that arithmetic,
    and it calls libm's log2, as Python's math.log2 does.
 
+   lz_pack and lz_unpack are the codec's loops: lz.encode writes a walk's
+   pairs as codewords with lz_pack, and lz.decode expands a pair stream with
+   lz_unpack, which never raises: it answers -1 for a stream that Python must
+   refuse, and lz.decode then runs its Python loop on that stream, which says
+   why.  The Python encode and decode loops stay the fallback and the
+   reference; tests/test_lz.py checks the two codecs against each other.
+
    draw transliterates sources._draw, the Python loop of Source.bits, which
    stays the fallback; tests/test_sources.py checks both against numpy's
    Philox draws, and -ffp-contract=off keeps a drift's p0 + rate i unfused. */
@@ -151,6 +158,119 @@ void lz_extend(state_t *sam, const uint8_t *bits, int64_t n, const uint8_t *leng
     w->end = end;
 }
 
+
+/* The k <= 56 low bits of v, MSB first, into the zeroed out from bit at, a
+   byte at a time from the last; returns the bit after them. */
+static int64_t put(uint8_t *out, int64_t at, uint64_t v, int k)
+{
+    int64_t end = at + k;
+    v = (v & (((uint64_t)1 << k) - 1)) << (-end & 7);  /* its last bit at that of a byte */
+    for (int64_t i = (end - 1) >> 3; i >= at >> 3; i--, v >>= 8)
+        out[i] |= (uint8_t)v;
+    return end;
+}
+
+/* The k <= 56 bits of bits from bit at, MSB first. */
+static uint64_t peek(const uint8_t *bits, int64_t at, int k)
+{
+    uint64_t x = 0;
+    int64_t end = at + k;
+    for (int64_t i = at >> 3; i <= (end - 1) >> 3; i++)
+        x = x << 8 | bits[i];
+    return x >> (-end & 7) & (((uint64_t)1 << k) - 1);
+}
+
+/* codes.write_integer: C(m) for 1 <= m < 2^57 into out from bit at, which is
+   gamma(L) for the bit length L = n + 1 of m, that is width(L) - 1 zeros and
+   then L, and then the n low bits of m. */
+static int64_t put_integer(uint8_t *out, int64_t at, int64_t m)
+{
+    int n = width(m) - 1, zeros = width(n + 1) - 1;
+    at = put(out, at + zeros, (uint64_t)(n + 1), zeros + 1);  /* out is zeroed */
+    return put(out, at, (uint64_t)m, n);
+}
+
+/* lz.encode: the first count pairs (p, l) of pairs, as lz_extend records
+   them, into the zeroed out, each as C(p + 1) and then its raw bit (a
+   literal, p = 0) or C(l); out holds the walk's total bits, what these
+   codewords take. */
+void lz_pack(const int32_t *pairs, int64_t count, uint8_t *out)
+{
+    int64_t at = 0;
+    for (const int32_t *pair = pairs; pair < pairs + 2 * count; pair += 2) {
+        at = put_integer(out, at, (int64_t)pair[0] + 1);
+        at = pair[0] ? put_integer(out, at, pair[1]) : put(out, at, (uint64_t)pair[1], 1);
+    }
+}
+
+typedef struct { const uint8_t *bits; int64_t n, at; } reader_t;  /* bit at of the n bits */
+
+/* The next k <= 63 bits into *v; 0 where fewer are left. */
+static int get(reader_t *r, int k, int64_t *v)
+{
+    if (r->n - r->at < k)
+        return 0;
+    int64_t x = 0;
+    for (; k > 0; k--, r->at++)
+        x = x << 1 | BIT(r->bits, r->at);
+    *v = x;
+    return 1;
+}
+
+/* codes.read_integer: the next C(m) into *m; 0 where it is truncated or m
+   has 62 or more bits (six zeros give L >= 64), which Python refuses as a
+   copy source past the output or a pair past the bound, if nothing before. */
+static int get_integer(reader_t *r, int64_t *m)
+{
+    int zeros = 0;
+    int64_t bits;
+    while (zeros < 6 && r->at < r->n && !BIT(r->bits, r->at)) {
+        zeros++;
+        r->at++;
+    }
+    if (zeros == 6 || !get(r, zeros + 1, &bits) || bits >= 62 || !get(r, (int)bits - 1, m))
+        return 0;
+    *m |= (int64_t)1 << (bits - 1);
+    return 1;
+}
+
+/* lz.decode: the pair stream of the n bits of stream expanded into out, or,
+   where out is NULL, only read: returns the bits it decodes to, or -1 where
+   lz.decode raises DecodeError.  That is where a codeword is truncated or has
+   62 or more bits, a copy's source is past the output, a pair would decode
+   past limit bits or, where exact, the stream decodes to other than limit
+   bits.  Python bounds limit by lz._MAX_BITS, so no sum overflows, and out
+   is zeroed and holds the count of bits the first call returned.  A copy
+   moves up to 56 bits at a time from a source a whole number of its periods
+   back, so the pieces of an overlapping one double, as in Python, to 56. */
+int64_t lz_unpack(const uint8_t *stream, int64_t n, int64_t limit, int exact, uint8_t *out)
+{
+    reader_t r = {stream, n, 0};
+    int64_t size = 0, p, ell, bit;
+    while (r.at < n) {
+        if (!get_integer(&r, &p) || --p > size)
+            return -1;
+        if (p == 0) {  /* a literal: its raw bit */
+            if (size >= limit || !get(&r, 1, &bit))
+                return -1;
+            if (out)
+                put(out, size, (uint64_t)bit, 1);
+            size++;
+            continue;
+        }
+        if (!get_integer(&r, &ell) || ell > limit - size)
+            return -1;
+        for (int64_t d = size, k; out && d < size + ell; d += k) {
+            /* bits s to d continue the run, a whole number of its periods */
+            int64_t s = p - 1 + (d - p + 1) % (size - p + 1);
+            k = size + ell - d < d - s ? size + ell - d : d - s;
+            k = k < 56 ? k : 56;
+            put(out, d, peek(out, s, (int)k), (int)k);
+        }
+        size += ell;
+    }
+    return exact && size != limit ? -1 : size;
+}
 
 /* Into c, the block that Philox4x64-10 (Salmon et al., SC 2011) keyed (seed, 0)
    makes of counter, as sources._uniforms does: numpy's Philox(key=seed). */

@@ -21,8 +21,11 @@ container (codeword object or bit file) to delimit the stream.
 Match search uses a suffix automaton with first-occurrence positions,
 giving maximal matches and smallest-p tie-breaking in O(n) overall.  One
 online loop takes each appended bit into the greedy parse and then into the
-automaton (see :class:`_PrefixCosts`); it runs in C (``_lzkernel.c``) where
-a C compiler is at hand, else in Python.
+automaton (see :class:`_PrefixCosts`).  It runs in C (``_lzkernel.c``) where
+a C compiler is at hand, else in Python, and so do the codec's loops, which
+write a walk's pairs as codewords (``encode``) and expand a pair stream
+(``decode``); the Python loops stay the fallback and the reference, and
+every refusal of ``decode`` is raised by its Python loop.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .errors import DecodeError
 # per bit (a huge-page mapping from 2^19 bits on, or once it grows: see
 # _allocate), and the sample's packed payload, an eighth of a byte per bit,
 # beside it: a `test` at this cap peaks below 36 bytes per bit, interpreter
-# included.  A bare pair stream decodes to at most this many bits.
+# included.  A bare pair stream decodes to at most this many bits, and a
+# codeword to at most _MAX_BITS.
 DEFAULT_MEMORY_CAP_BITS = 1 << 23
 _BLOCK = 1 << 14  # entries an array grows by at a time, where there is no MADV_HUGEPAGE
 # The smallest new table, in bytes, made in a mapping, and the least room of
@@ -54,6 +58,9 @@ _BLOCK = 1 << 14  # entries an array grows by at a time, where there is no MADV_
 # already resident.
 _MAP_BYTES = 16 << 20
 _MAX_BITS = (2 ** 31 - 3) // 2  # keeps 2 * bits + 2 states within int32
+# A mapping's length is a whole number of huge pages, which Linux aligns it
+# to: its last page is then huge too.
+_HUGE_PAGE = 2 << 20
 _KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_lzkernel.c")
 # -ffp-contract=off: tau_k's arithmetic in the C loop stays that of the Python loop
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -87,6 +94,10 @@ def _kernel() -> ctypes.CDLL | None:
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.lz_extend.argtypes = [ptr, ptr, i64, ptr, ctypes.POINTER(_PrefixCosts), ptr, ptr]
     lib.lz_extend.restype = None
+    lib.lz_pack.argtypes = [ptr, i64, ptr]
+    lib.lz_pack.restype = None
+    lib.lz_unpack.argtypes = [ptr, i64, i64, ctypes.c_int, ptr]
+    lib.lz_unpack.restype = i64
     lib.draw.argtypes = [ctypes.c_uint64, i64, ctypes.c_int, ptr, ptr, i64, ptr]
     lib.draw.restype = None
     return lib
@@ -130,8 +141,9 @@ def _address(buffer: bytes | bytearray | array | memoryview | None):
 
 
 def _allocate(entries: int, table: array | memoryview | None = None) -> array | memoryview:
-    """An int32 table of ``entries`` zeros, or ``table`` grown to ``entries``
-    with zeros at its end; the caller holds no other view of ``table``.
+    """An int32 table of at least ``entries`` zeros, or ``table`` grown to
+    at least ``entries`` with zeros at its end; the caller holds no other
+    view of ``table``.
 
     A new table of at least ``_MAP_BYTES``, and every table that grows, is
     a private anonymous mapping advised ``MADV_HUGEPAGE``, seen as an
@@ -142,6 +154,10 @@ def _allocate(entries: int, table: array | memoryview | None = None) -> array | 
     ``_MAP_BYTES`` (address space, resident only where written), and a
     mapping grows with ``mmap.resize``, which keeps its pages; so a table
     that grows, as a scan's does, is copied once, while it is small.  A
+    mapping, new or resized, is a whole number of ``_HUGE_PAGE``, and its
+    view is as long: Linux aligns such a mapping to a huge page, so none of
+    its pages falls back to 4 KiB ones (a 2^20-bit pass's table, 32 bytes
+    past 32 MiB, took 15 huge pages and 512 small ones).  A
     smaller new table is an ``array``, as is every table where the
     platform has no ``MADV_HUGEPAGE``; there a table grows in place a
     bounded fill piece at a time, so no old table is held beside its new
@@ -156,14 +172,16 @@ def _allocate(entries: int, table: array | memoryview | None = None) -> array | 
         for done in range(0, grow, _BLOCK):
             table.extend(fill[:grow - done])
         return table
+    if isinstance(table, array):
+        size = max(size, _MAP_BYTES)
+    size = -(-size // _HUGE_PAGE) * _HUGE_PAGE
     try:
         if isinstance(table, memoryview):
             mapping = table.obj
             table.release()  # a mapping with a view alive cannot be resized
             mapping.resize(size)  # new pages read 0
         else:  # Python's default anonymous mapping is shared, and gets no huge pages
-            mapping = mmap.mmap(-1, size if table is None else max(size, _MAP_BYTES),
-                                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            mapping = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     except OSError as exc:
         raise MemoryError(f"cannot map a table of {size} bytes: {exc}") from exc
     try:
@@ -191,14 +209,20 @@ Lz77Parse = namedtuple("Lz77Parse", "pairs total_length")
 Lz77Parse.__doc__ = "Greedy factorization of a bit string: its ``Lz77Pair`` list and bit count."
 
 
-def parse(x: BitString) -> Lz77Parse:
-    """Greedy factorization of ``x``; empty input yields no pairs."""
-    n = len(x)
-    pairs = _allocate(2 * n)  # a factor has at least one bit; few entries are written
+def _walk(x: BitString) -> tuple[_PrefixCosts, array | memoryview]:
+    """One walk of all of ``x`` and the int32 table of its pairs, the first
+    ``walk.factors + 1`` of them where ``x`` has bits (see ``extend``)."""
+    pairs = _allocate(2 * len(x))  # a factor has at least one bit; few entries are written
     walk = _PrefixCosts()
     walk.extend(x, pairs=pairs)
-    entries = iter(pairs[:2 * walk.factors + 2] if n else ())
-    return Lz77Parse(pairs=list(map(Lz77Pair._make, zip(entries, entries))), total_length=n)
+    return walk, pairs
+
+
+def parse(x: BitString) -> Lz77Parse:
+    """Greedy factorization of ``x``; empty input yields no pairs."""
+    walk, pairs = _walk(x)
+    entries = iter(pairs[:2 * walk.factors + 2] if len(x) else ())
+    return Lz77Parse(pairs=list(map(Lz77Pair._make, zip(entries, entries))), total_length=len(x))
 
 
 def pairs_cost(pairs: list[Lz77Pair]) -> int:
@@ -209,6 +233,13 @@ def pairs_cost(pairs: list[Lz77Pair]) -> int:
 
 def encode(x: BitString) -> Codeword:
     """Serialize the greedy parse of ``x``."""
+    kernel = _kernel()
+    if kernel is not None:  # the walk's pairs, packed by lz_pack in _lzkernel.c
+        walk, pairs = _walk(x)
+        out = bytearray((walk.total + 7) // 8)  # the walk prices exactly these codewords
+        if walk.total:
+            kernel.lz_pack(_address(pairs), walk.factors + 1, _address(out))
+        return Codeword(bits=BitString._wrap(out, walk.total), source_length=len(x))
     w = BitWriter()
     for p, payload in parse(x).pairs:
         write_integer(w, p + 1)
@@ -223,14 +254,36 @@ def decode(c: Codeword | BitString) -> BitString:
     """Rebuild the input from a serialized pair stream.
 
     A :class:`Codeword` must decode to exactly its ``source_length`` bits,
-    and a bare stream to at most ``DEFAULT_MEMORY_CAP_BITS``.  A pair that
-    would pass the bound raises :class:`DecodeError` before it is expanded,
-    so a short hostile stream cannot allocate a long output.
+    at most ``_MAX_BITS``, the most that ``encode`` takes, and a bare stream
+    to at most ``DEFAULT_MEMORY_CAP_BITS``.  A pair that would pass the
+    bound raises :class:`DecodeError` before it is expanded, so a short
+    hostile stream cannot allocate a long output.
+
+    Where the C kernel loads, ``lz_unpack`` reads the stream once, and, if
+    it decodes, expands it into its packed result, an eighth of a byte per
+    bit.  Otherwise, and for every stream that it refuses, the Python loop
+    below decodes it, or raises the error that says why and where.  That
+    loop holds one ASCII digit per bit, packed once at the end; an
+    overlapping copy appends what it has copied so far from its fixed
+    source, so each piece doubles and a run of ``l`` bits of period ``d``
+    takes about ``log2(l / d)`` pieces.
     """
-    if isinstance(c, Codeword):
+    exact = isinstance(c, Codeword)
+    if exact:
         stream, limit = c.bits, c.source_length
+        if not 0 <= limit <= _MAX_BITS:
+            raise DecodeError(f"source_length {limit} is outside 0 to {_MAX_BITS}", 0)
     else:
         stream, limit = c, DEFAULT_MEMORY_CAP_BITS
+    kernel = _kernel()
+    if kernel is not None and len(stream):  # ctypes takes no address of an empty bytearray
+        payload = _address(stream._payload)
+        n = kernel.lz_unpack(payload, len(stream), limit, exact, None)
+        if n >= 0:
+            out = bytearray((n + 7) // 8)
+            if n:
+                kernel.lz_unpack(payload, len(stream), limit, exact, _address(out))
+            return BitString._wrap(out, n)
     reader = BitReader(stream)
     out = bytearray()  # the digits b"0" and b"1", packed once at the end
     while reader.remaining():
@@ -245,13 +298,12 @@ def decode(c: Codeword | BitString) -> BitString:
         if p == 0:
             out.append(48 + reader.read(1))
             continue
-        s = p - 1
+        s = p - 1  # out[s:] is a whole number of periods, so each piece continues the run
         while ell:  # an overlapping copy repeats what it has copied so far
             piece = out[s:s + ell]
             out += piece
-            s += len(piece)
             ell -= len(piece)
-    if isinstance(c, Codeword) and len(out) != limit:
+    if exact and len(out) != limit:
         raise DecodeError(f"decoded {len(out)} bits, the codeword holds {limit}", reader.pos)
     n = len(out)
     out += b"0" * (-n % 8)  # to whole bytes; a base-2 int() takes linear time

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import multiprocessing
 import os
 from array import array
@@ -112,8 +113,9 @@ def python_loops():
 def mapped_tables(cut_off: int):
     """Context manager under which ``lz`` holds every table of at least
     ``cut_off`` bytes in a huge-page mapping, not only those of
-    ``lz._MAP_BYTES``: short inputs then take the mapping's paths."""
-    return mock.patch.object(lz, "_MAP_BYTES", cut_off)
+    ``lz._MAP_BYTES``, and sizes a mapping to whole pages, not huge pages:
+    short inputs then take the mapping's paths, growth in place included."""
+    return mock.patch.multiple(lz, _MAP_BYTES=cut_off, _HUGE_PAGE=mmap.PAGESIZE)
 
 
 def spy_on_tables(monkeypatch) -> list[tuple[str, str]]:

@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import errno
 import functools
+import inspect
 import itertools
 import math
 import mmap
@@ -407,9 +408,12 @@ def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
     for tables in _TABLES:  # a 2.6 MiB table: mapped from 1 MiB on
         with _backend(backend), _tables(tables, 1 << 20):
             automaton = _one_pass(x)
-            # one row of four int32 entries for the root and for each of 2n states
+            # one row of four int32 entries for the root and for each of 2n
+            # states, in a mapping to the end of its last page
+            entries, page = 4 * (2 * len(x) + 2), lz._HUGE_PAGE // 4
             assert automaton._table.itemsize == 4
-            assert len(automaton._table) == 4 * (2 * len(x) + 2)
+            assert len(automaton._table) == (-(-entries // page) * page if tables == "mapped"
+                                             else entries)
             assert isinstance(automaton._table, memoryview) == (tables == "mapped")
             assert _columns(automaton) == want, tables
             _assert_matches_reference(automaton, reference)
@@ -549,10 +553,11 @@ def test_prefix_costs_refuse_a_table_the_walk_would_overrun(backend):
                 assert costs.total == costs.seen == 0 and costs._table is None
                 assert set(pairs) == {0}
             pairs = lz._allocate(4)  # room for the prefix taken: two literals
-            pairs[:] = array("i", [-1]) * 4
+            pairs[:] = array("i", [-1]) * len(pairs)  # a mapping has room to the end of its page
             assert isinstance(pairs, memoryview) == (tables == "mapped")
             costs.extend(x.prefix(2), pairs=pairs)
-            assert costs.total == lz.code_length(x.prefix(2)) and pairs.tolist() == [0, 0, 0, 1]
+            assert costs.total == lz.code_length(x.prefix(2))
+            assert pairs.tolist() == [0, 0, 0, 1] + [-1] * (len(pairs) - 4)
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -776,6 +781,29 @@ def test_a_mapped_table_is_private_and_advised_huge_pages():
     assert perms[3] == "p" and "hg" in flags
 
 
+def test_every_mapping_is_a_whole_number_of_huge_pages(monkeypatch):
+    # Linux aligns such a mapping to a huge page, so its last page is huge too
+    lengths = []
+
+    class Measured(mmap.mmap):
+        def __new__(cls, fileno, length, *args, **kwargs):
+            lengths.append(length)
+            return super().__new__(cls, fileno, length, *args, **kwargs)
+
+        def resize(self, length):
+            lengths.append(length)
+            super().resize(length)
+
+    monkeypatch.setattr(mmap, "mmap", Measured)
+    table = lz._allocate(4 * (2 * 2 ** 20 + 2))  # a 2^20-bit pass's: 32 bytes past 32 MiB
+    assert isinstance(table, memoryview) and 4 * len(table) == 34 << 20
+    table = lz._allocate(len(table) + 1, table)  # grown in place
+    assert 4 * len(table) == 36 << 20 and table[-1] == 0
+    table = lz._allocate(lz._MAP_BYTES // 4 + 1, array("i", [7]) * 10)  # an array that moves
+    assert 4 * len(table) == lz._MAP_BYTES + (2 << 20) and table[:11].tolist() == [7] * 10 + [0]
+    assert lengths == [34 << 20, 36 << 20, lz._MAP_BYTES + (2 << 20)]
+
+
 def test_short_passes_make_no_mapping(monkeypatch):
     # the api-small bench's largest tables: 2^16-bit encodes, 2 MiB of automaton
     monkeypatch.setattr(mmap, "mmap", _enomem)
@@ -840,8 +868,8 @@ def test_kernel_compiles_clean_with_warnings_as_errors(tmp_path):
                           "-o", str(tmp_path / "_lzkernel.so"), str(lz._KERNEL_SOURCE), "-lm"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    library = ctypes.CDLL(str(tmp_path / "_lzkernel.so"))  # both loops are built
-    assert library.lz_extend and library.draw
+    library = ctypes.CDLL(str(tmp_path / "_lzkernel.so"))  # every loop is built
+    assert library.lz_extend and library.lz_pack and library.lz_unpack and library.draw
 
 
 @pytest.mark.parametrize("failure", ["no compiler", "compiler fails", "cache not writable",
@@ -934,14 +962,21 @@ def test_decode_rejects_truncation():
     assert err.value.bit_offset >= 0
 
 
+def _stream(*fields: str | int) -> BitString:
+    """Digits as they are and integers as their codewords, one stream."""
+    w = BitWriter()
+    for field in fields:
+        if isinstance(field, str):
+            for bit in field:
+                w.write(int(bit), 1)
+        else:
+            write_integer(w, field)
+    return w.to_bitstring()
+
+
 def _copy_bomb(copy_bits: int) -> BitString:
     """A literal, then one copy of ``copy_bits`` bits from position 1."""
-    w = BitWriter()
-    write_integer(w, 1)
-    w.write(0, 1)
-    write_integer(w, 2)
-    write_integer(w, copy_bits)
-    return w.to_bitstring()
+    return _stream(1, "0", 2, copy_bits)
 
 
 def _decode_peak_bytes(c) -> int:
@@ -961,6 +996,22 @@ def test_decode_refuses_codeword_bomb():
     assert _decode_peak_bytes(Codeword(bits=bomb, source_length=5)) < 1 << 20
 
 
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_decode_refuses_a_source_length_past_what_encode_takes(backend):
+    # a copy of 2^40 bits that the codeword claims: refused before any pair is read
+    bomb = _copy_bomb(1 << 40)
+    assert len(bomb) == 57
+    with _backend(backend):
+        assert _decode_peak_bytes(Codeword(bits=bomb, source_length=2 ** 41)) < 1 << 20
+        for wrong in (lz._MAX_BITS + 1, -1):
+            with pytest.raises(DecodeError, match=f"source_length {wrong} is outside") as err:
+                lz.decode(Codeword(bits=bomb, source_length=wrong))
+            assert err.value.bit_offset == 0
+        # at the bound the pair itself is refused
+        with pytest.raises(DecodeError, match=f"past the bound of {lz._MAX_BITS} bits"):
+            lz.decode(Codeword(bits=bomb, source_length=lz._MAX_BITS))
+
+
 def test_decode_refuses_bare_bomb_past_the_memory_cap():
     bomb = _copy_bomb(lz.DEFAULT_MEMORY_CAP_BITS)  # the literal makes it one bit too many
     assert _decode_peak_bytes(bomb) < 1 << 20
@@ -971,18 +1022,33 @@ def test_failing_decode_of_a_long_bare_stream_holds_one_byte_per_bit():
     assert _decode_peak_bytes(random_bits(1 << 22, seed=8)) < 6 << 20
 
 
-def test_a_decode_holds_about_one_byte_per_bit():
-    # one digit per bit while it copies, then the packed result
-    x = random_bits(1 << 20, seed=9)
-    c = lz.encode(x)
+def _decoding_peak_bytes(c: Codeword) -> tuple[BitString, int]:
+    """What ``lz.decode(c)`` returns, and the peak bytes it allocates."""
     tracemalloc.start()
     try:
         y = lz.decode(c)
-        peak = tracemalloc.get_traced_memory()[1]
+        return y, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_decode_holds_about_one_byte_per_bit():
+    # the Python loop: one digit per bit while it copies, then the packed result
+    x = random_bits(1 << 20, seed=9)
+    c = lz.encode(x)
+    with python_loops():
+        y, peak = _decoding_peak_bytes(c)
     assert y == x
     assert peak < 1.45 * len(x), f"{peak / len(x):.3f} bytes per bit"
+
+
+def test_a_kernel_decode_holds_its_packed_result_alone():
+    x = random_bits(1 << 20, seed=9)
+    c = lz.encode(x)
+    with _backend("native"):
+        y, peak = _decoding_peak_bytes(c)
+    assert y == x
+    assert peak < 0.13 * len(x), f"{peak / len(x):.3f} bytes per bit"
 
 
 def test_decode_checks_codeword_length():
@@ -1005,6 +1071,112 @@ def test_decode_fuzz_stays_bounded(blob, source_length):
         assert len(lz.decode(Codeword(bits=stream, source_length=source_length))) == source_length
     except DecodeError:
         pass
+
+
+def _run_bits(period: int, ell: int) -> tuple[BitString, BitString]:
+    """A stream of ``period`` literals and then one copy of ``ell`` bits from
+    position 1, and the run it decodes to."""
+    pattern = random_bits(period, seed=period).to01()
+    literals = itertools.chain.from_iterable((1, bit) for bit in pattern)
+    run = (pattern * (ell // period + 2))[:period + ell]
+    return _stream(*literals, 2, ell), BitString.from01(run)
+
+
+def _copy_pieces(stream: BitString) -> int:
+    """The pieces that the Python loop of ``lz.decode`` appends while it
+    decodes ``stream``: the line events of its ``out += piece``."""
+    lines, first = inspect.getsourcelines(lz.decode)
+    marker = first + next(i for i, line in enumerate(lines) if line.strip() == "out += piece")
+    code, count = lz.decode.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line" and frame.f_lineno == marker
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        with python_loops():
+            lz.decode(stream)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_an_overlapping_copy_doubles_its_piece(backend):
+    for period in range(1, 18):
+        for ell in sorted({period * 2 ** k + d for k in range(12) for d in (-1, 0, 1)} - {0}):
+            stream, run = _run_bits(period, ell)
+            with _backend(backend):
+                assert lz.decode(stream) == run, (period, ell)
+                assert lz.decode(Codeword(bits=stream, source_length=len(run))) == run
+            if backend == "python":  # d, 2d, 4d, ... bits: the first k pieces copy d (2^k - 1)
+                pieces = next(k for k in itertools.count(1) if period * (2 ** k - 1) >= ell)
+                assert _copy_pieces(stream) == pieces, (period, ell)
+
+
+def _decoded(c: Codeword | BitString) -> BitString | tuple[str, int]:
+    """``lz.decode(c)``, or the text and offset of the DecodeError it raises."""
+    try:
+        return lz.decode(c)
+    except DecodeError as exc:
+        return str(exc), exc.bit_offset
+
+
+def _assert_codecs_agree(stream: BitString, source_length: int) -> None:
+    """The kernel's decode of ``stream``, bare and as a codeword of
+    ``source_length`` bits, is the Python loop's, or its DecodeError."""
+    if lz._kernel() is None:
+        pytest.skip("the C kernel does not build here")
+    for c in (stream, Codeword(bits=stream, source_length=source_length)):
+        with python_loops():
+            want = _decoded(c)
+        assert _decoded(c) == want, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=48), st.integers(0, 7), st.integers(0, 400))
+def test_kernel_decodes_random_streams_as_python_does(blob, cut, source_length):
+    stream = BitString.from01("".join(f"{b:08b}" for b in blob)[:len(blob) * 8 - cut])
+    _assert_codecs_agree(stream, source_length)
+    with python_loops():
+        decoded = _decoded(stream)
+    if isinstance(decoded, BitString):
+        _assert_codecs_agree(stream, len(decoded))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=120), st.data())
+def test_kernel_codec_agrees_on_cut_and_flipped_codewords(blob, data):
+    x = BitString(np.frombuffer(blob, dtype=np.uint8) % 3 % 2)
+    c = lz.encode(x)
+    with python_loops():
+        assert lz.encode(x) == c
+    assert lz.decode(c) == x
+    _assert_codecs_agree(c.bits, len(x))
+    cut = data.draw(st.integers(0, len(c)), label="cut")
+    _assert_codecs_agree(c.bits.prefix(cut), len(x))
+    if len(c):
+        i = data.draw(st.integers(0, len(c) - 1), label="flip")
+        digits = c.bits.to01()
+        flipped = BitString.from01(digits[:i] + "10"[int(digits[i])] + digits[i + 1:])
+        _assert_codecs_agree(flipped, len(x))
+
+
+@pytest.mark.parametrize("stream", [
+    _stream("0" * 5), _stream("0" * 6), _stream("0" * 64 + "1"), _stream("0" * 65),
+    _stream(1, "1", 2), _stream(1, "1", 2, "0001"), _stream(1),
+    _stream(1, "0", 2, 2 ** 60), _stream(1, "0", 2, 2 ** 61 - 1), _stream(1, "0", 2, 2 ** 61),
+    _stream(1, "0", 2, 2 ** 62 + 5), _stream(1, "0", 2 ** 61), _stream(1, "0", 2 ** 63 + 1),
+    _stream(1, "0", 2, lz.DEFAULT_MEMORY_CAP_BITS - 1, 1, "1"), _stream(1, "1", 3, 1),
+    _stream(1, "0", 2, "0" * 8 + "10000" + "0" * 15), _stream(1, "1", 2, "0" * 7 + "1" + "0" * 40),
+    _stream(1, "1", 1, "0", 3, 5, 2, 1),
+], ids=lambda stream: f"{len(stream)}-bits")
+def test_kernel_refuses_hostile_streams_as_python_does(stream):
+    for source_length in (0, 3, 7, lz.DEFAULT_MEMORY_CAP_BITS, lz._MAX_BITS):
+        _assert_codecs_agree(stream, source_length)
 
 
 def test_bounded_window_mode_prices_each_window_apart():

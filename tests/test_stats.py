@@ -475,9 +475,10 @@ def test_windowed_prefix_scan_test_equals_from_scratch_scan(kind, start_bits, wi
 @pytest.mark.parametrize("window", [None, 384])
 def test_a_scan_moves_its_table_once(window, backend, monkeypatch):
     # a pass's first table is an array, which moves into a mapping with room
-    # for lz._MAP_BYTES at its first growth; under a cut-off of 256 bytes (16
-    # states) that mapping grows in place.  A window of 384 ends on a scan
-    # step, so only the first window's pass grows: each later one is sized once.
+    # for lz._MAP_BYTES at its first growth; under a cut-off of 256 bytes, and
+    # mappings sized to whole pages, not huge pages, that mapping grows in place.
+    # A window of 384 ends on a scan step, so only the first window's pass
+    # grows: each later one is sized once.
     def reference(y: BitString, alpha: float) -> stats.TestReport:
         if window is None:
             return reference_compression_test(y, alpha)
