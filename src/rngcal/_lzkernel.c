@@ -25,7 +25,12 @@
 
    draw transliterates sources._draw, the Python loop of Source.bits, which
    stays the fallback; tests/test_sources.py checks both against numpy's
-   Philox draws, and -ffp-contract=off keeps a drift's p0 + rate i unfused. */
+   Philox draws, and -ffp-contract=off keeps a drift's p0 + rate i unfused.
+
+   Python calls these loops for every input, none excepted: lz_pack,
+   lz_unpack and draw take NULL for a buffer where their count is 0 (an
+   empty bytearray has no address) and then touch no buffer, and
+   lz._PrefixCosts.extend calls lz_extend only where there are bits to take in. */
 
 #include <math.h>
 #include <stdint.h>
@@ -290,7 +295,7 @@ static void philox(uint64_t counter, uint64_t seed, uint64_t c[4])
     }
 }
 
-/* sources._draw: the first n >= 1 bits of a source into the zeroed out, packed
+/* sources._draw: the first n bits of a source into the zeroed out, packed
    MSB-first.  Bit i is u_i < p_i for the i-th uniform, (v >> 11) 2^-53 of the
    i-th Philox word v, where p_i is par[bit i - 1] for a Markov chain (kind 1;
    1/2 for bit 0), par[0] + par[1] i for a drift (kind 2), and

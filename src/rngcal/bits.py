@@ -81,15 +81,6 @@ class BitString:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def array(self):
-        """Read-only uint8 numpy array of the bits, one per byte (numpy: the test extra)."""
-        import numpy as np
-
-        a = np.unpackbits(np.frombuffer(self._payload, dtype=np.uint8), count=self._n)
-        a.setflags(write=False)
-        return a
-
     def to01(self) -> str:
         return format(self.to_int(), f"0{self._n}b") if self._n else ""
 

@@ -25,7 +25,10 @@ automaton (see :class:`_PrefixCosts`).  It runs in C (``_lzkernel.c``) where
 a C compiler is at hand, else in Python, and so do the codec's loops, which
 write a walk's pairs as codewords (``encode``) and expand a pair stream
 (``decode``); the Python loops stay the fallback and the reference, and
-every refusal of ``decode`` is raised by its Python loop.
+every refusal of ``decode`` is raised by its Python loop.  Which loops run
+depends on whether the kernel loads, never on the input: an empty buffer
+goes to a C loop as NULL (see ``_address``), and each loop that takes one
+reads and writes nothing where its count is 0.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def _address(buffer: bytes | bytearray | array | memoryview | None):
         return buffer.buffer_info()[0]
     if buffer is None or isinstance(buffer, bytes):
         return buffer
-    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))  # a bytearray, or a mapping's view
+    # a bytearray, or a mapping's view; NULL where it is empty, as an empty array's address is
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer)) if len(buffer) else None
 
 
 def _allocate(entries: int, table: array | memoryview | None = None) -> array | memoryview:
@@ -209,19 +213,19 @@ Lz77Parse = namedtuple("Lz77Parse", "pairs total_length")
 Lz77Parse.__doc__ = "Greedy factorization of a bit string: its ``Lz77Pair`` list and bit count."
 
 
-def _walk(x: BitString) -> tuple[_PrefixCosts, array | memoryview]:
-    """One walk of all of ``x`` and the int32 table of its pairs, the first
-    ``walk.factors + 1`` of them where ``x`` has bits (see ``extend``)."""
+def _walk(x: BitString) -> tuple[_PrefixCosts, array | memoryview, int]:
+    """One walk of all of ``x``, the int32 table of its pairs (see
+    ``extend``) and their count: ``walk.factors + 1``, or 0 for no bits."""
     pairs = _allocate(2 * len(x))  # a factor has at least one bit; few entries are written
     walk = _PrefixCosts()
     walk.extend(x, pairs=pairs)
-    return walk, pairs
+    return walk, pairs, walk.factors + 1 if len(x) else 0
 
 
 def parse(x: BitString) -> Lz77Parse:
     """Greedy factorization of ``x``; empty input yields no pairs."""
-    walk, pairs = _walk(x)
-    entries = iter(pairs[:2 * walk.factors + 2] if len(x) else ())
+    _, pairs, count = _walk(x)
+    entries = iter(pairs[:2 * count])
     return Lz77Parse(pairs=list(map(Lz77Pair._make, zip(entries, entries))), total_length=len(x))
 
 
@@ -232,16 +236,17 @@ def pairs_cost(pairs: list[Lz77Pair]) -> int:
 
 
 def encode(x: BitString) -> Codeword:
-    """Serialize the greedy parse of ``x``."""
+    """Serialize the greedy parse of ``x``: the walk's pairs, packed by
+    ``lz_pack`` in ``_lzkernel.c`` where the kernel loads, else written below."""
+    walk, pairs, count = _walk(x)
     kernel = _kernel()
-    if kernel is not None:  # the walk's pairs, packed by lz_pack in _lzkernel.c
-        walk, pairs = _walk(x)
+    if kernel is not None:
         out = bytearray((walk.total + 7) // 8)  # the walk prices exactly these codewords
-        if walk.total:
-            kernel.lz_pack(_address(pairs), walk.factors + 1, _address(out))
+        kernel.lz_pack(_address(pairs), count, _address(out))
         return Codeword(bits=BitString._wrap(out, walk.total), source_length=len(x))
     w = BitWriter()
-    for p, payload in parse(x).pairs:
+    entries = iter(pairs[:2 * count])
+    for p, payload in zip(entries, entries):
         write_integer(w, p + 1)
         if p == 0:
             w.write(payload, 1)
@@ -276,13 +281,12 @@ def decode(c: Codeword | BitString) -> BitString:
     else:
         stream, limit = c, DEFAULT_MEMORY_CAP_BITS
     kernel = _kernel()
-    if kernel is not None and len(stream):  # ctypes takes no address of an empty bytearray
+    if kernel is not None:
         payload = _address(stream._payload)
         n = kernel.lz_unpack(payload, len(stream), limit, exact, None)
         if n >= 0:
             out = bytearray((n + 7) // 8)
-            if n:
-                kernel.lz_unpack(payload, len(stream), limit, exact, _address(out))
+            kernel.lz_unpack(payload, len(stream), limit, exact, _address(out))
             return BitString._wrap(out, n)
     reader = BitReader(stream)
     out = bytearray()  # the digits b"0" and b"1", packed once at the end
@@ -403,10 +407,7 @@ class _PrefixCosts(ctypes.Structure):
             return
         table = self._table
         if table is None:
-            entries = 4 * (2 * n + 2)  # the root, two states a bit
-            # a short pass's array is made here: a call to _allocate would cost it 4%
-            table = self._table = (array("i", [0]) * entries if 4 * entries < _MAP_BYTES
-                                   else _allocate(entries))
+            table = self._table = _allocate(4 * (2 * n + 2))  # the root, two states a bit
             table[2] = table[3] = -1  # the root has no link and no occurrence
         elif (room := self.states + 2 * n + 1 - len(table) // 4) > 0:
             # growing by at least an eighth keeps short extensions amortized

@@ -106,7 +106,7 @@ class Source:
         # an end past n, past int64 too, draws as n: bit n - 1 lies in the same segment
         par, ends = array("d", par), array("q", [min(end, n) for end in ends])
         kernel = lz._kernel()
-        if kernel is None or not n:  # ctypes takes no address of an empty bytearray
+        if kernel is None:
             _draw(self.seed, n, kind, par, ends, out)
         else:
             kernel.draw(self.seed, n, kind, lz._address(par), lz._address(ends), len(ends),

@@ -340,18 +340,21 @@ def consistency_scan(x: BitString, engine: PrefixScanTest, alpha: float,
     """Apply the one test of ``engine`` to the prefixes of ``x`` at doubling lengths.
 
     The grid is ``start_bits``, ``2*start_bits``, ... up to ``len(x)``; each
-    step feeds the engine the bits since the last.  Step ``j`` (from 1) is
-    judged at ``alpha * omega_star(j)``, and the scan's p-value is the
-    battery's ``min_j p_j / w_j``, so a scan of uniform bits rejects with
-    probability at most ``alpha``; ``tauk``, a maximum over every prefix
-    already, spends nothing.  Returns the first grid length at which the
-    p-value is at most ``alpha``, or None if the sample is exhausted without
-    rejection; the budget running out is an outcome, not an error.
+    step feeds ``engine``, which must not have taken in bits before, the
+    bits since the last.  Step ``j`` (from 1) is judged at ``alpha *
+    omega_star(j)``, and the scan's p-value is the battery's ``min_j p_j /
+    w_j``, so a scan of uniform bits rejects with probability at most
+    ``alpha``; ``tauk``, a maximum over every prefix already, spends
+    nothing.  Returns the first grid length at which the p-value is at most
+    ``alpha``, or None if the sample is exhausted without rejection; the
+    budget running out is an outcome, not an error.
     """
     alpha = _check_alpha(alpha)
     _check_grid(start_bits, len(x))
     if len(engine.test_ids) != 1:
         raise ValueError("a scan drives one test; call reports() for a battery")
+    if held := getattr(engine, "_bits", 0):  # a stand-in engine may count nothing
+        raise ValueError(f"a scan needs a fresh engine; this one has taken {held} bits")
     spend = engine.test_ids[0] != "tauk"
     steps: list[ScanStep] = []
     taken, n = 0, start_bits

@@ -70,6 +70,11 @@ def random_bits(n: int, seed: int, p: float = 0.5) -> BitString:
     return packed_bits(np.random.default_rng(seed).random(n) < p)
 
 
+def bit_array(x: BitString) -> np.ndarray:
+    """The bits of ``x`` as a uint8 numpy array, one per byte."""
+    return np.unpackbits(np.frombuffer(x._payload, dtype=np.uint8), count=len(x))
+
+
 def packed_bits(a: np.ndarray) -> BitString:
     """The bits of the 0/1 array ``a``, packed by numpy: ``BitString(a)``
     checks each element in Python, which takes seconds at 2^20 bits."""
@@ -82,7 +87,7 @@ def brute_lz77_pairs(x: BitString) -> list[tuple[int, int]]:
     Maximal match, overlap allowed, smallest 1-based source position among
     maximal matches; (0, bit) for literals.
     """
-    bits = x.array.tolist()
+    bits = bit_array(x).tolist()
     n = len(bits)
     pairs = []
     i = 0
@@ -216,7 +221,7 @@ def reference_pass(x: BitString) -> dict:
     factors as ``(p, l)`` pairs (``(0, bit)`` for a literal), the open
     factor's start, the cost before it, the total, and tau_k's best evidence
     and its scale, computed with ``math.log2``."""
-    bits = x.array.tobytes()
+    bits = bit_array(x).tobytes()
     n = len(bits)
     bounds, ends = reference_factorize(bits, reference_automaton(bits))
     costs, pairs = [0] * (n + 1), []
@@ -244,7 +249,7 @@ def reference_prefix_costs(x: BitString) -> np.ndarray:
     its first occurrence.  The automaton is ``reference_automaton``'s, so
     the reference does not rest on ``lz``.
     """
-    bits = x.array.tobytes()
+    bits = bit_array(x).tobytes()
     n = len(bits)
     next0, next1, _, _, first, _ = reference_automaton(bits)
     out = [0] * (n + 1)

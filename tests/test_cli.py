@@ -25,7 +25,7 @@ from rngcal.bits import BitString, decode_bits, encode_bits, read_bit_file, writ
 from rngcal.cli import main
 from rngcal.lz import DEFAULT_MEMORY_CAP_BITS
 
-from helpers import (Pipe, mapped_tables, packed_bits, reference_compression_test,
+from helpers import (Pipe, mapped_tables, packed_bits, python_loops, reference_compression_test,
                      reference_scan, reference_tau_k_test)
 
 DIGEST_BERNOULLI_05_SEED7_1024 = (
@@ -246,10 +246,13 @@ _GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 @pytest.mark.parametrize("case", _GOLDEN, ids=[case["name"] for case in _GOLDEN])
 def test_cli_output_matches_golden(case, capsys):
-    # whole outputs and exit statuses, JSON byte for byte apart from the timestamp
-    status = run_cli(*case["argv"])
-    out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', capsys.readouterr().out)
-    assert (status, out) == (case["status"], case["stdout"])
+    # whole outputs and exit statuses, JSON byte for byte apart from the
+    # timestamp, on the C kernel and on the Python loops
+    for loops in (contextlib.nullcontext, python_loops):
+        with loops():
+            status = run_cli(*case["argv"])
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "*"', capsys.readouterr().out)
+        assert (status, out) == (case["status"], case["stdout"]), loops.__name__
 
 
 def test_scan_takes_exactly_one_test(capsys):

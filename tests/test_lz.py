@@ -24,14 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rngcal import lz, stats
+from rngcal import lz, sources, stats
 from rngcal.bits import BitString
 from rngcal.codes import BitWriter, Codeword, encoded_length, write_integer
 from rngcal.errors import DecodeError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, brute_lz77_pairs, mapped_tables, python_loops, random_bits,
-                     reference_automaton, reference_compression_test, reference_pass,
+from helpers import (all_bitstrings, bit_array, brute_lz77_pairs, mapped_tables, python_loops,
+                     random_bits, reference_automaton, reference_compression_test, reference_pass,
                      reference_prefix_costs, reference_running_tau_k, spy_on_tables)
 
 # Frozen regression constants for seed 7 of the packaged generators.
@@ -68,6 +68,42 @@ def test_empty_input():
     assert lz.decode(lz.encode(BitString())) == BitString()
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a Python loop ran where the C kernel loads")
+
+
+def _no_bits() -> list:
+    """What the current backend makes of no bits: a draw of each source
+    kind, then the encode, parse and code length of no bits and decodes of
+    a bare and an exact empty stream."""
+    specs = ("bernoulli:0.3:seed=1", "markov:0.9,0.1,0.2,0.8:seed=2", "drift:0.2,0.01:seed=3",
+             "regime:5,0.2,3,0.9:seed=4", "dup:seed=5")
+    empty = BitString()
+    return [*(sources.parse_source_spec(spec).bits(0) for spec in specs), lz.encode(empty),
+            lz.parse(empty), lz.code_length(empty), lz.decode(empty),
+            lz.decode(Codeword(empty, 0))]
+
+
+def test_the_backend_depends_only_on_whether_the_kernel_loads(monkeypatch):
+    # no bits run the C loops, as every other input does, to the Python loops' results
+    refused = Codeword(BitString(), 5)
+    with python_loops():
+        want, want_error = _no_bits(), _decoded(refused)
+    if lz._kernel() is None:
+        pytest.skip("the C kernel does not build here")
+    with monkeypatch.context() as patched:
+        for module, name in ((sources, "_draw"), (lz, "BitReader"), (lz, "BitWriter")):
+            patched.setattr(module, name, _unreachable)
+        got = _no_bits()
+    assert got == want
+    digests = [[x.digest() for x in (*results[:5], results[5].bits, *results[-2:])]
+               for results in (got, want)]
+    assert digests[0] == digests[1]
+    # a stream that lz_unpack refuses goes to the Python loop, which says why
+    assert _decoded(refused) == want_error == (
+        "decoded 0 bits, the codeword holds 5 (at bit offset 0)", 0)
+
+
 def test_parse_matches_brute_force_exhaustive():
     for n in range(0, 13):
         for x in all_bitstrings(n):
@@ -102,7 +138,7 @@ def test_copy_positions_point_into_prefix():
 
 def test_doubling_adds_at_most_one_pair():
     def doubled(u):
-        return BitString(np.concatenate([u.array, u.array]))
+        return BitString(np.concatenate([bit_array(u), bit_array(u)]))
 
     rng = np.random.default_rng(5)
     for n in range(1, 13):
@@ -336,10 +372,12 @@ def _tables(name: str, cut_off: int):
     return mapped_tables(cut_off) if name == "mapped" else contextlib.nullcontext()
 
 
-# the three ways into a mapping: a pass that starts in one, an array that
-# moves into one at its first growth, and a mapping that grows in place; where
-# there is MADV_HUGEPAGE no table grows in place as an array
-_MAPPED_PATHS = {("none", "mapping"), ("array", "mapping"), ("mapping", "same mapping")}
+# a short pass's first table, an array, and the three ways into a mapping: a
+# pass that starts in one, an array that moves into one at its first growth,
+# and a mapping that grows in place; where there is MADV_HUGEPAGE no table
+# grows in place as an array
+_MAPPED_PATHS = {("none", "array"), ("none", "mapping"), ("array", "mapping"),
+                 ("mapping", "same mapping")}
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -401,7 +439,7 @@ def _assert_matches_reference(automaton: lz._PrefixCosts, reference: tuple) -> N
 @pytest.mark.parametrize("kind", sorted(_PARITY_INPUTS))
 def test_automaton_columns_match_the_python_build(kind, backend, monkeypatch):
     x = _PARITY_INPUTS[kind](_MULTI_BLOCK_BITS)
-    reference = reference_automaton(x.array.tobytes())
+    reference = reference_automaton(bit_array(x).tobytes())
     with python_loops():
         want = _columns(_one_pass(x))
     seen = spy_on_tables(monkeypatch)
@@ -622,7 +660,7 @@ def test_strided_views_give_the_results_of_a_contiguous_copy():
     # a step slice copies its bits, as the checking constructor does
     base = DuplicationSource(seed=13).bits(40000)
     for x in (base[::2], base[::-1]):
-        copy = BitString(x.array)
+        copy = BitString(bit_array(x))
         assert x == copy and x._payload is not base._payload
         assert lz.code_length(x) == lz.code_length(copy)
         table = lz.prefix_code_lengths(copy)
@@ -654,7 +692,7 @@ def test_backends_agree_property(backend, blob, sizes):
         want = _columns(_one_pass(x))
         pairs = lz.parse(x).pairs
     reference = reference_prefix_costs(x)
-    automaton = reference_automaton(x.array.tobytes())
+    automaton = reference_automaton(bit_array(x).tobytes())
     with _backend(backend):
         assert _columns(_one_pass(x)) == want
         assert _columns(_chunked_automaton(x, sizes)) == want
@@ -932,7 +970,8 @@ def test_duplication_prefixes_compress_below_their_length():
 def test_second_copy_costs_log_bits():
     for seed in range(25):
         x = BernoulliSource(0.5, seed=seed).bits(256 + 16 * seed)
-        extra = lz.code_length(BitString(np.concatenate([x.array, x.array]))) - lz.code_length(x)
+        twice = BitString(np.concatenate([bit_array(x), bit_array(x)]))
+        extra = lz.code_length(twice) - lz.code_length(x)
         assert extra <= (encoded_length(1) + encoded_length(len(x))
                          + DUPLICATION_SLACK_BITS)
 

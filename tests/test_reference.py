@@ -12,7 +12,7 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource
 
-from helpers import all_bitstrings
+from helpers import all_bitstrings, bit_array
 
 
 def test_entropy_extremes():
@@ -45,7 +45,7 @@ def test_entropy_validates_range():
 def _direct_mu_p_value(x: BitString, p: float) -> float:
     """Literal 2^n enumeration; independent of the binomial-tail path."""
     n = len(x)
-    mu_x = p ** sum(x.array.tolist()) * (1 - p) ** (n - sum(x.array.tolist()))
+    mu_x = p ** sum(bit_array(x).tolist()) * (1 - p) ** (n - sum(bit_array(x).tolist()))
     count = 0
     for v in range(1 << n):
         ones = v.bit_count()

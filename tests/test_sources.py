@@ -22,7 +22,7 @@ from rngcal.sources import (
     required_base_length,
 )
 
-from helpers import numpy_uniforms, packed_bits, python_loops, reference_markov_bits
+from helpers import bit_array, numpy_uniforms, packed_bits, python_loops, reference_markov_bits
 
 # Frozen stream digests (Philox keyed by seed; stable across platforms).
 DIGEST_BERNOULLI_05_SEED7_1024 = (
@@ -104,8 +104,8 @@ def _one_draw(source, n: int) -> np.ndarray:
         return reference_markov_bits(source, n) if n else np.zeros(0, dtype=np.uint8)
     if isinstance(source, DuplicationSource):
         base = BernoulliSource(0.5, seed=source.seed)
-        return duplication_construction(
-            packed_bits(_one_draw(base, required_base_length(n))), n).array
+        return bit_array(duplication_construction(
+            packed_bits(_one_draw(base, required_base_length(n))), n))
     i = np.arange(n)
     if isinstance(source, DriftingBiasSource):
         with np.errstate(over="ignore"):  # clip maps the infinities to 0 or 1
@@ -168,7 +168,7 @@ def test_bits_across_pieces_equal_one_draw(spec):
     # lengths about 2^16: where a draw in pieces of 2^16 uniforms would cut
     source = parse_source_spec(spec)
     for n in (2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5):
-        assert np.array_equal(source.bits(n).array, _one_draw(source, n)), n
+        assert np.array_equal(bit_array(source.bits(n)), _one_draw(source, n)), n
 
 
 def test_bits_validates_count():
@@ -183,7 +183,7 @@ def test_bernoulli_validates_probability():
 
 def test_bernoulli_frequency():
     x = BernoulliSource(0.3, seed=9).bits(10 ** 5)
-    freq = np.mean(x.array)
+    freq = np.mean(bit_array(x))
     assert abs(freq - 0.3) < 0.01
 
 
@@ -219,12 +219,12 @@ def test_markov_draw_matches_the_chain_walk():
     for seed, m in enumerate(rows):
         source = MarkovSource(m, seed=seed)
         for n in (1, 2, 3, 1000):
-            assert np.array_equal(source.bits(n).array, reference_markov_bits(source, n)), m
+            assert np.array_equal(bit_array(source.bits(n)), reference_markov_bits(source, n)), m
 
 
 def test_markov_transition_frequencies():
     rows = [[0.8, 0.2], [0.3, 0.7]]
-    x = MarkovSource(rows, seed=12).bits(2 * 10 ** 5).array
+    x = bit_array(MarkovSource(rows, seed=12).bits(2 * 10 ** 5))
     prev, cur = x[:-1], x[1:]
     for s in (0, 1):
         mask = prev == s
@@ -238,13 +238,13 @@ def test_drifting_bias_reaches_target():
     rate = 0.1 / n
     for seed in range(20):
         x = DriftingBiasSource(0.5, rate, seed=seed).bits(n)
-        tail = x.array[-n // 10:]
+        tail = bit_array(x)[-n // 10:]
         assert 0.58 < tail.mean() < 0.62, seed
 
 
 def test_drifting_bias_clips():
     x = DriftingBiasSource(0.99, 1e-3, seed=3).bits(10 ** 4)
-    assert x.array[-100:].mean() == 1.0  # ramp saturates at probability 1
+    assert bit_array(x)[-100:].mean() == 1.0  # ramp saturates at probability 1
 
 
 @pytest.mark.parametrize("rate,bit", [(1e308, 1), (-1e308, 0)])
@@ -252,12 +252,12 @@ def test_drifting_bias_overflow_is_clipped_silently(rate, bit):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = DriftingBiasSource(0.5, rate, seed=3).bits(64)
-    assert x.array[1:].tolist() == [bit] * 63  # p is 0 or 1 from the second bit on
+    assert bit_array(x)[1:].tolist() == [bit] * 63  # p is 0 or 1 from the second bit on
 
 
 def test_regime_switch_segment_frequencies():
     src = RegimeSwitchSource([(1000, 0.1), (1000, 0.9)], seed=8)
-    x = src.bits(2 * 10 ** 5).array
+    x = bit_array(src.bits(2 * 10 ** 5))
     blocks = x.reshape(-1, 1000)
     lows = blocks[0::2].mean()
     highs = blocks[1::2].mean()
@@ -276,7 +276,7 @@ def test_regime_switch_equals_the_whole_period_construction(segments):
     period = np.concatenate([np.full(length, p) for length, p in segments])
     p = np.tile(period, -(-n // len(period)))[:n]
     want = np.random.Generator(np.random.Philox(key=9)).random(n) < p
-    assert np.array_equal(RegimeSwitchSource(segments, seed=9).bits(n).array, want)
+    assert np.array_equal(bit_array(RegimeSwitchSource(segments, seed=9).bits(n)), want)
 
 
 @pytest.mark.parametrize("spec", [
@@ -336,8 +336,8 @@ def test_block_spans():
 
 def test_output_layout_doubles_each_block():
     base = BitString(np.arange(300) % 2)  # alternating; content is irrelevant
-    b = base.array.tolist()
-    y = duplication_construction(base, 28).array.tolist()
+    b = bit_array(base).tolist()
+    y = bit_array(duplication_construction(base, 28)).tolist()
     expected = b[0:2] + b[0:2] + b[2:14] + b[2:14]
     assert y == expected
 

@@ -17,9 +17,9 @@ from rngcal.bits import BitString
 from rngcal.errors import InfeasibleError
 from rngcal.sources import BernoulliSource, DuplicationSource, MarkovSource
 
-from helpers import (all_bitstrings, mapped_tables, packed_bits, python_loops, random_bits,
-                     reference_compression_test, reference_scan, reference_tau_k_test,
-                     spy_on_tables)
+from helpers import (all_bitstrings, bit_array, mapped_tables, packed_bits, python_loops,
+                     random_bits, reference_compression_test, reference_scan,
+                     reference_tau_k_test, spy_on_tables)
 
 # Frozen regression constants.
 TAU_K_ZEROS_2_14_STAT = 16328.999912
@@ -118,7 +118,7 @@ def test_constant_statistic_gives_p_one():
 
 
 def test_ones_count_statistic():
-    p = stats.exact_p_value(BitString.from01("111"), lambda y: sum(y.array.tolist()))
+    p = stats.exact_p_value(BitString.from01("111"), lambda y: sum(bit_array(y).tolist()))
     assert p == 1.0 / 8.0
 
 
@@ -540,7 +540,7 @@ def test_blocked_tau_k_evidence_equals_one_unblocked_call():
     start, chunk = 12345, 1 << 14
     ends = [start + k * chunk for k in range(4)] + [start + 3 * chunk + 777]
     inputs = [packed_bits(np.concatenate([np.zeros(30000, dtype=np.uint8),
-                                          random_bits(ends[-1] - 30000, seed=34).array])),
+                                          bit_array(random_bits(ends[-1] - 30000, seed=34))])),
               BernoulliSource(0.1, seed=35).bits(ends[-1]),
               DuplicationSource(seed=36).bits(ends[-1]),
               random_bits(ends[-1], seed=37)]
@@ -646,6 +646,20 @@ def test_a_scan_refuses_a_two_test_engine_before_it_feeds_a_bit(monkeypatch):
         stats.consistency_scan(random_bits(4096, seed=9), stats.PrefixScanTest("lz77", "tauk"),
                                0.01, start_bits=16)
     assert fed == []
+
+
+def test_a_scan_refuses_an_engine_that_has_taken_bits():
+    # a second scan would feed x from its start as bits that follow the first
+    # scan's: on the engine of the first, step 1024 read +7,857 bits saved and rejected
+    x = DuplicationSource(seed=7).bits(1 << 17)
+    engine = stats.PrefixScanTest("lz77")
+    first = stats.consistency_scan(x, engine, 1e-6)
+    assert first.first_rejection_bits == 1 << 17
+    with pytest.raises(ValueError,
+                       match=r"^a scan needs a fresh engine; this one has taken 131072 bits$"):
+        stats.consistency_scan(x, engine, 1e-6)
+    assert engine._bits == 1 << 17  # fed nothing
+    _assert_scans_equal(stats.consistency_scan(x, stats.PrefixScanTest("lz77"), 1e-6), first)
 
 
 # ---------------------------------------------------------------------------
